@@ -2,7 +2,7 @@
 # the race detector (the observability layer's multi-rank tests record
 # spans from every rank goroutine, so the race run is part of the bar),
 # then an end-to-end mdbench smoke campaign.
-.PHONY: all build vet test race bench bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
+.PHONY: all build vet test race bench bench-module bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
 
 all: check
 
@@ -22,6 +22,14 @@ race:
 
 bench:
 	go test -bench=. -benchmem -run=^$$ ./...
+
+# bench/ is its own module (gomd/bench, replace gomd => ../), so the
+# root build/vet/test never compile it: this step is what notices when an
+# engine API it calls (sim.NL.Build, sim.NL.Stats, sim.PairContext,
+# Pair.Compute, ...) changes shape. ~3 s.
+bench-module:
+	go -C bench vet ./...
+	go -C bench test ./...
 
 # Short 8-rank rhodopsin campaign with a strict data log: fails if any
 # engine measurement is missing from the JSONL (the trace.Logger.Err()
@@ -102,4 +110,4 @@ transport-check:
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' \
 		./internal/mpi/ ./internal/harness/
 
-check: build vet test race bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check
+check: build vet test race bench-module bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check

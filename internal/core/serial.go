@@ -44,22 +44,26 @@ func (b *SerialBackend) Rebuild(s *Simulation) {
 	// whose conditions hold (faces, edges, and corners).
 	for i := 0; i < st.N; i++ {
 		p := st.Pos[i]
-		var opts [3][]float64
+		// Per dimension: no shift, then +L near the low face, then -L
+		// near the high face.
+		var opts [3][3]float64
+		var nopt [3]int
 		for d := 0; d < 3; d++ {
-			shifts := []float64{0}
+			nopt[d] = 1
 			if s.Box.Periodic[d] {
 				if p.Component(d) < lo.Component(d)+cut {
-					shifts = append(shifts, l.Component(d))
+					opts[d][nopt[d]] = l.Component(d)
+					nopt[d]++
 				}
 				if p.Component(d) > hi.Component(d)-cut {
-					shifts = append(shifts, -l.Component(d))
+					opts[d][nopt[d]] = -l.Component(d)
+					nopt[d]++
 				}
 			}
-			opts[d] = shifts
 		}
-		for _, sx := range opts[0] {
-			for _, sy := range opts[1] {
-				for _, sz := range opts[2] {
+		for _, sx := range opts[0][:nopt[0]] {
+			for _, sy := range opts[1][:nopt[1]] {
+				for _, sz := range opts[2][:nopt[2]] {
 					if sx == 0 && sy == 0 && sz == 0 {
 						continue
 					}

@@ -67,10 +67,6 @@ type List struct {
 	Cutoff float64 // interaction cutoff
 	Skin   float64 // extra bookkeeping distance
 
-	// Neigh[i] lists neighbor local indices of owned atom i. For entries
-	// produced with special-bond filtering, excluded partners are absent.
-	Neigh [][]int32
-
 	// SpecialScale, when non-nil, maps a (i, j) special pair to a weight
 	// to apply instead of exclusion. nil means special pairs are skipped
 	// entirely (the FENE convention of the Chain benchmark).
@@ -94,18 +90,23 @@ type List struct {
 	lastPos []vec.V3 // owned positions snapshot at last build
 
 	// scratch bin storage reused across builds (counting-sort cells)
-	binStart []int32 // CSR offsets per bin, len nbins+1
-	binAtoms []int32 // atom indices sorted by bin, ascending within bin
-	binCnt   []int32 // flat per-worker x per-bin counts / cursors
+	binStart []int32  // CSR offsets per bin, len nbins+1
+	binAtoms []int32  // atom indices sorted by bin, ascending within bin
+	binPos   []vec.V3 // positions in binAtoms order, so candidates stream
+	binCnt   []int32  // flat per-worker x per-bin counts / cursors
 	wlo, whi []vec.V3
 	checksW  []int64
 	pairsW   []int64
 	ghostW   []int64
 
-	// rowPtr is the CSR offset of each owned row's entries in the flat
-	// pair index space used by pair kernels (rowPtr[i] + k for entry k
-	// of row i); rebuilt on every Build.
+	// neigh holds every row's entries back to back; rowPtr[i] is where
+	// owned row i starts and rowPtr[owned] the total. It is the only
+	// index space: Row slices it, pair kernels address their per-entry
+	// scratch by rowPtr[i]+k, and Transpose maps into it. For entries
+	// produced with special-bond filtering, excluded partners are absent.
+	neigh  []int32
 	rowPtr []int32
+	segs   [][]int32 // scan output of workers 1.., appended to neigh after the scan
 
 	// Lazily built transpose of the half list (flat entry -> target
 	// atom), used by the deterministic two-phase pair kernels.
@@ -158,13 +159,6 @@ func (l *List) Build(st *atom.Store) {
 	pool := l.Pool
 	W := pool.Workers()
 	l.revValid = false
-
-	// Grow per-atom slices, preserving capacity across rebuilds. Rows
-	// are reset inside the scan, one worker per row range.
-	if cap(l.Neigh) < st.N {
-		l.Neigh = make([][]int32, st.N)
-	}
-	l.Neigh = l.Neigh[:st.N]
 
 	// Bin geometry: cover the bounding box of all atoms with bins of
 	// roughly half the interaction range and a distance-pruned stencil,
@@ -246,11 +240,13 @@ func (l *List) Build(st *atom.Store) {
 	}
 	l.binStart[nbins] = ofs
 	l.binAtoms = grow(l.binAtoms, total)
+	l.binPos = grow(l.binPos, total)
 	pool.Run("neigh_bin_fill", total, func(w, alo, ahi int) {
 		cur := l.binCnt[w*nbins : (w+1)*nbins]
 		for i := alo; i < ahi; i++ {
 			b := binOf(st.Pos[i])
 			l.binAtoms[cur[b]] = int32(i)
+			l.binPos[cur[b]] = st.Pos[i]
 			cur[b]++
 		}
 	})
@@ -262,74 +258,59 @@ func (l *List) Build(st *atom.Store) {
 		minInt(int(cut/binSize.Y)+1, nb[1]-1),
 		minInt(int(cut/binSize.Z)+1, nb[2]-1),
 	}
-	type off3 struct{ x, y, z int }
-	stencil := make([]off3, 0, 125)
-	for dz := -reach[2]; dz <= reach[2]; dz++ {
-		for dy := -reach[1]; dy <= reach[1]; dy++ {
-			for dx := -reach[0]; dx <= reach[0]; dx++ {
-				gap := func(o int, sz float64) float64 {
-					if o > 0 {
-						return float64(o-1) * sz
-					}
-					if o < 0 {
-						return float64(-o-1) * sz
-					}
-					return 0
-				}
-				gx := gap(dx, binSize.X)
-				gy := gap(dy, binSize.Y)
-				gz := gap(dz, binSize.Z)
-				if gx*gx+gy*gy+gz*gz <= cut2 {
-					stencil = append(stencil, off3{dx, dy, dz})
-				}
-			}
-		}
-	}
+	stencil := stencilLines(reach, binSize, cut2)
 
 	// Per-atom scan: each worker owns a contiguous row range and appends
-	// only into its own rows; counters accumulate per worker and are
+	// its rows to a private segment — worker 0, whose rows lead the flat
+	// array, to the array itself; counters accumulate per worker and are
 	// summed in worker order (integers, so the sum is exact).
+	//
+	// Bins consecutive in x are consecutive in binStart, so the bins one
+	// stencil line selects are a single run of binAtoms/binPos. Runs are
+	// visited in (dz, dy) order and a run is ascending in (dx, atom
+	// index) — the order a bin-by-bin walk of the stencil gives.
 	l.checksW = grow(l.checksW, W)
 	l.pairsW = grow(l.pairsW, W)
 	l.ghostW = grow(l.ghostW, W)
 	clear(l.checksW)
 	clear(l.pairsW)
 	clear(l.ghostW)
+	l.rowPtr = grow(l.rowPtr, st.N+1)
+	l.reserve(st, W, span.X*span.Y*span.Z)
+	halfMode := l.Mode == Half
 	pool.Run("neigh_scan", st.N, func(w, rlo, rhi int) {
 		var checks, pairs, ghostPairs int64
+		out := l.segs[w][:0]
+		if w == 0 {
+			out = l.neigh // only worker 0 touches it during the scan
+		}
 		for i := rlo; i < rhi; i++ {
-			l.Neigh[i] = l.Neigh[i][:0]
+			l.rowPtr[i] = int32(len(out)) // segment-relative until concatenation
 			pi := st.Pos[i]
 			bx := clampInt(int((pi.X-lo.X)*inv.X), 0, nb[0]-1)
 			by := clampInt(int((pi.Y-lo.Y)*inv.Y), 0, nb[1]-1)
 			bz := clampInt(int((pi.Z-lo.Z)*inv.Z), 0, nb[2]-1)
 			hasSpecial := len(st.Special[i]) > 0
 			for _, o := range stencil {
-				z := bz + o.z
-				if z < 0 || z >= nb[2] {
+				z := bz + o.dz
+				y := by + o.dy
+				if z < 0 || z >= nb[2] || y < 0 || y >= nb[1] {
 					continue
 				}
-				y := by + o.y
-				if y < 0 || y >= nb[1] {
-					continue
-				}
-				x := bx + o.x
-				if x < 0 || x >= nb[0] {
-					continue
-				}
-				b := x + nb[0]*(y+nb[1]*z)
-				for _, j := range l.binAtoms[l.binStart[b]:l.binStart[b+1]] {
+				rb := nb[0] * (y + nb[1]*z)
+				klo := l.binStart[rb+maxInt(bx-o.rx, 0)]
+				khi := l.binStart[rb+minInt(bx+o.rx, nb[0]-1)+1]
+				atoms := l.binAtoms[klo:khi]
+				pos := l.binPos[klo:khi]
+				for k, j := range atoms {
 					ji := int(j)
-					if ji == i {
-						continue
-					}
-					// Half discipline: owned-owned stored once.
-					if l.Mode == Half && ji < st.N && ji < i {
+					// Half discipline: owned-owned stored once (ji < i
+					// implies ji is owned).
+					if ji == i || halfMode && ji < i {
 						continue
 					}
 					checks++
-					d := pi.Sub(st.Pos[ji])
-					if d.Norm2() > cut2 {
+					if pi.Sub(pos[k]).Norm2() > cut2 {
 						continue
 					}
 					entry := j
@@ -344,13 +325,18 @@ func (l *List) Build(st *atom.Store) {
 							entry |= int32(kind) << KindShift
 						}
 					}
-					l.Neigh[i] = append(l.Neigh[i], entry)
+					out = append(out, entry)
 					pairs++
 					if ji >= st.N {
 						ghostPairs++
 					}
 				}
 			}
+		}
+		if w > 0 {
+			l.segs[w] = out
+		} else {
+			l.neigh = out
 		}
 		l.checksW[w] = checks
 		l.pairsW[w] = pairs
@@ -364,19 +350,23 @@ func (l *List) Build(st *atom.Store) {
 		pairs += l.pairsW[w]
 		ghostPairs += l.ghostW[w]
 	}
-
-	// Flat CSR offsets over owned rows, the index space pair kernels
-	// use for their per-entry scratch and the transpose map.
 	if pairs > math.MaxInt32 {
 		panic("neighbor: pair count exceeds int32 flat index space")
 	}
-	l.rowPtr = grow(l.rowPtr, st.N+1)
-	off := int32(0)
-	for i := 0; i < st.N; i++ {
-		l.rowPtr[i] = off
-		off += int32(len(l.Neigh[i]))
+	// Append the other workers' segments in worker order, rebasing their
+	// row offsets from segment-relative to flat.
+	for w := 1; w < W; w++ {
+		rlo, rhi := par.Chunk(st.N, W, w)
+		if rlo == rhi {
+			continue // the worker did not run; its segment is stale
+		}
+		base := int32(len(l.neigh))
+		for i := rlo; i < rhi; i++ {
+			l.rowPtr[i] += base
+		}
+		l.neigh = append(l.neigh, l.segs[w]...)
 	}
-	l.rowPtr[st.N] = off
+	l.rowPtr[st.N] = int32(pairs)
 
 	l.Stats.Builds++
 	l.Stats.TotalPairs += pairs
@@ -417,6 +407,12 @@ func (l *List) NeighborsPerAtom(owned int) float64 {
 	return per
 }
 
+// Row returns the entries of owned atom i in the most recent Build: the
+// local indices of its neighbors, with the special kind in the top bits
+// where SpecialWeight kept a special pair (see Decode). The slice
+// aliases the list's storage and is valid until the next Build.
+func (l *List) Row(i int) []int32 { return l.neigh[l.rowPtr[i]:l.rowPtr[i+1]] }
+
 // RowPtr returns the CSR offsets of each owned row's entries in the
 // flat pair-entry index space of the most recent Build: entry k of row
 // i has flat index RowPtr()[i]+k, and RowPtr()[owned] is the total
@@ -438,14 +434,12 @@ func (l *List) Transpose() (ptr, row, idx []int32) {
 	if l.revValid {
 		return l.revPtr, l.revRow, l.revIdx
 	}
-	owned := len(l.Neigh)
+	owned := len(l.rowPtr) - 1
 	l.revCnt = grow(l.revCnt, owned)
 	clear(l.revCnt)
-	for i := 0; i < owned; i++ {
-		for _, e := range l.Neigh[i] {
-			if j := int(e & IdxMask); j < owned {
-				l.revCnt[j]++
-			}
+	for _, e := range l.neigh {
+		if j := int(e & IdxMask); j < owned {
+			l.revCnt[j]++
 		}
 	}
 	l.revPtr = grow(l.revPtr, owned+1)
@@ -459,20 +453,93 @@ func (l *List) Transpose() (ptr, row, idx []int32) {
 	l.revRow = grow(l.revRow, int(off))
 	l.revIdx = grow(l.revIdx, int(off))
 	for i := 0; i < owned; i++ {
-		base := l.rowPtr[i]
-		for k, e := range l.Neigh[i] {
-			j := int(e & IdxMask)
+		for e := l.rowPtr[i]; e < l.rowPtr[i+1]; e++ {
+			j := int(l.neigh[e] & IdxMask)
 			if j >= owned {
 				continue
 			}
 			t := l.revCnt[j]
 			l.revRow[t] = int32(i)
-			l.revIdx[t] = base + int32(k)
+			l.revIdx[t] = e
 			l.revCnt[j] = t + 1
 		}
 	}
 	l.revValid = true
 	return l.revPtr, l.revRow, l.revIdx
+}
+
+// stencilLine is one (dz, dy) line of the pruned bin stencil; the x
+// offsets it keeps are -rx..rx.
+type stencilLine struct{ dz, dy, rx int }
+
+// stencilLines returns, in ascending (dz, dy) order, the lines of the
+// stencil of bin offsets whose nearest corner lies within the cutoff.
+// The gap to a bin is even and monotone in |dx|, so the dx a line keeps
+// are a symmetric interval — the property that lets the scan read a
+// line as one contiguous run of bins. It panics if a line is not.
+func stencilLines(reach [3]int, binSize vec.V3, cut2 float64) []stencilLine {
+	gap := func(o int, sz float64) float64 {
+		if o < 0 {
+			o = -o
+		}
+		if o == 0 {
+			return 0
+		}
+		return float64(o-1) * sz
+	}
+	lines := make([]stencilLine, 0, 25)
+	for dz := -reach[2]; dz <= reach[2]; dz++ {
+		gz := gap(dz, binSize.Z)
+		for dy := -reach[1]; dy <= reach[1]; dy++ {
+			gy := gap(dy, binSize.Y)
+			kept, rx := 0, -1
+			for dx := -reach[0]; dx <= reach[0]; dx++ {
+				gx := gap(dx, binSize.X)
+				if gx*gx+gy*gy+gz*gz <= cut2 {
+					kept++
+					rx = maxInt(rx, maxInt(dx, -dx))
+				}
+			}
+			if kept == 0 {
+				continue
+			}
+			if kept != 2*rx+1 {
+				panic("neighbor: a stencil line keeps a set of x offsets that is not a symmetric interval")
+			}
+			lines = append(lines, stencilLine{dz, dy, rx})
+		}
+	}
+	return lines
+}
+
+// reserve empties the scan's output and sizes it before the scan runs,
+// so that append does not grow it by doubling: the first build from the mean density (the
+// atoms in a cutoff sphere, half of them stored by a Half list), later
+// builds from what the previous one stored, both plus 20%.
+func (l *List) reserve(st *atom.Store, W int, volume float64) {
+	est := float64(len(l.neigh))
+	if l.lastPos == nil {
+		cut := l.BuildCutoff()
+		per := float64(st.Total()) / volume * 4 / 3 * math.Pi * cut * cut * cut
+		per = math.Min(per, float64(st.Total()))
+		if l.Mode == Half {
+			per /= 2
+		}
+		est = per * float64(st.N)
+	}
+	n := int(1.2 * est)
+	if cap(l.neigh) < n {
+		l.neigh = make([]int32, 0, n)
+	}
+	l.neigh = l.neigh[:0]
+	if len(l.segs) != W {
+		l.segs = make([][]int32, W)
+	}
+	for w := 1; w < W; w++ {
+		if cap(l.segs[w]) < n/W {
+			l.segs[w] = make([]int32, 0, n/W)
+		}
+	}
 }
 
 func bounds(pos []vec.V3) (lo, hi vec.V3) {

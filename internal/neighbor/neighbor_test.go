@@ -2,11 +2,14 @@ package neighbor_test
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gomd/internal/atom"
 	"gomd/internal/neighbor"
+	"gomd/internal/par"
 	"gomd/internal/rng"
 	"gomd/internal/vec"
 )
@@ -42,8 +45,8 @@ func brutePairs(st *atom.Store, cut float64) map[[2]int]bool {
 
 func listPairsHalf(l *neighbor.List) map[[2]int]bool {
 	out := map[[2]int]bool{}
-	for i := range l.Neigh {
-		for _, e := range l.Neigh[i] {
+	for i := 0; i < len(l.RowPtr())-1; i++ {
+		for _, e := range l.Row(i) {
 			j, _ := neighbor.Decode(e)
 			a, b := i, j
 			if a > b {
@@ -84,11 +87,11 @@ func TestFullListSymmetry(t *testing.T) {
 	st := randomStore(200, 7, 3)
 	nl := neighbor.NewList(neighbor.Full, 1.2, 0.2)
 	nl.Build(st)
-	for i := range nl.Neigh {
-		for _, e := range nl.Neigh[i] {
+	for i := 0; i < len(nl.RowPtr())-1; i++ {
+		for _, e := range nl.Row(i) {
 			j, _ := neighbor.Decode(e)
 			found := false
-			for _, e2 := range nl.Neigh[j] {
+			for _, e2 := range nl.Row(j) {
 				if k, _ := neighbor.Decode(e2); k == i {
 					found = true
 					break
@@ -144,8 +147,8 @@ func TestSpecialExclusion(t *testing.T) {
 	// Exclusion mode: special pair absent.
 	nl := neighbor.NewList(neighbor.Half, 1, 0.1)
 	nl.Build(st)
-	for i := range nl.Neigh {
-		for _, e := range nl.Neigh[i] {
+	for i := 0; i < len(nl.RowPtr())-1; i++ {
+		for _, e := range nl.Row(i) {
 			j, _ := neighbor.Decode(e)
 			if (i == 0 && j == 1) || (i == 1 && j == 0) {
 				t.Error("excluded special pair present in list")
@@ -158,8 +161,8 @@ func TestSpecialExclusion(t *testing.T) {
 	nl2.SpecialWeight = func(atom.SpecialKind) (float64, bool) { return 0, true }
 	nl2.Build(st)
 	found := false
-	for i := range nl2.Neigh {
-		for _, e := range nl2.Neigh[i] {
+	for i := 0; i < len(nl2.RowPtr())-1; i++ {
+		for _, e := range nl2.Row(i) {
 			j, kind := neighbor.Decode(e)
 			if (i == 0 && j == 1) || (i == 1 && j == 0) {
 				found = true
@@ -237,7 +240,7 @@ func ExampleList_Build() {
 	st.Add(atom.Atom{Tag: 2, Type: 1, Pos: vec.New(1, 0, 0)})
 	nl := neighbor.NewList(neighbor.Half, 1.5, 0.3)
 	nl.Build(st)
-	fmt.Println(len(nl.Neigh[0]), nl.Stats.Builds)
+	fmt.Println(len(nl.Row(0)), nl.Stats.Builds)
 	// Output: 1 1
 }
 
@@ -259,6 +262,202 @@ func BenchmarkRebuildCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if nl.NeedsRebuild(st) {
 			b.Fatal("static store must not trigger")
+		}
+	}
+}
+
+// referenceBuild is the builder this package had before the list went
+// flat, kept as the oracle for Build: one slice per row, filled by
+// walking the full three-dimensional stencil one bin at a time. Build
+// must store the same entries in the same order and count the same
+// distance checks. It returns the rows and the counters of one build.
+func referenceBuild(st *atom.Store, mode neighbor.Mode, cut float64,
+	special func(atom.SpecialKind) (float64, bool)) ([][]int32, neighbor.Stats) {
+	total := st.Total()
+	cut2 := cut * cut
+	lo, hi := vec.V3{}, vec.Splat(1)
+	if total > 0 {
+		lo, hi = st.Pos[0], st.Pos[0]
+		for _, p := range st.Pos[1:total] {
+			lo = vec.New(math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z))
+			hi = vec.New(math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z))
+		}
+	}
+	eps := 1e-9 * (1 + hi.Sub(lo).MaxComponent())
+	lo = lo.Sub(vec.Splat(eps))
+	hi = hi.Add(vec.Splat(eps))
+	span := hi.Sub(lo)
+	half := cut / 2
+	nb := [3]int{max(1, int(span.X/half)), max(1, int(span.Y/half)), max(1, int(span.Z/half))}
+	inv := vec.New(float64(nb[0])/span.X, float64(nb[1])/span.Y, float64(nb[2])/span.Z)
+	clamp := func(v, hi int) int { return min(max(v, 0), hi) }
+	binOf := func(p vec.V3) (x, y, z int) {
+		return clamp(int((p.X-lo.X)*inv.X), nb[0]-1),
+			clamp(int((p.Y-lo.Y)*inv.Y), nb[1]-1),
+			clamp(int((p.Z-lo.Z)*inv.Z), nb[2]-1)
+	}
+	bins := make([][]int32, nb[0]*nb[1]*nb[2]) // ascending atom index within a bin
+	for i := 0; i < total; i++ {
+		x, y, z := binOf(st.Pos[i])
+		b := x + nb[0]*(y+nb[1]*z)
+		bins[b] = append(bins[b], int32(i))
+	}
+
+	binSize := vec.New(span.X/float64(nb[0]), span.Y/float64(nb[1]), span.Z/float64(nb[2]))
+	reach := [3]int{
+		min(int(cut/binSize.X)+1, nb[0]-1),
+		min(int(cut/binSize.Y)+1, nb[1]-1),
+		min(int(cut/binSize.Z)+1, nb[2]-1),
+	}
+	gap := func(o int, sz float64) float64 {
+		if o > 0 {
+			return float64(o-1) * sz
+		}
+		if o < 0 {
+			return float64(-o-1) * sz
+		}
+		return 0
+	}
+	var stencil [][3]int
+	for dz := -reach[2]; dz <= reach[2]; dz++ {
+		for dy := -reach[1]; dy <= reach[1]; dy++ {
+			for dx := -reach[0]; dx <= reach[0]; dx++ {
+				gx, gy, gz := gap(dx, binSize.X), gap(dy, binSize.Y), gap(dz, binSize.Z)
+				if gx*gx+gy*gy+gz*gz <= cut2 {
+					stencil = append(stencil, [3]int{dx, dy, dz})
+				}
+			}
+		}
+	}
+
+	rows := make([][]int32, st.N)
+	var stats neighbor.Stats
+	for i := 0; i < st.N; i++ {
+		pi := st.Pos[i]
+		bx, by, bz := binOf(pi)
+		for _, o := range stencil {
+			x, y, z := bx+o[0], by+o[1], bz+o[2]
+			if x < 0 || x >= nb[0] || y < 0 || y >= nb[1] || z < 0 || z >= nb[2] {
+				continue
+			}
+			for _, j := range bins[x+nb[0]*(y+nb[1]*z)] {
+				ji := int(j)
+				if ji == i || mode == neighbor.Half && ji < st.N && ji < i {
+					continue
+				}
+				stats.DistanceChecks++
+				if pi.Sub(st.Pos[ji]).Norm2() > cut2 {
+					continue
+				}
+				entry := j
+				if kind, ok := st.IsSpecial(i, st.Tag[ji]); ok {
+					if special == nil {
+						continue
+					}
+					if _, keep := special(kind); !keep {
+						continue
+					}
+					entry |= int32(kind) << neighbor.KindShift
+				}
+				rows[i] = append(rows[i], entry)
+				stats.LastPairs++
+				if ji >= st.N {
+					stats.LastGhostPairs++
+				}
+			}
+		}
+	}
+	stats.Builds = 1
+	stats.TotalPairs = stats.LastPairs
+	stats.LastOwnedPairs = stats.LastPairs - stats.LastGhostPairs
+	return rows, stats
+}
+
+// bondNeighbours marks every owned atom and its successor by tag as a
+// special pair, cycling through the three kinds.
+func bondNeighbours(st *atom.Store) {
+	for i := 0; i+1 < st.N; i++ {
+		kind := atom.SpecialKind(1 + i%3)
+		st.Special[i] = append(st.Special[i], atom.SpecialRef{Tag: st.Tag[i+1], Kind: kind})
+		st.Special[i+1] = append(st.Special[i+1], atom.SpecialRef{Tag: st.Tag[i], Kind: kind})
+	}
+}
+
+// slab is randomStore squeezed to thickness lz in z, so the bin grid
+// has int(lz/(cut/2)) layers there and the stencil's reach clamps.
+func slab(n int, l, lz float64, seed uint64) *atom.Store {
+	st := randomStore(n, l, seed)
+	for i := range st.Pos[:st.N] {
+		st.Pos[i].Z *= lz / l
+	}
+	return st
+}
+
+// TestBuildMatchesReference: the run-based scan over the flat list
+// stores what the bin-by-bin reference stores — entries and their order
+// — and reports the same counters, for both disciplines, with ghosts,
+// with special pairs dropped, kept and tagged, at several worker counts,
+// on degenerate grids, and again when the list is rebuilt.
+func TestBuildMatchesReference(t *testing.T) {
+	const cutoff, skin = 1.5, 0.3
+	keepAll := func(atom.SpecialKind) (float64, bool) { return 0, true }
+	keep14 := func(k atom.SpecialKind) (float64, bool) { return 0, k == atom.Special14 }
+	systems := []struct {
+		name string
+		st   func() *atom.Store
+	}{
+		{"gas", func() *atom.Store { return randomStore(400, 7, 21) }},
+		{"ghosts", func() *atom.Store { return ghostedStore(250, 5.5, cutoff+skin, 22) }},
+		{"bonded", func() *atom.Store { st := ghostedStore(250, 5.5, cutoff+skin, 23); bondNeighbours(st); return st }},
+		{"one-layer", func() *atom.Store { return slab(300, 7, 0.5, 24) }},
+		{"two-layers", func() *atom.Store { return slab(300, 7, 2.0, 25) }},
+		{"empty", func() *atom.Store { return atom.New(0) }},
+		{"one-atom", func() *atom.Store { return randomStore(1, 7, 26) }},
+	}
+	specials := []struct {
+		name string
+		fn   func(atom.SpecialKind) (float64, bool)
+	}{{"drop-all", nil}, {"keep-all", keepAll}, {"keep-14", keep14}}
+	for _, sys := range systems {
+		for _, mode := range []neighbor.Mode{neighbor.Half, neighbor.Full} {
+			for _, sp := range specials {
+				if sp.fn != nil && sys.name != "bonded" {
+					continue
+				}
+				for _, w := range []int{1, 2, 3, 7} {
+					st := sys.st()
+					nl := neighbor.NewList(mode, cutoff, skin)
+					nl.SpecialWeight = sp.fn
+					pool := par.NewPool(w)
+					nl.Pool = pool
+					for build := 1; build <= 2; build++ {
+						id := fmt.Sprintf("%s mode=%v %s workers=%d build=%d", sys.name, mode, sp.name, w, build)
+						before := nl.Stats
+						nl.Build(st)
+						rows, want := referenceBuild(st, mode, cutoff+skin, sp.fn)
+						want.Builds += before.Builds
+						want.TotalPairs += before.TotalPairs
+						want.DistanceChecks += before.DistanceChecks
+						if nl.Stats != want {
+							t.Errorf("%s: stats %+v, reference %+v", id, nl.Stats, want)
+						}
+						if got := len(nl.RowPtr()) - 1; got != st.N {
+							t.Fatalf("%s: %d rows for %d owned atoms", id, got, st.N)
+						}
+						for i := range rows {
+							if !slices.Equal(nl.Row(i), rows[i]) {
+								t.Fatalf("%s: row %d is %v, reference %v", id, i, nl.Row(i), rows[i])
+							}
+						}
+						// Move everything a little so the second build
+						// bins and stores something different.
+						for i := range st.Pos {
+							st.Pos[i] = st.Pos[i].Add(vec.New(0.05, -0.03, 0.02).Scale(float64(i%5) - 2))
+						}
+					}
+					pool.Close()
+				}
+			}
 		}
 	}
 }

@@ -63,8 +63,8 @@ func bruteSet(st *atom.Store, mode neighbor.Mode, cut float64) map[[2]int]bool {
 
 func listSet(l *neighbor.List) map[[2]int]bool {
 	out := map[[2]int]bool{}
-	for i := range l.Neigh {
-		for _, e := range l.Neigh[i] {
+	for i := 0; i < len(l.RowPtr())-1; i++ {
+		for _, e := range l.Row(i) {
 			j, _ := neighbor.Decode(e)
 			out[[2]int{i, j}] = true
 		}
@@ -110,14 +110,14 @@ func TestListMatchesBruteForceWithGhosts(t *testing.T) {
 				if w == 1 {
 					serialRows = make([][]int32, st.N)
 					for i := range serialRows {
-						serialRows[i] = append([]int32(nil), nl.Neigh[i]...)
+						serialRows[i] = append([]int32(nil), nl.Row(i)...)
 					}
 				} else {
 					for i := range serialRows {
-						if len(nl.Neigh[i]) != len(serialRows[i]) {
+						if len(nl.Row(i)) != len(serialRows[i]) {
 							t.Fatalf("mode=%v seed=%d: row %d length differs across workers", mode, seed, i)
 						}
-						for k, e := range nl.Neigh[i] {
+						for k, e := range nl.Row(i) {
 							if e != serialRows[i][k] {
 								t.Fatalf("mode=%v seed=%d: row %d entry %d differs across workers: %d vs %d",
 									mode, seed, i, k, e, serialRows[i][k])

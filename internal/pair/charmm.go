@@ -155,22 +155,21 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 	// Serial single-pass path (same per-row partial grouping as the
 	// parallel fold; see ljCompute).
 	if ctx.Pool.Workers() <= 1 {
+		keep := &p.scr.filters(1)[0]
 		for i := 0; i < owned; i++ {
 			pi := st.Pos[i]
 			ti := int(st.Type[i]) - 1
 			qi := st.Charge[i]
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			var fx, fy, fz, eRow, vRow float64
-			for _, entry := range nl.Neigh[i] {
-				j, kind := neighbor.Decode(entry)
+			row := nl.Row(i)
+			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, maxCut2) {
+				j, kind := neighbor.Decode(row[k])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > maxCut2 {
-					continue
-				}
 				fpair, epair := pairTerms(r2, qi, st.Charge[j], ti, int(st.Type[j])-1, int(kind))
 				fx += fpair * float64(dx)
 				fy += fpair * float64(dy)
@@ -197,27 +196,25 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 	scr.reserve(owned, int(rp[owned]), pool.Workers())
 	pool.Run("pair_rows", owned, func(w, rlo, rhi int) {
 		var pairs int64
+		keep := &scr.keep[w]
 		for i := rlo; i < rhi; i++ {
 			pi := st.Pos[i]
 			ti := int(st.Type[i]) - 1
 			qi := st.Charge[i]
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
-			base := rp[i]
 			var fx, fy, fz, eRow, vRow float64
-			for kIdx, entry := range nl.Neigh[i] {
-				e := base + int32(kIdx)
-				j, kind := neighbor.Decode(entry)
+			row := nl.Row(i)
+			rowF := scr.pairF[rp[i]:rp[i+1]]
+			clear(rowF)
+			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, maxCut2) {
+				j, kind := neighbor.Decode(row[k])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > maxCut2 {
-					scr.pairF[e] = 0
-					continue
-				}
 				fpair, epair := pairTerms(r2, qi, st.Charge[j], ti, int(st.Type[j])-1, int(kind))
-				scr.pairF[e] = fpair
+				rowF[k] = fpair
 				fx += fpair * float64(dx)
 				fy += fpair * float64(dy)
 				fz += fpair * float64(dz)

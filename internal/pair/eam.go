@@ -102,21 +102,21 @@ func eamCompute[T Real](p *EAM, ctx *Context) Result {
 		// virial accumulate per row before folding into the totals so
 		// the grouping matches the parallel path exactly.
 
+		keep := &p.scr.filters(1)[0]
+
 		// Pass 1: accumulate electron density.
 		for i := 0; i < owned; i++ {
 			pi := st.Pos[i]
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			var acc float64
-			for _, j32 := range nl.Neigh[i] {
-				j := int(j32)
+			row := nl.Row(i)
+			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+				j := int(row[k])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
 				q := a2 / r2
 				d := powInt(q, mHalf) // (a/r)^m for even m
 				acc += float64(d)
@@ -152,16 +152,14 @@ func eamCompute[T Real](p *EAM, ctx *Context) Result {
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			fpi := fp[i]
 			var fx, fy, fz, eRow, vRow float64
-			for _, j32 := range nl.Neigh[i] {
-				j := int(j32)
+			row := nl.Row(i)
+			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+				j := int(row[k])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
 				q := a2 / r2
 				r2f := float64(r2)
 				// (a/r)^n: for odd n multiply an even power by a/r.
@@ -207,24 +205,22 @@ func eamCompute[T Real](p *EAM, ctx *Context) Result {
 	// Pass 1a: per-entry density terms and per-row own sums.
 	pool.Run("eam_rho_rows", owned, func(w, rlo, rhi int) {
 		var pairs int64
+		keep := &scr.keep[w]
 		for i := rlo; i < rhi; i++ {
 			pi := st.Pos[i]
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
-			base := rp[i]
 			var acc float64
-			for kIdx, j32 := range nl.Neigh[i] {
-				e := base + int32(kIdx)
-				pj := st.Pos[int(j32)]
+			row := nl.Row(i)
+			rowF := scr.pairF[rp[i]:rp[i+1]]
+			clear(rowF)
+			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+				pj := st.Pos[int(row[k])]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					scr.pairF[e] = 0
-					continue
-				}
 				d := powInt(a2/r2, mHalf)
-				scr.pairF[e] = float64(d)
+				rowF[k] = float64(d)
 				acc += float64(d)
 				pairs++
 			}
@@ -271,24 +267,22 @@ func eamCompute[T Real](p *EAM, ctx *Context) Result {
 	// Pass 2a: force magnitudes, own forces, per-row energy/virial.
 	pool.Run("pair_rows", owned, func(w, rlo, rhi int) {
 		var pairs int64
+		keep := &scr.keep[w]
 		for i := rlo; i < rhi; i++ {
 			pi := st.Pos[i]
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			fpi := fp[i]
-			base := rp[i]
 			var fx, fy, fz, eRow, vRow float64
-			for kIdx, j32 := range nl.Neigh[i] {
-				e := base + int32(kIdx)
-				j := int(j32)
+			row := nl.Row(i)
+			rowF := scr.pairF[rp[i]:rp[i+1]]
+			clear(rowF)
+			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+				j := int(row[k])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					scr.pairF[e] = 0
-					continue
-				}
 				q := a2 / r2
 				r2f := float64(r2)
 				vn := float64(powInt(q, p.NExp/2))
@@ -300,7 +294,7 @@ func eamCompute[T Real](p *EAM, ctx *Context) Result {
 				dphi := -epsN * vn / r2f
 				drho := -float64(p.MExp) * vm / r2f
 				fpair := -(dphi + (fpi+fp[j])*drho)
-				scr.pairF[e] = fpair
+				rowF[k] = fpair
 				fx += fpair * float64(dx)
 				fy += fpair * float64(dy)
 				fz += fpair * float64(dz)

@@ -117,7 +117,7 @@ func (p *GranHookeHistory) Compute(ctx *Context) Result {
 		vi := st.Vel[i]
 		ti := st.Tag[i]
 		var f vec.V3
-		for _, j32 := range nl.Neigh[i] {
+		for _, j32 := range nl.Row(i) {
 			j := int(j32)
 			del := pi.Sub(st.Pos[j])
 			r2 := del.Norm2()

@@ -105,21 +105,20 @@ func ljCompute[T Real](p *LJCut, ctx *Context) Result {
 	// the totals at row end — exactly the grouping of the two-phase
 	// parallel path's fold, so both paths agree bit for bit.
 	if ctx.Pool.Workers() <= 1 {
+		keep := &p.scr.filters(1)[0]
 		for i := 0; i < owned; i++ {
 			pi := st.Pos[i]
 			ti := int(st.Type[i]) - 1
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			var fx, fy, fz, eRow, vRow float64
-			for _, j32 := range nl.Neigh[i] {
-				j := int(j32)
+			row := nl.Row(i)
+			for _, kIdx := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+				j := int(row[kIdx])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					continue
-				}
 				tj := int(st.Type[j]) - 1
 				k := ti*nt + tj
 				inv2 := 1 / r2
@@ -155,30 +154,28 @@ func ljCompute[T Real](p *LJCut, ctx *Context) Result {
 	scr.reserve(owned, int(rp[owned]), pool.Workers())
 	pool.Run("pair_rows", owned, func(w, rlo, rhi int) {
 		var pairs int64
+		keep := &scr.keep[w]
 		for i := rlo; i < rhi; i++ {
 			pi := st.Pos[i]
 			ti := int(st.Type[i]) - 1
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
-			base := rp[i]
 			var fx, fy, fz, eRow, vRow float64
-			for kIdx, j32 := range nl.Neigh[i] {
-				e := base + int32(kIdx)
-				j := int(j32)
+			row := nl.Row(i)
+			rowF := scr.pairF[rp[i]:rp[i+1]]
+			clear(rowF) // 0 marks out-of-cutoff for the gather
+			for _, kIdx := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+				j := int(row[kIdx])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cut2 {
-					scr.pairF[e] = 0
-					continue
-				}
 				tj := int(st.Type[j]) - 1
 				k := ti*nt + tj
 				inv2 := 1 / r2
 				inv6 := inv2 * inv2 * inv2
 				fpair := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
-				scr.pairF[e] = float64(fpair)
+				rowF[kIdx] = float64(fpair)
 				fx += float64(fpair * dx)
 				fy += float64(fpair * dy)
 				fz += float64(fpair * dz)

@@ -18,6 +18,8 @@ type Morse struct {
 	D0, Alpha, R0 float64
 	RCut          float64
 	Prec          Precision
+
+	keep []int32 // cutoffFilter scratch
 }
 
 // Name implements Style.
@@ -49,16 +51,14 @@ func morseCompute[T Real](p *Morse, ctx *Context) Result {
 		pi := st.Pos[i]
 		xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 		var fx, fy, fz float64
-		for _, entry := range nl.Neigh[i] {
-			j, _ := neighbor.Decode(entry)
+		row := nl.Row(i)
+		for _, k := range cutoffFilter(&p.keep, st.Pos, row, xi, yi, zi, cut2) {
+			j, _ := neighbor.Decode(row[k])
 			pj := st.Pos[j]
 			dx := xi - T(pj.X)
 			dy := yi - T(pj.Y)
 			dz := zi - T(pj.Z)
 			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > cut2 {
-				continue
-			}
 			r := math.Sqrt(float64(r2))
 			ex := math.Exp(-p.Alpha * (r - p.R0))
 			e := p.D0 * (ex*ex - 2*ex)

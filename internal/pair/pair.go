@@ -14,6 +14,7 @@ import (
 	"gomd/internal/atom"
 	"gomd/internal/neighbor"
 	"gomd/internal/par"
+	"gomd/internal/vec"
 )
 
 // Real is the precision type parameter of the arithmetic kernels.
@@ -112,6 +113,38 @@ func scaleHalf(j, owned int) float64 {
 	return 0.5
 }
 
+// cutoffFilter is pass 1 of every cutoff-filtered row loop: it returns
+// the positions within row, ascending, of the entries whose partner lies
+// within cut2 of (xi, yi, zi). A third to a half of a Verlet list's
+// entries sit in the skin, so a branch on the distance is one the
+// predictor loses; here every position is stored and the cursor advances
+// by the comparison's result. Pass 2 then runs the style's arithmetic
+// over the survivors only, in row order, recomputing the separation with
+// the same expressions — so which pairs are evaluated, and in which
+// order, is exactly what a single loop with a cutoff branch would do.
+//
+// keep is the calling worker's scratch: the survivors alias it, and it
+// is replaced by a larger one when a row outgrows it.
+func cutoffFilter[T Real](keep *[]int32, pos []vec.V3, row []int32, xi, yi, zi, cut2 T) []int32 {
+	if len(*keep) < len(row) {
+		*keep = make([]int32, 2*len(row))
+	}
+	out := (*keep)[:len(row)]
+	n := 0
+	for k, e := range row {
+		pj := &pos[e&neighbor.IdxMask]
+		dx := xi - T(pj.X)
+		dy := yi - T(pj.Y)
+		dz := zi - T(pj.Z)
+		r2 := dx*dx + dy*dy + dz*dz
+		out[n] = int32(k)
+		if !(r2 > cut2) {
+			n++
+		}
+	}
+	return out[:n]
+}
+
 // pairScratch is the per-style scratch of the two-phase parallel path:
 // phase 1 (rows) stores each in-cutoff entry's force magnitude in pairF
 // (0 marks out-of-cutoff), the row's own-force sum in ownF, and the
@@ -124,10 +157,21 @@ type pairScratch struct {
 	rowE   []float64
 	rowV   []float64
 	pairsW []int64
+	keep   [][]int32 // cutoffFilter scratch, one per worker
+}
+
+// filters returns the cutoffFilter scratch of W workers; the serial
+// loops use slot 0.
+func (s *pairScratch) filters(W int) [][]int32 {
+	for len(s.keep) < W {
+		s.keep = append(s.keep, nil)
+	}
+	return s.keep
 }
 
 // reserve sizes the scratch for owned rows, flat entries, and W workers.
 func (s *pairScratch) reserve(owned, flat, W int) {
+	s.filters(W)
 	s.pairF = growSlice(s.pairF, flat)
 	s.ownF = growSlice(s.ownF, owned)
 	s.rowE = growSlice(s.rowE, owned)

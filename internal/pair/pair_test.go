@@ -1,12 +1,14 @@
 package pair_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"gomd/internal/atom"
 	"gomd/internal/neighbor"
 	"gomd/internal/pair"
+	"gomd/internal/par"
 	"gomd/internal/rng"
 	"gomd/internal/vec"
 )
@@ -339,5 +341,417 @@ func TestLJShiftFlag(t *testing.T) {
 func TestPrecisionStrings(t *testing.T) {
 	if pair.Mixed.String() != "mixed" || pair.Double.String() != "double" || pair.Single.String() != "single" {
 		t.Error("precision names")
+	}
+}
+
+// --- filter + compute against the single-pass loop --------------------------
+//
+// Every cutoff-filtered kernel runs each row in two passes: a filter that
+// compacts the entries within the cutoff, then the style's arithmetic
+// over the survivors. The references below are the loops they replace —
+// one pass over the row with a branch on the distance — written out per
+// style with the same expressions, so forces, energy, virial and pair
+// count must agree with the kernels to the last bit.
+
+type real interface{ ~float32 | ~float64 }
+
+// inCutoff calls fn, in list order, for the entries of row i whose
+// separation in T arithmetic is within cut2.
+func inCutoff[T real](st *atom.Store, nl *neighbor.List, i int, cut2 T,
+	fn func(j int, kind atom.SpecialKind, dx, dy, dz, r2 T)) {
+	pi := st.Pos[i]
+	xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
+	for _, entry := range nl.Row(i) {
+		j, kind := neighbor.Decode(entry)
+		pj := st.Pos[j]
+		dx := xi - T(pj.X)
+		dy := yi - T(pj.Y)
+		dz := zi - T(pj.Z)
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 > cut2 {
+			continue
+		}
+		fn(j, kind, dx, dy, dz, r2)
+	}
+}
+
+// halfWeight is the energy/virial weight of a pair with partner j.
+func halfWeight(j, owned int) float64 {
+	if j < owned {
+		return 1
+	}
+	return 0.5
+}
+
+// rowAcc accumulates one row the way the kernels do: the row's own force
+// and its energy/virial partials fold in at row end, the partner's
+// reaction force as each pair is met.
+type rowAcc struct {
+	force      []vec.V3
+	res        pair.Result
+	fx, fy, fz float64
+	eRow, vRow float64
+}
+
+func (a *rowAcc) pair(j, owned int, px, py, pz, e, v float64) {
+	a.fx += px
+	a.fy += py
+	a.fz += pz
+	if j < owned {
+		a.force[j] = a.force[j].Sub(vec.New(px, py, pz))
+	}
+	w := halfWeight(j, owned)
+	a.eRow += w * e
+	a.vRow += w * v
+	a.res.Pairs++
+}
+
+func (a *rowAcc) endRow(i int) {
+	a.force[i] = a.force[i].Add(vec.New(a.fx, a.fy, a.fz))
+	a.res.Energy += a.eRow
+	a.res.Virial += a.vRow
+	a.fx, a.fy, a.fz, a.eRow, a.vRow = 0, 0, 0, 0, 0
+}
+
+func refLJ[T real](p *pair.LJCut, st *atom.Store, nl *neighbor.List) (pair.Result, []vec.V3) {
+	nt := len(p.Eps)
+	lj1, lj2, lj3, lj4, shift := make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt)
+	for i := 0; i < nt; i++ {
+		for j := 0; j < nt; j++ {
+			e, s := p.Eps[i][j], p.Sigma[i][j]
+			s6 := math.Pow(s, 6)
+			s12 := s6 * s6
+			lj1[i*nt+j] = T(48 * e * s12)
+			lj2[i*nt+j] = T(24 * e * s6)
+			lj3[i*nt+j] = T(4 * e * s12)
+			lj4[i*nt+j] = T(4 * e * s6)
+			if p.Shift {
+				rc6 := math.Pow(p.RCut, -6)
+				shift[i*nt+j] = T(4 * e * (s12*rc6*rc6 - s6*rc6))
+			}
+		}
+	}
+	acc := rowAcc{force: make([]vec.V3, st.Total())}
+	for i := 0; i < st.N; i++ {
+		ti := int(st.Type[i]) - 1
+		inCutoff(st, nl, i, T(p.RCut*p.RCut), func(j int, _ atom.SpecialKind, dx, dy, dz, r2 T) {
+			k := ti*nt + int(st.Type[j]) - 1
+			inv2 := 1 / r2
+			inv6 := inv2 * inv2 * inv2
+			fpair := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
+			acc.pair(j, st.N, float64(fpair*dx), float64(fpair*dy), float64(fpair*dz),
+				float64(inv6*(lj3[k]*inv6-lj4[k])-shift[k]), float64(fpair*r2))
+		})
+		acc.endRow(i)
+	}
+	return acc.res, acc.force
+}
+
+func refCharmm[T real](p *pair.CharmmCoulLong, st *atom.Store, nl *neighbor.List, qqr2e float64) (pair.Result, []vec.V3) {
+	nt := len(p.Eps)
+	lj1, lj2, lj3, lj4 := make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt)
+	for i := 0; i < nt; i++ {
+		for j := 0; j < nt; j++ {
+			e, s := p.Eps[i][j], p.Sigma[i][j]
+			s6 := math.Pow(s, 6)
+			s12 := s6 * s6
+			lj1[i*nt+j] = T(48 * e * s12)
+			lj2[i*nt+j] = T(24 * e * s6)
+			lj3[i*nt+j] = T(4 * e * s12)
+			lj4[i*nt+j] = T(4 * e * s6)
+		}
+	}
+	in2 := p.RInner * p.RInner
+	out2 := p.ROuter * p.ROuter
+	denom := math.Pow(out2-in2, 3)
+	cutLJ2 := T(out2)
+	cutCoul2 := T(p.RCoul * p.RCoul)
+	g := p.GEwald
+	twoSqrtPi := 2.0 / math.Sqrt(math.Pi)
+
+	acc := rowAcc{force: make([]vec.V3, st.Total())}
+	for i := 0; i < st.N; i++ {
+		ti := int(st.Type[i]) - 1
+		qi := st.Charge[i]
+		inCutoff(st, nl, i, max(cutLJ2, cutCoul2), func(j int, kind atom.SpecialKind, dx, dy, dz, r2 T) {
+			var fpair, epair float64
+			r2f := float64(r2)
+			inv2 := 1 / r2f
+			if kind == 0 && r2 <= cutLJ2 {
+				k := ti*nt + int(st.Type[j]) - 1
+				inv6 := inv2 * inv2 * inv2
+				flj := inv6 * (float64(lj1[k])*inv6 - float64(lj2[k])) * inv2
+				elj := inv6 * (float64(lj3[k])*inv6 - float64(lj4[k]))
+				if r2f > in2 {
+					t1 := out2 - r2f
+					t2 := t1 * t1
+					sw := t2 * (out2 + 2*r2f - 3*in2) / denom
+					dsw := 12 * t1 * (in2 - r2f) / denom
+					flj = flj*sw - elj*dsw
+					elj *= sw
+				}
+				fpair += flj
+				epair += elj
+			}
+			if qj := st.Charge[j]; r2 <= cutCoul2 && (qi != 0 || qj != 0) {
+				r := math.Sqrt(r2f)
+				qq := qqr2e * qi * qj
+				pre := qq / r
+				ecoul := pre * math.Erfc(g*r)
+				fcoul := (ecoul + qq*twoSqrtPi*g*math.Exp(-g*g*r2f)) * inv2
+				if kind != 0 {
+					fcoul -= pre * inv2
+					ecoul -= pre
+				}
+				fpair += fcoul
+				epair += ecoul
+			}
+			acc.pair(j, st.N, fpair*float64(dx), fpair*float64(dy), fpair*float64(dz), epair, fpair*float64(r2))
+		})
+		acc.endRow(i)
+	}
+	return acc.res, acc.force
+}
+
+func refPow[T real](q T, k int) T {
+	r := T(1)
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			r *= q
+		}
+		q *= q
+	}
+	return r
+}
+
+func refEAM[T real](p *pair.EAM, st *atom.Store, nl *neighbor.List, sync pair.GhostSync) (pair.Result, []vec.V3) {
+	rho := make([]float64, st.Total())
+	fp := make([]float64, st.Total())
+	cut2 := T(p.RCut * p.RCut)
+	a2 := T(p.A * p.A)
+	var pairs int64
+	for i := 0; i < st.N; i++ {
+		var own float64
+		inCutoff(st, nl, i, cut2, func(j int, _ atom.SpecialKind, _, _, _, r2 T) {
+			d := refPow(a2/r2, p.MExp/2)
+			own += float64(d)
+			if j < st.N {
+				rho[j] += float64(d)
+			}
+			pairs++
+		})
+		rho[i] += own
+	}
+	sync.ForwardScalar(rho)
+	var embed float64
+	for i := 0; i < st.N; i++ {
+		if rho[i] <= 0 {
+			continue
+		}
+		sq := math.Sqrt(rho[i])
+		embed += -p.EpsSC * p.C * sq
+		fp[i] = -p.EpsSC * p.C * 0.5 / sq
+	}
+	sync.ForwardScalar(fp)
+
+	acc := rowAcc{force: make([]vec.V3, st.Total())}
+	acc.res.Energy = embed
+	acc.res.Pairs = pairs
+	for i := 0; i < st.N; i++ {
+		inCutoff(st, nl, i, cut2, func(j int, _ atom.SpecialKind, dx, dy, dz, r2 T) {
+			q := a2 / r2
+			r2f := float64(r2)
+			vn := float64(refPow(q, p.NExp/2))
+			if p.NExp%2 == 1 {
+				vn *= math.Sqrt(float64(q))
+			}
+			vm := float64(refPow(q, p.MExp/2))
+			dphi := -p.EpsSC * float64(p.NExp) * vn / r2f
+			drho := -float64(p.MExp) * vm / r2f
+			fpair := -(dphi + (fp[i]+fp[j])*drho)
+			acc.pair(j, st.N, fpair*float64(dx), fpair*float64(dy), fpair*float64(dz), p.EpsSC*vn, fpair*r2f)
+		})
+		acc.endRow(i)
+	}
+	return acc.res, acc.force
+}
+
+func refMorse[T real](p *pair.Morse, st *atom.Store, nl *neighbor.List) (pair.Result, []vec.V3) {
+	force := make([]vec.V3, st.Total())
+	var res pair.Result
+	for i := 0; i < st.N; i++ {
+		var fx, fy, fz float64
+		inCutoff(st, nl, i, T(p.RCut*p.RCut), func(j int, _ atom.SpecialKind, dx, dy, dz, r2 T) {
+			r := math.Sqrt(float64(r2))
+			ex := math.Exp(-p.Alpha * (r - p.R0))
+			e := p.D0 * (ex*ex - 2*ex)
+			fpair := 2 * p.D0 * p.Alpha * (ex*ex - ex) / r
+			fx += fpair * float64(dx)
+			fy += fpair * float64(dy)
+			fz += fpair * float64(dz)
+			if j < st.N {
+				force[j] = force[j].Sub(vec.New(fpair*float64(dx), fpair*float64(dy), fpair*float64(dz)))
+			}
+			w := halfWeight(j, st.N)
+			res.Energy += w * e
+			res.Virial += w * fpair * float64(r2)
+			res.Pairs++
+		})
+		force[i] = force[i].Add(vec.New(fx, fy, fz))
+	}
+	return res, force
+}
+
+// ownerSync copies per-atom values from owners to their ghost images.
+type ownerSync struct {
+	st    *atom.Store
+	owner map[int64]int
+}
+
+func (s ownerSync) ForwardScalar(buf []float64) {
+	for g := s.st.N; g < s.st.Total(); g++ {
+		buf[g] = buf[s.owner[s.st.Tag[g]]]
+	}
+}
+
+// filterSystem is a jittered 6x6x6 lattice of spacing a with its
+// periodic images out to reach, ntypes types, charges of both signs and
+// zero, and lattice neighbours bonded as special pairs — preceded by
+// atom 0, far from the rest, whose one partner (the last owned atom)
+// sits between cut and reach: a row that is all skin.
+func filterSystem(a, cut, reach float64, ntypes int) (*atom.Store, ownerSync) {
+	const n = 6
+	st := atom.New(n*n*n + 2)
+	r := rng.New(31)
+	far := vec.Splat(-20 * a)
+	st.Add(atom.Atom{Tag: 1, Type: 1, Pos: far, Charge: 0.4})
+	for i := 0; i < n*n*n; i++ {
+		jit := vec.New(r.Range(-0.15, 0.15), r.Range(-0.15, 0.15), r.Range(-0.15, 0.15))
+		tag := int64(i + 2)
+		at := atom.Atom{
+			Tag: tag, Type: int32(1 + i%ntypes), Charge: []float64{0.4, -0.4, 0}[i%3],
+			Pos: vec.New(float64(i%n), float64(i/n%n), float64(i/(n*n))).Add(jit).Scale(a),
+		}
+		if i%n != 0 {
+			at.Special = append(at.Special, atom.SpecialRef{Tag: tag - 1, Kind: atom.SpecialKind(1 + i%3)})
+		}
+		if i%n != n-1 {
+			at.Special = append(at.Special, atom.SpecialRef{Tag: tag + 1, Kind: atom.SpecialKind(1 + (i+1)%3)})
+		}
+		st.Add(at)
+	}
+	st.Add(atom.Atom{Tag: n*n*n + 2, Type: int32(ntypes), Charge: -0.4, Pos: far.Add(vec.New((cut+reach)/2, 0, 0))})
+
+	sync := ownerSync{st: st, owner: map[int64]int{}}
+	l := n * a
+	for i := 1; i <= n*n*n; i++ {
+		sync.owner[st.Tag[i]] = i
+		for s := 0; s < 27; s++ {
+			shift := vec.New(float64(s%3-1), float64(s/3%3-1), float64(s/9-1)).Scale(l)
+			g := st.Pos[i].Add(shift)
+			if shift == (vec.V3{}) || g.X < -reach || g.X > l+reach || g.Y < -reach || g.Y > l+reach ||
+				g.Z < -reach || g.Z > l+reach {
+				continue
+			}
+			st.AddGhost(atom.Ghost{Tag: st.Tag[i], Type: st.Type[i], Pos: g, Charge: st.Charge[i]})
+		}
+	}
+	return st, sync
+}
+
+func TestFilterComputeMatchesSinglePass(t *testing.T) {
+	const qqr2e = 332.06371
+	type reference func(*atom.Store, *neighbor.List, pair.GhostSync) (pair.Result, []vec.V3)
+	lj := func(p *pair.LJCut, shift bool, prec pair.Precision) (pair.Style, reference) {
+		p.Shift, p.Prec = shift, prec
+		return p, func(st *atom.Store, nl *neighbor.List, _ pair.GhostSync) (pair.Result, []vec.V3) {
+			if prec == pair.Double {
+				return refLJ[float64](p, st, nl)
+			}
+			return refLJ[float32](p, st, nl)
+		}
+	}
+	type testCase struct {
+		name    string
+		spacing float64
+		ntypes  int
+		style   pair.Style
+		ref     reference
+	}
+	var cases []testCase
+	for _, prec := range []pair.Precision{pair.Double, pair.Single} {
+		for _, shift := range []bool{false, true} {
+			id := fmt.Sprintf(" %v shift=%v", prec, shift)
+			s, ref := lj(pair.NewLJCut(1, 1, 2.5, prec), shift, prec)
+			cases = append(cases, testCase{"lj" + id, 1.1, 1, s, ref})
+			s, ref = lj(pair.NewLJCutMixed([]float64{1, 0.6}, []float64{1, 1.2}, 2.5, prec), shift, prec)
+			cases = append(cases, testCase{"lj mixed" + id, 1.1, 2, s, ref})
+		}
+		ch := pair.NewCharmm([]float64{0.15, 0.3}, []float64{1.0, 1.1}, 2.0, 2.5, prec)
+		cases = append(cases, testCase{"charmm " + prec.String(), 1.1, 2, ch,
+			func(st *atom.Store, nl *neighbor.List, _ pair.GhostSync) (pair.Result, []vec.V3) {
+				if prec == pair.Double {
+					return refCharmm[float64](ch, st, nl, qqr2e)
+				}
+				return refCharmm[float32](ch, st, nl, qqr2e)
+			}})
+		eam := pair.NewEAMCopper(prec)
+		cases = append(cases, testCase{"eam " + prec.String(), 2.55, 1, eam,
+			func(st *atom.Store, nl *neighbor.List, sync pair.GhostSync) (pair.Result, []vec.V3) {
+				if prec == pair.Double {
+					return refEAM[float64](eam, st, nl, sync)
+				}
+				return refEAM[float32](eam, st, nl, sync)
+			}})
+		morse := &pair.Morse{D0: 1.5, Alpha: 2.0, R0: 1.1, RCut: 2.5, Prec: prec}
+		cases = append(cases, testCase{"morse " + prec.String(), 1.1, 1, morse,
+			func(st *atom.Store, nl *neighbor.List, _ pair.GhostSync) (pair.Result, []vec.V3) {
+				if prec == pair.Double {
+					return refMorse[float64](morse, st, nl)
+				}
+				return refMorse[float32](morse, st, nl)
+			}})
+	}
+
+	for _, tc := range cases {
+		cut := tc.style.Cutoff()
+		skin := 0.12 * cut
+		st, sync := filterSystem(tc.spacing, cut, cut+skin, tc.ntypes)
+		nl := neighbor.NewList(tc.style.ListMode(), cut, skin)
+		if _, isCharmm := tc.style.(*pair.CharmmCoulLong); isCharmm {
+			// As in core: only coul/long keeps special pairs, tagged.
+			nl.SpecialWeight = func(atom.SpecialKind) (float64, bool) { return 0, true }
+		}
+		nl.Build(st)
+		// Row 0 is one entry, in the skin; the filter's scratch starts
+		// at twice that, so row 1 outgrows it.
+		if row := nl.Row(0); len(row) != 1 || st.Pos[0].Sub(st.Pos[row[0]]).Norm() <= cut {
+			t.Fatalf("%s: row 0 is %v, want one entry beyond the cutoff", tc.name, row)
+		}
+		if len(nl.Row(1)) <= 2 {
+			t.Fatalf("%s: row 1 has %d entries, want more than the scratch's first size", tc.name, len(nl.Row(1)))
+		}
+		want, wantF := tc.ref(st, nl, sync)
+		if want.Pairs == 0 || want.Pairs == int64(len(nl.RowPtr())-1) {
+			t.Fatalf("%s: reference evaluated %d pairs", tc.name, want.Pairs)
+		}
+		for _, workers := range []int{1, 3} {
+			pool := par.NewPool(workers)
+			st.ZeroForces()
+			got := tc.style.Compute(&pair.Context{Store: st, List: nl, Sync: sync, QQr2E: qqr2e, Dt: 0.005, Pool: pool})
+			pool.Close()
+			if got.Pairs != want.Pairs ||
+				math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
+				math.Float64bits(got.Virial) != math.Float64bits(want.Virial) {
+				t.Errorf("%s workers=%d: result %+v, single-pass reference %+v", tc.name, workers, got, want)
+			}
+			for i, f := range wantF {
+				g := st.Force[i]
+				if math.Float64bits(g.X) != math.Float64bits(f.X) || math.Float64bits(g.Y) != math.Float64bits(f.Y) ||
+					math.Float64bits(g.Z) != math.Float64bits(f.Z) {
+					t.Fatalf("%s workers=%d: force on atom %d is %v, single-pass reference %v", tc.name, workers, i, g, f)
+				}
+			}
+		}
 	}
 }
