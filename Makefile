@@ -2,7 +2,7 @@
 # the race detector (the observability layer's multi-rank tests record
 # spans from every rank goroutine, so the race run is part of the bar),
 # then an end-to-end mdbench smoke campaign.
-.PHONY: all build vet test race bench bench-module bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
+.PHONY: all build vet fmt-check test race bench bench-module wallbench bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
 
 all: check
 
@@ -11,6 +11,12 @@ build:
 
 vet:
 	go vet ./...
+
+# Fails when gofmt would change any file, bench/ (its own module, which
+# vet and test above never see) included.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || \
+		{ echo "fmt-check: gofmt -l prints:" >&2; echo "$$out" >&2; exit 1; }
 
 test:
 	go test -shuffle=on ./...
@@ -30,6 +36,12 @@ bench:
 bench-module:
 	go -C bench vet ./...
 	go -C bench test ./...
+
+# The wall-clock benchmark itself (bench/README.md), e.g.
+#   make wallbench ARGS="--workload lj_halo_tcp --seed 7 --seconds 8 --trace 0"
+# Builds into .bench_build/; the last stdout line is the JSON result.
+wallbench:
+	bash bench/run.sh $(ARGS)
 
 # Short 8-rank rhodopsin campaign with a strict data log: fails if any
 # engine measurement is missing from the JSONL (the trace.Logger.Err()
@@ -110,4 +122,4 @@ transport-check:
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' \
 		./internal/mpi/ ./internal/harness/
 
-check: build vet test race bench-module bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check
+check: build vet fmt-check test race bench-module bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check

@@ -24,6 +24,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -62,24 +63,8 @@ func (e *IntegrityError) Error() string {
 	return fmt.Sprintf("ckpt: %s verification failed: %s", e.Section, e.Detail)
 }
 
-// crcWriter tees every written byte into the running section and file
+// crcReader tees every byte read into the running section and file
 // hashes (the v2 integrity layer) while counting payload bytes.
-type crcWriter struct {
-	w    io.Writer
-	sect hash.Hash32
-	file hash.Hash32
-	n    int64
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.sect.Write(p[:n])
-	cw.file.Write(p[:n])
-	cw.n += int64(n)
-	return n, err
-}
-
-// crcReader mirrors crcWriter on the read side.
 type crcReader struct {
 	r    io.Reader
 	sect hash.Hash32
@@ -465,24 +450,74 @@ func ReadFile(path string) (*Checkpoint, error) {
 
 // ckptEncoder is the serialization state shared by the monolithic GMCK
 // writer and the sharded GMCS/KCMF writers (shard.go): little-endian
-// scalar encoding teed through section and whole-file CRC32 hashes,
-// section sealing, the per-rank section body, and the common footer.
+// scalars appended to one buffer, section sealing, the per-rank section
+// body, and the common footer. The buffer is written out — and folded
+// into the running section and whole-file CRC32s, one pass each — when it
+// passes encFlushAt or the file ends, so a checkpoint costs a handful of
+// Write calls and, with encoders pooled, no allocation after the first.
+// The first write error is latched and comes back from finish.
 type ckptEncoder struct {
-	cw      *crcWriter
+	w       io.Writer
 	version uint32
+	buf     []byte
+	// sectFrom is the offset in buf from which bytes are not yet part of
+	// sect (everything before it belongs to sealed sections or was folded
+	// by a flush).
+	sectFrom int
+	sect     uint32 // CRC32 of the open section's flushed bytes
+	file     uint32 // CRC32 of every flushed byte
+	n        int64  // flushed byte count
+	err      error
 }
 
+// encFlushAt bounds the encode buffer: rank sections grow with the atom
+// count, the buffer (and what the pool retains) does not.
+const encFlushAt = 1 << 20
+
+var encoderPool = sync.Pool{New: func() any { return new(ckptEncoder) }}
+
 func newCkptEncoder(w io.Writer, version uint32) *ckptEncoder {
-	return &ckptEncoder{
-		cw:      &crcWriter{w: w, sect: crc32.NewIEEE(), file: crc32.NewIEEE()},
-		version: version,
+	e := encoderPool.Get().(*ckptEncoder)
+	*e = ckptEncoder{w: w, version: version, buf: e.buf[:0]}
+	return e
+}
+
+// flush folds the buffered bytes into the CRCs and writes them out.
+func (e *ckptEncoder) flush() {
+	e.sect = crc32.Update(e.sect, crc32.IEEETable, e.buf[e.sectFrom:])
+	e.file = crc32.Update(e.file, crc32.IEEETable, e.buf)
+	e.n += int64(len(e.buf))
+	if e.err == nil {
+		var n int
+		if n, e.err = e.w.Write(e.buf); e.err == nil && n < len(e.buf) {
+			e.err = io.ErrShortWrite
+		}
+	}
+	e.buf, e.sectFrom = e.buf[:0], 0
+}
+
+// spill flushes once the buffer passes encFlushAt; the per-record loops
+// of a rank section call it.
+func (e *ckptEncoder) spill() {
+	if len(e.buf) >= encFlushAt {
+		e.flush()
 	}
 }
 
-func (e *ckptEncoder) u32(v uint32) { binary.Write(e.cw, binary.LittleEndian, v) }
-func (e *ckptEncoder) u64(v uint64) { binary.Write(e.cw, binary.LittleEndian, v) }
-func (e *ckptEncoder) i64(v int64)  { binary.Write(e.cw, binary.LittleEndian, v) }
-func (e *ckptEncoder) f(v float64)  { binary.Write(e.cw, binary.LittleEndian, v) }
+// finish writes out the tail, returns the encoder to the pool and
+// reports the first write error.
+func (e *ckptEncoder) finish() error {
+	e.flush()
+	err := e.err
+	e.w = nil // the pool keeps the buffer, not the file
+	encoderPool.Put(e)
+	return err
+}
+
+func (e *ckptEncoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *ckptEncoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *ckptEncoder) i64(v int64)  { e.u64(uint64(v)) }
+func (e *ckptEncoder) f(v float64)  { e.u64(math.Float64bits(v)) }
 func (e *ckptEncoder) v3(v vec.V3)  { e.f(v.X); e.f(v.Y); e.f(v.Z) }
 
 func (e *ckptEncoder) box(b box.Box) {
@@ -499,7 +534,7 @@ func (e *ckptEncoder) box(b box.Box) {
 
 func (e *ckptEncoder) str(s string) {
 	e.u32(uint32(len(s)))
-	e.cw.Write([]byte(s))
+	e.buf = append(e.buf, s...)
 }
 
 // endSection seals the bytes since the previous seal with their CRC32.
@@ -509,9 +544,8 @@ func (e *ckptEncoder) endSection() {
 	if e.version < 2 {
 		return
 	}
-	sum := e.cw.sect.Sum32()
-	e.u32(sum)
-	e.cw.sect.Reset()
+	e.u32(crc32.Update(e.sect, crc32.IEEETable, e.buf[e.sectFrom:]))
+	e.sect, e.sectFrom = 0, len(e.buf)
 }
 
 // rank serializes one rank's share, sealed as its own section.
@@ -547,9 +581,11 @@ func (e *ckptEncoder) rank(rk *Rank) {
 			e.i64(d.C)
 			e.i64(d.D)
 		}
+		e.spill()
 	}
 	for _, f := range rk.Force {
 		e.v3(f)
+		e.spill()
 	}
 	e.f(rk.LastPE)
 	e.f(rk.LastVirial)
@@ -574,6 +610,7 @@ func (e *ckptEncoder) rank(rk *Rank) {
 		e.i64(h.Owner)
 		e.i64(h.Partner)
 		e.v3(h.Shear)
+		e.spill()
 	}
 	e.endSection()
 }
@@ -583,8 +620,8 @@ func (e *ckptEncoder) rank(rk *Rank) {
 // the footer; a file truncated and then appended to misses the length
 // check.
 func (e *ckptEncoder) footer() {
-	n := e.cw.n
-	sum := e.cw.file.Sum32()
+	n := e.n + int64(len(e.buf))
+	sum := crc32.Update(e.file, crc32.IEEETable, e.buf)
 	e.u32(ckptFooterMagic)
 	e.u64(uint64(n))
 	e.u32(sum)
@@ -820,8 +857,7 @@ func Write(out io.Writer, ck *Checkpoint) error {
 // writeVersion serializes at an explicit format version (v1 kept for
 // the backward-compatibility tests).
 func writeVersion(out io.Writer, ck *Checkpoint, version uint32) error {
-	bw := bufio.NewWriter(out)
-	e := newCkptEncoder(bw, version)
+	e := newCkptEncoder(out, version)
 	e.u32(ckptMagic)
 	e.u32(version)
 	e.i64(ck.Step)
@@ -839,7 +875,7 @@ func writeVersion(out io.Writer, ck *Checkpoint, version uint32) error {
 	if version >= 2 {
 		e.footer()
 	}
-	return bw.Flush()
+	return e.finish()
 }
 
 // Read deserializes a checkpoint written by Write. v2 files are

@@ -15,7 +15,6 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -412,8 +411,7 @@ func (sw *ShardWriter) writeManifest(step int64, votes map[string]*Vote) error {
 	sw.mu.Unlock()
 	path := filepath.Join(sw.dir, genDirName(step), ManifestName)
 	return writeFileAtomicFunc(path, func(f io.Writer) error {
-		bw := bufio.NewWriter(f)
-		e := newCkptEncoder(bw, ckptVersion)
+		e := newCkptEncoder(f, ckptVersion)
 		e.u32(manifestMagic)
 		e.u32(ckptVersion)
 		e.i64(step)
@@ -434,7 +432,7 @@ func (sw *ShardWriter) writeManifest(step int64, votes map[string]*Vote) error {
 		}
 		e.endSection()
 		e.footer()
-		return bw.Flush()
+		return e.finish()
 	})
 }
 
@@ -487,8 +485,7 @@ func scanGenerations(dir string) (steps, complete []int64) {
 
 // writeShard serializes a shard (GMCS, always v2).
 func writeShard(out io.Writer, sh *Shard) error {
-	bw := bufio.NewWriter(out)
-	e := newCkptEncoder(bw, ckptVersion)
+	e := newCkptEncoder(out, ckptVersion)
 	e.u32(shardMagic)
 	e.u32(ckptVersion)
 	e.i64(sh.Step)
@@ -508,7 +505,7 @@ func writeShard(out io.Writer, sh *Shard) error {
 		e.rank(&sh.PerRank[i])
 	}
 	e.footer()
-	return bw.Flush()
+	return e.finish()
 }
 
 // ReadShard deserializes a shard written by writeShard, verifying its

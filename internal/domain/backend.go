@@ -51,6 +51,14 @@ type Backend struct {
 	recvStart [3][2]int
 	recvCount [3][2]int
 
+	// haloSend and haloRecv stage every per-step halo message
+	// (ForwardPositions, ReverseForces, ForwardScalar). One pair serves
+	// all stages: SendrecvFloat64 is done with the send buffer when it
+	// returns, and each stage unpacks what it received before the next
+	// one packs. They grow to the largest face and are never reallocated
+	// again.
+	haloSend, haloRecv []float64
+
 	// liveComm caches gauge handles for PublishLiveComm, indexed by
 	// mpi.Func; touched only by the rank goroutine.
 	liveComm []*liveCommGauges
@@ -117,22 +125,24 @@ func (b *Backend) Rebuild(s *core.Simulation) {
 	b.buildGhosts(s)
 }
 
-// exchange is Sendrecv that tolerates missing partners at non-periodic
-// boundaries: dst/src may be -1 independently (a rank at the top of a
-// slab box still receives from below even though it sends nothing up).
-// Returns nil when there is no source.
-func (b *Backend) exchange(dst int, sdata any, sbytes, src, tag int) any {
-	switch {
-	case dst >= 0 && src >= 0:
-		return b.comm.Sendrecv(dst, sdata, sbytes, src, tag)
-	case dst >= 0:
-		b.comm.Send(dst, tag, sdata, sbytes)
-		return nil
-	case src >= 0:
-		return b.comm.Recv(src, tag)
-	default:
-		return nil
+// haloStage returns the send staging buffer cut to n floats.
+func (b *Backend) haloStage(n int) []float64 {
+	if cap(b.haloSend) < n {
+		b.haloSend = make([]float64, n)
 	}
+	return b.haloSend[:n]
+}
+
+// haloExchange sends buf (from haloStage) to dst and returns what src
+// sent under the same tag — empty when there is no source — metering
+// the message under the Comm counters. The result is valid until the
+// next haloExchange.
+func (b *Backend) haloExchange(s *core.Simulation, dst int, buf []float64, src, tag int) []float64 {
+	b.haloRecv = b.comm.SendrecvFloat64(dst, buf, src, tag, b.haloRecv)
+	s.Counters.CommMsgs++
+	s.Counters.CommBytes += int64(8 * len(buf))
+	s.ObserveCommBytes(8 * len(buf))
+	return b.haloRecv
 }
 
 // migrate moves atoms (or whole molecules) whose owner changed, staged
@@ -184,7 +194,7 @@ func (b *Backend) migrate(s *core.Simulation) {
 				continue
 			}
 			bytes := migrantBytes(out[dir])
-			in := b.exchange(nb, out[dir], bytes, from, stageTag(tagMigrate, d, dir))
+			in := b.comm.Sendrecv(nb, out[dir], bytes, from, stageTag(tagMigrate, d, dir))
 			s.Counters.CommMsgs++
 			s.Counters.CommBytes += int64(bytes)
 			s.ObserveCommBytes(bytes)
@@ -281,7 +291,7 @@ func (b *Backend) buildGhosts(s *core.Simulation) {
 			b.sendShift[d][dir] = shift
 
 			bytes := 9 * 8 * len(ghosts)
-			in := b.exchange(nb, ghosts, bytes, from, stageTag(tagGhost, d, dir))
+			in := b.comm.Sendrecv(nb, ghosts, bytes, from, stageTag(tagGhost, d, dir))
 			s.Counters.CommMsgs++
 			s.Counters.CommBytes += int64(bytes)
 			s.ObserveCommBytes(bytes)
@@ -311,21 +321,14 @@ func (b *Backend) ForwardPositions(s *core.Simulation) {
 			}
 			idxs := b.sendIdx[d][dir]
 			shift := b.sendShift[d][dir]
-			buf := make([]float64, 6*len(idxs))
+			buf := b.haloStage(6 * len(idxs))
 			for k, i := range idxs {
 				p := st.Pos[i].Add(shift)
 				v := st.Vel[i]
 				buf[6*k], buf[6*k+1], buf[6*k+2] = p.X, p.Y, p.Z
 				buf[6*k+3], buf[6*k+4], buf[6*k+5] = v.X, v.Y, v.Z
 			}
-			got := b.exchange(nb, buf, -1, from, stageTag(tagFwd, d, dir))
-			s.Counters.CommMsgs++
-			s.Counters.CommBytes += int64(8 * len(buf))
-			s.ObserveCommBytes(8 * len(buf))
-			if got == nil {
-				continue
-			}
-			in := got.([]float64)
+			in := b.haloExchange(s, nb, buf, from, stageTag(tagFwd, d, dir))
 			// The ghosts received in buildGhosts from `from` during this
 			// stage occupy recvStart[d][dir]..+recvCount.
 			base := b.recvStart[d][dir]
@@ -354,7 +357,7 @@ func (b *Backend) ReverseForces(s *core.Simulation) {
 			// this stage; receive the forces for atoms we sent.
 			base := b.recvStart[d][dir]
 			cnt := b.recvCount[d][dir]
-			buf := make([]float64, 3*cnt)
+			buf := b.haloStage(3 * cnt)
 			for k := 0; k < cnt; k++ {
 				f := st.Force[base+k]
 				buf[3*k], buf[3*k+1], buf[3*k+2] = f.X, f.Y, f.Z
@@ -363,14 +366,7 @@ func (b *Backend) ReverseForces(s *core.Simulation) {
 			// Reverse routing: this stage's ghosts came FROM the 1-dir
 			// neighbor; return them there, and receive from nb the
 			// forces of the atoms we sent to it.
-			got := b.exchange(from, buf, -1, nb, stageTag(tagRev, d, dir))
-			s.Counters.CommMsgs++
-			s.Counters.CommBytes += int64(8 * len(buf))
-			s.ObserveCommBytes(8 * len(buf))
-			if got == nil {
-				continue
-			}
-			in := got.([]float64)
+			in := b.haloExchange(s, from, buf, nb, stageTag(tagRev, d, dir))
 			idxs := b.sendIdx[d][dir]
 			for k, i := range idxs {
 				st.Force[i] = st.Force[i].Add(vec.New(in[3*k], in[3*k+1], in[3*k+2]))
@@ -382,8 +378,6 @@ func (b *Backend) ReverseForces(s *core.Simulation) {
 // ForwardScalar implements core.Backend: per-atom scalar halo refresh
 // (EAM electron densities and embedding derivatives).
 func (b *Backend) ForwardScalar(s *core.Simulation, bufAll []float64) {
-	st := s.Store
-	_ = st
 	for d := 0; d < 3; d++ {
 		for dir := 0; dir < 2; dir++ {
 			nb := b.neighborRank(s, d, dir)
@@ -392,18 +386,11 @@ func (b *Backend) ForwardScalar(s *core.Simulation, bufAll []float64) {
 				continue
 			}
 			idxs := b.sendIdx[d][dir]
-			buf := make([]float64, len(idxs))
+			buf := b.haloStage(len(idxs))
 			for k, i := range idxs {
 				buf[k] = bufAll[i]
 			}
-			got := b.exchange(nb, buf, -1, from, stageTag(tagScalar, d, dir))
-			s.Counters.CommMsgs++
-			s.Counters.CommBytes += int64(8 * len(buf))
-			s.ObserveCommBytes(8 * len(buf))
-			if got == nil {
-				continue
-			}
-			in := got.([]float64)
+			in := b.haloExchange(s, nb, buf, from, stageTag(tagScalar, d, dir))
 			base := b.recvStart[d][dir]
 			copy(bufAll[base:base+len(in)], in)
 		}

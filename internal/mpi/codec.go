@@ -63,6 +63,32 @@ func RegisterCodec(c Codec) {
 	codecOrder = append(codecOrder, &cp)
 }
 
+// putFloat64s writes v into dst (len(dst) >= 8*len(v)) in codecFloat64's
+// encoding: raw little-endian IEEE-754 bits, so every float — NaN
+// payloads, signed zeros — survives the wire bit for bit.
+func putFloat64s(dst []byte, v []float64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+// getFloat64s decodes len(dst) floats from src (len(src) >= 8*len(dst)).
+func getFloat64s(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// checkFloat64Payload rejects a codecFloat64 payload that is not a whole
+// number of floats.
+func checkFloat64Payload(buf []byte) error {
+	if len(buf)%8 != 0 {
+		return &FrameError{"bad-payload",
+			fmt.Sprintf("float64 payload of %d bytes is not a multiple of 8", len(buf))}
+	}
+	return nil
+}
+
 // encodePayload serializes a message payload, returning the codec id
 // and wire bytes. Unknown payload types are a typed error (the TCP
 // analogue of mustPayloadBytes' panic).
@@ -72,9 +98,7 @@ func encodePayload(data any) (uint16, []byte, error) {
 		return codecNil, nil, nil
 	case []float64:
 		buf := make([]byte, 8*len(d))
-		for i, v := range d {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
+		putFloat64s(buf, d)
 		return codecFloat64, buf, nil
 	}
 	codecMu.RLock()
@@ -104,14 +128,11 @@ func decodePayload(id uint16, buf []byte) (any, error) {
 		}
 		return nil, nil
 	case codecFloat64:
-		if len(buf)%8 != 0 {
-			return nil, &FrameError{"bad-payload",
-				fmt.Sprintf("float64 payload of %d bytes is not a multiple of 8", len(buf))}
+		if err := checkFloat64Payload(buf); err != nil {
+			return nil, err
 		}
 		out := make([]float64, len(buf)/8)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
+		getFloat64s(out, buf)
 		return out, nil
 	}
 	codecMu.RLock()

@@ -93,7 +93,7 @@ func (c *Comm) collSend(cs *collStats, dst, tag int, data []float64) {
 // collRecv blocks for one collective hop's payload, metering the wait.
 func (c *Comm) collRecv(cs *collStats, src, tag int) []float64 {
 	t0 := time.Now()
-	data, _ := c.recvMatch(src, tag)
+	data := c.recvMatch(src, tag).payload()
 	cs.wait += time.Since(t0)
 	if data == nil {
 		return nil

@@ -86,11 +86,38 @@ func (e *FrameError) Error() string {
 	return fmt.Sprintf("mpi: wire frame rejected (%s): %s", e.Reason, e.Detail)
 }
 
-// encodeFrame renders one frame: header + payload with the CRC filled
-// in. The payload slice is referenced, not copied, until the final
-// append.
+// encodeFrame renders one frame — header, a copy of payload, CRC — into
+// a fresh buffer. Control frames are built here: one abort or bye frame
+// is queued on every link, so it has several owners and must never come
+// from (or go back to) the pool.
 func encodeFrame(h frameHeader, payload []byte) []byte {
 	buf := make([]byte, frameHeaderLen+len(payload))
+	copy(buf[frameHeaderLen:], payload)
+	return sealFrame(buf, h)
+}
+
+// encodeDataFrame is encodeFrame into a pooled buffer, for data frames:
+// each is queued on exactly one link, whose writer returns the buffer
+// once it is on the socket.
+func encodeDataFrame(h frameHeader, payload []byte) []byte {
+	buf := bytePool.get(frameHeaderLen + len(payload))
+	copy(buf[frameHeaderLen:], payload)
+	return sealFrame(buf, h)
+}
+
+// encodeFloat64Frame renders a codecFloat64 data frame straight from the
+// floats in one pass — no intermediate payload slice — into a pooled
+// buffer.
+func encodeFloat64Frame(h frameHeader, v []float64) []byte {
+	buf := bytePool.get(frameHeaderLen + 8*len(v))
+	putFloat64s(buf[frameHeaderLen:], v)
+	h.codec = codecFloat64
+	return sealFrame(buf, h)
+}
+
+// sealFrame fills in the header of a frame whose payload is already in
+// place at buf[frameHeaderLen:], CRC last.
+func sealFrame(buf []byte, h frameHeader) []byte {
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], frameMagic)
 	buf[4] = frameVersion
@@ -100,10 +127,9 @@ func encodeFrame(h frameHeader, payload []byte) []byte {
 	le.PutUint32(buf[16:], uint32(h.src))
 	le.PutUint32(buf[20:], uint32(h.dst))
 	le.PutUint32(buf[24:], uint32(h.tag))
-	le.PutUint32(buf[28:], uint32(len(payload)))
-	copy(buf[frameHeaderLen:], payload)
+	le.PutUint32(buf[28:], uint32(len(buf)-frameHeaderLen))
 	crc := crc32.ChecksumIEEE(buf[0:32])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	crc = crc32.Update(crc, crc32.IEEETable, buf[frameHeaderLen:])
 	le.PutUint32(buf[32:], crc)
 	return buf
 }
@@ -168,24 +194,33 @@ func verifyCRC(hdr, payload []byte) error {
 // id). Payload allocation happens only after the header — including the
 // world id and the paylen bound — has been validated.
 func readFrame(r io.Reader, expectWorld uint64) (frameHeader, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrameInto(r, expectWorld, make([]byte, frameHeaderLen),
+		func(h frameHeader) []byte { return make([]byte, h.paylen) })
+}
+
+// readFrameInto is readFrame with caller-chosen memory: hdr is scratch
+// for the fixed header, and alloc picks the payload buffer from the
+// validated header (a live link reads float64 data payloads into pooled
+// buffers). A frame that fails leaves its payload buffer to the GC.
+func readFrameInto(r io.Reader, expectWorld uint64, hdr []byte, alloc func(frameHeader) []byte) (frameHeader, []byte, error) {
+	hdr = hdr[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return frameHeader{}, nil, &FrameError{"truncated-header",
 				"stream ended inside a frame header"}
 		}
 		return frameHeader{}, nil, err // clean EOF / socket error: not a frame fault
 	}
-	h, err := decodeHeader(hdr[:], expectWorld)
+	h, err := decodeHeader(hdr, expectWorld)
 	if err != nil {
 		return frameHeader{}, nil, err
 	}
-	payload := make([]byte, h.paylen)
+	payload := alloc(h)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return frameHeader{}, nil, &FrameError{"truncated-payload",
 			fmt.Sprintf("stream ended %s inside a %d-byte payload", err, h.paylen)}
 	}
-	if err := verifyCRC(hdr[:], payload); err != nil {
+	if err := verifyCRC(hdr, payload); err != nil {
 		return frameHeader{}, nil, err
 	}
 	return h, payload, nil

@@ -4,6 +4,9 @@
 // LAMMPS actually uses — Send, Recv (Wait), Sendrecv, Allreduce, plus
 // Init — instrumented per function exactly like the paper's Figure 5
 // breakdown (time, call count, and payload bytes per MPI function).
+// SendrecvFloat64 is Sendrecv with MPI's buffer contract for the per-step
+// halo vectors: caller-owned send and receive buffers, pooled buffers in
+// between (pool.go), no allocation in steady state.
 //
 // The runtime executes real message passing (correctness: a decomposed
 // run reproduces the serial trajectory); the wall-clock of a 64-rank run
@@ -98,11 +101,102 @@ func (s *Stats) TotalWait() time.Duration {
 	return t
 }
 
-// message is one in-flight transfer.
+// lane says which form a message's payload travels in.
+type lane uint8
+
+const (
+	// laneAny: data, handed over by reference in-process (struct payloads,
+	// collective hops, nil) and through the codec registry over TCP.
+	laneAny lane = iota
+	// laneBorrowed: f64 is the send slice of a SendrecvFloat64 call, valid
+	// only until that call returns. A transport encodes from it or takes a
+	// transit copy before the message outlives the call; it never reaches
+	// a mailbox.
+	laneBorrowed
+	// laneTransit: f64 is a pooled copy the runtime owns.
+	laneTransit
+	// laneWire: raw is a codecFloat64 frame payload, CRC-verified and
+	// still encoded, in a pooled buffer the runtime owns.
+	laneWire
+)
+
+// message is one in-flight transfer. Floats travel in a typed field, not
+// boxed in data: the halo loops send thousands of them a second.
 type message struct {
 	src, tag int
 	bytes    int
+	lane     lane
 	data     any
+	f64      []float64
+	raw      []byte
+}
+
+// owned returns m safe to outlive the call that sent it: a borrowed
+// payload is replaced by a pooled transit copy.
+func (m message) owned() message {
+	if m.lane == laneBorrowed {
+		t := floatPool.get(len(m.f64))
+		copy(t, m.f64)
+		m.f64, m.lane = t, laneTransit
+	}
+	return m
+}
+
+// floats returns the payload of a message about to be encoded when it is
+// a float64 vector, whichever lane carries it.
+func (m message) floats() ([]float64, bool) {
+	if m.lane == laneAny {
+		v, ok := m.data.([]float64)
+		return v, ok
+	}
+	return m.f64, true
+}
+
+// floatsInto lands a received payload in recv, grown only when too
+// small, and returns it cut to the received length; the pooled buffer
+// that carried it goes back. A generic-lane []float64 is copied, so the
+// caller owns what it gets on every path.
+func (m message) floatsInto(recv []float64) []float64 {
+	switch m.lane {
+	case laneTransit:
+		recv = sized(recv, len(m.f64))
+		copy(recv, m.f64)
+		floatPool.put(m.f64)
+	case laneWire:
+		recv = sized(recv, len(m.raw)/8)
+		getFloat64s(recv, m.raw)
+		bytePool.put(m.raw)
+	default:
+		switch d := m.data.(type) {
+		case nil:
+			recv = recv[:0]
+		case []float64:
+			recv = sized(recv, len(d))
+			copy(recv, d)
+		default:
+			panic(fmt.Sprintf("mpi: float64 receive from rank %d (tag %d) matched a %T payload", m.src, m.tag, d))
+		}
+	}
+	return recv
+}
+
+// payload surrenders a received message to the generic lane: data as it
+// is, a typed payload decoded into a fresh slice (collectives and tests
+// mix the lanes).
+func (m message) payload() any {
+	if m.lane == laneAny {
+		return m.data
+	}
+	return m.floatsInto(nil)
+}
+
+// sized returns buf with length n, reallocating only when its capacity
+// is too small.
+func sized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // World is a communicator universe of Size ranks with persistent
@@ -510,7 +604,9 @@ func (c *Comm) sendP2P(dst int, m message) int {
 			time.Sleep(delay)
 		}
 		if reorder {
-			c.held = append(c.held, heldMessage{dst: dst, m: m})
+			// Delivery is deferred past this call's return: the held
+			// message must own its floats, not borrow the caller's slice.
+			c.held = append(c.held, heldMessage{dst: dst, m: m.owned()})
 			return 0
 		}
 	}
@@ -528,44 +624,106 @@ func (c *Comm) flushHeld() {
 	c.held = c.held[:0]
 }
 
+// procNull is MPI_PROC_NULL: as a destination or source of any
+// point-to-point call it switches that half of the call off. The domain
+// backend's neighborRank returns it at non-periodic boundaries.
+const procNull = -1
+
+// p2p is the one point-to-point path under Send, Recv, Sendrecv and
+// SendrecvFloat64: a send to dst then a receive from src, either half
+// skipped for procNull, charged to MPI_Send, MPI_Wait or MPI_Sendrecv by
+// which halves ran. Stats charge the transport's wire bytes — identical
+// to the modeled size in-process, header + encoded payload over TCP. A
+// non-nil recv selects the typed receive (the payload lands in *recv);
+// otherwise the generic payload is returned.
+func (c *Comm) p2p(dst int, sm message, src, tag int, recv *[]float64) (data any) {
+	var f Func
+	peer := dst
+	switch {
+	case dst != procNull && src != procNull:
+		f = FuncSendrecv
+	case dst != procNull:
+		f = FuncSend
+	case src != procNull:
+		f, peer = FuncWait, src
+	default:
+		return nil
+	}
+	var bytes int
+	var wait time.Duration
+	t0 := time.Now()
+	t1 := t0
+	if dst != procNull {
+		bytes = c.sendP2P(dst, sm)
+		t1 = time.Now()
+	}
+	if src != procNull {
+		m := c.recvMatch(src, tag)
+		if recv != nil {
+			*recv = m.floatsInto(*recv)
+		} else {
+			data = m.payload()
+		}
+		bytes += m.bytes
+		wait = time.Since(t1)
+	}
+	el := t1.Sub(t0) + wait
+	st := &c.Stats.Funcs[f]
+	st.Calls++
+	st.Bytes += int64(bytes)
+	st.Time += el
+	st.WaitTime += wait
+	if c.span != nil {
+		c.span.Comm(funcNames[f], t0, el, int64(bytes), peer)
+	}
+	return data
+}
+
 // Send transmits data to rank dst under tag. bytes, when >= 0, overrides
 // the modeled wire size (used for struct payloads whose packed size the
-// caller knows). Stats charge the transport's wire bytes — identical to
-// the modeled size in-process, header + encoded payload over TCP.
+// caller knows).
 func (c *Comm) Send(dst, tag int, data any, bytes int) {
 	if bytes < 0 {
 		bytes = mustPayloadBytes(data)
 	}
-	t0 := time.Now()
-	wire := c.sendP2P(dst, message{src: c.rank, tag: tag, bytes: bytes, data: data})
-	el := time.Since(t0)
-	st := &c.Stats.Funcs[FuncSend]
-	st.Calls++
-	st.Bytes += int64(wire)
-	st.Time += el
-	if c.span != nil {
-		c.span.Comm("MPI_Send", t0, el, int64(wire), dst)
-	}
+	c.p2p(dst, message{src: c.rank, tag: tag, bytes: bytes, data: data}, procNull, tag, nil)
 }
 
 // Recv blocks until a message from src with tag arrives and returns its
 // payload; the blocked time is charged to MPI_Wait.
 func (c *Comm) Recv(src, tag int) any {
-	t0 := time.Now()
-	data, bytes := c.recvMatch(src, tag)
-	el := time.Since(t0)
-	st := &c.Stats.Funcs[FuncWait]
-	st.Calls++
-	st.Bytes += int64(bytes)
-	st.Time += el
-	st.WaitTime += el
-	if c.span != nil {
-		c.span.Comm("MPI_Wait", t0, el, int64(bytes), src)
-	}
-	return data
+	return c.p2p(procNull, message{}, src, tag, nil)
 }
 
-func (c *Comm) recvMatch(src, tag int) (any, int) {
+// Sendrecv sends sdata to dst and receives from src under the same tag.
+// Either partner may be -1 (MPI_PROC_NULL: a rank at the top of a slab
+// box still receives from below though it sends nothing up); the call is
+// then a plain MPI_Send or MPI_Wait and is charged as one, and the result
+// is nil when there is no source.
+func (c *Comm) Sendrecv(dst int, sdata any, sbytes, src, tag int) any {
+	if sbytes < 0 {
+		sbytes = mustPayloadBytes(sdata)
+	}
+	return c.p2p(dst, message{src: c.rank, tag: tag, bytes: sbytes, data: sdata}, src, tag, nil)
+}
+
+// SendrecvFloat64 is the halo-exchange primitive: Sendrecv for float64
+// vectors, -1 partners included, with caller-owned buffers on both sides
+// instead of a boxed payload that changes hands.
+//
+// Buffers follow MPI's contract. send belongs to the caller again as
+// soon as the call returns: the runtime has copied or encoded it by
+// then, whatever the transport and whatever faults defer delivery. recv
+// is caller-owned too: it is grown only when too small and returned cut
+// to the received length (length 0 when src is -1), so a caller that
+// stores the result back reuses one allocation for the life of the run.
+func (c *Comm) SendrecvFloat64(dst int, send []float64, src, tag int, recv []float64) []float64 {
+	recv = recv[:0]
+	c.p2p(dst, message{src: c.rank, tag: tag, bytes: 8 * len(send), lane: laneBorrowed, f64: send}, src, tag, &recv)
+	return recv
+}
+
+func (c *Comm) recvMatch(src, tag int) message {
 	// A receive is an ordering point: release any reorder-deferred sends
 	// before blocking (the peers may be waiting on them).
 	c.flushHeld()
@@ -575,7 +733,7 @@ func (c *Comm) recvMatch(src, tag int) (any, int) {
 		if m.src == src && m.tag == tag {
 			c.world.pend[c.rank] = append(pend[:i], pend[i+1:]...)
 			c.unmatched.Add(-1)
-			return m.data, m.bytes
+			return m
 		}
 	}
 	// Blocking path: publish the park state and, when the world bounds
@@ -592,7 +750,7 @@ func (c *Comm) recvMatch(src, tag int) (any, int) {
 		case m := <-c.world.inbox[c.rank]:
 			if m.src == src && m.tag == tag {
 				c.parkExit()
-				return m.data, m.bytes
+				return m
 			}
 			c.world.pend[c.rank] = append(c.world.pend[c.rank], m)
 			c.unmatched.Add(1)
@@ -602,29 +760,6 @@ func (c *Comm) recvMatch(src, tag int) (any, int) {
 			panic(c.recvStallPanic(src, tag, c.world.opts.RecvStall))
 		}
 	}
-}
-
-// Sendrecv sends sdata to dst and receives from src under the same tag,
-// the halo-exchange primitive of the domain decomposition.
-func (c *Comm) Sendrecv(dst int, sdata any, sbytes, src, tag int) any {
-	if sbytes < 0 {
-		sbytes = mustPayloadBytes(sdata)
-	}
-	t0 := time.Now()
-	wire := c.sendP2P(dst, message{src: c.rank, tag: tag, bytes: sbytes, data: sdata})
-	sendDone := time.Since(t0)
-	t1 := time.Now()
-	data, rbytes := c.recvMatch(src, tag)
-	wait := time.Since(t1)
-	st := &c.Stats.Funcs[FuncSendrecv]
-	st.Calls++
-	st.Bytes += int64(wire + rbytes)
-	st.Time += sendDone + wait
-	st.WaitTime += wait
-	if c.span != nil {
-		c.span.Comm("MPI_Sendrecv", t0, sendDone+wait, int64(wire+rbytes), dst)
-	}
-	return data
 }
 
 // String summarizes the profile (debugging aid).

@@ -111,13 +111,26 @@ type RemoteAbort struct {
 // RemoteAbort greps identically to the local one.
 func (r RemoteAbort) String() string { return r.Text }
 
+// outFrame is one encoded frame queued on a link. pooled marks a data
+// frame: queued on this link only, so its writer may recycle the buffer.
+type outFrame struct {
+	b      []byte
+	pooled bool
+}
+
+// linkReadBuf sizes a link's buffered reader so one read call takes in a
+// whole halo payload (tens of KB); bufio's 4 KiB default needed several.
+const linkReadBuf = 64 << 10
+
+func newLinkReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, linkReadBuf) }
+
 // peerLink is one ordered connection to a peer process.
 type peerLink struct {
 	proc  int
 	ranks []int
 	conn  net.Conn
 	br    *bufio.Reader
-	out   chan []byte
+	out   chan outFrame
 	// flushed is closed when the write loop exits (queue drained or
 	// write error); Close waits on it before tearing the socket down.
 	flushed chan struct{}
@@ -163,14 +176,24 @@ func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 	if w.inbox[dst] != nil {
 		return w.deliverLocal(dst, m)
 	}
-	id, payload, err := encodePayload(m.data)
-	if err != nil {
-		return 0, err
-	}
-	frame := encodeFrame(frameHeader{
-		kind: frameData, codec: id, world: t.worldID,
+	h := frameHeader{
+		kind: frameData, world: t.worldID,
 		src: int32(m.src), dst: int32(dst), tag: int32(m.tag),
-	}, payload)
+	}
+	var frame []byte
+	if v, ok := m.floats(); ok {
+		frame = encodeFloat64Frame(h, v)
+		if m.lane == laneTransit {
+			floatPool.put(m.f64) // a reorder-held copy, now encoded
+		}
+	} else {
+		id, payload, err := encodePayload(m.data)
+		if err != nil {
+			return 0, err
+		}
+		h.codec = id
+		frame = encodeDataFrame(h, payload)
+	}
 	if h := w.wireFault; h != nil {
 		h.OnFrame(m.src, dst, m.tag, frame)
 	}
@@ -183,11 +206,12 @@ func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 	return len(frame), nil
 }
 
-// enqueue places a frame on a link's ordered queue with the same stall
-// semantics deliverLocal gives a full mailbox.
+// enqueue places a pooled data frame on a link's ordered queue with the
+// same stall semantics deliverLocal gives a full mailbox.
 func (t *tcpTransport) enqueue(l *peerLink, frame []byte, m message, dst int) error {
+	of := outFrame{b: frame, pooled: true}
 	select {
-	case l.out <- frame:
+	case l.out <- of:
 		return nil
 	default:
 	}
@@ -195,7 +219,7 @@ func (t *tcpTransport) enqueue(l *peerLink, frame []byte, m message, dst int) er
 	timer := time.NewTimer(stall)
 	defer timer.Stop()
 	select {
-	case l.out <- frame:
+	case l.out <- of:
 		return nil
 	case <-t.w.abort:
 		return errAborted
@@ -222,7 +246,7 @@ func (t *tcpTransport) PropagateAbort(e *RankError) {
 				continue
 			}
 			select {
-			case l.out <- frame:
+			case l.out <- outFrame{b: frame}:
 			case <-time.After(abortFlushTimeout):
 				// Queue wedged: close the link instead — the peer's
 				// reader observes the loss and aborts its world.
@@ -285,7 +309,7 @@ func (t *tcpTransport) requestSnapshot(l *peerLink) ([]CommState, bool) {
 		kind: frameSnapReq, world: t.worldID, src: -1, dst: int32(l.proc),
 	}, binary.LittleEndian.AppendUint32(nil, seq))
 	select {
-	case l.out <- frame:
+	case l.out <- outFrame{b: frame}:
 	default:
 		return nil, false // queue wedged; don't block the watchdog
 	}
@@ -319,7 +343,7 @@ func (t *tcpTransport) Close() error {
 					continue
 				}
 				select {
-				case l.out <- bye:
+				case l.out <- outFrame{b: bye}:
 				default: // full queue: the peer sees a raw EOF and aborts
 				}
 			}
@@ -358,8 +382,8 @@ func (t *tcpTransport) writeLoop(l *peerLink) {
 	defer close(l.flushed)
 	for {
 		select {
-		case frame := <-l.out:
-			if _, err := l.conn.Write(frame); err != nil {
+		case f := <-l.out:
+			if err := l.write(f); err != nil {
 				t.linkLost(l, fmt.Errorf("write: %w", err))
 				return
 			}
@@ -367,8 +391,8 @@ func (t *tcpTransport) writeLoop(l *peerLink) {
 			// Final drain: flush anything already queued (abort frames).
 			for {
 				select {
-				case frame := <-l.out:
-					if _, err := l.conn.Write(frame); err != nil {
+				case f := <-l.out:
+					if l.write(f) != nil {
 						return
 					}
 				default:
@@ -379,12 +403,34 @@ func (t *tcpTransport) writeLoop(l *peerLink) {
 	}
 }
 
+// write puts one queued frame on the socket and recycles it if this
+// link was its only owner.
+func (l *peerLink) write(f outFrame) error {
+	_, err := l.conn.Write(f.b)
+	if f.pooled {
+		bytePool.put(f.b)
+	}
+	return err
+}
+
+// linkPayload picks the buffer a live link reads a frame's payload into:
+// pooled for float64 data (it travels to the receiving rank still
+// encoded, and that rank returns it), fresh for everything else —
+// registry codecs and control-plane decoders may keep what they parse.
+func linkPayload(h frameHeader) []byte {
+	if h.kind == frameData && h.codec == codecFloat64 {
+		return bytePool.get(int(h.paylen))
+	}
+	return make([]byte, h.paylen)
+}
+
 // readLoop pumps one link's inbound frames: data into local mailboxes,
 // aborts into the local abort protocol, snapshot requests back out as
 // responses.
 func (t *tcpTransport) readLoop(l *peerLink) {
+	hdr := make([]byte, frameHeaderLen)
 	for {
-		h, payload, err := readFrame(l.br, t.worldID)
+		h, payload, err := readFrameInto(l.br, t.worldID, hdr, linkPayload)
 		if err != nil {
 			if err == io.EOF && l.peerBye.Load() {
 				t.peerFinished(l)
@@ -395,7 +441,18 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 		}
 		switch h.kind {
 		case frameData:
-			data, derr := decodePayload(h.codec, payload)
+			m := message{src: int(h.src), tag: int(h.tag), bytes: frameHeaderLen + len(payload)}
+			var derr error
+			if h.codec == codecFloat64 {
+				// Delivered still encoded: the receiving rank decodes
+				// straight into its caller's buffer (or, on the generic
+				// lane, a fresh slice) — one copy and one allocation fewer
+				// than decoding here.
+				m.lane, m.raw = laneWire, payload
+				derr = checkFloat64Payload(payload)
+			} else {
+				m.data, derr = decodePayload(h.codec, payload)
+			}
 			if derr != nil {
 				t.w.Abort(&RankError{Rank: int(h.src), Cause: derr, Stack: debug.Stack()})
 				return
@@ -406,10 +463,6 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 					"bad-dst", fmt.Sprintf("frame addressed to rank %d, not hosted here", dst)},
 					Stack: debug.Stack()})
 				return
-			}
-			m := message{
-				src: int(h.src), tag: int(h.tag),
-				bytes: frameHeaderLen + len(payload), data: data,
 			}
 			if _, derr := t.w.deliverLocal(dst, m); derr != nil {
 				if derr == errAborted {
@@ -439,7 +492,7 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 				src: int32(t.selfProc), dst: int32(l.proc),
 			}, encodeSnapPayload(binary.LittleEndian.Uint32(payload), states))
 			select {
-			case l.out <- resp:
+			case l.out <- outFrame{b: resp}:
 			default: // best effort; the requester times out
 			}
 		case frameSnapResp:
@@ -838,7 +891,7 @@ func (co *TCPCoordinator) Host(localRanks []int, opts WorldOptions) (*World, err
 			return fail(&RendezvousError{Phase: "accept",
 				Err: fmt.Errorf("%d ranks never joined: %w", remaining, err)})
 		}
-		br := bufio.NewReader(conn)
+		br := newLinkReader(conn)
 		h, payload, err := readDeadlineFrame(conn, br, 0, rv)
 		if err != nil || h.kind != frameHello {
 			conn.Close() // stray dialer; keep waiting for real joiners
@@ -918,7 +971,7 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 	if err != nil {
 		return nil, &RendezvousError{Phase: "dial", Err: err}
 	}
-	br := bufio.NewReader(conn)
+	br := newLinkReader(conn)
 	fail := func(err error) (*World, error) {
 		conn.Close()
 		return nil, err
@@ -971,7 +1024,7 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 				acceptErr <- &RendezvousError{Phase: "mesh", Err: fmt.Errorf("mesh accept: %w", err)}
 				return
 			}
-			mbr := bufio.NewReader(mc)
+			mbr := newLinkReader(mc)
 			mh, mpl, err := readDeadlineFrame(mc, mbr, worldID, rv)
 			if err != nil || mh.kind != frameMeshHello || len(mpl) < 4 {
 				mc.Close()
@@ -999,7 +1052,7 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 			mc.Close()
 			return fail(&RendezvousError{Phase: "mesh", Err: fmt.Errorf("mesh hello to proc %d: %w", p, err)})
 		}
-		links[p] = newPeerLink(p, table[p].ranks, mc, bufio.NewReader(mc))
+		links[p] = newPeerLink(p, table[p].ranks, mc, newLinkReader(mc))
 	}
 	if err := <-acceptErr; err != nil {
 		return fail(err)
@@ -1028,7 +1081,7 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 func newPeerLink(proc int, ranks []int, conn net.Conn, br *bufio.Reader) *peerLink {
 	return &peerLink{
 		proc: proc, ranks: ranks, conn: conn, br: br,
-		out: make(chan []byte, 1024), flushed: make(chan struct{}),
+		out: make(chan outFrame, 1024), flushed: make(chan struct{}),
 	}
 }
 

@@ -64,7 +64,8 @@ var errAborted = errors.New("mpi: world aborted")
 // corrupt-wire action). OnFrame may mutate frame in place; the CRC has
 // already been computed, so a payload flip surfaces on the receiver as
 // a typed crc-mismatch *FrameError and exercises the whole
-// wire-corruption recovery path.
+// wire-corruption recovery path. frame is a pooled buffer the link's
+// writer recycles once it is on the socket: OnFrame must not retain it.
 type WireFaultHook interface {
 	OnFrame(src, dst, tag int, frame []byte)
 }
@@ -104,8 +105,11 @@ func (tr *chanTransport) Close() error { return nil }
 // deliverLocal enqueues m into local rank dst's mailbox, blocking with
 // the world's MailboxStall bound. Shared by the channel transport (all
 // deliveries) and the TCP transport (same-process destinations and the
-// inbound side of its per-peer readers).
+// inbound side of its per-peer readers). The message outlives the
+// sending call from here on, so a borrowed float64 payload is swapped for
+// a pooled transit copy first; the receiving rank returns it.
 func (w *World) deliverLocal(dst int, m message) (int, error) {
+	m = m.owned()
 	select {
 	case w.inbox[dst] <- m:
 		return m.bytes, nil

@@ -81,9 +81,9 @@ func (r *KernelReport) Entry(tool, gitSHA string) Entry {
 		host = fmt.Sprintf("%s/%s cpu=%d %s host=", r.GOOS, r.GOARCH, r.NumCPU, r.GoVersion)
 	}
 	e := Entry{
-		Tool:       tool,
-		GitSHA:     gitSHA,
-		Host:       host,
+		Tool:   tool,
+		GitSHA: gitSHA,
+		Host:   host,
 		ConfigHash: ConfigHash(struct {
 			Tool      string   `json:"tool"`
 			Atoms     int      `json:"atoms"`
