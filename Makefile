@@ -2,7 +2,7 @@
 # the race detector (the observability layer's multi-rank tests record
 # spans from every rank goroutine, so the race run is part of the bar),
 # then an end-to-end mdbench smoke campaign.
-.PHONY: all build vet fmt-check test race bench bench-module wallbench bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
+.PHONY: all build vet fmt-check loc test race bench bench-module wallbench bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
 
 all: check
 
@@ -17,6 +17,11 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || \
 		{ echo "fmt-check: gofmt -l prints:" >&2; echo "$$out" >&2; exit 1; }
+
+# The tracked size of the engine: non-test Go lines outside bench/
+# (ROADMAP: "net line count is a tracked outcome"). Tracked files only.
+loc:
+	@git ls-files '*.go' ':!bench' | grep -v _test.go | xargs cat | wc -l
 
 test:
 	go test -shuffle=on ./...

@@ -22,11 +22,9 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"gomd/internal/harness"
 	"gomd/internal/obs"
-	"gomd/internal/trace"
 )
 
 func parseInts(s string) []int {
@@ -62,22 +60,21 @@ func main() {
 		ckptKeep  = flag.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
 		restart   = flag.String("restart", "", "resume measured engine runs from this checkpoint file")
 		retries   = flag.Int("retries", 0, "automatic recoveries from rank failures per measurement")
-		hangTO    = flag.Duration("hang-timeout", 0, "abort+recover measured runs making no progress for this long (0 = off)")
 		chkEvery  = flag.Int("check-every", 0, "run numerical guardrails every N steps during measurements (0 = off)")
 		quick     = flag.Bool("quick", false, "reduced fidelity (cap 6000 atoms, 6 steps)")
 		csvPath   = flag.String("csv", "", "also write results as CSV to this file")
-		logPath   = flag.String("log", "", "write a JSONL data log of engine measurements")
 		strict    = flag.Bool("strict-log", false, "exit nonzero if the data log is incomplete (CI smoke runs)")
 		chart     = flag.Bool("chart", false, "render percentage breakdowns as stacked bars")
 
-		traceOut   = flag.String("trace", "", "write a per-rank Chrome trace-event timeline (Perfetto) to this file")
-		metrOut    = flag.String("metrics", "", "write an engine metrics JSON dump to this file")
-		metrAddr   = flag.String("metrics-addr", "", "serve live OpenMetrics on this address (e.g. :9100)")
-		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
 		cpuprofile = flag.String("cpuprofile", "", "write a Go CPU profile of the campaign to this file")
 		memprofile = flag.String("memprofile", "", "write a Go heap profile at campaign end to this file")
+		of         obs.Flags
 	)
+	of.Register(flag.CommandLine)
 	flag.Parse()
+	// The log is auxiliary, so an incomplete one must not fail a campaign
+	// unless asked to; silent loss would still poison analysis, so it warns.
+	of.LaxLog = !*strict
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
@@ -93,7 +90,7 @@ func main() {
 		MeasureCap: *cap_, Steps: *steps, Workers: *workers, Seed: *seed,
 		CheckpointEvery: *ckptEvery, CheckpointPath: *ckptPath,
 		RestartPath: *restart, KeepCheckpoints: *ckptKeep,
-		Retries: *retries, HangTimeout: *hangTO, CheckEvery: *chkEvery,
+		Retries: *retries, HangTimeout: of.HangTimeout, CheckEvery: *chkEvery,
 	}
 	if *quick {
 		if opts.MeasureCap == 0 {
@@ -103,13 +100,9 @@ func main() {
 			opts.Steps = 6
 		}
 	}
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# pprof listening on http://%s/debug/pprof/\n", addr)
+	if err := of.Open(os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
+		os.Exit(1)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -140,32 +133,7 @@ func main() {
 	}
 
 	runner := harness.NewRunner(opts)
-	if *traceOut != "" {
-		runner.SpanTrace = obs.NewTracer(0) // rank handles grow on demand
-	}
-	if *metrOut != "" || *metrAddr != "" {
-		runner.Metrics = obs.NewRegistry()
-	}
-	var ms *obs.MetricsServer // nil-safe: Shutdown no-ops when unset
-	if *metrAddr != "" {
-		var err error
-		ms, err = obs.Serve(*metrAddr, runner.Metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# metrics listening on http://%s/metrics\n", ms.Addr())
-	}
-	var logFile *os.File
-	if *logPath != "" {
-		lf, err := os.Create(*logPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
-			os.Exit(1)
-		}
-		logFile = lf
-		runner.Trace = trace.New(lf)
-	}
+	runner.Trace, runner.SpanTrace, runner.Metrics = of.Log, of.Tracer, of.Metrics
 	params := harness.Params{
 		Sizes:      parseInts(*sizes),
 		CPURanks:   parseInts(*ranks),
@@ -211,25 +179,9 @@ func main() {
 			}
 			csv = nil
 		}
-		if err := ms.ShutdownTimeout(2 * time.Second); err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: metrics shutdown: %v\n", err)
-		}
-		// Surface a data-log write failure (the log is auxiliary, so it
-		// must not abort runs, but silent loss would poison analysis).
-		if err := obs.WriteFiles(runner.SpanTrace, runner.Metrics, *traceOut, *metrOut); err != nil {
+		if err := of.Close(os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
 			os.Exit(1)
-		}
-		logErr := runner.Trace.Err()
-		if logErr == nil && logFile != nil {
-			logErr = logFile.Close()
-		}
-		if logErr != nil {
-			if *strict {
-				fmt.Fprintf(os.Stderr, "mdbench: data log incomplete: %v\n", logErr)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mdbench: warning: data log incomplete: %v\n", logErr)
 		}
 	}
 

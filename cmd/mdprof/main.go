@@ -16,148 +16,127 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"gomd/internal/core"
 	"gomd/internal/harness"
 	"gomd/internal/obs"
-	"gomd/internal/trace"
 	"gomd/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it returns the exit code (0 done, 1
+// failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench     = flag.String("bench", "lj", "workload: rhodo, lj, chain, eam, chute")
-		size      = flag.Int("size", 32, "system size in thousands of atoms")
-		ranks     = flag.Int("ranks", 8, "CPU MPI ranks")
-		gpus      = flag.Int("gpus", 0, "GPU devices (0 = CPU instance)")
-		kacc      = flag.Float64("kspace-acc", 0, "rhodo PPPM error threshold")
-		capN      = flag.Int("measure-cap", 0, "max atoms actually simulated")
-		steps     = flag.Int("steps", 0, "measured steps")
-		workers   = flag.Int("workers", 1, "intra-rank worker-pool width for engine kernels (priced as threads-per-rank)")
-		hangTO    = flag.Duration("hang-timeout", 0, "abort profiled runs making no progress for this long (0 = off)")
-		logPath   = flag.String("log", "", "write a JSONL data log of engine measurements")
-		traceOut  = flag.String("trace", "", "write a per-rank Chrome trace-event timeline (Perfetto) to this file")
-		metrOut   = flag.String("metrics", "", "write an engine metrics JSON dump to this file")
-		metrAddr  = flag.String("metrics-addr", "", "serve live OpenMetrics on this address (e.g. :9100)")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
+		bench   = fs.String("bench", "lj", "workload: rhodo, lj, chain, eam, chute")
+		size    = fs.Int("size", 32, "system size in thousands of atoms")
+		ranks   = fs.Int("ranks", 8, "CPU MPI ranks")
+		gpus    = fs.Int("gpus", 0, "GPU devices (0 = CPU instance)")
+		kacc    = fs.Float64("kspace-acc", 0, "rhodo PPPM error threshold")
+		capN    = fs.Int("measure-cap", 0, "max atoms actually simulated")
+		steps   = fs.Int("steps", 0, "measured steps")
+		workers = fs.Int("workers", 1, "intra-rank worker-pool width for engine kernels (priced as threads-per-rank)")
+		of      obs.Flags
 	)
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdprof: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# pprof listening on http://%s/debug/pprof/\n", addr)
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
+	if err := of.Open(stderr); err != nil {
+		fmt.Fprintf(stderr, "mdprof: %v\n", err)
+		return 1
+	}
 	runner := harness.NewRunner(harness.Options{
-		MeasureCap: *capN, Steps: *steps, Workers: *workers, HangTimeout: *hangTO,
+		MeasureCap: *capN, Steps: *steps, Workers: *workers, HangTimeout: of.HangTimeout,
 	})
-	if *logPath != "" {
-		lf, err := os.Create(*logPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdprof: %v\n", err)
-			os.Exit(1)
-		}
-		defer lf.Close()
-		runner.Trace = trace.New(lf)
-	}
-	name := workload.Name(*bench)
-
-	ranksEff := *ranks
-	perGPU := 6
+	runner.Trace, runner.SpanTrace, runner.Metrics = of.Log, of.Tracer, of.Metrics
+	spec := harness.Spec{Workload: workload.Name(*bench), AtomsK: *size, Ranks: *ranks, KspaceAcc: *kacc}
 	if *gpus > 0 {
-		ranksEff = *gpus * perGPU
+		spec.Ranks = *gpus * perGPU
 	}
-	if *traceOut != "" {
-		runner.SpanTrace = obs.NewTracer(ranksEff)
+	err := profile(stdout, runner, spec, *gpus)
+	if cerr := of.Close(stderr); err == nil {
+		err = cerr
 	}
-	if *metrOut != "" || *metrAddr != "" {
-		runner.Metrics = obs.NewRegistry()
-	}
-	if *metrAddr != "" {
-		ms, err := obs.Serve(*metrAddr, runner.Metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdprof: %v\n", err)
-			os.Exit(1)
-		}
-		defer ms.ShutdownTimeout(2 * time.Second) // let in-flight scrapes finish
-		fmt.Fprintf(os.Stderr, "# metrics listening on http://%s/metrics\n", ms.Addr())
-	}
-	m, err := runner.Measure(harness.Spec{
-		Workload: name, AtomsK: *size, Ranks: ranksEff, KspaceAcc: *kacc,
-	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdprof: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mdprof: %v\n", err)
+		return 1
 	}
-	if err := obs.WriteFiles(runner.SpanTrace, runner.Metrics, *traceOut, *metrOut); err != nil {
-		fmt.Fprintf(os.Stderr, "mdprof: %v\n", err)
-		os.Exit(1)
-	}
-	if err := runner.Trace.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "mdprof: data log incomplete: %v\n", err)
-		os.Exit(1)
-	}
+	return 0
+}
 
-	if *gpus == 0 {
+// perGPU is the rank count priced per GPU device.
+const perGPU = 6
+
+// profile measures one configuration and prints its breakdown tables.
+func profile(stdout io.Writer, runner *harness.Runner, spec harness.Spec, gpus int) error {
+	m, err := runner.Measure(spec)
+	if err != nil {
+		return err
+	}
+	name, size, ranks := spec.Workload, spec.AtomsK, spec.Ranks
+
+	if gpus == 0 {
 		out := m.CPU()
-		fmt.Printf("%s %dk atoms on the CPU instance, %d ranks: %.3f TS/s, %.0f W, %.4f TS/s/W\n",
-			name, *size, ranksEff, out.TSps, out.PowerWatts, out.EnergyEff)
-		fmt.Println("\nper-rank task breakdown [% of step]:")
-		fmt.Printf("%4s", "rank")
+		fmt.Fprintf(stdout, "%s %dk atoms on the CPU instance, %d ranks: %.3f TS/s, %.0f W, %.4f TS/s/W\n",
+			name, size, ranks, out.TSps, out.PowerWatts, out.EnergyEff)
+		fmt.Fprintln(stdout, "\nper-rank task breakdown [% of step]:")
+		fmt.Fprintf(stdout, "%4s", "rank")
 		for _, task := range core.Tasks() {
-			fmt.Printf("  %7s", task)
+			fmt.Fprintf(stdout, "  %7s", task)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for r, t := range out.Tasks {
-			fmt.Printf("%4d", r)
+			fmt.Fprintf(stdout, "%4d", r)
 			for _, v := range t {
-				fmt.Printf("  %6.1f%%", 100*v/out.StepSeconds)
+				fmt.Fprintf(stdout, "  %6.1f%%", 100*v/out.StepSeconds)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Println("\nper-rank MPI profile [% of MPI time]: init/send/sendrecv/wait/allreduce")
+		fmt.Fprintln(stdout, "\nper-rank MPI profile [% of MPI time]: init/send/sendrecv/wait/allreduce")
 		for r, mp := range out.MPI {
 			tot := mp.Total()
 			if tot == 0 {
 				continue
 			}
-			fmt.Printf("%4d  %5.1f  %5.1f  %5.1f  %5.1f  %5.1f   (MPI share %.1f%%, imbalance %.2f%%)\n",
+			fmt.Fprintf(stdout, "%4d  %5.1f  %5.1f  %5.1f  %5.1f  %5.1f   (MPI share %.1f%%, imbalance %.2f%%)\n",
 				r, 100*mp.Init/tot, 100*mp.Send/tot, 100*mp.Sendrecv/tot,
 				100*mp.Wait/tot, 100*mp.Allreduce/tot, out.MPIPct[r], out.ImbalancePct[r])
 		}
-		return
+		return nil
 	}
 
-	out, err := m.GPU(*gpus, perGPU)
+	out, err := m.GPU(gpus, perGPU)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdprof: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("%s %dk atoms on the GPU instance, %d devices x %d ranks: %.3f TS/s, %.0f W, %.4f TS/s/W\n",
-		name, *size, *gpus, perGPU, out.TSps, out.PowerWatts, out.EnergyEff)
-	fmt.Println("\nper-device kernel/data-movement profile [% of device-active time]:")
+	fmt.Fprintf(stdout, "%s %dk atoms on the GPU instance, %d devices x %d ranks: %.3f TS/s, %.0f W, %.4f TS/s/W\n",
+		name, size, gpus, perGPU, out.TSps, out.PowerWatts, out.EnergyEff)
+	fmt.Fprintln(stdout, "\nper-device kernel/data-movement profile [% of device-active time]:")
 	for d, k := range out.Kernels {
 		tot := k.Total()
 		if tot == 0 {
 			continue
 		}
 		pc := func(v float64) float64 { return 100 * v / tot }
-		fmt.Printf("GPU %d (util %.1f%%): HtoD %.1f%%  DtoH %.1f%%  %s %.1f%%",
+		fmt.Fprintf(stdout, "GPU %d (util %.1f%%): HtoD %.1f%%  DtoH %.1f%%  %s %.1f%%",
 			d, 100*out.DeviceUtil[d], pc(k.MemcpyHtoD), pc(k.MemcpyDtoH), k.PairKernel, pc(k.PairSeconds))
 		if k.PairEnergy > 0 {
-			fmt.Printf("  k_energy_fast %.1f%%", pc(k.PairEnergy))
+			fmt.Fprintf(stdout, "  k_energy_fast %.1f%%", pc(k.PairEnergy))
 		}
-		fmt.Printf("  neigh %.1f%%", pc(k.NeighKernel))
+		fmt.Fprintf(stdout, "  neigh %.1f%%", pc(k.NeighKernel))
 		if k.MakeRho > 0 {
-			fmt.Printf("  make_rho %.1f%%  particle_map %.1f%%  interp %.1f%%",
+			fmt.Fprintf(stdout, "  make_rho %.1f%%  particle_map %.1f%%  interp %.1f%%",
 				pc(k.MakeRho), pc(k.ParticleMap), pc(k.Interp))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }

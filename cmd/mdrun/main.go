@@ -6,14 +6,16 @@
 // dissemination barrier) and whose PPPM/Ewald mesh reductions use a
 // reduce-scatter + allgather butterfly.
 //
-// Fault tolerance: -checkpoint-every writes periodic restart files
-// (bit-exact: a restored run reproduces the uninterrupted trajectory
-// bit for bit), -restart resumes from one, and decomposed runs are
-// supervised — a rank failure is recovered automatically from the last
-// checkpoint within the -retries budget. Checkpoints carry per-section
-// CRCs; -keep-checkpoints retains older generations so a corrupted
-// newest file falls back to an intact one. -hang-timeout arms a
-// watchdog that converts silent hangs into diagnosed recoveries.
+// Every run, -ranks 1 included, is a world of -ranks ranks under one
+// harness.Supervisor, advanced by its Drive loop. Fault tolerance:
+// -checkpoint-every writes periodic restart files (bit-exact: a
+// restored run reproduces the uninterrupted trajectory bit for bit),
+// -restart resumes from one and runs -steps more, and a rank failure is
+// recovered automatically from the last checkpoint within the -retries
+// budget. Checkpoints carry per-section CRCs; -keep-checkpoints retains
+// older generations so a corrupted newest file falls back to an intact
+// one. -hang-timeout arms a watchdog that converts silent hangs into
+// diagnosed recoveries.
 // -fault installs the deterministic fault injector
 // (kill/nan/delay/reorder/hang/truncate-ckpt/flip-ckpt) for drills, and
 // -check-every enables the numerical guardrails (NaN/Inf forces and
@@ -58,498 +60,319 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"gomd/internal/atom"
-	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/fault"
 	"gomd/internal/harness"
-	"gomd/internal/health"
 	"gomd/internal/mpi"
 	"gomd/internal/obs"
 	"gomd/internal/pair"
 	"gomd/internal/script"
-	"gomd/internal/trace"
 	"gomd/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: SIGINT/SIGTERM become runContext's
+// stop request. A second signal kills the process the default way.
+func run(args []string, stdout, stderr io.Writer) int {
+	soft, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sigC := make(chan os.Signal, 1)
+	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigC)
+	go func() {
+		select {
+		case sig := <-sigC:
+			signal.Stop(sigC)
+			fmt.Fprintf(stderr, "# mdrun: %v: stopping gracefully (a second signal kills)\n", sig)
+			cancel()
+		case <-soft.Done():
+		}
+	}()
+	return runContext(soft, args, stdout, stderr)
+}
+
+// runContext parses args, runs, and returns the exit code: 0 done, 1
+// failed, 2 usage, 130 stopped by soft — at the next chunk boundary, after
+// a final cadence checkpoint when -checkpoint-every is armed, so the
+// interrupted trajectory is resumable.
+func runContext(soft context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		inFile    = flag.String("in", "", "LAMMPS-style input script (overrides -bench)")
-		bench     = flag.String("bench", "lj", "workload: rhodo, lj, chain, eam, chute")
-		atoms     = flag.Int("atoms", 32000, "approximate atom count")
-		steps     = flag.Int("steps", 100, "timesteps to run")
-		ranks     = flag.Int("ranks", 1, "MPI ranks (1 = serial engine)")
-		workers   = flag.Int("workers", 1, "intra-rank worker-pool width for pair/neighbor/PPPM kernels")
-		thermo    = flag.Int("thermo", 10, "thermo output interval")
-		seed      = flag.Uint64("seed", 42, "RNG seed")
-		prec      = flag.String("precision", "double", "pair arithmetic: single, mixed, double")
-		kacc      = flag.Float64("kspace-acc", 0, "rhodo PPPM relative error threshold (default 1e-4)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "write a restart checkpoint every N steps (0 = off)")
-		ckptPath  = flag.String("checkpoint", "mdrun.ckpt", "checkpoint file path")
-		ckptKeep  = flag.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
-		restart   = flag.String("restart", "", "resume bit-exactly from this checkpoint file")
-		retries   = flag.Int("retries", 0, "automatic recoveries from rank failures (decomposed runs)")
-		hangTO    = flag.Duration("hang-timeout", 0, "abort+recover ranks making no progress for this long, with a parked-primitive diagnosis (decomposed runs; 0 = off)")
-		faultSpec = flag.String("fault", "", "deterministic fault injection, e.g. kill:rank=1,step=50;nan:rank=0,step=30")
-		chkEvery  = flag.Int("check-every", 0, "run numerical guardrails (NaN/Inf/lost-atom) every N steps (0 = off)")
-		logPath   = flag.String("log", "", "write a JSONL data log (run summary, recoveries)")
-		traceOut  = flag.String("trace", "", "write a per-rank Chrome trace-event timeline (Perfetto) to this file")
-		metrOut   = flag.String("metrics", "", "write an engine metrics JSON dump to this file")
-		metrAddr  = flag.String("metrics-addr", "", "serve live OpenMetrics on this address (e.g. :9100; /metrics and /metrics.json)")
-		flight    = flag.String("flight", "", "arm the crash flight recorder; rank failures/hangs/guardrail trips dump the last steps as JSONL to this path")
-		flightN   = flag.Int("flight-depth", 0, "flight-recorder steps retained per rank (0 = 256)")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
-		listen    = flag.String("listen", "", "host rank 0 over TCP: listen on this address and wait for the other ranks to -join")
-		join      = flag.String("join", "", "join a TCP world at this coordinator address (requires -rank)")
-		rank      = flag.Int("rank", -1, "the rank this joiner process hosts (with -join)")
-		rvTO      = flag.Duration("rendezvous-timeout", 30*time.Second, "bound on every TCP rendezvous phase (dial, hello, mesh, ready/go)")
+		inFile    = fs.String("in", "", "LAMMPS-style input script (overrides -bench)")
+		bench     = fs.String("bench", "lj", "workload: rhodo, lj, chain, eam, chute")
+		atoms     = fs.Int("atoms", 32000, "approximate atom count")
+		steps     = fs.Int("steps", 100, "timesteps to run (with -restart: counted from the checkpoint's step)")
+		ranks     = fs.Int("ranks", 1, "MPI ranks")
+		workers   = fs.Int("workers", 1, "intra-rank worker-pool width for pair/neighbor/PPPM kernels")
+		thermo    = fs.Int("thermo", 10, "thermo output interval")
+		seed      = fs.Uint64("seed", 42, "RNG seed")
+		prec      = fs.String("precision", "double", "pair arithmetic: single, mixed, double")
+		kacc      = fs.Float64("kspace-acc", 0, "rhodo PPPM relative error threshold (default 1e-4)")
+		ckptEvery = fs.Int("checkpoint-every", 0, "write a restart checkpoint every N steps (0 = off)")
+		ckptPath  = fs.String("checkpoint", "mdrun.ckpt", "checkpoint file path")
+		ckptKeep  = fs.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
+		restart   = fs.String("restart", "", "resume bit-exactly from this checkpoint file")
+		retries   = fs.Int("retries", 0, "automatic recoveries from rank failures")
+		faultSpec = fs.String("fault", "", "deterministic fault injection, e.g. kill:rank=1,step=50;nan:rank=0,step=30")
+		chkEvery  = fs.Int("check-every", 0, "run numerical guardrails (NaN/Inf/lost-atom) every N steps (0 = off)")
+		listen    = fs.String("listen", "", "host rank 0 over TCP: listen on this address and wait for the other ranks to -join")
+		join      = fs.String("join", "", "join a TCP world at this coordinator address (requires -rank)")
+		rank      = fs.Int("rank", -1, "the rank this joiner process hosts (with -join)")
+		rvTO      = fs.Duration("rendezvous-timeout", 30*time.Second, "bound on every TCP rendezvous phase (dial, hello, mesh, ready/go)")
+		of        obs.Flags
 	)
-	flag.Parse()
+	of.Register(fs)
+	of.RegisterFlight(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintf(stderr, "mdrun: %s\n", msg)
+		return 2
+	}
 
 	tcpMode := *listen != "" || *join != ""
 	if tcpMode {
-		fail := func(msg string) {
-			fmt.Fprintf(os.Stderr, "mdrun: %s\n", msg)
-			os.Exit(2)
-		}
 		switch {
 		case *listen != "" && *join != "":
-			fail("-listen and -join are mutually exclusive")
+			return usage("-listen and -join are mutually exclusive")
 		case *ranks < 2:
-			fail("TCP worlds need -ranks >= 2 (pass the same -ranks to every process)")
+			return usage("TCP worlds need -ranks >= 2 (pass the same -ranks to every process)")
 		case *join != "" && (*rank < 1 || *rank >= *ranks):
-			fail("-join requires -rank between 1 and ranks-1 (rank 0 is the coordinator's)")
+			return usage("-join requires -rank between 1 and ranks-1 (rank 0 is the coordinator's)")
 		case *inFile != "":
-			fail("-in scripts run serial and cannot span processes")
+			return usage("-in scripts run serial and cannot span processes")
 		case *restart != "":
-			fail("-restart is for serial/in-process runs; TCP worlds resume automatically from -checkpoint's shard store")
+			return usage("-restart is for in-process runs; TCP worlds resume automatically from -checkpoint's shard store")
 		}
 	}
-
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# pprof listening on http://%s/debug/pprof/\n", addr)
+	precision, ok := map[string]pair.Precision{
+		"single": pair.Single, "mixed": pair.Mixed, "double": pair.Double}[*prec]
+	if !ok {
+		return usage(fmt.Sprintf("unknown precision %q", *prec))
 	}
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer(*ranks)
-	}
-	var metrics *obs.Registry
-	if *metrOut != "" || *metrAddr != "" {
-		metrics = obs.NewRegistry()
-	}
-	var ms *obs.MetricsServer // nil-safe: Shutdown no-ops when unset
-	if *metrAddr != "" {
-		var err error
-		ms, err = obs.Serve(*metrAddr, metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# metrics listening on http://%s/metrics\n", ms.Addr())
-	}
-	var dlog *trace.Logger // nil-safe: methods no-op when unset
-	if *logPath != "" {
-		lf, err := os.Create(*logPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
-		}
-		defer lf.Close()
-		dlog = trace.New(lf)
-	}
-	writeObs := func() {
-		// Let in-flight scrapes finish before the process goes away.
-		if err := ms.ShutdownTimeout(2 * time.Second); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: metrics shutdown: %v\n", err)
-		}
-		if err := obs.WriteFiles(tracer, metrics, *traceOut, *metrOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
-		}
-		if err := dlog.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: data log incomplete: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	// SIGINT/SIGTERM stop the run at the next chunk boundary — after a
-	// final cadence checkpoint when -checkpoint-every is armed, so the
-	// interrupted trajectory is resumable. A second signal kills the
-	// process the default way.
-	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
-	interrupted := func() bool {
-		select {
-		case s := <-sigC:
-			signal.Stop(sigC)
-			fmt.Fprintf(os.Stderr, "# mdrun: %v: stopping gracefully (a second signal kills)\n", s)
-			return true
-		default:
-			return false
-		}
-	}
-
 	var inj *fault.Injector
 	if *faultSpec != "" {
 		var err error
-		inj, err = fault.Parse(*faultSpec, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(2)
+		if inj, err = fault.Parse(*faultSpec, *seed); err != nil {
+			return usage(err.Error())
 		}
 	}
 
+	if err := of.Open(stderr); err != nil {
+		return fail(stderr, err)
+	}
+	var code int
 	if *inFile != "" {
-		f, err := os.Open(*inFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
+		code = runScript(*inFile, stdout, stderr)
+	} else {
+		sup := &harness.Supervisor{
+			Factory: func() (core.Config, *atom.Store, error) {
+				cfg, st, err := workload.Build(workload.Name(*bench), workload.Options{
+					Atoms:          *atoms,
+					Precision:      precision,
+					KspaceAccuracy: *kacc,
+					Seed:           *seed,
+					ThermoEvery:    *thermo,
+				})
+				cfg.ThermoTo = nil // the driver's frames speak for the world
+				cfg.Trace = of.Tracer
+				cfg.Metrics = of.Metrics
+				cfg.Workers = *workers
+				cfg.CheckEvery = *chkEvery
+				cfg.Fault = inj
+				return cfg, st, err
+			},
+			Ranks:           max(*ranks, 1),
+			CheckpointEvery: *ckptEvery,
+			CheckpointPath:  *ckptPath,
+			RestartPath:     *restart,
+			KeepCheckpoints: *ckptKeep,
+			Retries:         *retries,
+			HangTimeout:     of.HangTimeout,
+			Fault:           inj,
+			Metrics:         of.Metrics,
+			Tracer:          of.Tracer,
+			Trace:           of.Log,
+			FlightPath:      of.FlightPath,
+			FlightDepth:     of.FlightDepth,
 		}
-		defer f.Close()
-		interp := script.New(os.Stdout)
-		start := time.Now()
-		if err := interp.Run(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %s: %v\n", *inFile, err)
-			os.Exit(1)
+		// Multi-process mode: every process (coordinator and joiners) runs
+		// the same supervised loop; the WorldBuilder re-runs this process'
+		// side of the rendezvous on every build, so a recovery reassembles
+		// the socket mesh first.
+		out := stdout
+		if *listen != "" {
+			sup.WorldBuilder = func() (*mpi.World, error) {
+				co, err := mpi.ListenTCP(*listen, *ranks)
+				if err != nil {
+					return nil, err
+				}
+				return co.Host([]int{0}, mpi.WorldOptions{Rendezvous: *rvTO})
+			}
+		} else if *join != "" {
+			sup.WorldBuilder = func() (*mpi.World, error) {
+				return mpi.JoinTCP(*join, []int{*rank}, mpi.WorldOptions{Rendezvous: *rvTO})
+			}
+			// Joiners stay quiet: thermo lines are identical on every process
+			// (the reductions are collective), so rank 0's process speaks for
+			// the world.
+			out = io.Discard
 		}
-		if sim := interp.Sim(); sim != nil {
-			report(sim, time.Since(start), int(sim.Step))
-		}
-		writeObs()
-		return
+		code = runWorld(soft, out, stderr, sup, *bench, *steps, *thermo)
 	}
-
-	var precision pair.Precision
-	switch *prec {
-	case "single":
-		precision = pair.Single
-	case "mixed":
-		precision = pair.Mixed
-	case "double":
-		precision = pair.Double
-	default:
-		fmt.Fprintf(os.Stderr, "mdrun: unknown precision %q\n", *prec)
-		os.Exit(2)
+	if err := of.Close(stderr); err != nil && code == 0 {
+		code = fail(stderr, err)
 	}
+	return code
+}
 
-	opts := workload.Options{
-		Atoms:          *atoms,
-		Precision:      precision,
-		KspaceAccuracy: *kacc,
-		Seed:           *seed,
-		ThermoEvery:    *thermo,
+// fail reports err and returns the failure exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "mdrun: %v\n", err)
+	return 1
+}
+
+// runScript runs a LAMMPS-style input script through the interpreter.
+func runScript(path string, stdout, stderr io.Writer) int {
+	f, err := os.Open(path)
+	if err != nil {
+		return fail(stderr, err)
 	}
-	name := workload.Name(*bench)
-
+	defer f.Close()
+	interp := script.New(stdout)
 	start := time.Now()
-	if *ranks <= 1 {
-		cfg, st, err := workload.Build(name, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.ThermoTo = os.Stdout
-		cfg.Trace = tracer
-		cfg.Metrics = metrics
-		cfg.Workers = *workers
-		cfg.CheckEvery = *chkEvery
-		cfg.Fault = inj
-		if metrics != nil {
-			// Live scrapes expect heartbeat gauges even without a watchdog.
-			cfg.Health = health.NewMonitor(1)
-		}
-		var fl *obs.Flight
-		if *flight != "" {
-			fl = obs.NewFlight(1, *flightN)
-			cfg.Flight = fl
-		}
-		if *ckptEvery > 0 {
-			w := ckpt.NewWriter(*ckptPath, 1)
-			w.SetGrid([3]int{1, 1, 1})
-			w.SetKeep(*ckptKeep)
-			if inj != nil {
-				w.SetCorruptor(inj.CorruptCheckpoint)
-			}
-			cfg.CheckpointEvery = *ckptEvery
-			cfg.CheckpointSink = w.Sink()
-		}
-		var sim *core.Simulation
-		if *restart != "" {
-			ck, err := ckpt.ReadFile(*restart)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mdrun: reading restart checkpoint: %v\n", err)
-				os.Exit(1)
-			}
-			sim, err = ckpt.RestoreSerial(cfg, ck)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("# resumed from %s at step %d\n", *restart, sim.Step)
-		} else {
-			sim = core.New(cfg, st)
-		}
-		defer sim.Close()
-		fmt.Printf("# %s: %d atoms, serial, dt=%g (%s units)\n",
-			name, sim.Store.N, cfg.Dt, cfg.Units.Style)
-		// Chunked so signals land between chunks, with chunks ending on the
-		// absolute checkpoint grid (thermo grid when not checkpointing):
-		// an interrupted run stops right after a cadence checkpoint and
-		// stays resumable. Chunk boundaries do not perturb the trajectory —
-		// the engine steps one timestep at a time regardless.
-		first := int(sim.Step)
-		target := first + *steps
-		stride := *ckptEvery
-		if stride <= 0 {
-			stride = *thermo
-		}
-		if stride <= 0 {
-			stride = 100
-		}
-		stopped := false
-		for pos := first; pos < target; pos = int(sim.Step) {
-			chunk := stride - pos%stride
-			if pos+chunk > target {
-				chunk = target - pos
-			}
-			if err := sim.RunChecked(chunk); err != nil {
-				if p := dumpFlight(fl, *flight); p != "" {
-					fmt.Fprintf(os.Stderr, "mdrun: %v (flight dump: %s)\n", err, p)
-				} else {
-					fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-				}
-				os.Exit(1)
-			}
-			if int(sim.Step) < target && interrupted() {
-				stopped = true
-				break
-			}
-		}
-		sim.PublishObs(metrics)
-		dlog.Log("run", map[string]any{
-			"bench": string(name), "ranks": 1, "steps": *steps, "final_step": sim.Step,
-			"interrupted": stopped,
-		})
-		writeObs()
-		report(sim, time.Since(start), int(sim.Step)-first)
-		if stopped {
-			msg := fmt.Sprintf("# mdrun: interrupted at step %d", sim.Step)
-			if *ckptEvery > 0 && sim.Step%int64(*ckptEvery) == 0 {
-				msg += fmt.Sprintf("; resume with -restart %s", *ckptPath)
-			}
-			if p := dumpFlight(fl, *flight); p != "" {
-				msg += fmt.Sprintf(" (flight dump: %s)", p)
-			}
-			fmt.Fprintln(os.Stderr, msg)
-			os.Exit(130)
-		}
-		return
+	if err := interp.Run(f); err != nil {
+		return fail(stderr, fmt.Errorf("%s: %w", path, err))
+	}
+	if sim := interp.Sim(); sim != nil {
+		report(stdout, sim.ComputeThermo(), []*core.Simulation{sim}, time.Since(start), sim.Step)
+	}
+	return 0
+}
+
+// runWorld starts the supervisor and drives it steps further, printing a
+// thermo line every thermo steps — the one run path of every mode.
+func runWorld(soft context.Context, stdout, stderr io.Writer, sup *harness.Supervisor, bench string, steps, thermo int) int {
+	tcpMode := sup.WorldBuilder != nil
+	start := time.Now()
+	if err := sup.Start(); err != nil {
+		return fail(stderr, err)
+	}
+	defer sup.Close()
+	eng := sup.Engine()
+	first := sup.Step()
+	cfg := eng.Sims[eng.World.LocalRanks()[0]].Cfg
+	fmt.Fprintf(stdout, "# %s: %d atoms, %d ranks (grid %dx%dx%d), dt=%g (%s units)\n",
+		bench, eng.NGlobal(), sup.Ranks, eng.Grid[0], eng.Grid[1], eng.Grid[2], cfg.Dt, cfg.Units.Style)
+	// -steps counts from where this run starts. A TCP world that resumed
+	// from its shard store is the exception: a relaunched process must
+	// finish the job its peers are running, so the target stays absolute.
+	target := int64(steps)
+	if sup.RestartPath != "" {
+		fmt.Fprintf(stdout, "# resumed from %s at step %d\n", sup.RestartPath, first)
+		target += first
+	} else if gen := sup.LastRestore(); gen >= 0 {
+		fmt.Fprintf(stdout, "# restored from shard generation %d\n", gen)
 	}
 
-	sup := &harness.Supervisor{
-		Factory: func() (core.Config, *atom.Store, error) {
-			cfg, st, err := workload.Build(name, opts)
-			cfg.ThermoTo = nil // rank-local thermo would interleave
-			cfg.Trace = tracer
-			cfg.Metrics = metrics
-			cfg.Workers = *workers
-			cfg.CheckEvery = *chkEvery
-			cfg.Fault = inj
-			return cfg, st, err
-		},
-		Ranks:           *ranks,
-		CheckpointEvery: *ckptEvery,
-		CheckpointPath:  *ckptPath,
-		RestartPath:     *restart,
-		KeepCheckpoints: *ckptKeep,
-		Retries:         *retries,
-		HangTimeout:     *hangTO,
-		Fault:           inj,
-		Metrics:         metrics,
-		Tracer:          tracer,
-		Trace:           dlog,
-		FlightPath:      *flight,
-		FlightDepth:     *flightN,
-	}
-	// Multi-process mode: every process (coordinator and joiners) runs
-	// this same supervisor loop; the WorldBuilder re-runs each process'
-	// side of the rendezvous on every build attempt, so a recovery
-	// reassembles the socket mesh before restarting from scratch.
-	if *listen != "" {
-		sup.WorldBuilder = func() (*mpi.World, error) {
-			co, err := mpi.ListenTCP(*listen, *ranks)
-			if err != nil {
-				return nil, err
-			}
-			return co.Host([]int{0}, mpi.WorldOptions{Rendezvous: *rvTO})
-		}
-	} else if *join != "" {
-		sup.WorldBuilder = func() (*mpi.World, error) {
-			return mpi.JoinTCP(*join, []int{*rank}, mpi.WorldOptions{Rendezvous: *rvTO})
-		}
-	}
-	// Joiners stay quiet: thermo lines are identical on every process
-	// (the reductions are collective), so rank 0's process speaks for
-	// the world.
-	chatty := *join == ""
-	if err := sup.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-		os.Exit(1)
-	}
-	eng := sup.Engine()
-	if chatty {
-		fmt.Printf("# %s: %d atoms, %d ranks (grid %dx%dx%d)\n",
-			name, eng.NGlobal(), *ranks, eng.Grid[0], eng.Grid[1], eng.Grid[2])
-		if *restart != "" {
-			fmt.Printf("# resumed from %s at step %d\n", *restart, eng.Step())
-		}
-		if gen := sup.LastRestore(); gen >= 0 {
-			fmt.Printf("# restored from shard generation %d\n", gen)
-		}
-	}
-	// Position-driven chunk loop: progress is reread from the engine
-	// each iteration, so a scratch restart (ErrRestarted, TCP worlds)
-	// replays the same chunk/thermo schedule from step 0 — identically
-	// on every process, which is what keeps their collective schedules
-	// aligned through recoveries. Thermo lines already printed are not
-	// reprinted on replay.
-	var printed int64 = -1
+	var final core.Thermo
 	reported := 0
-	target := *steps
-	stopped := false
-	for {
-		// Report each recovery's restore point as it happens: a sharded
-		// rebuild resumes from a generation (Run re-advances internally),
-		// a scratch rebuild replays from step 0 via ErrRestarted.
-		if n := sup.Attempts(); chatty && tcpMode && n > reported {
-			reported = n
-			if gen := sup.LastRestore(); gen >= 0 {
-				fmt.Printf("# restored from shard generation %d\n", gen)
-			} else {
-				fmt.Printf("# restarted from scratch\n")
-			}
-		}
-		pos := int(sup.Step())
-		if !stopped && interrupted() {
-			stopped = true
-			// Drain to the next cadence checkpoint so the interrupted run
-			// resumes bit-exactly; without checkpointing, stop here.
-			if *ckptEvery > 0 {
-				if next := ((pos + *ckptEvery - 1) / *ckptEvery) * *ckptEvery; next < target {
-					target = next
+	stopped, err := sup.Drive(soft, context.Background(), harness.Drive{
+		Target: target,
+		Every:  thermo,
+		Boundary: func(_ int64, recoveries int) error {
+			// Report each TCP recovery's restore point as it happens; an
+			// in-process recovery is summed up at the end.
+			if tcpMode && recoveries > reported {
+				reported = recoveries
+				if gen := sup.LastRestore(); gen >= 0 {
+					fmt.Fprintf(stdout, "# restored from shard generation %d\n", gen)
+				} else {
+					fmt.Fprintf(stdout, "# restarted from scratch\n")
 				}
-			} else {
-				target = pos
 			}
-		}
-		if pos >= target {
-			break
-		}
-		chunk := *thermo
-		if chunk <= 0 || pos+chunk > target {
-			chunk = target - pos
-		}
-		if err := sup.Run(chunk); err != nil {
-			if errors.Is(err, harness.ErrRestarted) {
-				continue
-			}
-			sup.Close()
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
-		}
-		// Thermo is collective — every process computes it, rank 0's
-		// process prints it. Supervised: a peer process failing mid-
-		// collective recovers instead of panicking.
-		th, err := sup.Thermo()
-		if err != nil {
-			if errors.Is(err, harness.ErrRestarted) {
-				continue
-			}
-			sup.Close()
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-			os.Exit(1)
-		}
-		if chatty && th.Step > printed {
-			fmt.Printf("step %8d  T %10.4f  P %12.5g  PE %14.6g  KE %14.6g  E %14.6g\n",
+			return nil
+		},
+		Frame: func(th core.Thermo) error {
+			final = th
+			fmt.Fprintf(stdout, "step %8d  T %10.4f  P %12.5g  PE %14.6g  KE %14.6g  E %14.6g\n",
 				th.Step, th.Temperature, th.Pressure, th.PotEnergy, th.KinEnergy, th.TotalEnergy)
-			printed = th.Step
-		}
+			return nil
+		},
+	})
+	if err != nil {
+		return fail(stderr, err)
 	}
 	wall := time.Since(start)
-	sup.Engine().PublishObs(metrics)
-	if n := sup.Attempts(); n > 0 && chatty {
-		fmt.Printf("# recovered from %d rank failure(s)\n", n)
+	eng = sup.Engine() // a recovery replaces it
+	eng.PublishObs(sup.Metrics)
+	if n := sup.Attempts(); n > 0 {
+		fmt.Fprintf(stdout, "# recovered from %d rank failure(s)\n", n)
 	}
-	finalStep := sup.Step()
-	dlog.Log("run", map[string]any{
-		"bench": string(name), "ranks": *ranks, "steps": *steps,
-		"final_step": finalStep, "recoveries": sup.Attempts(),
+	last := sup.Step()
+	sup.Trace.Log("run", map[string]any{
+		"bench": bench, "ranks": sup.Ranks, "steps": steps,
+		"final_step": last, "recoveries": sup.Attempts(),
 		"interrupted": stopped,
 	})
-	var flightDump string
-	if stopped {
-		flightDump = dumpFlight(sup.Flight(), *flight)
+	report(stdout, final, eng.Sims, wall, last-first)
+	if !stopped {
+		return 0
 	}
-	sup.Close()
-	writeObs()
-	if chatty {
-		fmt.Printf("# wall %.3fs  %.2f TS/s (host-machine rate, not the modeled platform)\n",
-			wall.Seconds(), float64(finalStep)/wall.Seconds())
-	}
-	if stopped {
-		msg := fmt.Sprintf("# mdrun: interrupted at step %d", finalStep)
-		if *ckptEvery > 0 && finalStep > 0 && finalStep%int64(*ckptEvery) == 0 {
-			msg += fmt.Sprintf("; checkpoint %s is current", *ckptPath)
+	msg := fmt.Sprintf("# mdrun: interrupted at step %d", last)
+	if every := int64(sup.CheckpointEvery); every > 0 && last > 0 && last%every == 0 {
+		if tcpMode {
+			msg += fmt.Sprintf("; checkpoint %s is current", sup.CheckpointPath)
+		} else {
+			msg += fmt.Sprintf("; resume with -restart %s", sup.CheckpointPath)
 		}
-		if flightDump != "" {
-			msg += fmt.Sprintf(" (flight dump: %s)", flightDump)
-		}
-		fmt.Fprintln(os.Stderr, msg)
-		os.Exit(130)
 	}
+	if p := sup.DumpFlight(); p != "" {
+		msg += fmt.Sprintf(" (flight dump: %s)", p)
+	}
+	fmt.Fprintln(stderr, msg)
+	return 130
 }
 
-// dumpFlight writes the serial run's flight-recorder tail, returning
-// the path on success ("" when disabled or the write failed).
-func dumpFlight(fl *obs.Flight, path string) string {
-	if fl == nil || path == "" {
-		return ""
+// report prints the end-of-run summary, the same way for every mode:
+// the final thermo state, the rate over the steps this process advanced,
+// and the task wall-time shares summed over the local ranks (sims holds
+// nil for ranks other processes host).
+func report(w io.Writer, th core.Thermo, sims []*core.Simulation, wall time.Duration, steps int64) {
+	if steps > 0 { // else no frame was taken
+		fmt.Fprintf(w, "# final: T %.4f  PE %.6g  E %.6g\n", th.Temperature, th.PotEnergy, th.TotalEnergy)
 	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return ""
-	}
-	defer fh.Close()
-	if fl.WriteJSONL(fh) != nil {
-		return ""
-	}
-	return path
-}
-
-func report(sim *core.Simulation, wall time.Duration, steps int) {
-	th := sim.ComputeThermo()
-	fmt.Printf("# final: T %.4f  PE %.6g  E %.6g\n", th.Temperature, th.PotEnergy, th.TotalEnergy)
-	fmt.Printf("# wall %.3fs  %.2f TS/s (host-machine rate)\n",
+	fmt.Fprintf(w, "# wall %.3fs  %.2f TS/s (host-machine rate, not the modeled platform)\n",
 		wall.Seconds(), float64(steps)/wall.Seconds())
-	fmt.Printf("# task wall-time shares:")
-	tot := sim.Times.Total()
-	for _, task := range core.Tasks() {
-		if tot > 0 {
-			fmt.Printf("  %s %.1f%%", task, 100*float64(sim.Times[task])/float64(tot))
+	var times core.TaskTimes
+	for _, s := range sims {
+		if s == nil {
+			continue
+		}
+		for _, task := range core.Tasks() {
+			times[task] += s.Times[task]
 		}
 	}
-	fmt.Println()
+	fmt.Fprintf(w, "# task wall-time shares:")
+	if tot := times.Total(); tot > 0 {
+		for _, task := range core.Tasks() {
+			fmt.Fprintf(w, "  %s %.1f%%", task, 100*float64(times[task])/float64(tot))
+		}
+	}
+	fmt.Fprintln(w)
 }

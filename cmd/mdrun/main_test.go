@@ -1,0 +1,177 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"gomd/internal/ckpt"
+)
+
+// mdrun runs the command in-process and returns its exit code and output.
+func mdrun(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// stepLines returns the thermo lines of an mdrun transcript.
+func stepLines(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "step ") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+func TestExitCodes(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "none.ckpt")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"listen-and-join", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-join", "127.0.0.1:1", "-rank", "1"}, 2},
+		{"join-without-rank", []string{"-ranks", "2", "-join", "127.0.0.1:1"}, 2},
+		{"tcp-one-rank", []string{"-ranks", "1", "-listen", "127.0.0.1:0"}, 2},
+		{"tcp-script", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-in", "in.lj"}, 2},
+		{"tcp-restart", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-restart", missing}, 2},
+		{"unknown-precision", []string{"-precision", "quad"}, 2},
+		{"malformed-fault", []string{"-fault", "kill:rank"}, 2},
+		{"unknown-flag", []string{"-no-such-flag"}, 2},
+		{"missing-restart-file", []string{"-atoms", "256", "-restart", missing}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errOut := mdrun(t, tc.args...)
+			if code != tc.want {
+				t.Errorf("exit %d, want %d\nstderr: %s", code, tc.want, errOut)
+			}
+			if errOut == "" {
+				t.Error("nothing on stderr")
+			}
+			if len(stepLines(out)) != 0 {
+				t.Errorf("ran steps before failing:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestOneRunPath: one rank and two ranks go through the same supervised
+// driver and print the same thermo lines to the printed precision.
+func TestOneRunPath(t *testing.T) {
+	var ref []string
+	for _, ranks := range []string{"1", "2"} {
+		code, out, errOut := mdrun(t, "-bench", "lj", "-atoms", "256", "-steps", "20", "-thermo", "5", "-ranks", ranks)
+		if code != 0 {
+			t.Fatalf("-ranks %s: exit %d: %s", ranks, code, errOut)
+		}
+		lines := stepLines(out)
+		if len(lines) != 4 || !strings.HasPrefix(lines[3], "step       20 ") {
+			t.Fatalf("-ranks %s: thermo lines %q", ranks, lines)
+		}
+		for _, want := range []string{"# lj: 256 atoms, " + ranks + " ranks", "# final:", "# task wall-time shares:  Pair "} {
+			if !strings.Contains(out, want) {
+				t.Errorf("-ranks %s: no %q in\n%s", ranks, want, out)
+			}
+		}
+		if ref == nil {
+			ref = lines
+		} else if strings.Join(lines, "\n") != strings.Join(ref, "\n") {
+			t.Errorf("thermo differs between rank counts:\n%s\nvs\n%s", strings.Join(ref, "\n"), strings.Join(lines, "\n"))
+		}
+	}
+}
+
+var rateLine = regexp.MustCompile(`# wall ([0-9.]+)s  ([0-9.]+) TS/s`)
+
+// TestRestartCountsFromCheckpoint is README's resume recipe at both rank
+// counts: -restart … -steps 20 after a 40-step checkpointed run ends at
+// step 60 and reports the rate of the 20 steps it ran. (At the parent
+// commit -ranks 2 ran zero steps and reported 40 steps over its wall.)
+func TestRestartCountsFromCheckpoint(t *testing.T) {
+	var ref []string
+	for _, ranks := range []string{"1", "2"} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		common := []string{"-bench", "lj", "-atoms", "256", "-ranks", ranks, "-checkpoint-every", "20", "-checkpoint", path}
+		if code, _, errOut := mdrun(t, append(common, "-steps", "40")...); code != 0 {
+			t.Fatalf("-ranks %s: exit %d: %s", ranks, code, errOut)
+		}
+		code, out, errOut := mdrun(t, append(common, "-restart", path, "-steps", "20")...)
+		if code != 0 {
+			t.Fatalf("-ranks %s restart: exit %d: %s", ranks, code, errOut)
+		}
+		lines := stepLines(out)
+		if len(lines) != 2 || !strings.HasPrefix(lines[0], "step       50 ") || !strings.HasPrefix(lines[1], "step       60 ") {
+			t.Fatalf("-ranks %s restart: thermo lines %q, want steps 50 and 60", ranks, lines)
+		}
+		if !strings.Contains(out, "# resumed from "+path+" at step 40") {
+			t.Errorf("-ranks %s restart: no resume line in\n%s", ranks, out)
+		}
+		m := rateLine.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("-ranks %s restart: no rate line in\n%s", ranks, out)
+		}
+		var wall, rate float64
+		fmt.Sscan(m[1], &wall)
+		fmt.Sscan(m[2], &rate)
+		// The wall is printed to the millisecond; allow for that rounding.
+		if lo, hi := 20/(wall+0.0005), 20/math.Max(wall-0.0005, 1e-9); rate < 0.99*lo || rate > 1.01*hi {
+			t.Errorf("-ranks %s restart: %.2f TS/s over %.3fs is not 20 steps", ranks, rate, wall)
+		}
+		if ref == nil {
+			ref = lines
+		} else if strings.Join(lines, "\n") != strings.Join(ref, "\n") {
+			t.Errorf("resumed thermo differs between rank counts:\n%s\nvs\n%s", strings.Join(ref, "\n"), strings.Join(lines, "\n"))
+		}
+	}
+}
+
+// stopAt is a stdout that cancels a context when a line with the given
+// prefix passes through: a stop request injected at a known step.
+type stopAt struct {
+	bytes.Buffer
+	prefix string
+	stop   context.CancelFunc
+}
+
+func (w *stopAt) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte(w.prefix)) {
+		w.stop()
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestStopDrainsToCheckpoint: a stop request seen at the step-20 boundary
+// of a run checkpointing every 30 steps runs on to step 30, exits 130,
+// and leaves a checkpoint the next run resumes from.
+func TestStopDrainsToCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	soft, stop := context.WithCancel(context.Background())
+	defer stop()
+	out := &stopAt{prefix: "step       20 ", stop: stop}
+	var errb bytes.Buffer
+	args := []string{"-bench", "lj", "-atoms", "256", "-steps", "100", "-thermo", "10", "-checkpoint-every", "30", "-checkpoint", path}
+	if code := runContext(soft, args, out, &errb); code != 130 {
+		t.Fatalf("exit %d, want 130\nstderr: %s", code, errb.String())
+	}
+	if want := "interrupted at step 30; resume with -restart " + path; !strings.Contains(errb.String(), want) {
+		t.Errorf("stderr %q lacks %q", errb.String(), want)
+	}
+	if ck, err := ckpt.ReadFile(path); err != nil {
+		t.Fatalf("checkpoint after the drain: %v", err)
+	} else if ck.Step != 30 {
+		t.Fatalf("checkpoint after the drain is at step %d, want 30", ck.Step)
+	}
+	code, resumed, errOut := mdrun(t, "-bench", "lj", "-atoms", "256", "-checkpoint-every", "30", "-checkpoint", path, "-restart", path, "-steps", "10")
+	if code != 0 || !strings.Contains(resumed, "step       40 ") {
+		t.Errorf("resume: exit %d\n%s%s", code, resumed, errOut)
+	}
+}

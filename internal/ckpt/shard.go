@@ -643,6 +643,22 @@ type ShardSet struct {
 	Ranks     map[int]*Rank
 }
 
+// ShardSet views a monolithic checkpoint as the shard set of a world
+// whose every rank is local, so one restore path (domain.RestoreOnWorld)
+// serves both formats. The per-rank records are shared, not copied.
+func (ck *Checkpoint) ShardSet() *ShardSet {
+	ss := &ShardSet{
+		Step: ck.Step, WorldSize: ck.Ranks, Grid: ck.Grid,
+		Box: ck.Box, SetupBox: ck.SetupBox, Q2Setup: ck.Q2Setup,
+		Ranks: make(map[int]*Rank, len(ck.PerRank)),
+	}
+	for r := range ck.PerRank {
+		ss.Ranks[r] = &ck.PerRank[r]
+		ss.NGlobal += int64(len(ck.PerRank[r].Atoms))
+	}
+	return ss
+}
+
 // ReadNewestValidManifest scans ShardDir-style directory dir newest
 // generation first and loads the newest complete, intact one: the
 // manifest must verify, every shard file's whole-file CRC must match

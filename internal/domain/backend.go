@@ -2,6 +2,7 @@ package domain
 
 import (
 	"fmt"
+	"time"
 
 	"gomd/internal/atom"
 	"gomd/internal/core"
@@ -58,6 +59,13 @@ type Backend struct {
 	// one packs. They grow to the largest face and are never reallocated
 	// again.
 	haloSend, haloRecv []float64
+
+	// self marks a one-rank world with no fault hook installed: every halo
+	// partner is the rank itself, so haloExchange hands the staging buffer
+	// straight back. span is the rank's timeline (nil when untraced), for
+	// the comm spans Comm would have recorded.
+	self bool
+	span *obs.Rank
 
 	// liveComm caches gauge handles for PublishLiveComm, indexed by
 	// mpi.Func; touched only by the rank goroutine.
@@ -137,12 +145,30 @@ func (b *Backend) haloStage(n int) []float64 {
 // sent under the same tag — empty when there is no source — metering
 // the message under the Comm counters. The result is valid until the
 // next haloExchange.
+//
+// On a one-rank world (b.self) dst and src are this rank and the answer
+// is buf itself: it is returned without entering Comm — no mailbox, no
+// transit copy, no clock reads — and charged as Comm.p2p charges the
+// call: one MPI_Sendrecv moving the payload out and back in. An
+// installed fault hook keeps the Comm path, where delay: and reorder:
+// drills intercept sends. Self-partner dimensions of larger grids keep
+// it too: measured there, the short-circuit bought nothing (DESIGN.md
+// "Run path").
 func (b *Backend) haloExchange(s *core.Simulation, dst int, buf []float64, src, tag int) []float64 {
-	b.haloRecv = b.comm.SendrecvFloat64(dst, buf, src, tag, b.haloRecv)
 	s.Counters.CommMsgs++
 	s.Counters.CommBytes += int64(8 * len(buf))
 	s.ObserveCommBytes(8 * len(buf))
-	return b.haloRecv
+	if !b.self {
+		b.haloRecv = b.comm.SendrecvFloat64(dst, buf, src, tag, b.haloRecv)
+		return b.haloRecv
+	}
+	fs := &b.comm.Stats.Funcs[mpi.FuncSendrecv]
+	fs.Calls++
+	fs.Bytes += int64(16 * len(buf))
+	if b.span != nil {
+		b.span.Comm(mpi.FuncSendrecv.String(), time.Now(), 0, int64(16*len(buf)), dst)
+	}
+	return buf
 }
 
 // migrate moves atoms (or whole molecules) whose owner changed, staged

@@ -103,7 +103,6 @@ func NewOnWorld(factory Factory, world *mpi.World) (*Engine, error) {
 		return nil, err
 	}
 	grid := ChooseGrid(cfg.Box, nranks)
-	subs := cfg.Box.Decompose(grid[0], grid[1], grid[2])
 
 	// Sub-domain extents must cover the interaction range for the
 	// single-swap halo exchange.
@@ -133,13 +132,27 @@ func NewOnWorld(factory Factory, world *mpi.World) (*Engine, error) {
 		stores[r].Add(global.Extract(i))
 	}
 
-	e := &Engine{World: world, Sims: make([]*core.Simulation, nranks), Grid: grid, nglobal: global.N}
+	return assemble(factory, cfg, world, grid, global.N,
+		func(cfg core.Config, be *Backend) (*core.Simulation, error) {
+			return core.NewWithBackend(cfg, stores[be.Rank()], be), nil
+		})
+}
+
+// assemble is the one body under NewOnWorld and RestoreOnWorld: per-rank
+// configs, RNG decorrelation, fault-hook wiring, and one Backend per
+// local rank at its grid coordinate. The two differ only in where a
+// rank's simulation comes from — sim builds it (fresh from the
+// partitioned stores, or restored from a checkpoint record) on the rank
+// goroutine, so it may communicate. cfg is the instance the caller's
+// first factory call produced. The world is closed on every error path.
+func assemble(factory Factory, cfg core.Config, world *mpi.World, grid [3]int, nglobal int,
+	sim func(cfg core.Config, be *Backend) (*core.Simulation, error)) (*Engine, error) {
+	e := &Engine{World: world, Sims: make([]*core.Simulation, world.Size), Grid: grid, nglobal: nglobal}
 
 	// Per-rank configs need fresh style instances — built for the ranks
-	// this process hosts (the first local rank reuses the instance from
-	// the global factory call above).
+	// this process hosts (the first local rank reuses cfg).
 	local := world.LocalRanks()
-	cfgs := make([]core.Config, nranks)
+	cfgs := make([]core.Config, world.Size)
 	cfgs[local[0]] = cfg
 	for _, r := range local[1:] {
 		c2, _, err := factory()
@@ -171,16 +184,21 @@ func NewOnWorld(factory Factory, world *mpi.World) (*Engine, error) {
 		r := c.Rank()
 		// Attach the per-rank span timeline before any construction-time
 		// communication so setup traffic is traced too.
-		if tr := cfgs[r].Trace; tr != nil {
-			c.SetSpan(tr.Rank(r))
+		span := cfgs[r].Trace.Rank(r)
+		c.SetSpan(span)
+		s, err := sim(cfgs[r], &Backend{
+			comm: c,
+			grid: grid,
+			// Rank linearization is x-fastest: r = cx + gx*(cy + gy*cz).
+			coord:   [3]int{r % grid[0], (r / grid[0]) % grid[1], r / (grid[0] * grid[1])},
+			nglobal: nglobal,
+			span:    span,
+			self:    world.Size == 1 && cfg.Fault == nil,
+		})
+		if err != nil {
+			panic(err)
 		}
-		be := &Backend{
-			comm:    c,
-			grid:    grid,
-			coord:   subs[r].Coord,
-			nglobal: global.N,
-		}
-		e.Sims[r] = core.NewWithBackend(cfgs[r], stores[r], be)
+		e.Sims[r] = s
 	}); err != nil {
 		e.Close()
 		return nil, err

@@ -91,19 +91,19 @@ func equivalenceCase(t *testing.T, name workload.Name, atoms, ranks, steps int) 
 }
 
 func TestEquivalenceLJ(t *testing.T) {
-	for _, ranks := range []int{2, 4, 8, 16} {
+	for _, ranks := range []int{1, 2, 4, 8, 16} {
 		equivalenceCase(t, workload.LJ, 2048, ranks, 25)
 	}
 }
 
 func TestEquivalenceEAM(t *testing.T) {
-	for _, ranks := range []int{2, 8} {
+	for _, ranks := range []int{1, 2, 8} {
 		equivalenceCase(t, workload.EAM, 2048, ranks, 25)
 	}
 }
 
 func TestEquivalenceChute(t *testing.T) {
-	for _, ranks := range []int{4} {
+	for _, ranks := range []int{1, 4} {
 		equivalenceCase(t, workload.Chute, 1500, ranks, 25)
 	}
 }
@@ -185,23 +185,25 @@ func TestEquivalenceRhodo(t *testing.T) {
 	ser := core.New(cfgS, stS)
 	ser.Run(20)
 
-	eng, err := domain.New(func() (core.Config, *atom.Store, error) {
-		return workload.Build(workload.Rhodo, o)
-	}, 4)
-	if err != nil {
-		t.Fatalf("domain.New: %v", err)
-	}
-	eng.Run(20)
-
 	l := cfgS.Box.Lengths()
-	stores := make([]*atom.Store, 0, 4)
-	for _, s := range eng.Sims {
-		stores = append(stores, s.Store)
-	}
-	diff := maxDiff(t, snapshot(stS), snapshot(stores...), [3]float64{l.X, l.Y, l.Z})
-	t.Logf("rhodo: max divergence after 20 steps on 4 ranks: %g", diff)
-	if diff > 1e-6 {
-		t.Errorf("rhodo decomposed trajectory diverged: %g", diff)
+	for _, ranks := range []int{1, 4} {
+		eng, err := domain.New(func() (core.Config, *atom.Store, error) {
+			return workload.Build(workload.Rhodo, o)
+		}, ranks)
+		if err != nil {
+			t.Fatalf("domain.New: %v", err)
+		}
+		eng.Run(20)
+
+		stores := make([]*atom.Store, 0, ranks)
+		for _, s := range eng.Sims {
+			stores = append(stores, s.Store)
+		}
+		diff := maxDiff(t, snapshot(stS), snapshot(stores...), [3]float64{l.X, l.Y, l.Z})
+		t.Logf("rhodo: max divergence after 20 steps on %d ranks: %g", ranks, diff)
+		if diff > 1e-6 {
+			t.Errorf("rhodo decomposed trajectory diverged on %d ranks: %g", ranks, diff)
+		}
 	}
 }
 

@@ -9,209 +9,81 @@ import (
 	"gomd/internal/mpi"
 )
 
-// Restore rebuilds a decomposed engine from a checkpoint: the inverse
-// of a run whose ranks fed a ckpt.Writer. The factory must describe the
-// same workload the checkpoint was taken from (same pair style, fixes,
-// rank count, and CheckpointEvery — the checkpoint records per-rank
-// atom ownership and store order, so re-decomposition is not
-// supported). The returned engine continues the original trajectory
-// bit-exactly from ck.Step.
+// Restore rebuilds a decomposed engine from a monolithic checkpoint on a
+// fresh in-process world: RestoreOnWorld over the checkpoint's shard-set
+// view. The factory must describe the same workload the checkpoint was
+// taken from (same pair style, fixes, rank count, and CheckpointEvery —
+// the checkpoint records per-rank atom ownership and store order, so
+// re-decomposition is not supported). The returned engine continues the
+// original trajectory bit-exactly from ck.Step.
 func Restore(factory Factory, ck *ckpt.Checkpoint) (*Engine, error) {
-	cfg, _, err := factory()
-	if err != nil {
-		return nil, err
+	if g := ck.Grid[0] * ck.Grid[1] * ck.Grid[2]; g != ck.Ranks || g < 1 {
+		return nil, fmt.Errorf("domain: checkpoint grid %v does not cover %d ranks", ck.Grid, ck.Ranks)
 	}
-	nranks := ck.Ranks
-	if g := ck.Grid[0] * ck.Grid[1] * ck.Grid[2]; g != nranks {
-		return nil, fmt.Errorf("domain: checkpoint grid %v does not cover %d ranks", ck.Grid, nranks)
-	}
-
-	nglobal := 0
-	stores := make([]*atom.Store, nranks)
-	for r := 0; r < nranks; r++ {
-		rk := &ck.PerRank[r]
-		stores[r] = atom.New(len(rk.Atoms))
-		for _, a := range rk.Atoms {
-			stores[r].Add(a)
-		}
-		nglobal += len(rk.Atoms)
-	}
-
-	world := mpi.NewWorld(nranks)
-	e := &Engine{World: world, Sims: make([]*core.Simulation, nranks), Grid: ck.Grid, nglobal: nglobal}
-
-	cfgs := make([]core.Config, nranks)
-	cfgs[0] = cfg
-	for r := 1; r < nranks; r++ {
-		c2, _, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		cfgs[r] = c2
-	}
-	for r := range cfgs {
-		cfgs[r].Seed = cfg.Seed + uint64(r)*0x9e3779b9
-	}
-
-	if cfg.Fault != nil {
-		// Same wiring as NewOnWorld: step-addressed faults must not match
-		// this world's construction-time traffic against steps published
-		// by the failed attempt.
-		cfg.Fault.ResetSteps()
-		world.SetFaultHook(cfg.Fault)
-		world.SetWireFaultHook(cfg.Fault)
-	}
-
-	if err := world.Parallel(func(c *mpi.Comm) {
-		r := c.Rank()
-		if tr := cfgs[r].Trace; tr != nil {
-			c.SetSpan(tr.Rank(r))
-		}
-		be := &Backend{
-			comm: c,
-			grid: ck.Grid,
-			// Rank linearization is x-fastest: r = cx + gx*(cy + gy*cz).
-			coord: [3]int{
-				r % ck.Grid[0],
-				(r / ck.Grid[0]) % ck.Grid[1],
-				r / (ck.Grid[0] * ck.Grid[1]),
-			},
-			nglobal: nglobal,
-		}
-		rk := &ck.PerRank[r]
-		rs := ck.RestoreState()
-		rs.RNG = rk.RNG
-		rs.FixState = rk.FixState
-		s, err := core.NewRestored(cfgs[r], stores[r], be, rs)
-		if err != nil {
-			panic(err)
-		}
-		ckpt.ApplyHistory(s, rk.History)
-		if err := s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial); err != nil {
-			panic(err)
-		}
-		e.Sims[r] = s
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
+	return RestoreOnWorld(factory, mpi.NewWorld(ck.Ranks), ck.ShardSet())
 }
 
 // RestoreOnWorld rebuilds a decomposed engine over an existing
-// (possibly process-spanning) world from a sharded checkpoint
-// generation: the multi-process counterpart of Restore. ss must hold
-// snapshots for every rank in world.LocalRanks() (ckpt.
-// ReadNewestValidManifest loads exactly that set). Shards are keyed by
-// rank, not by process, so a re-rendezvoused world may place ranks on
-// different processes than the run that wrote the generation and still
-// continue the trajectory bit-exactly. Every process must restore the
-// same generation — the first collective cross-checks the step and
-// panics into the world's abort path (a recoverable *mpi.RankError) on
-// a mismatch. The engine takes ownership of the world.
+// (possibly process-spanning) world from a checkpoint generation. ss
+// must hold snapshots for every rank in world.LocalRanks() (ckpt.
+// ReadNewestValidManifest loads exactly that set; Checkpoint.ShardSet
+// holds them all). Snapshots are keyed by rank, not by process, so a
+// re-rendezvoused world may place ranks on different processes than the
+// run that wrote the generation and still continue the trajectory
+// bit-exactly. Every process must restore the same generation — the
+// first collective cross-checks the step and panics into the world's
+// abort path (a recoverable *mpi.RankError) on a mismatch. The engine
+// takes ownership of the world.
 func RestoreOnWorld(factory Factory, world *mpi.World, ss *ckpt.ShardSet) (*Engine, error) {
 	nranks := world.Size
 	if ss.WorldSize != nranks {
 		world.Close()
 		return nil, fmt.Errorf("domain: shard set is for a %d-rank world; this world has %d ranks (re-decomposition is not supported)", ss.WorldSize, nranks)
 	}
-	grid := ss.Grid
-	if g := grid[0] * grid[1] * grid[2]; g != nranks {
+	if g := ss.Grid[0] * ss.Grid[1] * ss.Grid[2]; g != nranks {
 		world.Close()
-		return nil, fmt.Errorf("domain: shard-set grid %v does not cover %d ranks", grid, nranks)
+		return nil, fmt.Errorf("domain: shard-set grid %v does not cover %d ranks", ss.Grid, nranks)
 	}
-	local := world.LocalRanks()
-	for _, r := range local {
+	for _, r := range world.LocalRanks() {
 		if ss.Ranks[r] == nil {
 			world.Close()
 			return nil, fmt.Errorf("domain: shard set has no snapshot for local rank %d", r)
 		}
 	}
-
 	cfg, _, err := factory()
 	if err != nil {
 		world.Close()
 		return nil, err
 	}
-
-	e := &Engine{World: world, Sims: make([]*core.Simulation, nranks), Grid: grid, nglobal: int(ss.NGlobal)}
-
-	// Per-rank configs need fresh style instances for the ranks this
-	// process hosts, with the same seed decorrelation as NewOnWorld.
-	cfgs := make([]core.Config, nranks)
-	cfgs[local[0]] = cfg
-	for _, r := range local[1:] {
-		c2, _, err := factory()
-		if err != nil {
-			world.Close()
-			return nil, err
-		}
-		cfgs[r] = c2
-	}
-	for _, r := range local {
-		cfgs[r].Seed = cfg.Seed + uint64(r)*0x9e3779b9
-	}
-
-	if cfg.Fault != nil {
-		// Same wiring as NewOnWorld: step-addressed faults must not match
-		// this world's construction-time traffic against steps published
-		// by the failed attempt.
-		cfg.Fault.ResetSteps()
-		world.SetFaultHook(cfg.Fault)
-		world.SetWireFaultHook(cfg.Fault)
-	}
-
-	if err := world.Parallel(func(c *mpi.Comm) {
-		r := c.Rank()
-		if tr := cfgs[r].Trace; tr != nil {
-			c.SetSpan(tr.Rank(r))
-		}
-		// Generation agreement: every process scanned its own disk for
-		// the newest complete generation; the commit protocol orders the
-		// manifest before any restart rendezvous, but a divergent scan
-		// (operator deleted files on one host) must fail loudly, not
-		// integrate mismatched states.
-		if max := int64(c.AllreduceMax(float64(ss.Step))); max != ss.Step {
-			panic(fmt.Errorf("domain: checkpoint generation mismatch: this process restores step %d, a peer restores step %d", ss.Step, max))
-		}
-		be := &Backend{
-			comm: c,
-			grid: grid,
-			// Rank linearization is x-fastest: r = cx + gx*(cy + gy*cz).
-			coord: [3]int{
-				r % grid[0],
-				(r / grid[0]) % grid[1],
-				r / (grid[0] * grid[1]),
-			},
-			nglobal: int(ss.NGlobal),
-		}
-		rk := ss.Ranks[r]
-		st := atom.New(len(rk.Atoms))
-		for _, a := range rk.Atoms {
-			st.Add(a)
-		}
-		rs := &core.RestoreState{
-			Step:     ss.Step,
-			Box:      ss.Box,
-			SetupBox: ss.SetupBox,
-			Q2Setup:  ss.Q2Setup,
-			RNG:      rk.RNG,
-			FixState: rk.FixState,
-		}
-		s, err := core.NewRestored(cfgs[r], st, be, rs)
-		if err != nil {
-			panic(err)
-		}
-		ckpt.ApplyHistory(s, rk.History)
-		if err := s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial); err != nil {
-			panic(err)
-		}
-		e.Sims[r] = s
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
+	return assemble(factory, cfg, world, ss.Grid, int(ss.NGlobal),
+		func(cfg core.Config, be *Backend) (*core.Simulation, error) {
+			// Generation agreement: every process scanned its own disk for
+			// the newest complete generation; the commit protocol orders the
+			// manifest before any restart rendezvous, but a divergent scan
+			// (operator deleted files on one host) must fail loudly, not
+			// integrate mismatched states.
+			if max := int64(be.comm.AllreduceMax(float64(ss.Step))); max != ss.Step {
+				return nil, fmt.Errorf("domain: checkpoint generation mismatch: this process restores step %d, a peer restores step %d", ss.Step, max)
+			}
+			rk := ss.Ranks[be.Rank()]
+			st := atom.New(len(rk.Atoms))
+			for _, a := range rk.Atoms {
+				st.Add(a)
+			}
+			s, err := core.NewRestored(cfg, st, be, &core.RestoreState{
+				Step:     ss.Step,
+				Box:      ss.Box,
+				SetupBox: ss.SetupBox,
+				Q2Setup:  ss.Q2Setup,
+				RNG:      rk.RNG,
+				FixState: rk.FixState,
+			})
+			if err != nil {
+				return nil, err
+			}
+			ckpt.ApplyHistory(s, rk.History)
+			return s, s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial)
+		})
 }
 
 // Step returns the engine's current step counter (the first local

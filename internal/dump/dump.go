@@ -1,7 +1,7 @@
-// Package dump implements trajectory and restart I/O: XYZ and
+// Package dump implements trajectory and data-file I/O: XYZ and
 // LAMMPS-dump-format trajectory writers (the "dump files" half of the
-// paper's Output task) and a binary restart format that round-trips the
-// full particle state.
+// paper's Output task) and the LAMMPS data-file reader/writer. Restart
+// snapshots are internal/ckpt's job.
 package dump
 
 import (

@@ -22,18 +22,11 @@ import (
 
 // ErrRestarted reports that a recovery rebuilt the engine from scratch
 // on a fresh world (WorldBuilder mode, no checkpoint generation to
-// restore). It is a control signal, not a failure: the supervisor
-// cannot re-advance internally, because every process of a spanning
-// world must replay the same collective schedule — and only the
-// caller's main loop knows it. On ErrRestarted, reread Step() (now 0)
-// and replay the program's own chunk/thermo schedule; every process
-// does the same, so the replays stay synchronized no matter where in
-// its local program each process was interrupted. A recovery that
-// restored a sharded checkpoint generation does NOT return
-// ErrRestarted: the supervisor re-advances to the interrupted call's
-// own target internally, which stays aligned across processes because
-// every process restored the same generation and replays the same
-// remaining steps.
+// restore). It is a control signal, not a failure: reread Step() (now 0)
+// and replay the same schedule of Run and Thermo calls, as every other
+// process of the world does. Drive handles it; only code that calls
+// Run/Thermo on a WorldBuilder supervisor directly has to (DESIGN.md
+// "Run path" says why the supervisor cannot re-advance by itself).
 var ErrRestarted = errors.New("harness: engine restarted from scratch on a fresh world")
 
 // Supervisor runs a decomposed engine under fault tolerance: it wires
@@ -118,9 +111,8 @@ type Supervisor struct {
 	monitor     *health.Monitor
 	flight      *obs.Flight
 	attempts    int
-	// lastRestore is the generation step the most recent sharded build
-	// restored from (-1 = built from scratch); meaningful only in
-	// sharded (WorldBuilder + checkpointing) mode.
+	// lastRestore is the step the most recent build restored from
+	// (-1 = built from scratch).
 	lastRestore int64
 }
 
@@ -194,32 +186,136 @@ func (s *Supervisor) Start() error {
 	if s.WorldBuilder != nil && s.RestartPath != "" {
 		return errors.New("harness: WorldBuilder is incompatible with RestartPath (sharded runs resume from CheckpointPath's shard store)")
 	}
-	s.lastRestore = -1
-	f := s.wrapFactory()
-	var (
-		eng *domain.Engine
-		err error
-	)
-	if s.RestartPath != "" {
-		ck, rerr := ckpt.ReadFile(s.RestartPath)
-		if rerr != nil {
-			return fmt.Errorf("harness: reading restart checkpoint: %w", rerr)
+	return s.build(true)
+}
+
+// restorePoint is what one build found to restore from.
+type restorePoint struct {
+	set  *ckpt.ShardSet // nil: nothing restorable, build from scratch
+	gen  int64          // logged "generation": a mono file's rotation index, a shard generation's step
+	path string         // the mono file, "" for a shard generation
+}
+
+// find looks for the newest restorable state — the one step of build
+// that differs by mode: the RestartPath file on first start, the shard
+// store in sharded mode (first start included), the mono generations of
+// an in-process run on recovery. Every generation it had to reject is
+// returned for logging. A non-nil error is fatal; scratch is not an
+// error.
+func (s *Supervisor) find(w *mpi.World, first bool) (rp restorePoint, rejected []ckpt.GenError, err error) {
+	path := s.CheckpointPath
+	if path == "" {
+		path = s.RestartPath
+	}
+	switch {
+	case first && s.RestartPath != "":
+		ck, err := ckpt.ReadFile(s.RestartPath)
+		if err != nil {
+			return rp, nil, fmt.Errorf("harness: reading restart checkpoint: %w", err)
 		}
 		if ck.Ranks != s.Ranks {
-			return fmt.Errorf("harness: checkpoint has %d ranks, supervisor configured for %d", ck.Ranks, s.Ranks)
+			return rp, nil, fmt.Errorf("harness: checkpoint has %d ranks, supervisor configured for %d", ck.Ranks, s.Ranks)
 		}
-		eng, err = domain.Restore(f, ck)
-	} else if s.WorldBuilder != nil {
-		eng, err = s.buildOnWorld(f)
+		return restorePoint{set: ck.ShardSet(), path: s.RestartPath}, nil, nil
+	case s.shardWriter != nil:
+		rp.set, rejected, err = ckpt.ReadNewestValidManifest(ckpt.ShardDir(s.CheckpointPath), w.LocalRanks(), w.Size)
+		if err == nil {
+			rp.gen = rp.set.Step
+		}
+	case first || s.WorldBuilder != nil || path == "":
+		return rp, nil, nil
+	default:
+		var ck *ckpt.Checkpoint
+		var gen int
+		ck, gen, rejected, err = ckpt.ReadNewestValid(path, s.KeepCheckpoints)
+		if err == nil {
+			rp = restorePoint{set: ck.ShardSet(), gen: int64(gen), path: ckpt.GenerationPath(path, gen)}
+		}
+	}
+	if err != nil && !errors.Is(err, os.ErrNotExist) && len(rejected) == 0 {
+		return rp, nil, err
+	}
+	// Found one, or every generation is missing (none written yet) or
+	// rejected: restarting from step 0 is then the only build left.
+	return rp, rejected, nil
+}
+
+// build is the one way an engine comes to be, on first start and on
+// every recovery: get the world, find the newest restorable state,
+// restore it or build from scratch, log which. Every rejected
+// generation is logged too — a silent fallback would hide corruption.
+// s.eng is replaced only on success.
+func (s *Supervisor) build(first bool) error {
+	f := s.wrapFactory()
+	var w *mpi.World
+	if s.WorldBuilder == nil {
+		w = mpi.NewWorld(s.Ranks)
 	} else {
-		eng, err = domain.New(f, s.Ranks)
+		// Each build re-runs the rendezvous: a recovery gets a clean mesh.
+		var err error
+		if w, err = s.WorldBuilder(); err != nil {
+			return fmt.Errorf("harness: building world: %w", err)
+		}
+		if w.Size != s.Ranks {
+			w.Close()
+			return fmt.Errorf("harness: WorldBuilder produced a %d-rank world, supervisor configured for %d", w.Size, s.Ranks)
+		}
+	}
+	if s.writer != nil {
+		s.writer.Reset() // drop shares from assemblies a crash interrupted
+	}
+	if s.shardWriter != nil {
+		// A re-rendezvous may assign different ranks to this process.
+		s.shardWriter.Bind(w)
+	}
+	// The engine closes w with itself; read what the log needs first.
+	event := map[string]any{
+		"transport": w.Transport().Name(),
+		"world_id":  fmt.Sprintf("%016x", w.ID()),
+		"attempt":   s.attempts,
+	}
+
+	rp, rejected, err := s.find(w, first)
+	for _, ge := range rejected {
+		if s.Metrics != nil {
+			s.Metrics.Counter("recover.ckpt_rejected").Inc()
+		}
+		s.Trace.Log("checkpoint-verify", map[string]any{
+			"generation": ge.Gen,
+			"path":       ge.Path,
+			"ok":         false,
+			"error":      ge.Err.Error(),
+		})
+	}
+	if err != nil {
+		w.Close()
+		return err
+	}
+
+	var eng *domain.Engine
+	restored := int64(-1)
+	if rp.set != nil {
+		eng, err = domain.RestoreOnWorld(f, w, rp.set)
+		restored = rp.set.Step
+		event["generation"], event["step"], event["verified"] = rp.gen, restored, true
+		if rp.path != "" {
+			event["path"] = rp.path
+		}
+	} else {
+		eng, err = domain.NewOnWorld(f, w)
+		event["generation"], event["scratch"] = -1, true
 	}
 	if err != nil {
 		return err
 	}
+	s.lastRestore = restored
 	if s.writer != nil {
 		s.writer.SetGrid(eng.Grid)
 	}
+	if s.shardWriter != nil {
+		s.shardWriter.SetGrid(eng.Grid)
+	}
+	s.Trace.Log("checkpoint-restore", event)
 	s.eng = eng
 	return nil
 }
@@ -353,7 +449,7 @@ func (s *Supervisor) recoverFrom(ctx context.Context, err error) error {
 	}
 
 	s.eng.Close()
-	if rerr := s.rebuild(); rerr != nil {
+	if rerr := s.build(false); rerr != nil {
 		return fmt.Errorf("harness: rebuilding after %v: %w", re, rerr)
 	}
 	if s.WorldBuilder != nil && s.lastRestore < 0 {
@@ -383,157 +479,6 @@ func (s *Supervisor) runOnce(n int) error {
 		defer wd.Stop()
 	}
 	return s.eng.Run(n)
-}
-
-// buildOnWorld builds an engine on a world from WorldBuilder,
-// validating that the rendezvous produced the size this supervisor was
-// configured for. In sharded mode it restores from the newest complete
-// shard generation when one exists (rejections are logged; a store with
-// no complete generation builds from scratch) — the shard writer is
-// re-bound to the new world first, because a re-rendezvous may assign
-// different ranks to this process.
-func (s *Supervisor) buildOnWorld(f domain.Factory) (*domain.Engine, error) {
-	w, err := s.WorldBuilder()
-	if err != nil {
-		return nil, fmt.Errorf("harness: building world: %w", err)
-	}
-	if w.Size != s.Ranks {
-		w.Close()
-		return nil, fmt.Errorf("harness: WorldBuilder produced a %d-rank world, supervisor configured for %d", w.Size, s.Ranks)
-	}
-	s.lastRestore = -1
-	if s.shardWriter == nil {
-		return domain.NewOnWorld(f, w)
-	}
-	s.shardWriter.Bind(w)
-	worldID := fmt.Sprintf("%016x", w.ID())
-	transport := w.Transport().Name()
-	ss, rejected, rerr := ckpt.ReadNewestValidManifest(ckpt.ShardDir(s.CheckpointPath), w.LocalRanks(), w.Size)
-	for _, ge := range rejected {
-		if s.Metrics != nil {
-			s.Metrics.Counter("recover.ckpt_rejected").Inc()
-		}
-		s.Trace.Log("checkpoint-verify", map[string]any{
-			"generation": ge.Gen,
-			"path":       ge.Path,
-			"ok":         false,
-			"error":      ge.Err.Error(),
-		})
-	}
-	if rerr == nil {
-		eng, err := domain.RestoreOnWorld(f, w, ss)
-		if err != nil {
-			return nil, err
-		}
-		s.lastRestore = ss.Step
-		s.shardWriter.SetGrid(eng.Grid)
-		s.Trace.Log("checkpoint-restore", map[string]any{
-			"generation": ss.Step,
-			"step":       ss.Step,
-			"transport":  transport,
-			"world_id":   worldID,
-			"attempt":    s.attempts,
-			"verified":   true,
-		})
-		return eng, nil
-	}
-	if !errors.Is(rerr, os.ErrNotExist) && len(rejected) == 0 {
-		w.Close()
-		return nil, rerr
-	}
-	// No complete generation yet (or every one rejected): scratch is
-	// the only remaining build.
-	eng, err := domain.NewOnWorld(f, w)
-	if err != nil {
-		return nil, err
-	}
-	s.shardWriter.SetGrid(eng.Grid)
-	s.Trace.Log("checkpoint-restore", map[string]any{
-		"generation": -1,
-		"scratch":    true,
-		"transport":  transport,
-		"world_id":   worldID,
-		"attempt":    s.attempts,
-	})
-	return eng, nil
-}
-
-// rebuild constructs a replacement engine from the newest checkpoint
-// generation that verifies, or from scratch when none exists. Every
-// rejected generation is logged — a silent fallback would hide
-// corruption.
-func (s *Supervisor) rebuild() error {
-	f := s.wrapFactory()
-	if s.WorldBuilder != nil {
-		// Recovery re-runs the rendezvous; in sharded mode buildOnWorld
-		// then restores from the newest complete generation (and logs the
-		// choice), otherwise the run restarts from step 0.
-		eng, err := s.buildOnWorld(f)
-		if err != nil {
-			return err
-		}
-		if s.shardWriter == nil {
-			s.Trace.Log("checkpoint-restore", map[string]any{
-				"generation": -1,
-				"scratch":    true,
-			})
-		}
-		s.eng = eng
-		return nil
-	}
-	if s.writer != nil {
-		s.writer.Reset() // drop shares from assemblies the crash interrupted
-	}
-	path := s.CheckpointPath
-	if path == "" {
-		path = s.RestartPath
-	}
-	if path != "" {
-		ck, gen, rejected, err := ckpt.ReadNewestValid(path, s.KeepCheckpoints)
-		for _, ge := range rejected {
-			if s.Metrics != nil {
-				s.Metrics.Counter("recover.ckpt_rejected").Inc()
-			}
-			s.Trace.Log("checkpoint-verify", map[string]any{
-				"generation": ge.Gen,
-				"path":       ge.Path,
-				"ok":         false,
-				"error":      ge.Err.Error(),
-			})
-		}
-		if err == nil {
-			s.Trace.Log("checkpoint-restore", map[string]any{
-				"generation": gen,
-				"path":       ckpt.GenerationPath(path, gen),
-				"step":       ck.Step,
-				"verified":   true,
-			})
-			eng, rerr := domain.Restore(f, ck)
-			if rerr != nil {
-				return rerr
-			}
-			s.eng = eng
-			return nil
-		}
-		if !errors.Is(err, os.ErrNotExist) && len(rejected) == 0 {
-			return err
-		}
-		// All generations missing (none written yet) or all rejected:
-		// restarting from step 0 is the only remaining recovery.
-	}
-	s.Trace.Log("checkpoint-restore", map[string]any{
-		"generation": -1,
-		"scratch":    true,
-	})
-	eng, err := domain.New(f, s.Ranks)
-	if err != nil {
-		return err
-	}
-	if s.writer != nil {
-		s.writer.SetGrid(eng.Grid)
-	}
-	s.eng = eng
-	return nil
 }
 
 // recordRecovery publishes one recovery event to the metrics registry,
@@ -587,14 +532,14 @@ func (s *Supervisor) recordRecovery(re *mpi.RankError) {
 // Attempts returns how many recoveries have been performed.
 func (s *Supervisor) Attempts() int { return s.attempts }
 
-// LastRestore returns the generation step the most recent sharded
-// build restored from, or -1 when it built from scratch. Meaningful
-// only in sharded (WorldBuilder + checkpointing) mode.
+// LastRestore returns the step the most recent build (first start or
+// recovery) restored from, or -1 when it built from scratch.
 func (s *Supervisor) LastRestore() int64 { return s.lastRestore }
 
-// Flight exposes the run's flight recorder (nil unless FlightPath is
-// set and an engine was built).
-func (s *Supervisor) Flight() *obs.Flight { return s.flight }
+// DumpFlight writes the flight recorder's tail to FlightPath outside a
+// failure — mdrun's interrupted exit — and returns the path ("" when the
+// recorder is off or the write failed).
+func (s *Supervisor) DumpFlight() string { return s.dumpFlight(s.FlightPath) }
 
 // dumpFlight writes the flight recorder's retained records to path,
 // returning the path on success and "" when there is nothing to dump or

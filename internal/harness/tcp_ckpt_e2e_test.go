@@ -8,7 +8,7 @@ package harness
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -123,26 +123,14 @@ func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3,
 		}
 		return s
 	}
-	// The drive loop is position-based: a scratch restart (ErrRestarted)
-	// replays from Step()==0; a generation restore returns nil from Run's
-	// internal recovery and re-advances to the same target on every
-	// process, so no special handling is needed here.
+	// A scratch restart replays from Step()==0 inside Drive; a generation
+	// restore re-advances inside Run to the same target on every process.
 	drive := func(s *Supervisor) error {
 		if err := s.Start(); err != nil {
 			return err
 		}
-		for {
-			n := tc.total - int(s.Step())
-			if n <= 0 {
-				return nil
-			}
-			if err := s.Run(n); err != nil {
-				if errors.Is(err, ErrRestarted) {
-					continue
-				}
-				return err
-			}
-		}
+		_, err := s.Drive(context.Background(), context.Background(), Drive{Target: int64(tc.total)})
+		return err
 	}
 	sups := []*Supervisor{mkSup(0, true), mkSup(1, false)}
 	errs := make([]error, len(sups))

@@ -7,12 +7,13 @@
 package harness
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"gomd/internal/core"
 	"gomd/internal/domain"
 	"gomd/internal/fault"
 	"gomd/internal/mpi"
@@ -166,40 +167,51 @@ func tcpSupervisedCase(t *testing.T, name workload.Name, atoms, total int, spec 
 		}
 		return s
 	}
-	// Every process drives the same position-based loop: a scratch
-	// restart (ErrRestarted) rereads Step()==0 and replays, keeping the
-	// processes' collective schedules aligned (see harness.ErrRestarted).
-	drive := func(s *Supervisor) error {
-		if err := s.Start(); err != nil {
+	// Every process runs the same Drive: a scratch restart rereads
+	// Step()==0 and replays the chunk and thermo schedule, keeping the
+	// processes' collective schedules aligned.
+	const every = 10
+	sups := []*Supervisor{mkSup([]int{0, 1}, true), mkSup([]int{2, 3}, false)}
+	frames := make([][]int64, len(sups))
+	drive := func(i int) error {
+		if err := sups[i].Start(); err != nil {
 			return err
 		}
-		for {
-			n := total - int(s.Step())
-			if n <= 0 {
+		_, err := sups[i].Drive(context.Background(), context.Background(), Drive{
+			Target: int64(total),
+			Every:  every,
+			Frame: func(th core.Thermo) error {
+				frames[i] = append(frames[i], th.Step)
 				return nil
-			}
-			if err := s.Run(n); err != nil {
-				if errors.Is(err, ErrRestarted) {
-					continue
-				}
-				return err
-			}
-		}
+			},
+		})
+		return err
 	}
-	sups := []*Supervisor{mkSup([]int{0, 1}, true), mkSup([]int{2, 3}, false)}
 	errs := make([]error, len(sups))
 	var wg sync.WaitGroup
-	for i, s := range sups {
+	for i := range sups {
 		wg.Add(1)
-		go func(i int, s *Supervisor) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = drive(s)
-		}(i, s)
+			errs[i] = drive(i)
+		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("process %d under %q: %v", i, spec, err)
+		}
+	}
+	// Replays pass the same steps again; each frame is delivered once.
+	for i, got := range frames {
+		for k, step := range got {
+			if step != int64((k+1)*every) {
+				t.Errorf("process %d frames %v: want every %d steps, each once", i, got, every)
+				break
+			}
+		}
+		if len(got) != total/every {
+			t.Errorf("process %d delivered %d frames, want %d", i, len(got), total/every)
 		}
 	}
 	got := mergeSnapshots(t,

@@ -11,16 +11,19 @@ package script
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"gomd/internal/atom"
 	"gomd/internal/bond"
 	"gomd/internal/box"
+	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/dump"
 	"gomd/internal/fix"
@@ -36,6 +39,12 @@ import (
 type Interp struct {
 	// Out receives thermo and print output (defaults to io.Discard).
 	Out io.Writer
+	// Root, when set, confines the script's files: every file argument
+	// (read_data, write_data, dump, write_restart) is resolved under it,
+	// and an absolute path or one that climbs out fails with
+	// ErrOutsideRoot. The serving daemon sets it to a per-job directory;
+	// unset, paths mean what they mean to the process (mdrun -in).
+	Root string
 
 	units   units.System
 	hasUnit bool
@@ -72,6 +81,21 @@ type Interp struct {
 	dumpPath   string
 
 	line int
+}
+
+// ErrOutsideRoot reports a file argument that does not stay under
+// Interp.Root.
+var ErrOutsideRoot = errors.New("script: file path escapes the job directory")
+
+// path resolves a script's file argument under Root.
+func (in *Interp) path(arg string) (string, error) {
+	if in.Root == "" {
+		return arg, nil
+	}
+	if !filepath.IsLocal(arg) {
+		return "", fmt.Errorf("%w: %q", ErrOutsideRoot, arg)
+	}
+	return filepath.Join(in.Root, arg), nil
 }
 
 // Simulation wraps the constructed core.Simulation once the first `run`
@@ -814,7 +838,11 @@ func (in *Interp) cmdReadData(a []string) error {
 	if len(a) != 1 {
 		return fmt.Errorf("read_data <file>")
 	}
-	f, err := os.Open(a[0])
+	path, err := in.path(a[0])
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
@@ -846,7 +874,11 @@ func (in *Interp) cmdWriteData(a []string) error {
 		bx = in.sim.Box
 		st = in.sim.Store
 	}
-	f, err := os.Create(a[0])
+	path, err := in.path(a[0])
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -871,26 +903,32 @@ func (in *Interp) cmdDump(a []string) error {
 		return err
 	}
 	in.dumpEvery = n
-	in.dumpPath = a[4]
-	return nil
+	in.dumpPath, err = in.path(a[4])
+	return err
 }
 
-// cmdWriteRestart saves a binary restart: write_restart <file>.
+// cmdWriteRestart saves the run as a one-rank GMCK checkpoint — the
+// format mdrun -restart and ckpt.ReadFile read, written atomically:
+// write_restart <file>.
 func (in *Interp) cmdWriteRestart(a []string) error {
 	if len(a) != 1 {
 		return fmt.Errorf("write_restart <file>")
+	}
+	path, err := in.path(a[0])
+	if err != nil {
+		return err
 	}
 	if in.sim == nil {
 		if err := in.finalize(); err != nil {
 			return err
 		}
 	}
-	f, err := os.Create(a[0])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dump.Capture(in.sim.Store, in.sim.Box, in.sim.Step).WriteBinary(f)
+	sim := in.sim
+	return ckpt.WriteFileAtomic(path, &ckpt.Checkpoint{
+		Step: sim.Step, Ranks: 1, Grid: [3]int{1, 1, 1},
+		Box: sim.Box, SetupBox: sim.SetupBox, Q2Setup: sim.Q2Setup,
+		PerRank: []ckpt.Rank{ckpt.CaptureRank(sim)},
+	})
 }
 
 // writeDumpFrames appends trajectory frames during a run.

@@ -1,11 +1,14 @@
 package script_test
 
 import (
+	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/dump"
 	"gomd/internal/script"
@@ -329,17 +332,66 @@ write_restart ` + rest + `
 	if lines != 2*(256+2) {
 		t.Errorf("trajectory lines %d want %d", lines, 2*(256+2))
 	}
-	rf, err := os.Open(rest)
+	// write_restart writes a one-rank GMCK checkpoint of the live state.
+	ck, err := ckpt.ReadFile(rest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rf.Close()
-	r, err := dump.ReadBinary(rf)
-	if err != nil {
+	if ck.Step != 10 || ck.Ranks != 1 || len(ck.PerRank[0].Atoms) != 256 {
+		t.Fatalf("restart step=%d ranks=%d atoms=%d", ck.Step, ck.Ranks, len(ck.PerRank[0].Atoms))
+	}
+	st := in.Sim().Store
+	for i, a := range ck.PerRank[0].Atoms {
+		if a.Tag != st.Tag[i] || a.Pos != st.Pos[i] {
+			t.Fatalf("restart atom %d: tag %d pos %v, live tag %d pos %v", i, a.Tag, a.Pos, st.Tag[i], st.Pos[i])
+		}
+	}
+}
+
+// TestRootConfinesFiles: with Root set every file command resolves under
+// it, and a path that is absolute or climbs out fails with
+// ErrOutsideRoot before anything is opened.
+func TestRootConfinesFiles(t *testing.T) {
+	const setup = `
+units lj
+lattice fcc 0.8442
+region box block 0 3 0 3 0 3
+create_box 1 box
+create_atoms 1 box
+mass 1 1.0
+velocity all create 1.44 11
+pair_style lj/cut 2.5
+pair_coeff 1 1 1.0 1.0
+fix 1 all nve
+`
+	outer := t.TempDir()
+	root := filepath.Join(outer, "job")
+	if err := os.Mkdir(root, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if r.Step != 10 || len(r.Atoms) != 256 {
-		t.Errorf("restart step=%d atoms=%d", r.Step, len(r.Atoms))
+	for _, bad := range []string{"/etc/x", filepath.Join(outer, "x"), "../x", "a/../../x"} {
+		for _, cmd := range []string{"read_data %s", "write_data %s", "dump 1 all xyz 5 %s\nrun 5", "write_restart %s"} {
+			in := script.New(nil)
+			in.Root = root
+			line := strings.ReplaceAll(cmd, "%s", bad)
+			if err := in.Run(strings.NewReader(setup + line + "\n")); !errors.Is(err, script.ErrOutsideRoot) {
+				t.Errorf("%q: err = %v, want ErrOutsideRoot", line, err)
+			}
+		}
+	}
+	if ents, _ := os.ReadDir(outer); len(ents) != 1 {
+		t.Errorf("files escaped the root: %v", ents)
+	}
+
+	in := script.New(nil)
+	in.Root = root
+	if err := in.Run(strings.NewReader(setup + "dump 1 all xyz 5 traj.xyz\nrun 5\nwrite_data out.data\nwrite_restart out.ckpt\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"traj.xyz", "out.data", "out.ckpt"} {
+		if _, err := os.Stat(filepath.Join(root, name)); err != nil {
+			t.Errorf("%s not written under the root: %v", name, err)
+		}
 	}
 }
 

@@ -478,18 +478,22 @@ func (s *Server) finishHub(job *Job) {
 	job.hub.close()
 }
 
-// ckptPath/framesPath are the job's durable artifacts under DataDir.
+// ckptPath/framesPath are the job's durable artifacts under DataDir;
+// filesDir is the directory a script job's own files are confined to.
 func (s *Server) ckptPath(job *Job) string {
 	return filepath.Join(s.DataDir, job.ID+".ckpt")
 }
 func (s *Server) framesPath(job *Job) string {
 	return filepath.Join(s.DataDir, job.ID+".frames.jsonl")
 }
+func (s *Server) filesDir(job *Job) string {
+	return filepath.Join(s.DataDir, job.ID+".files")
+}
 
 // runWorkload runs a workload job under a Supervisor: checkpointed,
-// recovery-supervised, resumable. The chunk loop is aligned to the
-// absolute thermo grid so frames land on the same steps whether the
-// run was interrupted or not, and every frame is appended to the
+// recovery-supervised, resumable. harness.Drive aligns the chunks to
+// the absolute thermo grid, so frames land on the same steps whether
+// the run was interrupted or not, and every frame is appended to the
 // job's frames file — across daemon lifetimes the file accumulates
 // the complete trajectory, deduped by step.
 func (s *Server) runWorkload(job *Job, ctx context.Context) (*Result, error) {
@@ -551,82 +555,52 @@ func (s *Server) runWorkload(job *Job, ctx context.Context) (*Result, error) {
 	defer ff.Close()
 
 	start := time.Now()
-	steps := int64(spec.Steps)
-	target := steps
-	runCtx := ctx
-	drained := false
 	var final *Frame
 	if len(frames) > 0 {
 		f := frames[len(frames)-1]
 		final = &f
 	}
-	for {
-		pos := sup.Step()
-		s.mu.Lock()
-		job.step = pos
-		job.recoveries = sup.Attempts()
-		s.mu.Unlock()
-		if pos >= target {
-			break
-		}
-		if s.hardCtx.Err() != nil {
-			return nil, errHardKill
-		}
-		if ctx.Err() != nil && !drained {
-			// Interrupted: a cancel stops here; a drain runs on to the next
-			// checkpoint boundary so a fresh generation is durable before
-			// the daemon exits.
+	// The job context is the stop request, the daemon's hard context the
+	// kill: a drain runs on to the next checkpoint boundary so a fresh
+	// generation is durable before the daemon exits.
+	stopped, err := sup.Drive(ctx, s.hardCtx, harness.Drive{
+		Target: int64(spec.Steps),
+		Every:  spec.ThermoEvery,
+		Boundary: func(step int64, recoveries int) error {
 			s.mu.Lock()
+			job.step, job.recoveries = step, recoveries
 			cancelled := job.cancelled
 			s.mu.Unlock()
-			if cancelled || spec.CheckpointEvery <= 0 {
-				return nil, ctx.Err()
+			if s.Fault.KillDaemonAt(step) {
+				s.daemonKill()
+				return errHardKill
 			}
-			drained = true
-			runCtx = s.hardCtx
-			every := int64(spec.CheckpointEvery)
-			if b := ((pos + every - 1) / every) * every; b < target {
-				target = b
+			if cancelled && ctx.Err() != nil {
+				return ctx.Err() // a cancel stops here; only a drain runs on
 			}
-			if pos >= target {
-				break
+			return nil
+		},
+		Frame: func(th core.Thermo) error {
+			if th.Step <= lastFrame {
+				return nil // durable since an earlier daemon lifetime
 			}
-		}
-		chunk := int64(spec.ThermoEvery) - pos%int64(spec.ThermoEvery)
-		if pos+chunk > target {
-			chunk = target - pos
-		}
-		if err := sup.RunContext(runCtx, int(chunk)); err != nil {
-			if runCtx.Err() != nil {
-				continue // classify at the top of the loop
-			}
-			return nil, err
-		}
-		th, terr := sup.Thermo()
-		if terr != nil {
-			return nil, terr
-		}
-		if th.Step > lastFrame {
 			fr := Frame{Step: th.Step, Temp: th.Temperature, Prs: th.Pressure,
 				PE: th.PotEnergy, KE: th.KinEnergy, Etot: th.TotalEnergy}
 			line, _ := json.Marshal(fr)
 			if _, werr := ff.Write(append(line, '\n')); werr != nil {
-				return nil, werr
+				return werr
 			}
 			job.hub.publish(Event{Name: "thermo", Data: string(line)})
-			lastFrame = th.Step
 			final = &fr
-		}
-		if s.Fault.KillDaemonAt(sup.Step()) {
-			s.daemonKill()
-			return nil, errHardKill
-		}
-	}
-	s.mu.Lock()
-	job.step = sup.Step()
-	job.recoveries = sup.Attempts()
-	s.mu.Unlock()
-	if drained {
+			return nil
+		},
+	})
+	switch {
+	case s.hardCtx.Err() != nil && (err != nil || stopped):
+		return nil, errHardKill
+	case err != nil:
+		return nil, err
+	case stopped:
 		return nil, errDrained
 	}
 	return &Result{
@@ -693,9 +667,16 @@ func (w *logWriter) output() string {
 // The interpreter is serial and has no checkpoint surface, so
 // cancellation and drain detach from it (the goroutine finishes into a
 // closed hub) and a daemon restart re-runs the script from scratch.
+// Every file the script names lives in the job's own directory: a
+// tenant can neither reach the daemon's files nor collide with another
+// job's.
 func (s *Server) runScript(job *Job, ctx context.Context) (*Result, error) {
 	w := &logWriter{hub: job.hub}
 	interp := script.New(w)
+	interp.Root = s.filesDir(job)
+	if err := os.MkdirAll(interp.Root, 0o755); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() { done <- interp.Run(strings.NewReader(job.Spec.Script)) }()

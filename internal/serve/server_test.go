@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"gomd/internal/ckpt"
 	"gomd/internal/fault"
 	"gomd/internal/obs"
+	"gomd/internal/script"
 )
 
 func mustParseFault(t *testing.T, spec string) *fault.Injector {
@@ -417,6 +419,66 @@ run 20
 	resp.Body.Close()
 	if hz.Status != "ok" || hz.Draining {
 		t.Fatalf("healthz: %+v", hz)
+	}
+	s.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeScriptFilesConfined: a served script's file arguments resolve
+// inside the job's own directory. Paths that are absolute or climb out
+// fail the job with script.ErrOutsideRoot and create nothing, and two
+// jobs dumping to the same relative name do not share a file.
+func TestServeScriptFilesConfined(t *testing.T) {
+	const setup = `units lj
+lattice fcc 0.8442
+region box block 0 3 0 3 0 3
+create_box 1 box
+create_atoms 1 box
+mass 1 1.0
+velocity all create 1.44 87287
+pair_style lj/cut 2.5
+pair_coeff 1 1 1.0 1.0
+fix 1 all nve
+`
+	outer := t.TempDir()
+	dir := filepath.Join(outer, "data")
+	s := startServer(t, dir, Limits{}, "")
+	for _, bad := range []string{"/etc/x", filepath.Join(outer, "x"), "../x", "a/../../x"} {
+		id, err := s.Submit(JobSpec{Script: setup + "write_data " + bad + "\nrun 1\n"})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		st := waitState(t, s, id, StateFailed, 30*time.Second)
+		if !strings.Contains(st.Detail, script.ErrOutsideRoot.Error()) {
+			t.Errorf("write_data %s: detail %q, want %q", bad, st.Detail, script.ErrOutsideRoot)
+		}
+	}
+	if ents, _ := os.ReadDir(outer); len(ents) != 1 {
+		t.Errorf("a script wrote outside the data directory: %v", ents)
+	}
+
+	// Two concurrent jobs, one relative name: each gets its own complete
+	// trajectory (2 frames of 108 atoms + 2 header lines).
+	dumping := setup + "dump 1 all xyz 5 traj.xyz\nrun 10\n"
+	var ids []string
+	for i := 0; i < 2; i++ {
+		id, err := s.Submit(JobSpec{Script: dumping})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		waitState(t, s, id, StateDone, 30*time.Second)
+		data, err := os.ReadFile(filepath.Join(dir, id+".files", "traj.xyz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(string(data), "\n"); lines != 2*(108+2) {
+			t.Errorf("job %s: trajectory has %d lines, want %d", id, lines, 2*(108+2))
+		}
 	}
 	s.Wait()
 	if err := s.Close(); err != nil {
