@@ -12,13 +12,20 @@ import (
 )
 
 // The 2-rank channel-world counterpart of core's TestTrajectoryGolden:
-// thermo bits after 40 steps at seed 2022, recorded on the commit
-// before the neighbour list went flat. Decomposition changes summation
-// order, so the bits differ from the serial backend's.
+// thermo bits after 40 steps at seed 2022 — the LJ row recorded on the
+// commit before the neighbour list went flat, the rhodo row on the commit
+// that tabulated the real-space Coulomb term (DESIGN.md "Rhodopsin
+// kernels"). Decomposition changes summation order, so the bits differ
+// from the serial backend's.
 var goldenThermo2 = map[workload.Name][3]uint64{
 	workload.LJ:    {0x3fe7aaabda9fe662, 0xc0d66227b3c4b120, 0xc0d20d0e7c2039b0},
-	workload.Rhodo: {0x407de280aec985af, 0xc0a671a331cd4ce4, 0xc08567f242059940},
+	workload.Rhodo: {0x407de280aec98283, 0xc0a671a331cbeba4, 0xc08567f242001b80},
 }
+
+// exactKernelThermo2 is the rhodo row as it stood while the pair kernel
+// called erfc and exp for every pair: the tabulated kernel's trajectory
+// must stay this close to it.
+var exactKernelThermo2 = [3]uint64{0x407de280aec985af, 0xc0a671a331cd4ce4, 0xc08567f242059940}
 
 func TestTrajectoryGolden2Ranks(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -45,6 +52,15 @@ func TestTrajectoryGolden2Ranks(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s workers=%d: T/PE/E bits %#x, want %#x", name, workers, got, want)
+			}
+			if name != workload.Rhodo {
+				continue
+			}
+			for i, v := range [3]float64{th.Temperature, th.PotEnergy, th.TotalEnergy} {
+				exact := math.Float64frombits(exactKernelThermo2[i])
+				if math.Abs(v-exact) > 1e-8*math.Abs(exact) {
+					t.Errorf("rhodo workers=%d: T/PE/E[%d] = %v, the exact kernel gave %v: limit 1e-8 relative", workers, i, v, exact)
+				}
 			}
 		}
 	}

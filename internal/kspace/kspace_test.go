@@ -133,6 +133,124 @@ func TestFFT3DRoundTrip(t *testing.T) {
 	}
 }
 
+// naiveDFT is the O(N²) definition, the oracle for every plan length.
+func naiveDFT(a []complex128) []complex128 {
+	n := len(a)
+	out := make([]complex128, n)
+	for k := range out {
+		for j, v := range a {
+			ang := -2 * math.Pi * float64(k*j%n) / float64(n)
+			out[k] += v * cmplx.Exp(complex(0, ang))
+		}
+	}
+	return out
+}
+
+func randomComplex(n int, seed uint64) []complex128 {
+	r := rng.New(seed)
+	a := make([]complex128, n)
+	for i := range a {
+		a[i] = complex(r.Range(-1, 1), r.Range(-1, 1))
+	}
+	return a
+}
+
+// TestFFTEveryRadixMix runs every plan a PPPM mesh up to 64 can ask for,
+// and a few larger ones mixing all four butterflies, forward against the
+// definition and forward-then-inverse against the input.
+func TestFFTEveryRadixMix(t *testing.T) {
+	sizes := []int{75, 80, 100, 120}
+	for n := 1; n <= 64; n++ {
+		if kspace.FactorableFFT(n) {
+			sizes = append(sizes, n)
+		}
+	}
+	for _, n := range sizes {
+		f := kspace.NewFFT(n)
+		in := randomComplex(n, uint64(n)+17)
+		got := append([]complex128(nil), in...)
+		f.Forward(got)
+		tol := 1e-12 * float64(n)
+		for k, want := range naiveDFT(in) {
+			if cmplx.Abs(got[k]-want) > tol {
+				t.Fatalf("n=%d bin %d: %v, definition gives %v", n, k, got[k], want)
+			}
+		}
+		f.Inverse(got)
+		for i := range in {
+			if cmplx.Abs(got[i]-in[i]) > tol {
+				t.Fatalf("n=%d: inverse of forward is %v at %d, input %v", n, got[i], i, in[i])
+			}
+		}
+	}
+}
+
+// TestFFT3DButterflyCount pins the perfmodel's FFT work measure: N times
+// the number of prime factors per line (20 = 5·2·2 although the plan runs
+// it as 5·4, 15 = 5·3), three axes of N² lines.
+func TestFFT3DButterflyCount(t *testing.T) {
+	for n, want := range map[int]int64{20: 72000, 15: 20250} {
+		f := kspace.NewFFT3D(n, n, n)
+		f.Forward(make([]complex128, f.Len()))
+		if f.Butterflies != want {
+			t.Errorf("%d³ forward: %d butterflies, want %d", n, f.Butterflies, want)
+		}
+		f.Inverse(make([]complex128, f.Len()))
+		if f.Butterflies != 2*want {
+			t.Errorf("%d³ forward + inverse: %d butterflies, want %d", n, f.Butterflies, 2*want)
+		}
+	}
+}
+
+// TestFFT3DBatchedMatchesLines: the y and z axes run as batched passes
+// over whole planes; they must give, bit for bit, what one plain
+// transform per line gives, and the same again when the plan is reused
+// after other data went through its ping-pong buffer.
+func TestFFT3DBatchedMatchesLines(t *testing.T) {
+	nx, ny, nz := 12, 10, 15
+	dims := [3]int{nx, ny, nz}
+	strides := [3]int{1, nx, nx * ny}
+	f := kspace.NewFFT3D(nx, ny, nz)
+	in := randomComplex(f.Len(), 23)
+	for _, inverse := range []bool{false, true} {
+		want := append([]complex128(nil), in...)
+		for axis := 0; axis < 3; axis++ {
+			line := kspace.NewFFT(dims[axis])
+			buf := make([]complex128, dims[axis])
+			for start := range want {
+				if start/strides[axis]%dims[axis] != 0 {
+					continue
+				}
+				for j := range buf {
+					buf[j] = want[start+j*strides[axis]]
+				}
+				if inverse {
+					line.Inverse(buf)
+				} else {
+					line.Forward(buf)
+				}
+				for j := range buf {
+					want[start+j*strides[axis]] = buf[j]
+				}
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			got := append([]complex128(nil), in...)
+			if inverse {
+				f.Inverse(got)
+			} else {
+				f.Forward(got)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("inverse=%v pass %d: grid[%d] = %v, line-by-line %v", inverse, pass, i, got[i], want[i])
+				}
+			}
+			f.Forward(randomComplex(f.Len(), 99)) // dirty the scratch
+		}
+	}
+}
+
 // --- Solver tests ---
 
 // serialSync satisfies pair.GhostSync-like ForwardScalar for a store

@@ -34,12 +34,21 @@ type PPPM struct {
 	nx, ny, nz int
 	fft        *FFT3D
 
-	// scratch grids
+	// scratch grids: charges are spread into the real array wreal (the
+	// one a mesh reducer sums across ranks) and copied into rho for the
+	// forward transform; the three inverse transforms leave the field in
+	// the imaginary parts of fkx/fky/fkz, which field holds interleaved
+	// [Ex, Ey, Ez] per mesh point for interp.
 	rho   []complex128
 	fkx   []complex128
 	fky   []complex128
 	fkz   []complex128
 	wreal []float64
+	field []float64
+
+	// |W(k)|² per 1-D mesh index and dimension; a function of the mesh
+	// size and Order only, so Setup owns it.
+	denX, denY, denZ []float64
 
 	// Cached per-atom B-spline stencils, filled by the particle_map
 	// stage each Compute and shared by make_rho and interp (24 weights,
@@ -121,7 +130,12 @@ func (p *PPPM) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) {
 		p.fkx = make([]complex128, sz)
 		p.fky = make([]complex128, sz)
 		p.fkz = make([]complex128, sz)
+		p.wreal = make([]float64, sz)
+		p.field = make([]float64, 3*sz)
 	}
+	p.denX = splineDenominator(nx, p.Order)
+	p.denY = splineDenominator(ny, p.Order)
+	p.denZ = splineDenominator(nz, p.Order)
 }
 
 // Compute implements Solver.
@@ -140,12 +154,8 @@ func (p *PPPM) Compute(st *atom.Store, bx box.Box, reduce func([]float64)) Resul
 	pool := p.pool
 	W := pool.Workers()
 
-	pool.Run("pppm_zero", sz, func(w, lo_, hi_ int) {
-		rho := p.rho
-		for i := lo_; i < hi_; i++ {
-			rho[i] = 0
-		}
-	})
+	wr := p.wreal
+	clear(wr)
 
 	// kernel marks the end of one pipeline stage on the span timeline
 	// and starts the next; tObs stays zero (and kernel free) when
@@ -226,25 +236,26 @@ func (p *PPPM) Compute(st *atom.Store, bx box.Box, reduce func([]float64)) Resul
 			if q == 0 {
 				continue
 			}
-			base := i * 24
+			wts, idx := p.mapWts[i*24:i*24+24], p.mapIdx[i*24:i*24+24]
 			kx := int(p.mapCnt[i*3])
 			ky := int(p.mapCnt[i*3+1])
 			kz := int(p.mapCnt[i*3+2])
+			wx, ix := wts[:kx], idx[:kx]
 			for a := 0; a < kz; a++ {
-				z := int(p.mapIdx[base+16+a])
+				z := int(idx[16+a])
 				if z < zlo || z >= zhi {
 					continue
 				}
 				base1 := z * ny
-				qz := q * p.mapWts[base+16+a]
+				qz := q * wts[16+a]
 				for b := 0; b < ky; b++ {
-					base2 := (base1 + int(p.mapIdx[base+8+b])) * nx
-					qyz := qz * p.mapWts[base+8+b]
-					for c := 0; c < kx; c++ {
-						p.rho[base2+int(p.mapIdx[base+c])] += complex(qyz*p.mapWts[base+c], 0)
-						spread++
+					base2 := (base1 + int(idx[8+b])) * nx
+					qyz := qz * wts[8+b]
+					for c, wc := range wx {
+						wr[base2+int(ix[c])] += qyz * wc
 					}
 				}
+				spread += int64(kx * ky)
 			}
 		}
 		p.spreadW[w] = spread
@@ -259,22 +270,12 @@ func (p *PPPM) Compute(st *atom.Store, bx box.Box, reduce func([]float64)) Resul
 	// reduce-scatter + allgather butterfly, so per-rank traffic scales
 	// as ~2·mesh·8·(P-1)/P bytes rather than the whole mesh per peer.
 	if reduce != nil {
-		if cap(p.wreal) < sz {
-			p.wreal = make([]float64, sz)
-		}
-		wr := p.wreal[:sz]
-		pool.Run("pppm_pack", sz, func(w, lo_, hi_ int) {
-			for i := lo_; i < hi_; i++ {
-				wr[i] = real(p.rho[i])
-			}
-		})
 		reduce(wr)
-		pool.Run("pppm_unpack", sz, func(w, lo_, hi_ int) {
-			for i := lo_; i < hi_; i++ {
-				p.rho[i] = complex(wr[i], 0)
-			}
-		})
 		kernel("pppm_mesh_reduce")
+	}
+
+	for i, v := range wr {
+		p.rho[i] = complex(v, 0)
 	}
 
 	p.fft.Butterflies = 0
@@ -291,9 +292,7 @@ func (p *PPPM) Compute(st *atom.Store, bx box.Box, reduce func([]float64)) Resul
 	cE := 2 * math.Pi * p.qqr2e / vol
 	g4 := 4 * p.g * p.g
 	kunit := [3]float64{2 * math.Pi / l.X, 2 * math.Pi / l.Y, 2 * math.Pi / l.Z}
-	denX := splineDenominator(nx, order)
-	denY := splineDenominator(ny, order)
-	denZ := splineDenominator(nz, order)
+	denX, denY, denZ := p.denX, p.denY, p.denZ
 	// Workers own disjoint z-plane ranges; energy/virial accumulate into
 	// per-plane partials folded serially in plane order, so the totals do
 	// not depend on the worker count.
@@ -359,6 +358,15 @@ func (p *PPPM) Compute(st *atom.Store, bx box.Box, reduce func([]float64)) Resul
 	p.fft.Inverse(p.fky)
 	p.fft.Inverse(p.fkz)
 	res.FFTOps = p.fft.Butterflies
+	// The field is the imaginary part of each transform: interleave the
+	// three so a stencil point is one cache line, not three, and interp
+	// multiplies reals.
+	field := p.field
+	for i := range p.fkx {
+		field[3*i] = imag(p.fkx[i])
+		field[3*i+1] = imag(p.fky[i])
+		field[3*i+2] = imag(p.fkz[i])
+	}
 	kernel("pppm_fft_inverse")
 
 	// interp: gather per-particle field with the cached stencils (each
@@ -374,27 +382,28 @@ func (p *PPPM) Compute(st *atom.Store, bx box.Box, reduce func([]float64)) Resul
 			if q == 0 {
 				continue
 			}
-			base := i * 24
+			wts, idx := p.mapWts[i*24:i*24+24], p.mapIdx[i*24:i*24+24]
 			kx := int(p.mapCnt[i*3])
 			ky := int(p.mapCnt[i*3+1])
 			kz := int(p.mapCnt[i*3+2])
-			var ex, ey, ez complex128
+			wx, ix := wts[:kx], idx[:kx]
+			var ex, ey, ez float64
 			for a := 0; a < kz; a++ {
-				base1 := int(p.mapIdx[base+16+a]) * ny
+				base1 := int(idx[16+a]) * ny
 				for b := 0; b < ky; b++ {
-					base2 := (base1 + int(p.mapIdx[base+8+b])) * nx
-					wyz := p.mapWts[base+16+a] * p.mapWts[base+8+b]
-					for c := 0; c < kx; c++ {
-						w := complex(wyz*p.mapWts[base+c], 0)
-						idx := base2 + int(p.mapIdx[base+c])
-						ex += w * p.fkx[idx]
-						ey += w * p.fky[idx]
-						ez += w * p.fkz[idx]
-						ops++
+					base2 := (base1 + int(idx[8+b])) * nx
+					wyz := wts[16+a] * wts[8+b]
+					for c, wc := range wx {
+						w := wyz * wc
+						e := field[3*(base2+int(ix[c])):]
+						ex += w * e[0]
+						ey += w * e[1]
+						ez += w * e[2]
 					}
 				}
 			}
-			f := vec.New(imag(ex), imag(ey), imag(ez)).Scale(fpre * q)
+			ops += int64(kx * ky * kz)
+			f := vec.New(ex, ey, ez).Scale(fpre * q)
 			st.Force[i] = st.Force[i].Add(f)
 		}
 		p.interpW[w] = ops

@@ -21,6 +21,15 @@ type CharmmCoulLong struct {
 	Prec       Precision
 
 	scr pairScratch // two-phase parallel path scratch
+
+	// Derived tables, built on the first Compute and again only when
+	// what they were derived from changed. GEwald is written by core
+	// after the k-space solver's Setup and by tests directly, and a
+	// script's pair_coeff rewrites Eps and Sigma in place between runs,
+	// so Compute — the one place downstream of every writer — compares
+	// the inputs instead of trusting a setter to be called.
+	coul *coulTable
+	lj   charmmLJ
 }
 
 // NewCharmm builds the style with arithmetic mixing over per-type eps and
@@ -64,27 +73,65 @@ func (p *CharmmCoulLong) Compute(ctx *Context) Result {
 	}
 }
 
+// charmmLJ caches the per-type-pair LJ prefactors, rounded through the
+// compute precision and flattened [ti*nt+tj], with the Eps, Sigma and
+// Prec they were built from.
+type charmmLJ struct {
+	prec               Precision
+	eps, sigma         []float64
+	lj1, lj2, lj3, lj4 []float64
+}
+
+// coulTab returns the Coulomb table for the current (GEwald, RCoul).
+func (p *CharmmCoulLong) coulTab() *coulTable {
+	if p.coul == nil || p.coul.g != p.GEwald || p.coul.rcoul != p.RCoul {
+		p.coul = newCoulTable(p.GEwald, p.RCoul)
+	}
+	return p.coul
+}
+
+// ljCoeffs returns the LJ prefactors for the current Eps, Sigma and Prec
+// in T arithmetic.
+func ljCoeffs[T Real](p *CharmmCoulLong) *charmmLJ {
+	c := &p.lj
+	nt := len(p.Eps)
+	stale := c.prec != p.Prec || len(c.eps) != nt*nt
+	for k := 0; k < len(c.eps) && !stale; k++ {
+		stale = c.eps[k] != p.Eps[k/nt][k%nt] || c.sigma[k] != p.Sigma[k/nt][k%nt]
+	}
+	if !stale {
+		return c
+	}
+	n := nt * nt
+	buf := make([]float64, 6*n)
+	*c = charmmLJ{prec: p.Prec, eps: buf[:n], sigma: buf[n : 2*n],
+		lj1: buf[2*n : 3*n], lj2: buf[3*n : 4*n], lj3: buf[4*n : 5*n], lj4: buf[5*n:]}
+	for i := 0; i < nt; i++ {
+		for j := 0; j < nt; j++ {
+			e, s := p.Eps[i][j], p.Sigma[i][j]
+			s6 := math.Pow(s, 6)
+			s12 := s6 * s6
+			k := i*nt + j
+			c.eps[k], c.sigma[k] = e, s
+			c.lj1[k] = float64(T(48 * e * s12))
+			c.lj2[k] = float64(T(24 * e * s6))
+			c.lj3[k] = float64(T(4 * e * s12))
+			c.lj4[k] = float64(T(4 * e * s6))
+		}
+	}
+	return c
+}
+
 func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 	st := ctx.Store
 	nl := ctx.List
 	var res Result
 
 	nt := len(p.Eps)
-	lj1 := make([]T, nt*nt)
-	lj2 := make([]T, nt*nt)
-	lj3 := make([]T, nt*nt)
-	lj4 := make([]T, nt*nt)
-	for i := 0; i < nt; i++ {
-		for j := 0; j < nt; j++ {
-			e, s := p.Eps[i][j], p.Sigma[i][j]
-			s6 := math.Pow(s, 6)
-			s12 := s6 * s6
-			lj1[i*nt+j] = T(48 * e * s12)
-			lj2[i*nt+j] = T(24 * e * s6)
-			lj3[i*nt+j] = T(4 * e * s12)
-			lj4[i*nt+j] = T(4 * e * s6)
-		}
-	}
+	lj := ljCoeffs[T](p)
+	lj1, lj2, lj3, lj4 := lj.lj1, lj.lj2, lj.lj3, lj.lj4
+	// Built here, before any pool.Run: the workers only read it.
+	tab := p.coulTab()
 
 	in2 := p.RInner * p.RInner
 	out2 := p.ROuter * p.ROuter
@@ -96,16 +143,14 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 	if cutCoul2 > maxCut2 {
 		maxCut2 = cutCoul2
 	}
-	g := p.GEwald
 	qqr2e := ctx.QQr2E
-	twoSqrtPi := 2.0 / math.Sqrt(math.Pi)
 
 	owned := st.N
 
 	// pairTerms evaluates one entry: the switched LJ term plus the
-	// erfc-damped real-space Coulomb term (with the exclusion
-	// compensation for special pairs). Shared verbatim by the serial
-	// and two-phase parallel paths.
+	// erfc-damped real-space Coulomb term, read from the table (with the
+	// exclusion compensation for special pairs). Shared verbatim by the
+	// serial and two-phase parallel paths.
 	pairTerms := func(r2 T, qi, qj float64, ti, tj int, kind int) (fpair, epair float64) {
 		r2f := float64(r2)
 		inv2 := 1 / r2f
@@ -116,8 +161,8 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 		if kind == 0 && r2 <= cutLJ2 {
 			k := ti*nt + tj
 			inv6 := inv2 * inv2 * inv2
-			flj := inv6 * (float64(lj1[k])*inv6 - float64(lj2[k])) * inv2
-			elj := inv6 * (float64(lj3[k])*inv6 - float64(lj4[k]))
+			flj := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
+			elj := inv6 * (lj3[k]*inv6 - lj4[k])
 			if r2f > in2 {
 				// CHARMM switching: S(r) smoothly takes the LJ term
 				// from full at RInner to zero at ROuter.
@@ -132,17 +177,21 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 			epair += elj
 		}
 
-		if r2 <= cutCoul2 && (qi != 0 || qj != 0) {
-			r := math.Sqrt(r2f)
+		// A neutral partner makes qq = 0 and the term exactly 0.
+		if r2 <= cutCoul2 && qi != 0 && qj != 0 {
 			qq := qqr2e * qi * qj
-			erfcGr := math.Erfc(g * r)
-			pre := qq / r
-			ecoul := pre * erfcGr
-			fcoul := (ecoul + qq*twoSqrtPi*g*math.Exp(-g*g*r2f)) * inv2
+			var f, e float64
+			if c, d := tab.cell(r2f); c != nil {
+				f, e = cubics(c, d)
+			} else {
+				f, e = coulExact(tab.g, r2f)
+			}
+			fcoul, ecoul := qq*f, qq*e
 			if kind != 0 {
 				// Excluded pair: subtract the full 1/r term, leaving
 				// -erf(g r)/r, which exactly cancels the k-space
 				// solver's contribution for this pair.
+				pre := qq / math.Sqrt(r2f)
 				fcoul -= pre * inv2
 				ecoul -= pre
 			}

@@ -1,0 +1,16 @@
+package pair
+
+// CoulFactors returns F(r²) and E(r²) — fcoul = qq·F, ecoul = qq·E — as
+// the kernel reads them: from the style's table, or from the exact
+// expression outside it. For the external tests' single-pass references.
+func (p *CharmmCoulLong) CoulFactors(r2 float64) (f, e float64) {
+	return p.coulTab().lookup(r2)
+}
+
+// lookup is the kernel's three lines, not inlined.
+func (t *coulTable) lookup(r2 float64) (f, e float64) {
+	if c, d := t.cell(r2); c != nil {
+		return cubics(c, d)
+	}
+	return coulExact(t.g, r2)
+}

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"gomd/internal/atom"
+	"gomd/internal/core"
 	"gomd/internal/neighbor"
 	"gomd/internal/pair"
 	"gomd/internal/par"
 	"gomd/internal/rng"
 	"gomd/internal/vec"
+	"gomd/internal/workload"
 )
 
 // noSync satisfies pair.GhostSync for ghost-free stores.
@@ -447,7 +449,14 @@ func refLJ[T real](p *pair.LJCut, st *atom.Store, nl *neighbor.List) (pair.Resul
 	return acc.res, acc.force
 }
 
-func refCharmm[T real](p *pair.CharmmCoulLong, st *atom.Store, nl *neighbor.List, qqr2e float64) (pair.Result, []vec.V3) {
+// refCharmm is lj/charmm/coul/long in one pass with the real-space
+// Coulomb term written out — erfc, exp and all: the oracle the tabulated
+// kernel is held to (TestCharmmTableVsExact). With coul non-nil the two
+// Coulomb factors F(r²) and E(r²) are read from it instead, which is how
+// TestFilterComputeMatchesSinglePass feeds the reference the style's own
+// table and goes on comparing bits.
+func refCharmm[T real](p *pair.CharmmCoulLong, st *atom.Store, nl *neighbor.List, qqr2e float64,
+	coul func(r2 float64) (f, e float64)) (pair.Result, []vec.V3) {
 	nt := len(p.Eps)
 	lj1, lj2, lj3, lj4 := make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt), make([]T, nt*nt)
 	for i := 0; i < nt; i++ {
@@ -497,8 +506,14 @@ func refCharmm[T real](p *pair.CharmmCoulLong, st *atom.Store, nl *neighbor.List
 				r := math.Sqrt(r2f)
 				qq := qqr2e * qi * qj
 				pre := qq / r
-				ecoul := pre * math.Erfc(g*r)
-				fcoul := (ecoul + qq*twoSqrtPi*g*math.Exp(-g*g*r2f)) * inv2
+				var fcoul, ecoul float64
+				if coul != nil {
+					f, e := coul(r2f)
+					fcoul, ecoul = qq*f, qq*e
+				} else {
+					ecoul = pre * math.Erfc(g*r)
+					fcoul = (ecoul + qq*twoSqrtPi*g*math.Exp(-g*g*r2f)) * inv2
+				}
 				if kind != 0 {
 					fcoul -= pre * inv2
 					ecoul -= pre
@@ -691,9 +706,9 @@ func TestFilterComputeMatchesSinglePass(t *testing.T) {
 		cases = append(cases, testCase{"charmm " + prec.String(), 1.1, 2, ch,
 			func(st *atom.Store, nl *neighbor.List, _ pair.GhostSync) (pair.Result, []vec.V3) {
 				if prec == pair.Double {
-					return refCharmm[float64](ch, st, nl, qqr2e)
+					return refCharmm[float64](ch, st, nl, qqr2e, ch.CoulFactors)
 				}
-				return refCharmm[float32](ch, st, nl, qqr2e)
+				return refCharmm[float32](ch, st, nl, qqr2e, ch.CoulFactors)
 			}})
 		eam := pair.NewEAMCopper(prec)
 		cases = append(cases, testCase{"eam " + prec.String(), 2.55, 1, eam,
@@ -753,5 +768,63 @@ func TestFilterComputeMatchesSinglePass(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCharmmTableVsExact states the accuracy of the tabulated kernel: on
+// the filter lattice (special pairs included) and on the benchmark's own
+// system after ten steps, against the exact single-pass reference —
+// energy to 1e-10 relative, virial to 1e-8, every atom's force to 1e-8 of
+// the rms force, and the same pairs evaluated.
+func TestCharmmTableVsExact(t *testing.T) {
+	const qqr2e = 332.06371
+	compare := func(name string, ch *pair.CharmmCoulLong, st *atom.Store, nl *neighbor.List, ctx pair.Context) {
+		t.Helper()
+		var want pair.Result
+		var wantF []vec.V3
+		if ch.Prec == pair.Double {
+			want, wantF = refCharmm[float64](ch, st, nl, ctx.QQr2E, nil)
+		} else {
+			want, wantF = refCharmm[float32](ch, st, nl, ctx.QQr2E, nil)
+		}
+		var rms float64
+		for _, f := range wantF[:st.N] {
+			rms += f.Dot(f)
+		}
+		rms = math.Sqrt(rms / float64(st.N))
+		for _, workers := range []int{1, 3} {
+			pool := par.NewPool(workers)
+			ctx.Pool = pool
+			st.ZeroForces()
+			got := ch.Compute(&ctx)
+			pool.Close()
+			var worst float64
+			for i, f := range wantF[:st.N] {
+				worst = math.Max(worst, st.Force[i].Sub(f).Norm())
+			}
+			relE := math.Abs(got.Energy-want.Energy) / math.Abs(want.Energy)
+			relV := math.Abs(got.Virial-want.Virial) / math.Abs(want.Virial)
+			t.Logf("%s workers=%d: %d pairs, energy off by %.2g, virial %.2g, worst |ΔF| %.2g of rms |F| %.3g",
+				name, workers, got.Pairs, relE, relV, worst, rms)
+			if got.Pairs != want.Pairs || relE > 1e-10 || relV > 1e-8 || worst > 1e-8*rms {
+				t.Errorf("%s workers=%d: table kernel %+v, exact reference %+v, worst |ΔF| %g (rms |F| %g)",
+					name, workers, got, want, worst, rms)
+			}
+		}
+	}
+	for _, prec := range []pair.Precision{pair.Double, pair.Mixed} {
+		ch := pair.NewCharmm([]float64{0.15, 0.3}, []float64{1.0, 1.1}, 2.0, 2.5, prec)
+		cut := ch.Cutoff()
+		st, sync := filterSystem(1.1, cut, 1.12*cut, 2)
+		nl := neighbor.NewList(ch.ListMode(), cut, 0.12*cut)
+		nl.SpecialWeight = func(atom.SpecialKind) (float64, bool) { return 0, true }
+		nl.Build(st)
+		compare("lattice "+prec.String(), ch, st, nl, pair.Context{Store: st, List: nl, Sync: sync, QQr2E: qqr2e})
+
+		cfg, rst := workload.MustBuild(workload.Rhodo, workload.Options{Atoms: 1500, Seed: 2022, Precision: prec})
+		s := core.New(cfg, rst)
+		s.Run(10)
+		compare("rhodo-1500 "+prec.String(), cfg.Pair.(*pair.CharmmCoulLong), s.Store, s.NL, *s.PairContext())
+		s.Close()
 	}
 }

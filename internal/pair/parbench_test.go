@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"gomd/internal/core"
 	"gomd/internal/neighbor"
 	"gomd/internal/pair"
 	"gomd/internal/par"
+	"gomd/internal/workload"
 )
 
 // BenchmarkPairLJ times the LJ force kernel on a 32k-atom melt across
@@ -34,4 +36,23 @@ func BenchmarkPairLJ(b *testing.B) {
 			b.ReportMetric(float64(pairs)/float64(b.Elapsed().Nanoseconds()+1), "pairs/ns")
 		})
 	}
+}
+
+// BenchmarkPairCharmmRhodo times lj/charmm/coul/long where the benchmark
+// runs it: rhodo-4000 (5,184 atoms, ≈ 240 in-cutoff pairs per row, r from
+// 1 to 10 Å) after 10 steps, Mixed precision, serial loop.
+// BenchmarkPairCharmm's σ = 1, cut 2.5 system covers one octave of the
+// Coulomb table and a sixth of the neighbours.
+func BenchmarkPairCharmmRhodo(b *testing.B) {
+	cfg, st := workload.MustBuild(workload.Rhodo, workload.Options{Atoms: 4000, Seed: 2022})
+	s := core.New(cfg, st)
+	defer s.Close()
+	s.Run(10)
+	ctx := s.PairContext()
+	b.ResetTimer()
+	var pairs int64
+	for i := 0; i < b.N; i++ {
+		pairs += cfg.Pair.Compute(ctx).Pairs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 }
