@@ -1,8 +1,9 @@
 # Tier-1 verification: build + vet + tests, then the same tests under
 # the race detector (the observability layer's multi-rank tests record
 # spans from every rank goroutine, so the race run is part of the bar),
-# then an end-to-end mdbench smoke campaign.
-.PHONY: all build vet fmt-check loc test race bench bench-module wallbench bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check check
+# then an end-to-end mdbench smoke campaign and one pass of every kernel
+# benchmark.
+.PHONY: all build vet fmt-check loc test race bench bench-module wallbench bench-smoke kernel-bench sweep-smoke serve-smoke faults soak transport-check check
 
 all: check
 
@@ -56,26 +57,16 @@ bench-smoke:
 		-log /tmp/gomd-bench-smoke.jsonl -strict-log > /dev/null
 	@test -s /tmp/gomd-bench-smoke.jsonl || \
 		{ echo "bench-smoke: empty data log" >&2; exit 1; }
-	go run ./cmd/kbench -atoms 8000 -iters 3 -out BENCH_kernels.json > /dev/null
-	@test -s BENCH_kernels.json || \
-		{ echo "bench-smoke: empty BENCH_kernels.json" >&2; exit 1; }
 
-# Kernel regression gate, trajectory-aware: regenerate
-# BENCH_kernels.json with the baseline's arguments, then gate against the
-# newest comparable entry in the append-only store
-# (results/trajectory.jsonl) — falling back to the committed
-# results/BENCH_kernels.baseline.json the first time a host runs. Each
-# passing run appends a new trajectory point, so later runs compare
-# against the most recent healthy state on this host instead of a
-# hand-regenerated file. Arithmetic intensity is pinned tightly (it is
-# model+workload determined); wall times only fail on order-of-magnitude
-# blowups (host variance allowance). Regenerate the baseline with the
-# same kbench arguments when a kernel or cost model intentionally
-# changes.
-bench-gate:
-	go run ./cmd/kbench -atoms 8000 -iters 3 -out BENCH_kernels.json > /dev/null
-	go run ./cmd/benchgate -baseline results/BENCH_kernels.baseline.json \
-		-current BENCH_kernels.json -trajectory results/trajectory.jsonl
+# One iteration of every kernel and step benchmark, W=1 and W=4: these
+# Benchmark* functions are the root module's kernel timers (go test
+# -bench for one kernel, bench/ for wall-clock claims), and workers=4 is
+# what drives the pool wider than this host's CPU count. `make bench`
+# is not part of check, so this is the step that fails when a benchmark
+# stops compiling or deadlocks. ~5 s.
+kernel-bench:
+	go test -run '^$$' -bench . -benchtime 1x \
+		./internal/pair ./internal/neighbor ./internal/kspace ./internal/core
 
 # Campaign-runner smoke: a quick 2x2 grid (two workloads, two rank
 # counts, guardrails on, strict data log) through cmd/mdsweep. Fails on
@@ -127,4 +118,4 @@ transport-check:
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' \
 		./internal/mpi/ ./internal/harness/
 
-check: build vet fmt-check test race bench-module bench-smoke bench-gate sweep-smoke serve-smoke faults soak transport-check
+check: build vet fmt-check test race bench-module bench-smoke kernel-bench sweep-smoke serve-smoke faults soak transport-check

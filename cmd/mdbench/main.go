@@ -13,13 +13,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -27,62 +28,87 @@ import (
 	"gomd/internal/obs"
 )
 
-func parseInts(s string) []int {
-	if s == "" {
-		return nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: bad integer list %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
+// errInterrupted marks a campaign stopped by SIGINT/SIGTERM: outputs are
+// flushed and the exit code is 130, not a failure report.
+var errInterrupted = errors.New("interrupted by signal")
+
+// run is main without the process: it returns the exit code (0 done, 1
+// failed, 2 usage, 130 stopped by a signal between experiments).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "", "experiment id (table1..3, fig3..fig16, headline, all)")
-		list    = flag.Bool("list", false, "list experiments")
-		sizes   = flag.String("sizes", "", "system sizes in k atoms (default 32,256,864,2048)")
-		ranks   = flag.String("ranks", "", "CPU rank counts (default 1,2,4,8,16,32,64)")
-		devices = flag.String("gpus", "", "GPU device counts (default 1,2,4,6,8)")
-		cap_    = flag.Int("measure-cap", 0, "max atoms actually simulated per measurement")
-		steps   = flag.Int("steps", 0, "measured steps per configuration")
-		workers = flag.Int("workers", 1, "intra-rank worker-pool width for engine kernels (priced as threads-per-rank)")
-		seed    = flag.Uint64("seed", 0, "RNG seed for measured workloads (0 = harness default)")
+		exp     = fs.String("exp", "", "experiment id (table1..3, fig3..fig16, headline, all)")
+		list    = fs.Bool("list", false, "list experiments")
+		sizes   = fs.String("sizes", "", "system sizes in k atoms (default 32,256,864,2048)")
+		ranks   = fs.String("ranks", "", "CPU rank counts (default 1,2,4,8,16,32,64)")
+		devices = fs.String("gpus", "", "GPU device counts (default 1,2,4,6,8)")
+		cap_    = fs.Int("measure-cap", 0, "max atoms actually simulated per measurement")
+		steps   = fs.Int("steps", 0, "measured steps per configuration")
+		workers = fs.Int("workers", 1, "intra-rank worker-pool width for engine kernels (priced as threads-per-rank)")
+		seed    = fs.Uint64("seed", 0, "RNG seed for measured workloads (0 = harness default)")
 
-		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint measured engine runs every N steps (0 = off)")
-		ckptPath  = flag.String("checkpoint", "mdbench.ckpt", "checkpoint file path")
-		ckptKeep  = flag.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
-		restart   = flag.String("restart", "", "resume measured engine runs from this checkpoint file")
-		retries   = flag.Int("retries", 0, "automatic recoveries from rank failures per measurement")
-		chkEvery  = flag.Int("check-every", 0, "run numerical guardrails every N steps during measurements (0 = off)")
-		quick     = flag.Bool("quick", false, "reduced fidelity (cap 6000 atoms, 6 steps)")
-		csvPath   = flag.String("csv", "", "also write results as CSV to this file")
-		strict    = flag.Bool("strict-log", false, "exit nonzero if the data log is incomplete (CI smoke runs)")
-		chart     = flag.Bool("chart", false, "render percentage breakdowns as stacked bars")
+		ckptEvery = fs.Int("checkpoint-every", 0, "checkpoint measured engine runs every N steps (0 = off)")
+		ckptPath  = fs.String("checkpoint", "mdbench.ckpt", "checkpoint file path")
+		ckptKeep  = fs.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
+		restart   = fs.String("restart", "", "resume measured engine runs from this checkpoint file")
+		retries   = fs.Int("retries", 0, "automatic recoveries from rank failures per measurement")
+		chkEvery  = fs.Int("check-every", 0, "run numerical guardrails every N steps during measurements (0 = off)")
+		quick     = fs.Bool("quick", false, "reduced fidelity (cap 6000 atoms, 6 steps)")
+		csvPath   = fs.String("csv", "", "also write results as CSV to this file")
+		strict    = fs.Bool("strict-log", false, "exit nonzero if the data log is incomplete (CI smoke runs)")
+		chart     = fs.Bool("chart", false, "render percentage breakdowns as stacked bars")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a Go CPU profile of the campaign to this file")
-		memprofile = flag.String("memprofile", "", "write a Go heap profile at campaign end to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a Go CPU profile of the campaign to this file")
+		memprofile = fs.String("memprofile", "", "write a Go heap profile at campaign end to this file")
 		of         obs.Flags
 	)
-	of.Register(flag.CommandLine)
-	flag.Parse()
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	// The log is auxiliary, so an incomplete one must not fail a campaign
 	// unless asked to; silent loss would still poison analysis, so it warns.
 	of.LaxLog = !*strict
 
 	if *list || *exp == "" {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range harness.FullRegistry() {
-			fmt.Printf("  %-13s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-13s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" {
-			os.Exit(0)
+			return 0
+		}
+	}
+
+	// Everything the command line can get wrong is checked before any
+	// output is opened.
+	var usageErr error
+	ints := func(s string) []int {
+		v, err := harness.ParseInts(s)
+		usageErr = errors.Join(usageErr, err)
+		return v
+	}
+	params := harness.Params{Sizes: ints(*sizes), CPURanks: ints(*ranks), GPUDevices: ints(*devices)}
+	if usageErr != nil {
+		fmt.Fprintf(stderr, "mdbench: %v\n", usageErr)
+		return 2
+	}
+	var selected []harness.Experiment
+	if *exp == "all" {
+		selected = harness.FullRegistry()
+	} else {
+		for _, id := range strings.Split(*exp, ",") {
+			e, ok := harness.Get(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(stderr, "mdbench: unknown experiment %q (try -list)\n", id)
+				return 2
+			}
+			selected = append(selected, e)
 		}
 	}
 
@@ -100,125 +126,122 @@ func main() {
 			opts.Steps = 6
 		}
 	}
-	if err := of.Open(os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
-		os.Exit(1)
+
+	if err := of.Open(stderr); err != nil {
+		fmt.Fprintf(stderr, "mdbench: %v\n", err)
+		return 1
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	// One way out from here: whatever the campaign returns, the CPU
+	// profile is stopped, the heap profile written and of.Close run —
+	// Close is what writes the -trace and -metrics files, the artifacts
+	// that explain a failed run. Every step runs; every failure is
+	// reported.
+	stopCPU, err := startCPUProfile(*cpuprofile)
+	if err == nil {
+		runner := harness.NewRunner(opts)
+		runner.Trace, runner.SpanTrace, runner.Metrics = of.Log, of.Tracer, of.Metrics
+		err = campaign(runner, params, selected, *csvPath, *chart, stdout)
+		err = errors.Join(err, stopCPU(), writeHeapProfile(*memprofile))
 	}
-	if *memprofile != "" {
+	err = errors.Join(err, of.Close(stderr))
+	switch {
+	case errors.Is(err, errInterrupted):
+		fmt.Fprintf(stderr, "mdbench: %v; partial outputs flushed\n", err)
+		return 130
+	case err != nil:
+		fmt.Fprintf(stderr, "mdbench: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// campaign runs the selected experiments in order, rendering each table
+// to stdout and, with csvPath, to a CSV of "# <title>" delimited blocks.
+// SIGINT/SIGTERM stop it between experiments (errInterrupted); a second
+// signal kills the process the default way.
+func campaign(runner *harness.Runner, params harness.Params, selected []harness.Experiment,
+	csvPath string, chart bool, stdout io.Writer) (err error) {
+	// CSV write and close errors are fatal: a full disk or bad path must
+	// not leave a silently truncated CSV behind an exit code of 0.
+	var csv *os.File
+	if csvPath != "" {
+		if csv, err = os.Create(csvPath); err != nil {
+			return fmt.Errorf("csv: %w", err)
+		}
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // material allocations only
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mdbench: memprofile: %v\n", err)
+			if cerr := csv.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("csv: %w", cerr)
 			}
 		}()
 	}
 
-	runner := harness.NewRunner(opts)
-	runner.Trace, runner.SpanTrace, runner.Metrics = of.Log, of.Tracer, of.Metrics
-	params := harness.Params{
-		Sizes:      parseInts(*sizes),
-		CPURanks:   parseInts(*ranks),
-		GPUDevices: parseInts(*devices),
-	}
-
-	var selected []harness.Experiment
-	if *exp == "all" {
-		selected = harness.FullRegistry()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			e, ok := harness.Get(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "mdbench: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	// CSV write and close errors are fatal: a full disk or bad path must
-	// not leave a silently truncated CSV behind an exit code of 0.
-	csvFail := func(err error) {
-		fmt.Fprintf(os.Stderr, "mdbench: csv %s: %v\n", *csvPath, err)
-		os.Exit(1)
-	}
-	var csv *os.File
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			csvFail(err)
-		}
-		csv = f
-	}
-
-	// flush closes every output, loudly — shared between the normal end
-	// of the campaign and a signal-interrupted exit, so an interrupt
-	// never leaves a silently truncated CSV or data log behind.
-	flush := func() {
-		if csv != nil {
-			if err := csv.Close(); err != nil {
-				csvFail(err)
-			}
-			csv = nil
-		}
-		if err := of.Close(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	// SIGINT/SIGTERM abort the campaign between experiments with outputs
-	// flushed; a second signal kills the process the default way.
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigC)
 
 	for _, e := range selected {
 		select {
 		case s := <-sigC:
 			signal.Stop(sigC)
-			flush()
-			fmt.Fprintf(os.Stderr, "mdbench: %v: stopped before %s; partial outputs flushed\n", s, e.ID)
-			os.Exit(130)
+			return fmt.Errorf("%w (%v): stopped before %s", errInterrupted, s, e.ID)
 		default:
 		}
 		tables, err := e.Run(runner, params)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdbench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		for i := range tables {
-			if *chart {
-				harness.Chart(&tables[i], os.Stdout, 60)
+			if chart {
+				harness.Chart(&tables[i], stdout, 60)
 			} else {
-				tables[i].Render(os.Stdout)
+				tables[i].Render(stdout)
 			}
-			if csv != nil {
-				if _, err := fmt.Fprintf(csv, "# %s\n", tables[i].Title); err != nil {
-					csvFail(err)
-				}
-				if err := tables[i].WriteCSV(csv); err != nil {
-					csvFail(err)
-				}
+			if csv == nil {
+				continue
+			}
+			if _, err := fmt.Fprintf(csv, "# %s\n", tables[i].Title); err != nil {
+				return fmt.Errorf("csv: %w", err)
+			}
+			if err := tables[i].WriteCSV(csv); err != nil {
+				return fmt.Errorf("csv: %w", err)
 			}
 		}
 	}
-	flush()
+	return nil
+}
+
+// startCPUProfile starts a CPU profile into path and returns the function
+// that stops it and closes the file; with no path both are no-ops.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // material allocations only
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }

@@ -6,22 +6,10 @@
 // 1–3, Figs 3–16) is exactly such a grid; mdbench regenerates individual
 // figures, mdsweep runs grids and keeps the receipts.
 //
-// With -exp, mdsweep instead regenerates paper experiments end-to-end
-// through the same experiment registry mdbench uses (internal/harness —
-// shared package, not a copy), timing each one.
-//
-// Either mode can persist its results into the append-only trajectory
-// store (-trajectory results/trajectory.jsonl): one entry per run, keyed
-// by (git SHA, host, config hash), which `benchgate -trajectory` then
-// gates against the newest comparable prior entry. That closes the loop
-// the paper leaves manual — every commit gets a reproducible
-// before/after story.
-//
 // Usage:
 //
 //	mdsweep -workloads lj,rhodo -atoms 32,256 -ranks 1,4,16 -trials 3
-//	mdsweep -exp fig10 -quick -trajectory results/trajectory.jsonl
-//	mdsweep -exp table1 -quick           # paper table, end to end
+//	mdsweep -workloads rhodo -atoms 32 -ranks 4,8 -kspace-acc 1e-4,1e-6 -quick
 package main
 
 import (
@@ -51,24 +39,6 @@ func main() {
 // errInterrupted marks a campaign aborted by SIGINT/SIGTERM: partial
 // outputs are flushed and the exit code is 130, not a failure report.
 var errInterrupted = errors.New("interrupted by signal")
-
-// parseInts parses a comma grid of integers ("1, 2,4"; empty tokens
-// ignored, so "1,,4" is [1 4]).
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func parseFloats(s string) ([]float64, error) {
 	var out []float64
@@ -130,22 +100,21 @@ func parsePrecisions(s string) ([]pair.Precision, error) {
 
 // manifest is the machine-readable record of one campaign: what ran,
 // from which commit and host, with which fidelity, and what came out.
-// Rerunning the manifest's grid on the manifest's commit reproduces the
-// campaign.
+// Grid and Fidelity hold the resolved values — every default filled in —
+// so rerunning the manifest's grid on the manifest's commit reproduces
+// the campaign, and a run that relied on defaults hashes equal to the
+// same run spelled out.
 type manifest struct {
 	Tool       string `json:"tool"`
-	Mode       string `json:"mode"` // "grid" or "exp"
 	GitSHA     string `json:"git_sha"`
 	Host       string `json:"host"`
 	ConfigHash string `json:"config_hash"`
 
-	Grid        *gridConfig `json:"grid,omitempty"`
-	Experiments []string    `json:"experiments,omitempty"`
-	Fidelity    fidelity    `json:"fidelity"`
+	Grid     gridConfig `json:"grid"`
+	Fidelity fidelity   `json:"fidelity"`
 
-	CSV        string `json:"csv,omitempty"`
-	JSONL      string `json:"jsonl,omitempty"`
-	Trajectory string `json:"trajectory,omitempty"`
+	CSV   string `json:"csv,omitempty"`
+	JSONL string `json:"jsonl,omitempty"`
 
 	Cells       []manifestCell `json:"cells"`
 	TotalWallMS int64          `json:"total_wall_ms"`
@@ -231,14 +200,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chkEvery = fs.Int("check-every", 2, "run numerical guardrails every N steps during measurements (0 = off; campaigns keep them on)")
 		quick    = fs.Bool("quick", false, "reduced fidelity (cap 6000 atoms, 6 steps)")
 
-		expFlag = fs.String("exp", "", "experiment mode: regenerate these paper experiments (table1..3, fig3..fig16, headline, ablations, all) instead of sweeping a grid")
-		list    = fs.Bool("list", false, "list experiments and exit")
-		gpus    = fs.String("gpus", "", "comma grid of GPU device counts for -exp experiments that price the GPU instance")
-
 		csvPath  = fs.String("csv", "sweep.csv", "write per-cell results as CSV to this file (empty = off)")
 		jsonl    = fs.String("jsonl", "sweep.jsonl", "write per-cell results as JSON Lines to this file (empty = off)")
 		maniPath = fs.String("manifest", "sweep_manifest.json", "write the machine-readable campaign manifest to this file (empty = off)")
-		trajPath = fs.String("trajectory", "", "append this campaign to the append-only results store (JSONL), e.g. results/trajectory.jsonl")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -248,27 +212,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *list {
-		fmt.Fprintln(stdout, "experiments:")
-		for _, e := range harness.FullRegistry() {
-			fmt.Fprintf(stdout, "  %-13s %s\n", e.ID, e.Title)
-		}
-		return 0
-	}
-
 	wls, err := parseWorkloads(*workloads)
 	if err != nil {
 		return fail("%v", err)
 	}
-	sizes, err := parseInts(*atoms)
+	sizes, err := harness.ParseInts(*atoms)
 	if err != nil {
 		return fail("%v", err)
 	}
-	rankList, err := parseInts(*ranks)
+	rankList, err := harness.ParseInts(*ranks)
 	if err != nil {
 		return fail("%v", err)
 	}
-	workerList, err := parseInts(*workers)
+	workerList, err := harness.ParseInts(*workers)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -277,10 +233,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	accList, err := parseFloats(*accs)
-	if err != nil {
-		return fail("%v", err)
-	}
-	gpuList, err := parseInts(*gpus)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -298,35 +250,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	mode := "grid"
-	if *expFlag != "" {
-		mode = "exp"
-	}
+	// The manifest records, and the config hash covers, what runs: the
+	// spec and options with every default RunCampaign would fill in.
+	opts = opts.WithDefaults()
+	spec := harness.CampaignSpec{
+		Workloads: wls, SizesK: sizes, Ranks: rankList,
+		Workers: workerList, Precisions: precList,
+		KspaceAccs: accList, Trials: *trials,
+	}.WithDefaults()
 	man := &manifest{
 		Tool:   "mdsweep",
-		Mode:   mode,
 		GitSHA: results.GitSHA("."),
 		Host:   results.Fingerprint(),
+		Grid: gridConfig{
+			SizesK: spec.SizesK, Ranks: spec.Ranks, Workers: spec.Workers,
+			KspaceAccs: spec.KspaceAccs, Trials: spec.Trials,
+		},
 		Fidelity: fidelity{
 			MeasureCap: opts.MeasureCap, Steps: opts.Steps, Warmup: opts.Warmup,
 			CheckEvery: opts.CheckEvery, Seed: opts.Seed,
 		},
-		CSV: *csvPath, JSONL: *jsonl, Trajectory: *trajPath,
+		CSV: *csvPath, JSONL: *jsonl,
 	}
+	for _, w := range spec.Workloads {
+		man.Grid.Workloads = append(man.Grid.Workloads, string(w))
+	}
+	for _, p := range spec.Precisions {
+		man.Grid.Precisions = append(man.Grid.Precisions, p.String())
+	}
+	man.ConfigHash = results.ConfigHash(struct {
+		Grid     gridConfig `json:"grid"`
+		Fidelity fidelity   `json:"fidelity"`
+	}{man.Grid, man.Fidelity})
 
 	// The data log doubles as the strict verifier of campaign
 	// completeness: every engine measurement logs a record, and a lost
 	// write (full disk, closed pipe) fails the run. Campaigns are always
 	// strict — there is no -strict-log opt-in to forget.
 	var dataLog *trace.Logger
-	var logSink *countingWriter
+	var logFile *os.File
 	if *jsonl != "" {
-		lf, err := os.Create(*jsonl)
-		if err != nil {
+		if logFile, err = os.Create(*jsonl); err != nil {
 			return fail("%v", err)
 		}
-		logSink = &countingWriter{w: lf, closer: lf}
-		dataLog = trace.New(logSink)
+		dataLog = trace.New(logFile)
 	}
 
 	var csvFile *os.File
@@ -341,8 +308,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	t0 := time.Now()
-	var trajRows []results.Row
-	var exitErr error
 
 	// SIGINT/SIGTERM abort the campaign at the next cell boundary (the
 	// emit callback's error return is the abort channel RunCampaign
@@ -360,166 +325,71 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if mode == "grid" {
-		spec := harness.CampaignSpec{
-			Workloads: wls, SizesK: sizes, Ranks: rankList,
-			Workers: workerList, Precisions: precList,
-			KspaceAccs: accList, Trials: *trials,
+	if csvw != nil {
+		cols := []string{"workload", "atoms_k", "ranks", "workers", "precision",
+			"kspace_acc", "trial", "n_measured", "n_target", "steps",
+			"ts_per_s", "ts_per_s_per_w", "mpi_pct", "mpi_imbalance_pct"}
+		for _, t := range harness.TaskNames() {
+			cols = append(cols, strings.ToLower(t)+"_pct")
 		}
-		man.Grid = &gridConfig{
-			Trials: *trials, SizesK: sizes, Ranks: rankList, Workers: workerList,
-			KspaceAccs: accList,
-		}
-		for _, w := range wls {
-			man.Grid.Workloads = append(man.Grid.Workloads, string(w))
-		}
-		for _, p := range precList {
-			man.Grid.Precisions = append(man.Grid.Precisions, p.String())
-		}
-		man.ConfigHash = results.ConfigHash(struct {
-			Grid     *gridConfig `json:"grid"`
-			Fidelity fidelity    `json:"fidelity"`
-		}{man.Grid, man.Fidelity})
-
-		if csvw != nil {
-			cols := []string{"workload", "atoms_k", "ranks", "workers", "precision",
-				"kspace_acc", "trial", "n_measured", "n_target", "steps",
-				"ts_per_s", "ts_per_s_per_w", "mpi_pct", "mpi_imbalance_pct"}
-			for _, t := range harness.TaskNames() {
-				cols = append(cols, strings.ToLower(t)+"_pct")
-			}
-			cols = append(cols, "wall_ms")
-			csvw.printf("%s\n", strings.Join(cols, ","))
-		}
-
-		exitErr = harness.RunCampaign(spec, opts, dataLog, func(r harness.CellResult) error {
-			rec := cellRecord{
-				Workload:  string(r.Spec.Workload),
-				AtomsK:    r.Spec.AtomsK,
-				Ranks:     r.Spec.Ranks,
-				Workers:   r.Workers,
-				Precision: r.Spec.Precision.String(),
-				KspaceAcc: r.Spec.KspaceAcc,
-				Trial:     r.Trial,
-				NMeasured: r.NMeasured,
-				NTarget:   r.NTarget,
-				Steps:     r.Steps,
-				TSps:      r.TSps,
-				EnergyEff: r.EnergyEff,
-				MPIPct:    r.MPIPct,
-				ImbalPct:  r.ImbalancePct,
-				TaskPct:   map[string]float64{},
-				WallMS:    r.Wall.Milliseconds(),
-			}
-			for i, name := range harness.TaskNames() {
-				rec.TaskPct[name] = r.TaskPct[i]
-			}
-			if r.GridDims != [3]int{} {
-				rec.GridDims = []int{r.GridDims[0], r.GridDims[1], r.GridDims[2]}
-			}
-			dataLog.Log("cell", map[string]any{"label": r.Label(), "record": rec})
-			if csvw != nil {
-				vals := []string{
-					rec.Workload, itoa(rec.AtomsK), itoa(rec.Ranks), itoa(rec.Workers),
-					rec.Precision, ftoa(rec.KspaceAcc), itoa(rec.Trial),
-					itoa(rec.NMeasured), itoa(rec.NTarget), itoa(rec.Steps),
-					fmt.Sprintf("%.4f", rec.TSps), fmt.Sprintf("%.5f", rec.EnergyEff),
-					fmt.Sprintf("%.2f", rec.MPIPct), fmt.Sprintf("%.2f", rec.ImbalPct),
-				}
-				for _, v := range r.TaskPct {
-					vals = append(vals, fmt.Sprintf("%.2f", v))
-				}
-				vals = append(vals, fmt.Sprintf("%d", rec.WallMS))
-				csvw.printf("%s\n", strings.Join(vals, ","))
-				if csvw.err != nil {
-					return csvw.err
-				}
-			}
-			man.Cells = append(man.Cells, manifestCell{
-				Label: r.Label(), Status: "ok", WallMS: rec.WallMS,
-			})
-			trajRows = append(trajRows, results.Row{
-				Name:    cellRowName(r.Cell),
-				Workers: r.Workers,
-				NsPerOp: r.Wall.Nanoseconds(),
-			})
-			fmt.Fprintf(stdout, "%-40s %10.3f TS/s  %6d ms\n", r.Label(), r.TSps, rec.WallMS)
-			// Checked after the cell's records are written, so the
-			// interrupted campaign keeps every completed cell.
-			if interrupted() {
-				return errInterrupted
-			}
-			return nil
-		})
-	} else {
-		var selected []harness.Experiment
-		if *expFlag == "all" {
-			selected = harness.FullRegistry()
-		} else {
-			for _, id := range strings.Split(*expFlag, ",") {
-				e, ok := harness.Get(strings.TrimSpace(id))
-				if !ok {
-					return fail("unknown experiment %q (try -list)", id)
-				}
-				selected = append(selected, e)
-			}
-		}
-		for _, e := range selected {
-			man.Experiments = append(man.Experiments, e.ID)
-		}
-		man.ConfigHash = results.ConfigHash(struct {
-			Experiments []string `json:"experiments"`
-			Fidelity    fidelity `json:"fidelity"`
-			Sizes       []int    `json:"sizes"`
-			Ranks       []int    `json:"ranks"`
-			GPUs        []int    `json:"gpus"`
-		}{man.Experiments, man.Fidelity, sizes, rankList, gpuList})
-
-		params := harness.Params{Sizes: sizes, CPURanks: rankList, GPUDevices: gpuList}
-		runner := harness.NewRunner(opts)
-		runner.Trace = dataLog
-
-		for _, e := range selected {
-			if interrupted() {
-				exitErr = errInterrupted
-				break
-			}
-			et0 := time.Now()
-			tables, err := e.Run(runner, params)
-			if err != nil {
-				exitErr = fmt.Errorf("%s: %w", e.ID, err)
-				break
-			}
-			for i := range tables {
-				tables[i].Render(stdout)
-				if csvw != nil {
-					csvw.printf("# %s\n", tables[i].Title)
-					if csvw.err == nil {
-						csvw.err = tables[i].WriteCSV(csvw.w)
-					}
-					if csvw.err != nil {
-						exitErr = csvw.err
-						break
-					}
-				}
-				dataLog.Log("table", map[string]any{
-					"experiment": e.ID, "title": tables[i].Title, "rows": len(tables[i].Rows),
-				})
-			}
-			if exitErr != nil {
-				break
-			}
-			wall := time.Since(et0)
-			man.Cells = append(man.Cells, manifestCell{
-				Label: "exp:" + e.ID, Status: "ok", WallMS: wall.Milliseconds(),
-			})
-			trajRows = append(trajRows, results.Row{
-				Name:    "exp:" + e.ID,
-				NsPerOp: wall.Nanoseconds(),
-			})
-			fmt.Fprintf(stdout, "# %s done in %d ms\n", e.ID, wall.Milliseconds())
-		}
+		cols = append(cols, "wall_ms")
+		csvw.printf("%s\n", strings.Join(cols, ","))
 	}
+
+	exitErr := harness.RunCampaign(spec, opts, dataLog, func(r harness.CellResult) error {
+		rec := cellRecord{
+			Workload:  string(r.Spec.Workload),
+			AtomsK:    r.Spec.AtomsK,
+			Ranks:     r.Spec.Ranks,
+			Workers:   r.Workers,
+			Precision: r.Spec.Precision.String(),
+			KspaceAcc: r.Spec.KspaceAcc,
+			Trial:     r.Trial,
+			NMeasured: r.NMeasured,
+			NTarget:   r.NTarget,
+			Steps:     r.Steps,
+			TSps:      r.TSps,
+			EnergyEff: r.EnergyEff,
+			MPIPct:    r.MPIPct,
+			ImbalPct:  r.ImbalancePct,
+			TaskPct:   map[string]float64{},
+			WallMS:    r.Wall.Milliseconds(),
+		}
+		for i, name := range harness.TaskNames() {
+			rec.TaskPct[name] = r.TaskPct[i]
+		}
+		if r.GridDims != [3]int{} {
+			rec.GridDims = []int{r.GridDims[0], r.GridDims[1], r.GridDims[2]}
+		}
+		dataLog.Log("cell", map[string]any{"label": r.Label(), "record": rec})
+		if csvw != nil {
+			vals := []string{
+				rec.Workload, itoa(rec.AtomsK), itoa(rec.Ranks), itoa(rec.Workers),
+				rec.Precision, ftoa(rec.KspaceAcc), itoa(rec.Trial),
+				itoa(rec.NMeasured), itoa(rec.NTarget), itoa(rec.Steps),
+				fmt.Sprintf("%.4f", rec.TSps), fmt.Sprintf("%.5f", rec.EnergyEff),
+				fmt.Sprintf("%.2f", rec.MPIPct), fmt.Sprintf("%.2f", rec.ImbalPct),
+			}
+			for _, v := range r.TaskPct {
+				vals = append(vals, fmt.Sprintf("%.2f", v))
+			}
+			vals = append(vals, fmt.Sprintf("%d", rec.WallMS))
+			csvw.printf("%s\n", strings.Join(vals, ","))
+			if csvw.err != nil {
+				return csvw.err
+			}
+		}
+		man.Cells = append(man.Cells, manifestCell{
+			Label: r.Label(), Status: "ok", WallMS: rec.WallMS,
+		})
+		fmt.Fprintf(stdout, "%-40s %10.3f TS/s  %6d ms\n", r.Label(), r.TSps, rec.WallMS)
+		// Checked after the cell's records are written, so the
+		// interrupted campaign keeps every completed cell.
+		if interrupted() {
+			return errInterrupted
+		}
+		return nil
+	})
 
 	man.TotalWallMS = time.Since(t0).Milliseconds()
 
@@ -529,8 +399,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if csvFile != nil {
 			csvFile.Close()
 		}
-		if logSink != nil {
-			logSink.Close()
+		if logFile != nil {
+			logFile.Close()
 		}
 		fmt.Fprintf(stderr, "mdsweep: interrupted after %d cell(s); partial CSV/JSONL closed, manifest skipped\n", len(man.Cells))
 		return 130
@@ -553,7 +423,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := dataLog.Err(); err != nil {
 			return fail("data log incomplete: %v", err)
 		}
-		if err := logSink.Close(); err != nil {
+		if err := logFile.Close(); err != nil {
 			return fail("jsonl %s: %v", *jsonl, err)
 		}
 	}
@@ -562,28 +432,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("manifest: %v", err)
 		}
 	}
-	if *trajPath != "" {
-		entry := results.Entry{
-			Time:       time.Now().UTC(),
-			Tool:       "mdsweep",
-			GitSHA:     man.GitSHA,
-			Host:       man.Host,
-			ConfigHash: man.ConfigHash,
-			Rows:       trajRows,
-		}
-		if err := results.Open(*trajPath).Append(entry); err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(stdout, "# trajectory: appended %d rows to %s (config %s)\n",
-			len(trajRows), *trajPath, man.ConfigHash)
-	}
 	fmt.Fprintf(stdout, "# campaign complete: %d cells in %d ms\n", len(man.Cells), man.TotalWallMS)
 	return 0
 }
-
-// cellRowName is the trajectory row key for a grid cell: the label minus
-// the trial suffix plus an explicit trial, kept stable across runs.
-func cellRowName(c harness.Cell) string { return c.Label() }
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
@@ -611,13 +462,3 @@ func writeJSON(path string, v any) error {
 	}
 	return nil
 }
-
-// countingWriter wraps the JSONL sink so close errors surface (the
-// trace.Logger only reports write errors).
-type countingWriter struct {
-	w      io.Writer
-	closer io.Closer
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) { return c.w.Write(p) }
-func (c *countingWriter) Close() error                { return c.closer.Close() }

@@ -5,12 +5,25 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"gomd/internal/results"
 )
+
+// readManifest parses the manifest a run wrote, keeping the raw bytes
+// for assertions on the encoding itself.
+func readManifest(t *testing.T, path string) (manifest, string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man, string(data)
+}
 
 // sweep runs the CLI with args and returns (exit code, stdout, stderr).
 func sweep(t *testing.T, args ...string) (int, string, string) {
@@ -78,16 +91,9 @@ func TestGridMode(t *testing.T) {
 	}
 
 	// Manifest: parseable, complete, and self-describing.
-	var man manifest
-	maniData, err := os.ReadFile(maniPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(maniData, &man); err != nil {
-		t.Fatal(err)
-	}
-	if man.Tool != "mdsweep" || man.Mode != "grid" {
-		t.Errorf("manifest tool/mode = %q/%q", man.Tool, man.Mode)
+	man, raw := readManifest(t, maniPath)
+	if man.Tool != "mdsweep" {
+		t.Errorf("manifest tool = %q", man.Tool)
 	}
 	if len(man.Cells) != wantCells {
 		t.Errorf("manifest has %d cells, want %d", len(man.Cells), wantCells)
@@ -103,113 +109,65 @@ func TestGridMode(t *testing.T) {
 	if man.Fidelity.CheckEvery == 0 {
 		t.Error("numerical guardrails were off — campaigns must default them on")
 	}
-}
 
-// TestExpModeAcceptance is the PR's acceptance flow: `mdsweep -exp
-// table1 -quick` regenerates a paper table end to end, persists a
-// trajectory entry, and a second run produces an entry the gate's
-// comparison accepts — while a doctored ns_per_op regression fails it.
-// (cmd/benchgate's own tests drive the same store through the CLI.)
-func TestExpModeAcceptance(t *testing.T) {
-	dir := t.TempDir()
-	traj := filepath.Join(dir, "trajectory.jsonl")
+	// The manifest records what ran, not what was typed: -seed, -workers
+	// and -kspace-acc were left to their defaults above.
+	wantFid := fidelity{MeasureCap: 2000, Steps: 3, Warmup: 2, CheckEvery: 2, Seed: 2022}
+	if man.Fidelity != wantFid {
+		t.Errorf("fidelity = %+v, want the resolved %+v", man.Fidelity, wantFid)
+	}
+	wantGrid := gridConfig{
+		Workloads: []string{"lj"}, SizesK: []int{32}, Ranks: []int{1, 2}, Workers: []int{1},
+		Precisions: []string{"mixed", "double"}, KspaceAccs: []float64{0}, Trials: 2,
+	}
+	if !reflect.DeepEqual(man.Grid, wantGrid) {
+		t.Errorf("grid = %+v, want the resolved %+v", man.Grid, wantGrid)
+	}
+	if strings.Contains(raw, "null") {
+		t.Errorf("manifest has a null field:\n%s", raw)
+	}
 
-	for i := 0; i < 2; i++ {
-		code, stdout, stderr := sweep(t,
-			"-exp", "table1", "-quick",
-			"-csv", filepath.Join(dir, "exp.csv"),
-			"-jsonl", filepath.Join(dir, "exp.jsonl"),
-			"-manifest", filepath.Join(dir, "exp_manifest.json"),
-			"-trajectory", traj)
-		if code != 0 {
-			t.Fatalf("run %d: exit %d\nstdout:\n%s\nstderr:\n%s", i, code, stdout, stderr)
+	// A run that leaves fidelity and grid axes to their defaults and the
+	// same run with every default spelled out are one campaign: same
+	// config hash (it used to hash the flags' zeros and nulls as typed).
+	run := func(name string, args ...string) manifest {
+		path := filepath.Join(dir, name)
+		args = append(args, "-workloads", "lj", "-atoms", "32", "-ranks", "1", "-quick",
+			"-csv", "", "-jsonl", "", "-manifest", path)
+		if code, _, stderr := sweep(t, args...); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", name, code, stderr)
 		}
-		if !strings.Contains(stdout, "Table 1") {
-			t.Fatalf("run %d did not render the paper table:\n%s", i, stdout)
-		}
+		man, _ := readManifest(t, path)
+		return man
 	}
-
-	entries, err := results.Open(traj).Entries()
-	if err != nil {
-		t.Fatal(err)
+	defaults := run("defaults.json")
+	explicit := run("explicit.json", "-warmup", "10", "-seed", "2022", "-steps", "6",
+		"-measure-cap", "6000", "-workers", "1", "-precisions", "mixed", "-kspace-acc", "0", "-trials", "1")
+	if f := defaults.Fidelity; f.Warmup != 10 || f.Seed != 2022 || f.Steps != 6 {
+		t.Errorf("defaults run recorded fidelity %+v, want warmup 10, seed 2022, steps 6", f)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("trajectory holds %d entries, want 2", len(entries))
+	if defaults.ConfigHash != explicit.ConfigHash {
+		t.Errorf("config hash %s (defaults) != %s (spelled out)\n%+v\n%+v",
+			defaults.ConfigHash, explicit.ConfigHash, defaults, explicit)
 	}
-	// The two runs are comparable: same tool, host, config.
-	if entries[0].Key() != entries[1].Key() {
-		t.Fatalf("keys differ: %+v vs %+v", entries[0].Key(), entries[1].Key())
-	}
-	if entries[0].Tool != "mdsweep" {
-		t.Errorf("tool = %q", entries[0].Tool)
-	}
-	// The healthy pair passes the gate's comparison.
-	if fails := results.Compare(entries[0], entries[1], results.Tolerances{}); len(fails) != 0 {
-		t.Errorf("healthy back-to-back runs failed the gate: %v", fails)
-	}
-
-	// A doctored entry — wall time inflated 1000x — must fail the gate.
-	doctored := entries[1]
-	doctored.Rows = append([]results.Row(nil), entries[1].Rows...)
-	for i := range doctored.Rows {
-		doctored.Rows[i].NsPerOp *= 1000
-	}
-	doctored.Time = doctored.Time.Add(time.Second)
-	if err := results.Open(traj).Append(doctored); err != nil {
-		t.Fatal(err)
-	}
-	entries, err = results.Open(traj).Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fails := results.Compare(entries[len(entries)-2], entries[len(entries)-1], results.Tolerances{})
-	if len(fails) == 0 {
-		t.Fatal("1000x wall-time regression passed the gate comparison")
-	}
-}
-
-// TestExpModeCSV: experiment tables land in the CSV with comment
-// delimiters, mirroring mdbench's layout.
-func TestExpModeCSV(t *testing.T) {
-	dir := t.TempDir()
-	csvPath := filepath.Join(dir, "exp.csv")
-	code, _, stderr := sweep(t,
-		"-exp", "table2", "-quick",
-		"-csv", csvPath, "-jsonl", "", "-manifest", "")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	data, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "# Table 2") {
-		t.Errorf("csv missing table delimiter:\n%s", data)
-	}
-}
-
-// TestListMode enumerates the shared registry.
-func TestListMode(t *testing.T) {
-	code, stdout, _ := sweep(t, "-list")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	for _, id := range []string{"table1", "fig10", "headline"} {
-		if !strings.Contains(stdout, id) {
-			t.Errorf("-list missing %q:\n%s", id, stdout)
-		}
+	if other := run("other.json", "-seed", "7"); other.ConfigHash == defaults.ConfigHash {
+		t.Error("a different seed hashed equal")
 	}
 }
 
 // TestBadFlags: every malformed grid or unknown name is a usage error,
-// not a crash or a silent default.
+// not a crash or a silent default — the flags of the retired experiment
+// mode (mdbench is that front-end) and trajectory store included.
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-workloads", "nope"},
 		{"-atoms", "32,many"},
 		{"-precisions", "half"},
 		{"-kspace-acc", "1e-4,tight"},
-		{"-exp", "fig99"},
+		{"-exp", "table1", "-quick"},
+		{"-list"},
+		{"-gpus", "1"},
+		{"-trajectory", "t.jsonl"},
 	}
 	for _, args := range cases {
 		if code, _, _ := sweep(t, args...); code == 0 {

@@ -623,9 +623,9 @@ func (s *Simulation) evaluateForces() {
 }
 
 // PairContext returns a force-kernel context wired to this simulation's
-// store, neighbor list, halo sync, and worker pool — the hook kernel
-// micro-benchmarks (cmd/kbench) use to drive pair Compute calls outside
-// the step loop. Styles with ghost-synced per-atom state (EAM) work
+// store, neighbor list, halo sync, and worker pool — the hook bench's
+// kernel micro-runs use to drive pair Compute calls outside the step
+// loop. Styles with ghost-synced per-atom state (EAM) work
 // because the context carries the real backend sync.
 func (s *Simulation) PairContext() *pair.Context {
 	return &pair.Context{

@@ -8,9 +8,10 @@
 // bytes, and arithmetic intensity per kernel.
 //
 // The package is the single source of truth: the perfmodel roofline
-// (internal/perfmodel), the kbench BENCH_kernels.json columns, and the
-// live roofline.* gauges in the metrics registry all price work through
-// it, so predicted and measured intensity are directly comparable.
+// (internal/perfmodel), bench's pair.ai and gflops metrics, and the live
+// roofline.* gauges in the metrics registry all price work through it,
+// so predicted and measured intensity are directly comparable.
+// TestKernelCostsPinned pins what it prices the 8000-atom kernels at.
 package flops
 
 // Cost is the arithmetic cost of one counted operation.

@@ -60,7 +60,7 @@ func TestKspaceCompose(t *testing.T) {
 
 // TestCounterHookValidation runs a real (small) LJ step and prices the
 // measured operation counters through the static models — the counter
-// hook the kbench roofline columns rely on. The resulting intensities
+// hook the roofline gauges rely on. The resulting intensities
 // must land in the memory-bound band the paper's arithmetic-intensity
 // argument (and MD-Bench's measurements) put MD kernels in.
 func TestCounterHookValidation(t *testing.T) {
@@ -89,5 +89,82 @@ func TestCounterHookValidation(t *testing.T) {
 	// Per-op intensity is scale-invariant: totals keep the static ratio.
 	if got, want := pairTotal.Intensity(), flops.Pair("lj/cut").Intensity(); got != want {
 		t.Errorf("scaling changed intensity: %v != %v", got, want)
+	}
+}
+
+// TestKernelCostsPinned pins, exactly, what one invocation of each
+// threadable kernel costs on the 8000-atom workloads at seed 2022: the
+// operation counts the kernel reports and the flops, bytes and intensity
+// this package prices them at. Every number is a function of the
+// deterministic workload and the cost tables, not of the host, so the
+// comparison has no tolerance. Three kinds of change are meant to move
+// it, and each re-records the rows it touches: an internal/flops
+// constant, a kernel doing different work (a cutoff, a list, a mesh),
+// and ROADMAP 1g — the half-integer stencil fix changes the primed
+// rhodo SpreadOps, hence the pppm row.
+func TestKernelCostsPinned(t *testing.T) {
+	type row struct {
+		kernel       string
+		ops          int64           // pairs (eam: both passes) or distance checks
+		kops         flops.KspaceOps // pppm only
+		flops, bytes float64
+		ai           float64
+	}
+	cases := []struct {
+		wl    workload.Name
+		prec  pair.Precision
+		atoms int
+		rows  []row
+	}{
+		{workload.LJ, pair.Mixed, 8788, []row{
+			{kernel: "pair", ops: 266538, flops: 7996140, bytes: 10661520, ai: 0.75},
+			{kernel: "neigh", ops: 1573792, flops: 15737920, bytes: 44066176, ai: 10.0 / 28.0},
+		}},
+		{workload.EAM, pair.Double, 8788, []row{
+			{kernel: "pair", ops: 412020, flops: 9888480, bytes: 16480800, ai: 0.6},
+		}},
+		{workload.Rhodo, pair.Double, 8232, []row{
+			{kernel: "pair", ops: 1887820, flops: 103830100, bytes: 75512800, ai: 1.375},
+			{kernel: "pppm", kops: flops.KspaceOps{
+				SpreadOps: 1029000, InterpOps: 1029000, MapOps: 8232, FFTOps: 663552, GridOps: 13823,
+			}, flops: 19115850, bytes: 54801568, ai: 0.34881939874421114},
+		}},
+	}
+	for _, tc := range cases {
+		cfg, st := workload.MustBuild(tc.wl, workload.Options{
+			Atoms: 8000, Precision: tc.prec, Seed: 2022,
+		})
+		sim := core.New(cfg, st)
+		sim.Prime()
+		if sim.Store.N != tc.atoms {
+			t.Errorf("%s: %d atoms, want %d", tc.wl, sim.Store.N, tc.atoms)
+		}
+		for _, want := range tc.rows {
+			got := row{kernel: want.kernel}
+			var cost flops.Cost
+			switch want.kernel {
+			case "pair":
+				sim.Store.ZeroForces()
+				got.ops = sim.Cfg.Pair.Compute(sim.PairContext()).Pairs
+				cost = flops.Pair(sim.Cfg.Pair.Name()).Scale(float64(got.ops))
+			case "neigh":
+				before := sim.NL.Stats.DistanceChecks
+				sim.NL.Build(sim.Store)
+				got.ops = sim.NL.Stats.DistanceChecks - before
+				cost = flops.NeighCheck().Scale(float64(got.ops))
+			case "pppm":
+				k := sim.Cfg.Kspace.Compute(sim.Store, sim.Box, sim.KspaceReducer())
+				got.kops = flops.KspaceOps{
+					SpreadOps: k.SpreadOps, InterpOps: k.InterpOps,
+					MapOps: k.MapOps, FFTOps: k.FFTOps, GridOps: k.GridOps,
+				}
+				cost = flops.Kspace(got.kops)
+			}
+			got.flops, got.bytes, got.ai = cost.Flops, cost.Bytes, cost.Intensity()
+			if got != want {
+				t.Errorf("%s:\n got %+v\nwant %+v", tc.wl, got, want)
+			}
+		}
+		sim.Close()
 	}
 }

@@ -30,7 +30,9 @@ type CampaignSpec struct {
 	Trials int
 }
 
-func (c CampaignSpec) withDefaults() CampaignSpec {
+// WithDefaults returns the grid RunCampaign actually sweeps: every empty
+// axis replaced by its default. mdsweep records this, not what was typed.
+func (c CampaignSpec) WithDefaults() CampaignSpec {
 	if len(c.Workloads) == 0 {
 		c.Workloads = workload.All()
 	}
@@ -78,7 +80,7 @@ func (c Cell) Label() string {
 // long-range solver: sweeping a threshold they ignore would silently
 // duplicate cells.
 func (c CampaignSpec) Cells() []Cell {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	var out []Cell
 	for _, wl := range c.Workloads {
 		accs := c.KspaceAccs
@@ -155,8 +157,8 @@ func TaskNames() []string {
 // replaying the first trial's counters. Trials > 0 perturb the seed, so
 // trial t measures an independently initialized system.
 func RunCampaign(spec CampaignSpec, opts Options, tr *trace.Logger, emit func(CellResult) error) error {
-	spec = spec.withDefaults()
-	opts = opts.withDefaults()
+	spec = spec.WithDefaults()
+	opts = opts.WithDefaults()
 	type runnerKey struct{ workers, trial int }
 	runners := map[runnerKey]*Runner{}
 	runnerFor := func(k runnerKey) *Runner {

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"gomd/internal/core"
 	"gomd/internal/neighbor"
@@ -39,6 +41,25 @@ func (p Params) withDefaults() Params {
 		p.RanksPerGPU = 6
 	}
 	return p
+}
+
+// ParseInts parses the comma grid of integers that mdbench's and
+// mdsweep's -sizes/-atoms/-ranks/... flags carry ("1, 2,4"; empty tokens
+// are skipped, so "" is nil and "1,,4" is [1 4]).
+func ParseInts(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("bad integer list %q: %v", s, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Experiment regenerates one table or figure of the paper.

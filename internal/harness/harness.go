@@ -64,7 +64,9 @@ type Options struct {
 	Fault      *fault.Injector
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns the options a Runner actually measures with:
+// every zero fidelity field replaced by its default.
+func (o Options) WithDefaults() Options {
 	if o.MeasureCap == 0 {
 		o.MeasureCap = 24000
 	}
@@ -149,7 +151,7 @@ type Runner struct {
 
 // NewRunner returns a Runner with the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{Opts: opts.withDefaults(), cache: map[measureKey]*measured{}}
+	return &Runner{Opts: opts.WithDefaults(), cache: map[measureKey]*measured{}}
 }
 
 // minAtomsFor grows the measured size until the decomposition constraint

@@ -82,8 +82,8 @@ type Watchdog struct {
 	// and receives the abort. Optional: without it the diagnosis carries
 	// heartbeats only and OnHang must be set.
 	World *mpi.World
-	// OnHang overrides the default firing action (abort World). Used by
-	// process-level watchdogs (kbench) that exit instead.
+	// OnHang overrides the default firing action (abort World), for a
+	// watchdog with no World to abort.
 	OnHang func(*HangError)
 	// Metrics, when set, receives the heartbeat gauges on every scan and
 	// a health.hangs counter on firing.

@@ -42,7 +42,7 @@ type TaskIntensity struct {
 
 // Analyze converts per-step counters (summed over ranks) into roofline
 // placements for the compute-heavy tasks. The per-op cost models live in
-// internal/flops — the same models kbench's BENCH_kernels.json columns
+// internal/flops — the same models bench's pair.ai and gflops metrics
 // and the live roofline.* gauges use — so predicted and measured
 // intensity are directly comparable.
 func (r Roofline) Analyze(style string, c core.Counters) []TaskIntensity {

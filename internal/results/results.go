@@ -1,76 +1,23 @@
-// Package results is the persistent performance-results layer: a shared
-// schema for kernel benchmark reports (BENCH_kernels.json), an
-// append-only trajectory store that accumulates one entry per commit and
-// campaign, and the comparison API behind the perf-regression gate
-// (cmd/benchgate).
-//
-// The store is a JSONL file (results/trajectory.jsonl by default): one
-// Entry per line, append-only, never rewritten. Entries are keyed by
-// (tool, host fingerprint, config hash, atoms) — the git SHA identifies
-// an entry but deliberately stays out of the match key, so the gate can
-// compare the current commit against the newest prior entry produced by
-// the *same tool configuration on the same host*, whatever commit wrote
-// it. That turns the single-baseline kernel gate into a trajectory: every
-// `make check` appends a point, and regressions are caught against the
-// most recent healthy state instead of a hand-regenerated file.
+// Package results holds the provenance helpers a measurement record
+// carries so that two records can be told comparable: which host made it
+// (Fingerprint), from which commit (GitSHA), and under which generating
+// configuration (ConfigHash). bench/ stamps its result files with the
+// first two; the mdsweep campaign manifest uses all three.
 package results
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 )
 
-// Row is one named measurement inside an Entry: a kernel timing from
-// kbench or a campaign cell / experiment wall time from mdsweep. NsPerOp
-// is the host-measured wall time; Flops/Bytes/AI are the modeled
-// arithmetic cost when the tool prices one (zero otherwise, which the
-// comparison treats as "not checked").
-type Row struct {
-	Name    string  `json:"name"`
-	Workers int     `json:"workers,omitempty"`
-	NsPerOp int64   `json:"ns_per_op"`
-	Flops   float64 `json:"flops,omitempty"`
-	Bytes   float64 `json:"bytes,omitempty"`
-	AI      float64 `json:"arithmetic_intensity,omitempty"`
-}
-
-// Entry is one trajectory point: a complete report from one tool run.
-type Entry struct {
-	Time       time.Time `json:"time"`
-	Tool       string    `json:"tool"`
-	GitSHA     string    `json:"git_sha"`
-	Host       string    `json:"host"`
-	ConfigHash string    `json:"config_hash"`
-	Atoms      int       `json:"atoms,omitempty"`
-	Rows       []Row     `json:"rows"`
-}
-
-// Key identifies comparable entries: same tool, same host, same
-// generating configuration, same system size. The git SHA is excluded on
-// purpose (see the package comment).
-type Key struct {
-	Tool       string
-	Host       string
-	ConfigHash string
-	Atoms      int
-}
-
-// Key returns the entry's match key.
-func (e Entry) Key() Key {
-	return Key{Tool: e.Tool, Host: e.Host, ConfigHash: e.ConfigHash, Atoms: e.Atoms}
-}
-
 // Fingerprint identifies the measuring host: platform, core count, Go
-// toolchain, and hostname. Wall times are only comparable between entries
+// toolchain, and hostname. Wall times are only comparable between records
 // with equal fingerprints.
 func Fingerprint() string {
 	host, _ := os.Hostname() // best effort; empty on error
@@ -78,10 +25,10 @@ func Fingerprint() string {
 		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version(), host)
 }
 
-// ConfigHash hashes the generating configuration (flags, grids, fidelity
-// caps) into a short stable token: two entries compare only when the
-// sweep that produced them was identical. v must JSON-encode
-// deterministically (struct or flat map).
+// ConfigHash hashes the generating configuration (grids, fidelity caps)
+// into a short stable token: two campaigns compare only when the sweep
+// that produced them was identical. v must JSON-encode deterministically
+// (struct or flat map).
 func ConfigHash(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -102,107 +49,4 @@ func GitSHA(dir string) string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// Store is an append-only JSONL trajectory file. The zero value is not
-// usable; call Open.
-type Store struct {
-	Path string
-}
-
-// Open returns a store over path. The file need not exist yet; the first
-// Append creates it (and its directory).
-func Open(path string) *Store { return &Store{Path: path} }
-
-// Append adds one entry to the end of the store. The write is a single
-// buffered line flushed and synced before close, and errors from every
-// stage are returned — a full disk cannot silently truncate the
-// trajectory.
-func (s *Store) Append(e Entry) error {
-	if dir := filepath.Dir(s.Path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("results: %w", err)
-		}
-	}
-	f, err := os.OpenFile(s.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("results: encode entry: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return fmt.Errorf("results: append %s: %w", s.Path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("results: sync %s: %w", s.Path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("results: close %s: %w", s.Path, err)
-	}
-	return nil
-}
-
-// Entries reads the whole trajectory in append order. A missing file is
-// an empty trajectory, not an error; a malformed line is an error with
-// its line number (the store is append-only, so damage means the file
-// was edited or torn mid-write).
-func (s *Store) Entries() ([]Entry, error) {
-	f, err := os.Open(s.Path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
-	defer f.Close()
-	var out []Entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // campaign entries carry many rows
-	for n := 1; sc.Scan(); n++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			return nil, fmt.Errorf("results: %s:%d: %w", s.Path, n, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("results: %s: %w", s.Path, err)
-	}
-	return out, nil
-}
-
-// Match filters entries to those with the given key, preserving append
-// order (oldest first).
-func Match(entries []Entry, k Key) []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.Key() == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Baseline returns the newest stored entry comparable to cur, or nil
-// when the trajectory holds none (first run on this host/config).
-func (s *Store) Baseline(cur Entry) (*Entry, error) {
-	entries, err := s.Entries()
-	if err != nil {
-		return nil, err
-	}
-	m := Match(entries, cur.Key())
-	if len(m) == 0 {
-		return nil, nil
-	}
-	return &m[len(m)-1], nil
 }

@@ -1,92 +1,6 @@
 package results
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-	"time"
-)
-
-func entry(tool, host, cfg string, atoms int, rows ...Row) Entry {
-	return Entry{
-		Time: time.Unix(0, 0).UTC(), Tool: tool, GitSHA: "abc",
-		Host: host, ConfigHash: cfg, Atoms: atoms, Rows: rows,
-	}
-}
-
-// TestStoreRoundTrip: append-then-read preserves entries and order, and
-// a missing file reads as an empty trajectory.
-func TestStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "trajectory.jsonl")
-	s := Open(path)
-	if got, err := s.Entries(); err != nil || got != nil {
-		t.Fatalf("missing file: entries=%v err=%v, want nil,nil", got, err)
-	}
-	e1 := entry("kbench", "h1", "c1", 8000, Row{Name: "pair_lj", Workers: 1, NsPerOp: 100, AI: 0.5})
-	e2 := entry("kbench", "h1", "c1", 8000, Row{Name: "pair_lj", Workers: 1, NsPerOp: 110, AI: 0.5})
-	if err := s.Append(e1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(e2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("entries = %d, want 2", len(got))
-	}
-	if got[0].Rows[0].NsPerOp != 100 || got[1].Rows[0].NsPerOp != 110 {
-		t.Errorf("append order not preserved: %+v", got)
-	}
-	if got[0].Key() != e1.Key() {
-		t.Errorf("key round-trip: got %+v want %+v", got[0].Key(), e1.Key())
-	}
-}
-
-// TestStoreMalformedLine: a damaged line is an error naming the line.
-func TestStoreMalformedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trajectory.jsonl")
-	if err := os.WriteFile(path, []byte("{\"tool\":\"kbench\"}\nnot json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(path).Entries()
-	if err == nil || !strings.Contains(err.Error(), ":2:") {
-		t.Errorf("want line-2 parse error, got %v", err)
-	}
-}
-
-// TestBaseline: newest matching entry wins; non-matching keys (other
-// host, other config, other tool, other atoms) are invisible.
-func TestBaseline(t *testing.T) {
-	s := Open(filepath.Join(t.TempDir(), "t.jsonl"))
-	for _, e := range []Entry{
-		entry("kbench", "h1", "c1", 8000, Row{Name: "a", NsPerOp: 1}),
-		entry("kbench", "h2", "c1", 8000, Row{Name: "a", NsPerOp: 2}),
-		entry("kbench", "h1", "c2", 8000, Row{Name: "a", NsPerOp: 3}),
-		entry("mdsweep", "h1", "c1", 8000, Row{Name: "a", NsPerOp: 4}),
-		entry("kbench", "h1", "c1", 4000, Row{Name: "a", NsPerOp: 5}),
-		entry("kbench", "h1", "c1", 8000, Row{Name: "a", NsPerOp: 6}),
-	} {
-		if err := s.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cur := entry("kbench", "h1", "c1", 8000, Row{Name: "a", NsPerOp: 7})
-	base, err := s.Baseline(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == nil || base.Rows[0].NsPerOp != 6 {
-		t.Fatalf("baseline = %+v, want the newest h1/c1/8000 kbench entry (ns 6)", base)
-	}
-	other := entry("kbench", "h3", "c1", 8000)
-	if base, err := s.Baseline(other); err != nil || base != nil {
-		t.Errorf("unmatched key: baseline=%v err=%v, want nil,nil", base, err)
-	}
-}
+import "testing"
 
 // TestConfigHashStability: equal configs hash equal, different ones
 // differ, and the token is short hex.
@@ -106,171 +20,5 @@ func TestConfigHashStability(t *testing.T) {
 	}
 	if len(a) != 12 {
 		t.Errorf("hash length = %d, want 12", len(a))
-	}
-}
-
-// TestKernelReportEntry: report -> entry conversion keeps rows, host
-// identity, and produces a config hash tied to atoms.
-func TestKernelReportEntry(t *testing.T) {
-	rep := &KernelReport{
-		Atoms: 8000, Workloads: []string{"lj"}, Host: "h1",
-		Kernels: []KernelRow{{Kernel: "pair_lj", Workers: 4, NsPerOp: 42, Flops: 10, Bytes: 20, AI: 0.5}},
-	}
-	e := rep.Entry("kbench", "sha")
-	if e.Host != "h1" || e.Atoms != 8000 || e.Tool != "kbench" || e.GitSHA != "sha" {
-		t.Errorf("entry identity wrong: %+v", e)
-	}
-	if len(e.Rows) != 1 || e.Rows[0] != (Row{Name: "pair_lj", Workers: 4, NsPerOp: 42, Flops: 10, Bytes: 20, AI: 0.5}) {
-		t.Errorf("rows wrong: %+v", e.Rows)
-	}
-	rep2 := &KernelReport{Atoms: 4000, Workloads: []string{"lj"}, Host: "h1"}
-	if rep2.Entry("kbench", "sha").ConfigHash == e.ConfigHash {
-		t.Error("different atom counts must hash to different configs")
-	}
-	// Older reports without a Host field synthesize one from platform
-	// fields instead of matching entries from any host.
-	old := &KernelReport{Atoms: 8000, GOOS: "linux", GOARCH: "amd64", NumCPU: 2, GoVersion: "go1.22"}
-	if old.Entry("kbench", "sha").Host == "" {
-		t.Error("host fallback empty")
-	}
-}
-
-// TestWriteReadKernelReport: disk round-trip.
-func TestWriteReadKernelReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
-	rep := &KernelReport{Atoms: 123, Host: "h", Kernels: []KernelRow{{Kernel: "pppm", NsPerOp: 7}}}
-	if err := WriteKernelReport(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadKernelReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Atoms != 123 || len(got.Kernels) != 1 || got.Kernels[0].Kernel != "pppm" {
-		t.Errorf("round-trip mismatch: %+v", got)
-	}
-}
-
-func rows(rs ...Row) Entry { return entry("kbench", "h", "c", 8000, rs...) }
-
-// TestCompare: table-driven over the gate's decision surface.
-func TestCompare(t *testing.T) {
-	tol := Tolerances{AITol: 0.25, MaxSlowdown: 25}
-	cases := []struct {
-		name      string
-		base, cur Entry
-		wantFails int
-		wantIn    string // substring expected in some failure
-	}{
-		{
-			name:      "identical passes",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			wantFails: 0,
-		},
-		{
-			name:      "missing from current",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}, Row{Name: "b", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			wantFails: 1,
-			wantIn:    "missing from current",
-		},
-		{
-			name:      "missing from baseline",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}, Row{Name: "new", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			wantFails: 1,
-			wantIn:    "regenerate the baseline",
-		},
-		{
-			name:      "same kernel different workers is a different row",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 4, NsPerOp: 100, AI: 1.0}),
-			wantFails: 2, // workers=1 missing from current, workers=4 missing from baseline
-		},
-		{
-			name:      "zero baseline ns skips the slowdown bar",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 0, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 1 << 40, AI: 1.0}),
-			wantFails: 0,
-		},
-		{
-			name:      "zero baseline AI skips the drift bar",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 99}),
-			wantFails: 0,
-		},
-		{
-			name:      "zero current AI against nonzero baseline fails drift",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 0}),
-			wantFails: 1,
-			wantIn:    "arithmetic intensity drifted",
-		},
-		{
-			name:      "AI drift just inside tolerance passes",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.24}),
-			wantFails: 0,
-		},
-		{
-			name:      "AI drift just outside tolerance fails",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.26}),
-			wantFails: 1,
-			wantIn:    "arithmetic intensity drifted",
-		},
-		{
-			name:      "slowdown just inside the ceiling passes",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 2500, AI: 1.0}),
-			wantFails: 0,
-		},
-		{
-			name:      "slowdown beyond the ceiling fails",
-			base:      rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0}),
-			cur:       rows(Row{Name: "a", Workers: 1, NsPerOp: 2600, AI: 1.0}),
-			wantFails: 1,
-			wantIn:    "slower than baseline",
-		},
-		{
-			name:      "atom-count mismatch short-circuits",
-			base:      entry("kbench", "h", "c", 8000, Row{Name: "a", NsPerOp: 100}),
-			cur:       entry("kbench", "h", "c", 4000, Row{Name: "b", NsPerOp: 100}),
-			wantFails: 1,
-			wantIn:    "matching -atoms",
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			fails := Compare(c.base, c.cur, tol)
-			if len(fails) != c.wantFails {
-				t.Fatalf("failures = %d (%v), want %d", len(fails), fails, c.wantFails)
-			}
-			if c.wantIn != "" {
-				found := false
-				for _, f := range fails {
-					if strings.Contains(f.String(), c.wantIn) {
-						found = true
-					}
-				}
-				if !found {
-					t.Errorf("no failure contains %q: %v", c.wantIn, fails)
-				}
-			}
-		})
-	}
-}
-
-// TestCompareDefaultTolerances: zero tolerances adopt 25% / 25x.
-func TestCompareDefaultTolerances(t *testing.T) {
-	base := rows(Row{Name: "a", Workers: 1, NsPerOp: 100, AI: 1.0})
-	cur := rows(Row{Name: "a", Workers: 1, NsPerOp: 2400, AI: 1.2})
-	if fails := Compare(base, cur, Tolerances{}); len(fails) != 0 {
-		t.Errorf("defaults should allow 24x and 20%% drift: %v", fails)
-	}
-	cur = rows(Row{Name: "a", Workers: 1, NsPerOp: 2600, AI: 1.3})
-	if fails := Compare(base, cur, Tolerances{}); len(fails) != 2 {
-		t.Errorf("defaults should reject 26x and 30%% drift: %v", fails)
 	}
 }
