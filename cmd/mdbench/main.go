@@ -52,16 +52,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 1, "intra-rank worker-pool width for engine kernels (priced as threads-per-rank)")
 		seed    = fs.Uint64("seed", 0, "RNG seed for measured workloads (0 = harness default)")
 
-		ckptEvery = fs.Int("checkpoint-every", 0, "checkpoint measured engine runs every N steps (0 = off)")
-		ckptPath  = fs.String("checkpoint", "mdbench.ckpt", "checkpoint file path")
-		ckptKeep  = fs.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
-		restart   = fs.String("restart", "", "resume measured engine runs from this checkpoint file")
-		retries   = fs.Int("retries", 0, "automatic recoveries from rank failures per measurement")
-		chkEvery  = fs.Int("check-every", 0, "run numerical guardrails every N steps during measurements (0 = off)")
-		quick     = fs.Bool("quick", false, "reduced fidelity (cap 6000 atoms, 6 steps)")
-		csvPath   = fs.String("csv", "", "also write results as CSV to this file")
-		strict    = fs.Bool("strict-log", false, "exit nonzero if the data log is incomplete (CI smoke runs)")
-		chart     = fs.Bool("chart", false, "render percentage breakdowns as stacked bars")
+		chkEvery = fs.Int("check-every", 0, "run numerical guardrails every N steps during measurements (0 = off)")
+		quick    = fs.Bool("quick", false, "reduced fidelity (cap 6000 atoms, 6 steps)")
+		csvPath  = fs.String("csv", "", "also write results as CSV to this file")
+		strict   = fs.Bool("strict-log", false, "exit nonzero if the data log is incomplete (CI smoke runs)")
+		chart    = fs.Bool("chart", false, "render percentage breakdowns as stacked bars")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a Go CPU profile of the campaign to this file")
 		memprofile = fs.String("memprofile", "", "write a Go heap profile at campaign end to this file")
@@ -114,9 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := harness.Options{
 		MeasureCap: *cap_, Steps: *steps, Workers: *workers, Seed: *seed,
-		CheckpointEvery: *ckptEvery, CheckpointPath: *ckptPath,
-		RestartPath: *restart, KeepCheckpoints: *ckptKeep,
-		Retries: *retries, HangTimeout: of.HangTimeout, CheckEvery: *chkEvery,
+		HangTimeout: of.HangTimeout, CheckEvery: *chkEvery,
 	}
 	if *quick {
 		if opts.MeasureCap == 0 {

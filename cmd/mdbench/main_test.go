@@ -33,6 +33,11 @@ func TestRun(t *testing.T) {
 			stderr: []string{`bad integer list "32,many"`}},
 		{name: "unknown flag", args: []string{"-nope"}, code: 2,
 			stderr: []string{"flag provided but not defined"}},
+		// A measurement never checkpoints, resumes or recovers.
+		{name: "no -restart", args: []string{"-exp", "fig3", "-restart", "x.ckpt"}, code: 2,
+			stderr: []string{"flag provided but not defined: -restart"}},
+		{name: "no -checkpoint-every", args: []string{"-exp", "fig3", "-checkpoint-every", "5"}, code: 2,
+			stderr: []string{"flag provided but not defined: -checkpoint-every"}},
 		{name: "trailing comma is not an error", args: []string{"-exp", "table1", "-quick", "-sizes", "32,"}, code: 0,
 			stdout: []string{"Table 1"}},
 		// The paper's task taxonomy, regenerated end to end.
@@ -86,17 +91,17 @@ func TestFailedRunKeepsArtifacts(t *testing.T) {
 	tracePath := filepath.Join(dir, "t.json")
 	metricsPath := filepath.Join(dir, "m.json")
 	profPath := filepath.Join(dir, "c.pprof")
+	missing := filepath.Join(dir, "no", "such", "dir", "out.csv")
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-exp", "fig3", "-quick", "-sizes", "32", "-ranks", "2",
-		"-restart", filepath.Join(dir, "nonexistent.ckpt"),
+		"-exp", "fig3", "-quick", "-sizes", "32", "-ranks", "2", "-csv", missing,
 		"-trace", tracePath, "-metrics", metricsPath, "-cpuprofile", profPath,
 	}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, &errb)
 	}
-	if !strings.Contains(errb.String(), "nonexistent.ckpt") {
-		t.Errorf("stderr does not name the checkpoint:\n%s", &errb)
+	if !strings.Contains(errb.String(), missing) {
+		t.Errorf("stderr does not name the CSV file:\n%s", &errb)
 	}
 	for _, p := range []string{tracePath, metricsPath} {
 		data, err := os.ReadFile(p)

@@ -49,6 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	name, err := workload.Parse(*bench)
+	if err != nil {
+		fmt.Fprintf(stderr, "mdprof: %v\n", err)
+		return 2
+	}
 	if err := of.Open(stderr); err != nil {
 		fmt.Fprintf(stderr, "mdprof: %v\n", err)
 		return 1
@@ -57,11 +62,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MeasureCap: *capN, Steps: *steps, Workers: *workers, HangTimeout: of.HangTimeout,
 	})
 	runner.Trace, runner.SpanTrace, runner.Metrics = of.Log, of.Tracer, of.Metrics
-	spec := harness.Spec{Workload: workload.Name(*bench), AtomsK: *size, Ranks: *ranks, KspaceAcc: *kacc}
+	spec := harness.Spec{Workload: name, AtomsK: *size, Ranks: *ranks, KspaceAcc: *kacc}
 	if *gpus > 0 {
 		spec.Ranks = *gpus * perGPU
 	}
-	err := profile(stdout, runner, spec, *gpus)
+	err = profile(stdout, runner, spec, *gpus)
 	if cerr := of.Close(stderr); err == nil {
 		err = cerr
 	}

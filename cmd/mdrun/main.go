@@ -9,13 +9,14 @@
 // Every run, -ranks 1 included, is a world of -ranks ranks under one
 // harness.Supervisor, advanced by its Drive loop. Fault tolerance:
 // -checkpoint-every writes periodic restart files (bit-exact: a
-// restored run reproduces the uninterrupted trajectory bit for bit),
-// -restart resumes from one and runs -steps more, and a rank failure is
-// recovered automatically from the last checkpoint within the -retries
-// budget. Checkpoints carry per-section CRCs; -keep-checkpoints retains
-// older generations so a corrupted newest file falls back to an intact
-// one. -hang-timeout arms a watchdog that converts silent hangs into
-// diagnosed recoveries.
+// restored run reproduces the uninterrupted trajectory bit for bit), a
+// rank failure is recovered automatically from the last checkpoint
+// within the -retries budget, and rerunning the same command resumes
+// from the newest checkpoint that verifies (-steps is the run's total
+// length). Checkpoints carry per-section CRCs; -keep-checkpoints
+// retains older generations so a corrupted newest file falls back to an
+// intact one. -hang-timeout arms a watchdog that converts silent hangs
+// into diagnosed recoveries.
 // -fault installs the deterministic fault injector
 // (kill/nan/delay/reorder/hang/truncate-ckpt/flip-ckpt) for drills, and
 // -check-every enables the numerical guardrails (NaN/Inf forces and
@@ -25,8 +26,7 @@
 //
 //	mdrun -bench lj -atoms 32000 -steps 200 -thermo 20
 //	mdrun -bench rhodo -ranks 8 -steps 50
-//	mdrun -bench rhodo -ranks 4 -checkpoint-every 100 -steps 1000
-//	mdrun -bench rhodo -ranks 4 -restart run.ckpt -steps 500
+//	mdrun -bench rhodo -ranks 4 -checkpoint-every 100 -steps 1000   # rerun to resume
 //	mdrun -bench rhodo -ranks 4 -fault kill:rank=2,step=50 -checkpoint-every 20 -retries 1
 //	mdrun -in examples/scripts/in.lj     # LAMMPS-style input script
 //
@@ -52,8 +52,7 @@
 // processes must share the checkpoint path (same directory on one
 // host, or a shared filesystem). -rendezvous-timeout bounds every
 // handshake phase so a missing peer fails the launch with a diagnosis
-// instead of hanging it. -restart is still rejected in this mode:
-// sharded runs resume from the shard store automatically.
+// instead of hanging it.
 //
 //	mdrun -bench lj -ranks 2 -steps 200 -listen 127.0.0.1:7777 -checkpoint-every 50 -retries 2
 //	mdrun -bench lj -ranks 2 -steps 200 -join 127.0.0.1:7777 -rank 1 -checkpoint-every 50 -retries 2
@@ -115,7 +114,7 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 		inFile    = fs.String("in", "", "LAMMPS-style input script (overrides -bench)")
 		bench     = fs.String("bench", "lj", "workload: rhodo, lj, chain, eam, chute")
 		atoms     = fs.Int("atoms", 32000, "approximate atom count")
-		steps     = fs.Int("steps", 100, "timesteps to run (with -restart: counted from the checkpoint's step)")
+		steps     = fs.Int("steps", 100, "the run's total length in timesteps (a resumed run stops here too)")
 		ranks     = fs.Int("ranks", 1, "MPI ranks")
 		workers   = fs.Int("workers", 1, "intra-rank worker-pool width for pair/neighbor/PPPM kernels")
 		thermo    = fs.Int("thermo", 10, "thermo output interval")
@@ -125,7 +124,6 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 		ckptEvery = fs.Int("checkpoint-every", 0, "write a restart checkpoint every N steps (0 = off)")
 		ckptPath  = fs.String("checkpoint", "mdrun.ckpt", "checkpoint file path")
 		ckptKeep  = fs.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
-		restart   = fs.String("restart", "", "resume bit-exactly from this checkpoint file")
 		retries   = fs.Int("retries", 0, "automatic recoveries from rank failures")
 		faultSpec = fs.String("fault", "", "deterministic fault injection, e.g. kill:rank=1,step=50;nan:rank=0,step=30")
 		chkEvery  = fs.Int("check-every", 0, "run numerical guardrails (NaN/Inf/lost-atom) every N steps (0 = off)")
@@ -156,18 +154,18 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 			return usage("-join requires -rank between 1 and ranks-1 (rank 0 is the coordinator's)")
 		case *inFile != "":
 			return usage("-in scripts run serial and cannot span processes")
-		case *restart != "":
-			return usage("-restart is for in-process runs; TCP worlds resume automatically from -checkpoint's shard store")
 		}
 	}
-	precision, ok := map[string]pair.Precision{
-		"single": pair.Single, "mixed": pair.Mixed, "double": pair.Double}[*prec]
-	if !ok {
-		return usage(fmt.Sprintf("unknown precision %q", *prec))
+	name, err := workload.Parse(*bench)
+	if err != nil {
+		return usage(err.Error())
+	}
+	precision, err := pair.ParsePrecision(*prec)
+	if err != nil {
+		return usage(err.Error())
 	}
 	var inj *fault.Injector
 	if *faultSpec != "" {
-		var err error
 		if inj, err = fault.Parse(*faultSpec, *seed); err != nil {
 			return usage(err.Error())
 		}
@@ -182,7 +180,7 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 	} else {
 		sup := &harness.Supervisor{
 			Factory: func() (core.Config, *atom.Store, error) {
-				cfg, st, err := workload.Build(workload.Name(*bench), workload.Options{
+				cfg, st, err := workload.Build(name, workload.Options{
 					Atoms:          *atoms,
 					Precision:      precision,
 					KspaceAccuracy: *kacc,
@@ -200,7 +198,6 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 			Ranks:           max(*ranks, 1),
 			CheckpointEvery: *ckptEvery,
 			CheckpointPath:  *ckptPath,
-			RestartPath:     *restart,
 			KeepCheckpoints: *ckptKeep,
 			Retries:         *retries,
 			HangTimeout:     of.HangTimeout,
@@ -265,10 +262,10 @@ func runScript(path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runWorld starts the supervisor and drives it steps further, printing a
-// thermo line every thermo steps — the one run path of every mode.
+// runWorld starts the supervisor — resumed from its newest checkpoint
+// when there is one — and drives it to step steps, printing a thermo
+// line every thermo steps: the one run path of every mode.
 func runWorld(soft context.Context, stdout, stderr io.Writer, sup *harness.Supervisor, bench string, steps, thermo int) int {
-	tcpMode := sup.WorldBuilder != nil
 	start := time.Now()
 	if err := sup.Start(); err != nil {
 		return fail(stderr, err)
@@ -279,29 +276,21 @@ func runWorld(soft context.Context, stdout, stderr io.Writer, sup *harness.Super
 	cfg := eng.Sims[eng.World.LocalRanks()[0]].Cfg
 	fmt.Fprintf(stdout, "# %s: %d atoms, %d ranks (grid %dx%dx%d), dt=%g (%s units)\n",
 		bench, eng.NGlobal(), sup.Ranks, eng.Grid[0], eng.Grid[1], eng.Grid[2], cfg.Dt, cfg.Units.Style)
-	// -steps counts from where this run starts. A TCP world that resumed
-	// from its shard store is the exception: a relaunched process must
-	// finish the job its peers are running, so the target stays absolute.
-	target := int64(steps)
-	if sup.RestartPath != "" {
-		fmt.Fprintf(stdout, "# resumed from %s at step %d\n", sup.RestartPath, first)
-		target += first
-	} else if gen := sup.LastRestore(); gen >= 0 {
-		fmt.Fprintf(stdout, "# restored from shard generation %d\n", gen)
+	if sup.LastRestore() >= 0 {
+		fmt.Fprintf(stdout, "# restored from checkpoint at step %d\n", first)
 	}
 
 	var final core.Thermo
 	reported := 0
 	stopped, err := sup.Drive(soft, context.Background(), harness.Drive{
-		Target: target,
+		Target: int64(steps),
 		Every:  thermo,
 		Boundary: func(_ int64, recoveries int) error {
-			// Report each TCP recovery's restore point as it happens; an
-			// in-process recovery is summed up at the end.
-			if tcpMode && recoveries > reported {
+			// Report each recovery's restore point as it happens.
+			if recoveries > reported {
 				reported = recoveries
-				if gen := sup.LastRestore(); gen >= 0 {
-					fmt.Fprintf(stdout, "# restored from shard generation %d\n", gen)
+				if step := sup.LastRestore(); step >= 0 {
+					fmt.Fprintf(stdout, "# restored from checkpoint at step %d\n", step)
 				} else {
 					fmt.Fprintf(stdout, "# restarted from scratch\n")
 				}
@@ -336,11 +325,7 @@ func runWorld(soft context.Context, stdout, stderr io.Writer, sup *harness.Super
 	}
 	msg := fmt.Sprintf("# mdrun: interrupted at step %d", last)
 	if every := int64(sup.CheckpointEvery); every > 0 && last > 0 && last%every == 0 {
-		if tcpMode {
-			msg += fmt.Sprintf("; checkpoint %s is current", sup.CheckpointPath)
-		} else {
-			msg += fmt.Sprintf("; resume with -restart %s", sup.CheckpointPath)
-		}
+		msg += fmt.Sprintf("; checkpoint %s is current; rerun the same command to resume", sup.CheckpointPath)
 	}
 	if p := sup.DumpFlight(); p != "" {
 		msg += fmt.Sprintf(" (flight dump: %s)", p)

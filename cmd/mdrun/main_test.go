@@ -33,29 +33,37 @@ func stepLines(out string) []string {
 }
 
 func TestExitCodes(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "none.ckpt")
+	// A store written by a 500-atom run: reopening it at -atoms 256 must
+	// fail on the atom-count guard, not resume a different system.
+	store := filepath.Join(t.TempDir(), "run.ckpt")
+	if code, _, errOut := mdrun(t, "-atoms", "500", "-steps", "10", "-checkpoint-every", "10", "-checkpoint", store); code != 0 {
+		t.Fatalf("writing the store: exit %d: %s", code, errOut)
+	}
 	for _, tc := range []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stderr string // a substring, when the message matters
 	}{
-		{"listen-and-join", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-join", "127.0.0.1:1", "-rank", "1"}, 2},
-		{"join-without-rank", []string{"-ranks", "2", "-join", "127.0.0.1:1"}, 2},
-		{"tcp-one-rank", []string{"-ranks", "1", "-listen", "127.0.0.1:0"}, 2},
-		{"tcp-script", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-in", "in.lj"}, 2},
-		{"tcp-restart", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-restart", missing}, 2},
-		{"unknown-precision", []string{"-precision", "quad"}, 2},
-		{"malformed-fault", []string{"-fault", "kill:rank"}, 2},
-		{"unknown-flag", []string{"-no-such-flag"}, 2},
-		{"missing-restart-file", []string{"-atoms", "256", "-restart", missing}, 1},
+		{"listen-and-join", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-join", "127.0.0.1:1", "-rank", "1"}, 2, ""},
+		{"join-without-rank", []string{"-ranks", "2", "-join", "127.0.0.1:1"}, 2, ""},
+		{"tcp-one-rank", []string{"-ranks", "1", "-listen", "127.0.0.1:0"}, 2, ""},
+		{"tcp-script", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-in", "in.lj"}, 2, ""},
+		{"tcp-restart", []string{"-ranks", "2", "-listen", "127.0.0.1:0", "-restart", store}, 2, "flag provided but not defined: -restart"},
+		{"restart-is-unknown", []string{"-restart", store}, 2, "flag provided but not defined: -restart"},
+		{"unknown-workload", []string{"-bench", "nope"}, 2, "rhodo lj chain eam chute"},
+		{"unknown-precision", []string{"-precision", "quad"}, 2, "single, mixed, double"},
+		{"malformed-fault", []string{"-fault", "kill:rank"}, 2, ""},
+		{"unknown-flag", []string{"-no-such-flag"}, 2, ""},
+		{"store-atom-count-mismatch", []string{"-atoms", "256", "-checkpoint-every", "10", "-checkpoint", store}, 1, "checkpoint holds 500 atoms, the workload builds 256"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out, errOut := mdrun(t, tc.args...)
 			if code != tc.want {
 				t.Errorf("exit %d, want %d\nstderr: %s", code, tc.want, errOut)
 			}
-			if errOut == "" {
-				t.Error("nothing on stderr")
+			if errOut == "" || !strings.Contains(errOut, tc.stderr) {
+				t.Errorf("stderr %q lacks %q", errOut, tc.stderr)
 			}
 			if len(stepLines(out)) != 0 {
 				t.Errorf("ran steps before failing:\n%s", out)
@@ -93,9 +101,9 @@ func TestOneRunPath(t *testing.T) {
 var rateLine = regexp.MustCompile(`# wall ([0-9.]+)s  ([0-9.]+) TS/s`)
 
 // TestRestartCountsFromCheckpoint is README's resume recipe at both rank
-// counts: -restart … -steps 20 after a 40-step checkpointed run ends at
-// step 60 and reports the rate of the 20 steps it ran. (At the parent
-// commit -ranks 2 ran zero steps and reported 40 steps over its wall.)
+// counts: after a 40-step checkpointed run, the same command with
+// -steps 60 resumes at step 40, ends at step 60 (-steps is the run's
+// total length) and reports the rate of the 20 steps it ran.
 func TestRestartCountsFromCheckpoint(t *testing.T) {
 	var ref []string
 	for _, ranks := range []string{"1", "2"} {
@@ -104,7 +112,7 @@ func TestRestartCountsFromCheckpoint(t *testing.T) {
 		if code, _, errOut := mdrun(t, append(common, "-steps", "40")...); code != 0 {
 			t.Fatalf("-ranks %s: exit %d: %s", ranks, code, errOut)
 		}
-		code, out, errOut := mdrun(t, append(common, "-restart", path, "-steps", "20")...)
+		code, out, errOut := mdrun(t, append(common, "-steps", "60")...)
 		if code != 0 {
 			t.Fatalf("-ranks %s restart: exit %d: %s", ranks, code, errOut)
 		}
@@ -112,7 +120,7 @@ func TestRestartCountsFromCheckpoint(t *testing.T) {
 		if len(lines) != 2 || !strings.HasPrefix(lines[0], "step       50 ") || !strings.HasPrefix(lines[1], "step       60 ") {
 			t.Fatalf("-ranks %s restart: thermo lines %q, want steps 50 and 60", ranks, lines)
 		}
-		if !strings.Contains(out, "# resumed from "+path+" at step 40") {
+		if !strings.Contains(out, "# restored from checkpoint at step 40\n") {
 			t.Errorf("-ranks %s restart: no resume line in\n%s", ranks, out)
 		}
 		m := rateLine.FindStringSubmatch(out)
@@ -151,7 +159,8 @@ func (w *stopAt) Write(p []byte) (int, error) {
 
 // TestStopDrainsToCheckpoint: a stop request seen at the step-20 boundary
 // of a run checkpointing every 30 steps runs on to step 30, exits 130,
-// and leaves a checkpoint the next run resumes from.
+// and leaves a checkpoint that rerunning the same command resumes from
+// and finishes at the original -steps.
 func TestStopDrainsToCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	soft, stop := context.WithCancel(context.Background())
@@ -162,7 +171,7 @@ func TestStopDrainsToCheckpoint(t *testing.T) {
 	if code := runContext(soft, args, out, &errb); code != 130 {
 		t.Fatalf("exit %d, want 130\nstderr: %s", code, errb.String())
 	}
-	if want := "interrupted at step 30; resume with -restart " + path; !strings.Contains(errb.String(), want) {
+	if want := "interrupted at step 30; checkpoint " + path + " is current; rerun the same command to resume"; !strings.Contains(errb.String(), want) {
 		t.Errorf("stderr %q lacks %q", errb.String(), want)
 	}
 	if ck, err := ckpt.ReadFile(path); err != nil {
@@ -170,8 +179,9 @@ func TestStopDrainsToCheckpoint(t *testing.T) {
 	} else if ck.Step != 30 {
 		t.Fatalf("checkpoint after the drain is at step %d, want 30", ck.Step)
 	}
-	code, resumed, errOut := mdrun(t, "-bench", "lj", "-atoms", "256", "-checkpoint-every", "30", "-checkpoint", path, "-restart", path, "-steps", "10")
-	if code != 0 || !strings.Contains(resumed, "step       40 ") {
-		t.Errorf("resume: exit %d\n%s%s", code, resumed, errOut)
+	code, resumed, errOut := mdrun(t, args...)
+	lines := stepLines(resumed)
+	if code != 0 || len(lines) != 7 || !strings.HasPrefix(lines[0], "step       40 ") || !strings.HasPrefix(lines[6], "step      100 ") {
+		t.Errorf("resume: exit %d, want steps 40..100\n%s%s", code, resumed, errOut)
 	}
 }

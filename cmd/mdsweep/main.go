@@ -63,16 +63,11 @@ func parseWorkloads(s string) ([]workload.Name, error) {
 		if part == "" {
 			continue
 		}
-		found := false
-		for _, n := range workload.All() {
-			if string(n) == part {
-				out = append(out, n)
-				found = true
-			}
+		n, err := workload.Parse(part)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown workload %q (have %v)", part, workload.All())
-		}
+		out = append(out, n)
 	}
 	return out, nil
 }
@@ -84,16 +79,11 @@ func parsePrecisions(s string) ([]pair.Precision, error) {
 		if part == "" {
 			continue
 		}
-		switch part {
-		case "mixed":
-			out = append(out, pair.Mixed)
-		case "double":
-			out = append(out, pair.Double)
-		case "single":
-			out = append(out, pair.Single)
-		default:
-			return nil, fmt.Errorf("unknown precision %q (mixed, double, single)", part)
+		p, err := pair.ParsePrecision(part)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }

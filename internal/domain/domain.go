@@ -12,6 +12,7 @@
 package domain
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -22,6 +23,11 @@ import (
 	"gomd/internal/obs"
 	"gomd/internal/vec"
 )
+
+// ErrSubdomainTooSmall reports a rank grid whose sub-domains are
+// narrower than the interaction range along some dimension: the same
+// system with more atoms (a larger box) or fewer ranks decomposes.
+var ErrSubdomainTooSmall = errors.New("domain: sub-domain smaller than the interaction range")
 
 // Factory builds one instance of the simulation input. It is invoked
 // once for the global atom population and once per rank for fresh style
@@ -113,9 +119,8 @@ func NewOnWorld(factory Factory, world *mpi.World) (*Engine, error) {
 	for d := 0; d < 3; d++ {
 		if grid[d] > 1 && cfg.Box.Lengths().Component(d)/float64(grid[d]) < cut {
 			world.Close()
-			return nil, fmt.Errorf(
-				"domain: %d ranks give sub-domain %.3g < interaction range %.3g along dim %d",
-				nranks, cfg.Box.Lengths().Component(d)/float64(grid[d]), cut, d)
+			return nil, fmt.Errorf("%w: %d ranks give sub-domain %.3g < %.3g along dim %d",
+				ErrSubdomainTooSmall, nranks, cfg.Box.Lengths().Component(d)/float64(grid[d]), cut, d)
 		}
 	}
 

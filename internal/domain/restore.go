@@ -50,10 +50,17 @@ func RestoreOnWorld(factory Factory, world *mpi.World, ss *ckpt.ShardSet) (*Engi
 			return nil, fmt.Errorf("domain: shard set has no snapshot for local rank %d", r)
 		}
 	}
-	cfg, _, err := factory()
+	cfg, global, err := factory()
 	if err != nil {
 		world.Close()
 		return nil, err
+	}
+	// The snapshot records no workload identity, so a store resumed by
+	// name alone could belong to another system. The atom count is the
+	// check it does allow (two workloads of equal size still pass).
+	if int64(global.N) != ss.NGlobal {
+		world.Close()
+		return nil, fmt.Errorf("domain: checkpoint holds %d atoms, the workload builds %d", ss.NGlobal, global.N)
 	}
 	return assemble(factory, cfg, world, ss.Grid, int(ss.NGlobal),
 		func(cfg core.Config, be *Backend) (*core.Simulation, error) {

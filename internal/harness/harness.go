@@ -11,6 +11,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -18,7 +19,7 @@ import (
 
 	"gomd/internal/atom"
 	"gomd/internal/core"
-	"gomd/internal/fault"
+	"gomd/internal/domain"
 	"gomd/internal/kspace"
 	"gomd/internal/mpi"
 	"gomd/internal/obs"
@@ -44,24 +45,13 @@ type Options struct {
 	// performance model as threads-per-rank.
 	Workers int
 
-	// Fault tolerance (see Supervisor): periodic checkpoints every
-	// CheckpointEvery steps to CheckpointPath (retaining KeepCheckpoints
-	// generations), optional resume from RestartPath, up to Retries
-	// automatic recoveries from rank failures, and — when HangTimeout is
-	// positive — a hang watchdog over every run attempt. All zero values
-	// disable the machinery.
-	CheckpointEvery int
-	CheckpointPath  string
-	RestartPath     string
-	KeepCheckpoints int
-	Retries         int
-	HangTimeout     time.Duration
-
-	// CheckEvery enables the engine's numerical guardrails every that
-	// many steps; Fault installs a deterministic fault injector. Both are
-	// forwarded into every rank's config.
-	CheckEvery int
-	Fault      *fault.Injector
+	// Safety checks, both off at zero. HangTimeout arms a hang watchdog
+	// over every run; CheckEvery runs the engine's numerical guardrails
+	// every that many steps. A measurement never checkpoints, resumes or
+	// recovers: a rebuild inside the measured window would rewind the
+	// counters it diffs, so a failed rank fails the measurement.
+	HangTimeout time.Duration
+	CheckEvery  int
 }
 
 // WithDefaults returns the options a Runner actually measures with:
@@ -176,42 +166,29 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 		cfg.Metrics = r.Metrics
 		cfg.Workers = o.Workers
 		cfg.CheckEvery = o.CheckEvery
-		cfg.Fault = o.Fault
 		return cfg, st, err
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		sup := &Supervisor{
-			Factory:         factory,
-			Ranks:           spec.Ranks,
-			CheckpointEvery: o.CheckpointEvery,
-			CheckpointPath:  o.CheckpointPath,
-			RestartPath:     o.RestartPath,
-			KeepCheckpoints: o.KeepCheckpoints,
-			Retries:         o.Retries,
-			HangTimeout:     o.HangTimeout,
-			Fault:           o.Fault,
-			Metrics:         r.Metrics,
-			Tracer:          r.SpanTrace,
-			Trace:           r.Trace,
+			Factory:     factory,
+			Ranks:       spec.Ranks,
+			HangTimeout: o.HangTimeout,
+			Metrics:     r.Metrics,
+			Tracer:      r.SpanTrace,
+			Trace:       r.Trace,
 		}
-		if err := sup.Start(); err != nil {
-			if o.RestartPath != "" {
-				// Restarts replay a fixed decomposition; growing won't help.
-				return nil, err
-			}
+		if err := sup.Start(); errors.Is(err, domain.ErrSubdomainTooSmall) {
 			// Sub-domain too small for the halo: grow the measured size.
 			nrun = nrun * 2
 			wopts.Atoms = nrun
 			continue
+		} else if err != nil {
+			return nil, err
 		}
 		if err := sup.Run(o.Warmup); err != nil {
 			sup.Close()
 			return nil, err
 		}
-		// Baselines reference the engine by identity; a recovery swaps the
-		// engine, so re-fetch after every supervised Run. (A recovery
-		// inside the measured window resets counters to the checkpoint's,
-		// perturbing the diff; measurement campaigns run without faults.)
 		eng := sup.Engine()
 		base := make([]core.Counters, spec.Ranks)
 		baseMPI := make([]mpi.Stats, spec.Ranks)
@@ -223,7 +200,6 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 			sup.Close()
 			return nil, err
 		}
-		eng = sup.Engine()
 		steps := o.Steps
 		// The Neigh task only shows up when the window spans a rebuild;
 		// workloads with generous skins (rhodo: 2 A) rebuild every few
@@ -240,7 +216,6 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 				sup.Close()
 				return nil, err
 			}
-			eng = sup.Engine()
 			steps += o.Steps
 		}
 		per := make([]core.Counters, spec.Ranks)

@@ -59,6 +59,24 @@ func TestMeasurementCacheReuse(t *testing.T) {
 	}
 }
 
+// TestMeasureGrowsOnlyTooSmallSubdomains: a decomposition too fine for
+// the requested size grows the measured system until it fits; any other
+// start failure is returned as is, not retried as a bigger system.
+func TestMeasureGrowsOnlyTooSmallSubdomains(t *testing.T) {
+	r := harness.NewRunner(harness.Options{MeasureCap: 100, Steps: 2, Warmup: 1})
+	m, err := r.Measure(harness.Spec{Workload: workload.LJ, AtomsK: 1, Ranks: 8})
+	if err != nil {
+		t.Fatalf("too-small sub-domains were not grown: %v", err)
+	}
+	if m.NMeasured <= 100 {
+		t.Errorf("measured %d atoms, want the 100-atom cap grown", m.NMeasured)
+	}
+	_, err = r.Measure(harness.Spec{Workload: "nope", AtomsK: 1, Ranks: 2})
+	if err == nil || !strings.Contains(err.Error(), `unknown benchmark "nope"`) {
+		t.Fatalf("unknown workload: %v, want the build error itself", err)
+	}
+}
+
 func TestRhodoMeshScaling(t *testing.T) {
 	r := quickRunner()
 	base, err := r.Measure(harness.Spec{Workload: workload.Rhodo, AtomsK: 32, Ranks: 2})

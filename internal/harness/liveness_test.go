@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,40 +166,88 @@ func TestSupervisorCheckpointGenerationFallback(t *testing.T) {
 	}
 }
 
-// TestSupervisorRestartRejectsCorruptCheckpoint: an explicit -restart
-// from a damaged file must fail loudly at Start, not silently start a
-// different trajectory.
-func TestSupervisorRestartRejectsCorruptCheckpoint(t *testing.T) {
+// TestSupervisorResumeFallsBackPastDamagedGenerations: Start resumes
+// from the run's own store, and a damaged generation there is rejected
+// and logged, never restored. With KeepCheckpoints 2 a truncated newest
+// generation falls back to the older one; with both truncated the run
+// starts from scratch. Either way the run ends bit-identical to an
+// uninterrupted one at the same absolute step.
+func TestSupervisorResumeFallsBackPastDamagedGenerations(t *testing.T) {
+	const ranks, every, written, total = 2, 10, 20, 30
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	sup := &Supervisor{
-		Factory:         wlFactory(workload.LJ, 2048, 1, nil),
-		Ranks:           2,
-		CheckpointEvery: 5,
-		CheckpointPath:  path,
+	config := func(path string, log *bytes.Buffer, metrics *obs.Registry) *Supervisor {
+		return &Supervisor{
+			Factory:         wlFactory(workload.LJ, 2048, 1, nil),
+			Ranks:           ranks,
+			CheckpointEvery: every,
+			CheckpointPath:  path,
+			KeepCheckpoints: 2,
+			Metrics:         metrics,
+			Trace:           trace.New(log),
+		}
 	}
-	if err := sup.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
+	run := func(sup *Supervisor, to int64) {
+		t.Helper()
+		if err := sup.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		if err := sup.Run(int(to - sup.Step())); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
 	}
-	if err := sup.Run(5); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	sup.Close()
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, st.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-	res := &Supervisor{
-		Factory:     wlFactory(workload.LJ, 2048, 1, nil),
-		Ranks:       2,
-		RestartPath: path,
-	}
-	if err := res.Start(); err == nil {
-		res.Close()
-		t.Fatal("Start should reject a truncated restart checkpoint")
+	ref := config(filepath.Join(dir, "ref.ckpt"), &bytes.Buffer{}, nil)
+	run(ref, total)
+	defer ref.Close()
+	want := bitSnapshot(ref.Engine())
+
+	// A store holding generations at steps 20 (newest) and 10; each case
+	// starts on its own copy with some generations truncated.
+	src := filepath.Join(dir, "src.ckpt")
+	writer := config(src, &bytes.Buffer{}, nil)
+	run(writer, written)
+	writer.Close()
+
+	for _, tc := range []struct {
+		name     string
+		damaged  []int // generations truncated before Start
+		restored int64 // the step Start resumes from; -1 = scratch
+	}{
+		{"newest-damaged", []int{0}, 10},
+		{"all-damaged", []int{0, 1}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			for g := 0; g < 2; g++ {
+				data, err := os.ReadFile(ckpt.GenerationPath(src, g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slices.Contains(tc.damaged, g) {
+					data = data[:len(data)-7]
+				}
+				if err := os.WriteFile(ckpt.GenerationPath(path, g), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var logBuf bytes.Buffer
+			metrics := obs.NewRegistry()
+			sup := config(path, &logBuf, metrics)
+			run(sup, total)
+			defer sup.Close()
+			if got := sup.LastRestore(); got != tc.restored {
+				t.Fatalf("Start restored from %d, want %d", got, tc.restored)
+			}
+			requireBitIdentical(t, want, bitSnapshot(sup.Engine()))
+			if v := metrics.Counter("recover.ckpt_rejected").Value(); v != int64(len(tc.damaged)) {
+				t.Errorf("recover.ckpt_rejected = %d, want %d", v, len(tc.damaged))
+			}
+			log := logBuf.String()
+			for _, want := range []string{"checkpoint-verify", `"ok":false`, "truncated", "checkpoint-restore"} {
+				if !strings.Contains(log, want) {
+					t.Errorf("data log lost %q:\n%s", want, log)
+				}
+			}
+		})
 	}
 }
 

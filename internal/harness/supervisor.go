@@ -43,11 +43,11 @@ type Supervisor struct {
 	Ranks   int
 
 	// CheckpointEvery/CheckpointPath enable periodic snapshots (both
-	// must be set). RestartPath, when set, resumes from an existing
-	// checkpoint file instead of building a fresh engine.
+	// must be set). They also make the run resumable: Start restores the
+	// newest generation under CheckpointPath that verifies, so rerunning
+	// an interrupted run continues it.
 	CheckpointEvery int
 	CheckpointPath  string
-	RestartPath     string
 
 	// WorldBuilder, when set, supplies the message-passing world for
 	// every engine build instead of the default in-process channel world
@@ -58,10 +58,7 @@ type Supervisor struct {
 	// local ranks (ckpt.ShardWriter's two-phase commit), and a recovery
 	// re-rendezvouses and restores every process from the newest
 	// complete generation — even when the new rendezvous assigns ranks
-	// to different processes, since shards are keyed by rank. Only
-	// RestartPath remains incompatible (it names a monolithic
-	// single-process file; sharded runs resume automatically from
-	// CheckpointPath's shard store).
+	// to different processes, since shards are keyed by rank.
 	WorldBuilder func() (*mpi.World, error)
 
 	// KeepCheckpoints retains that many checkpoint generations (default
@@ -178,15 +175,13 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 	}
 }
 
-// Start builds the engine — fresh, resumed from RestartPath, or (in
-// sharded mode) resumed automatically from the newest complete shard
-// generation under CheckpointPath, which is how a re-launched process
-// rejoins an interrupted multi-process job.
+// Start builds the engine the way a recovery rebuilds it: from the
+// newest generation under CheckpointPath that verifies (mono files
+// in-process, shards on a WorldBuilder world), or from scratch when
+// there is none. A rerun of an interrupted run therefore continues it,
+// and a re-launched process rejoins an interrupted multi-process job.
 func (s *Supervisor) Start() error {
-	if s.WorldBuilder != nil && s.RestartPath != "" {
-		return errors.New("harness: WorldBuilder is incompatible with RestartPath (sharded runs resume from CheckpointPath's shard store)")
-	}
-	return s.build(true)
+	return s.build()
 }
 
 // restorePoint is what one build found to restore from.
@@ -196,41 +191,28 @@ type restorePoint struct {
 	path string         // the mono file, "" for a shard generation
 }
 
-// find looks for the newest restorable state — the one step of build
-// that differs by mode: the RestartPath file on first start, the shard
-// store in sharded mode (first start included), the mono generations of
-// an in-process run on recovery. Every generation it had to reject is
-// returned for logging. A non-nil error is fatal; scratch is not an
-// error.
-func (s *Supervisor) find(w *mpi.World, first bool) (rp restorePoint, rejected []ckpt.GenError, err error) {
-	path := s.CheckpointPath
-	if path == "" {
-		path = s.RestartPath
-	}
+// find looks for the newest restorable state in the run's own store,
+// on first start and on every recovery alike; the checkpoint format
+// picks the scan: the shard store of a WorldBuilder world, the mono
+// generations of an in-process one, nothing without checkpointing.
+// Every generation it had to reject is returned for logging. A non-nil
+// error is fatal; scratch is not an error.
+func (s *Supervisor) find(w *mpi.World) (rp restorePoint, rejected []ckpt.GenError, err error) {
 	switch {
-	case first && s.RestartPath != "":
-		ck, err := ckpt.ReadFile(s.RestartPath)
-		if err != nil {
-			return rp, nil, fmt.Errorf("harness: reading restart checkpoint: %w", err)
-		}
-		if ck.Ranks != s.Ranks {
-			return rp, nil, fmt.Errorf("harness: checkpoint has %d ranks, supervisor configured for %d", ck.Ranks, s.Ranks)
-		}
-		return restorePoint{set: ck.ShardSet(), path: s.RestartPath}, nil, nil
 	case s.shardWriter != nil:
 		rp.set, rejected, err = ckpt.ReadNewestValidManifest(ckpt.ShardDir(s.CheckpointPath), w.LocalRanks(), w.Size)
 		if err == nil {
 			rp.gen = rp.set.Step
 		}
-	case first || s.WorldBuilder != nil || path == "":
-		return rp, nil, nil
-	default:
+	case s.writer != nil:
 		var ck *ckpt.Checkpoint
 		var gen int
-		ck, gen, rejected, err = ckpt.ReadNewestValid(path, s.KeepCheckpoints)
+		ck, gen, rejected, err = ckpt.ReadNewestValid(s.CheckpointPath, s.KeepCheckpoints)
 		if err == nil {
-			rp = restorePoint{set: ck.ShardSet(), gen: int64(gen), path: ckpt.GenerationPath(path, gen)}
+			rp = restorePoint{set: ck.ShardSet(), gen: int64(gen), path: ckpt.GenerationPath(s.CheckpointPath, gen)}
 		}
+	default:
+		return rp, nil, nil
 	}
 	if err != nil && !errors.Is(err, os.ErrNotExist) && len(rejected) == 0 {
 		return rp, nil, err
@@ -245,7 +227,7 @@ func (s *Supervisor) find(w *mpi.World, first bool) (rp restorePoint, rejected [
 // restore it or build from scratch, log which. Every rejected
 // generation is logged too — a silent fallback would hide corruption.
 // s.eng is replaced only on success.
-func (s *Supervisor) build(first bool) error {
+func (s *Supervisor) build() error {
 	f := s.wrapFactory()
 	var w *mpi.World
 	if s.WorldBuilder == nil {
@@ -275,7 +257,7 @@ func (s *Supervisor) build(first bool) error {
 		"attempt":   s.attempts,
 	}
 
-	rp, rejected, err := s.find(w, first)
+	rp, rejected, err := s.find(w)
 	for _, ge := range rejected {
 		if s.Metrics != nil {
 			s.Metrics.Counter("recover.ckpt_rejected").Inc()
@@ -449,7 +431,7 @@ func (s *Supervisor) recoverFrom(ctx context.Context, err error) error {
 	}
 
 	s.eng.Close()
-	if rerr := s.build(false); rerr != nil {
+	if rerr := s.build(); rerr != nil {
 		return fmt.Errorf("harness: rebuilding after %v: %w", re, rerr)
 	}
 	if s.WorldBuilder != nil && s.lastRestore < 0 {

@@ -63,8 +63,9 @@ func wlFactory(name workload.Name, atoms int, workers int, inj *fault.Injector) 
 }
 
 // checkpointRestartCase checkpoints a 4-rank run mid-flight, lets it
-// finish, then restores the mid-run checkpoint into a fresh engine and
-// requires the continuation to be bit-identical.
+// finish, then places the mid-run checkpoint as the newest generation of
+// a fresh store: a Supervisor started on that store must resume from it
+// and continue bit-identically.
 func checkpointRestartCase(t *testing.T, name workload.Name, atoms int) {
 	t.Helper()
 	const ranks, workers, every, mid, total = 4, 2, 10, 20, 40
@@ -84,13 +85,14 @@ func checkpointRestartCase(t *testing.T, name workload.Name, atoms int) {
 	if err := sup.Run(mid); err != nil {
 		t.Fatalf("Run to step %d: %v", mid, err)
 	}
-	// Put the mid-run checkpoint aside before later ones overwrite it.
-	midPath := filepath.Join(dir, "mid.ckpt")
+	// Put the mid-run checkpoint aside, as the newest generation of the
+	// store the resumed run is started on, before later ones overwrite it.
+	resumed := filepath.Join(dir, "resumed.ckpt")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("mid-run checkpoint missing: %v", err)
 	}
-	if err := os.WriteFile(midPath, data, 0o644); err != nil {
+	if err := os.WriteFile(resumed, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := sup.Run(total - mid); err != nil {
@@ -102,8 +104,7 @@ func checkpointRestartCase(t *testing.T, name workload.Name, atoms int) {
 		Factory:         wlFactory(name, atoms, workers, nil),
 		Ranks:           ranks,
 		CheckpointEvery: every,
-		CheckpointPath:  filepath.Join(dir, "resumed.ckpt"),
-		RestartPath:     midPath,
+		CheckpointPath:  resumed,
 	}
 	if err := res.Start(); err != nil {
 		t.Fatalf("restore Start: %v", err)

@@ -15,10 +15,8 @@ import (
 // historical defaults.
 type WorldOptions struct {
 	// MailboxStall bounds how long a send may block on a full destination
-	// mailbox before panicking with diagnostics. 0 adopts the deprecated
-	// package default MailboxStallTimeout (read atomically once at world
-	// creation, so tests may adjust the default without racing worlds
-	// being created on other goroutines).
+	// mailbox before panicking with diagnostics. 0 selects the 30s
+	// default.
 	MailboxStall time.Duration
 	// RecvStall, when > 0, bounds how long a blocking receive may wait
 	// for a matching message before panicking with park diagnostics
@@ -49,7 +47,7 @@ const defaultStragglerGrace = 2 * time.Second
 // withDefaults resolves zero options against the package defaults.
 func (o WorldOptions) withDefaults() WorldOptions {
 	if o.MailboxStall == 0 {
-		o.MailboxStall = MailboxStallTimeout.Get()
+		o.MailboxStall = defaultMailboxStall
 	}
 	if o.StragglerGrace == 0 {
 		o.StragglerGrace = defaultStragglerGrace

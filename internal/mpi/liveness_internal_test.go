@@ -1,18 +1,17 @@
 package mpi
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
 
-// TestWorldOptionsDefaults: zero options adopt the deprecated package
-// default for mailbox stalls and the 2s straggler grace; explicit and
-// negative values pass through untouched.
+// TestWorldOptionsDefaults: zero options adopt the 30s mailbox-stall
+// bound and the 2s straggler grace; explicit and negative values pass
+// through untouched.
 func TestWorldOptionsDefaults(t *testing.T) {
 	o := WorldOptions{}.withDefaults()
-	if o.MailboxStall != MailboxStallTimeout.Get() {
-		t.Errorf("MailboxStall default = %v, want package default %v", o.MailboxStall, MailboxStallTimeout.Get())
+	if o.MailboxStall != defaultMailboxStall {
+		t.Errorf("MailboxStall default = %v, want %v", o.MailboxStall, defaultMailboxStall)
 	}
 	if o.StragglerGrace != defaultStragglerGrace {
 		t.Errorf("StragglerGrace default = %v, want %v", o.StragglerGrace, defaultStragglerGrace)
@@ -27,79 +26,6 @@ func TestWorldOptionsDefaults(t *testing.T) {
 	}.withDefaults()
 	if o.MailboxStall != time.Second || o.RecvStall != time.Minute || o.StragglerGrace != -1 {
 		t.Errorf("explicit options rewritten: %+v", o)
-	}
-}
-
-// TestDeprecatedGlobalStallDefault: worlds built while the deprecated
-// default is set adopt its value at creation time (the value is read
-// once, so later mutation does not affect live worlds), and Set(0)
-// restores the built-in 30s bound.
-func TestDeprecatedGlobalStallDefault(t *testing.T) {
-	old := MailboxStallTimeout.Get()
-	defer MailboxStallTimeout.Set(old)
-	MailboxStallTimeout.Set(123 * time.Millisecond)
-	w := NewWorld(2)
-	if got := w.opts.MailboxStall; got != 123*time.Millisecond {
-		t.Errorf("world MailboxStall = %v, want the deprecated default's 123ms", got)
-	}
-	MailboxStallTimeout.Set(time.Hour)
-	if got := w.opts.MailboxStall; got != 123*time.Millisecond {
-		t.Errorf("mutating the default after creation changed a live world: %v", got)
-	}
-	MailboxStallTimeout.Set(0)
-	if got := MailboxStallTimeout.Get(); got != defaultMailboxStall {
-		t.Errorf("Set(0) reads %v, want the built-in %v", got, defaultMailboxStall)
-	}
-}
-
-// TestDeprecatedGlobalStallConcurrentMutation: mutating the deprecated
-// default while other goroutines create worlds is race-free (run under
-// -race via `make race`/`make check`) and every world snapshots one of
-// the values that was actually set.
-func TestDeprecatedGlobalStallConcurrentMutation(t *testing.T) {
-	old := MailboxStallTimeout.Get()
-	defer MailboxStallTimeout.Set(old)
-
-	values := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
-	MailboxStallTimeout.Set(values[0])
-	stop := make(chan struct{})
-	mutDone := make(chan struct{})
-	go func() {
-		defer close(mutDone)
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				MailboxStallTimeout.Set(values[i%len(values)])
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	worlds := make([]*World, 16)
-	for i := range worlds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			worlds[i] = NewWorld(2)
-		}(i)
-	}
-	wg.Wait()
-	close(stop)
-	<-mutDone
-
-	for i, w := range worlds {
-		got := w.opts.MailboxStall
-		ok := false
-		for _, v := range values {
-			if got == v {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("world %d snapshotted %v, not one of the set values %v", i, got, values)
-		}
 	}
 }
 

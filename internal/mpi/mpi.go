@@ -534,37 +534,9 @@ func mustPayloadBytes(data any) int {
 	return b
 }
 
-// MailboxStallTimeout is the package default for WorldOptions.
-// MailboxStall, read once at world creation. Reads and writes go through
-// atomic Get/Set, so a caller adjusting the default while another
-// goroutine creates a World is safe (each world still snapshots the
-// value it saw at creation).
-//
-// Deprecated: pass WorldOptions{MailboxStall: d} to NewWorldWith
-// instead of mutating the package default.
-var MailboxStallTimeout StallDefault
-
-// defaultMailboxStall is the historical 30s bound, adopted whenever the
-// default has not been Set (including after Set(0) restores it).
+// defaultMailboxStall is the 30s send bound a world adopts when
+// WorldOptions.MailboxStall is 0.
 const defaultMailboxStall = 30 * time.Second
-
-// StallDefault is an atomically readable and writable duration default.
-// The zero value reads as the historical 30s package default.
-type StallDefault struct {
-	ns atomic.Int64
-}
-
-// Get returns the current default.
-func (d *StallDefault) Get() time.Duration {
-	if v := d.ns.Load(); v != 0 {
-		return time.Duration(v)
-	}
-	return defaultMailboxStall
-}
-
-// Set replaces the default for worlds created afterwards; live worlds
-// keep the value they snapshotted. Set(0) restores the built-in default.
-func (d *StallDefault) Set(v time.Duration) { d.ns.Store(int64(v)) }
 
 // deliver hands m to the world's transport, panicking with rank/tag/
 // queue diagnostics if delivery stalls past the world's MailboxStall

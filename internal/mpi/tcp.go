@@ -527,27 +527,29 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 
 // peerFinished handles a clean departure (bye frame, then EOF): the
 // peer finalized deliberately, which is harmless at shutdown. But a
-// peer that finalizes while one of our ranks is still parked on a
-// receive from its ranks has desynchronized the SPMD program — that
-// message will never come, so only an abort can unblock the rank. A
-// short grace period lets a wakeup already delivered by the final data
-// frames land before the parked check is believed.
+// local rank parked on one of its ranks — now, or at any later point
+// while this transport lives — has desynchronized the SPMD program: that
+// message will never come, so only an abort can unblock the rank. The
+// finished link is therefore watched until the transport closes or the
+// world aborts, and a park on it that outlasts a short grace period (a
+// wakeup already delivered by the final data frames may still be
+// landing) aborts the world. Only code after a bye runs here; the data
+// path is untouched.
 func (t *tcpTransport) peerFinished(l *peerLink) {
-	deadline := time.Now().Add(byeGraceTimeout)
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	var since time.Time // when the current park on l was first seen
 	for {
-		select {
-		case <-t.closed:
-			return
-		default:
-		}
 		if t.w.Aborted() != nil {
 			return
 		}
 		rank, peer, op := t.parkedOn(l)
-		if rank < 0 {
-			return
-		}
-		if time.Now().After(deadline) {
+		switch {
+		case rank < 0:
+			since = time.Time{}
+		case since.IsZero():
+			since = time.Now()
+		case time.Since(since) > byeGraceTimeout:
 			t.w.Abort(&RankError{
 				Rank: peer,
 				Cause: fmt.Errorf("mpi: link to proc %d (ranks %v) lost: peer finalized while rank %d was parked in %s on rank %d",
@@ -556,7 +558,11 @@ func (t *tcpTransport) peerFinished(l *peerLink) {
 			})
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case <-t.closed:
+			return
+		case <-tick.C:
+		}
 	}
 }
 

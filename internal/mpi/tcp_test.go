@@ -279,3 +279,33 @@ func TestTCPProcessDeathAbortsWorld(t *testing.T) {
 		t.Fatalf("link-loss diagnosis missing: %v", err)
 	}
 }
+
+// TestTCPPeerFinishedBeforeParkAborts: a peer that finalizes cleanly
+// (bye, then EOF) before any local rank parks on it is remembered, so a
+// rank that parks on it later — a process whose build failed after the
+// rendezvous leaves its peers in their first collective — gets a typed
+// RankError within the bye grace, not a wait until a hang timeout.
+func TestTCPPeerFinishedBeforeParkAborts(t *testing.T) {
+	mw := buildTCPWorlds(t, 2, mpi.WorldOptions{})
+	mw.worlds[1].Close() // the joiner finalizes right after the rendezvous
+	time.Sleep(200 * time.Millisecond)
+	done := make(chan error, 1)
+	go func() {
+		done <- mw.worlds[0].Parallel(func(c *mpi.Comm) {
+			c.AllreduceScalar(1) // parks on the finished peer
+		})
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("rank parked on a finished peer was not aborted within 2s")
+	}
+	var re *mpi.RankError
+	if !errors.As(err, &re) {
+		t.Fatalf("Parallel returned %v, want a *mpi.RankError", err)
+	}
+	if !strings.Contains(err.Error(), "peer finalized while rank 0 was parked") {
+		t.Fatalf("finished-peer diagnosis missing: %v", err)
+	}
+}

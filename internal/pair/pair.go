@@ -11,6 +11,8 @@
 package pair
 
 import (
+	"fmt"
+
 	"gomd/internal/atom"
 	"gomd/internal/neighbor"
 	"gomd/internal/par"
@@ -48,6 +50,17 @@ func (p Precision) String() string {
 	default:
 		return "precision(?)"
 	}
+}
+
+// ParsePrecision maps a precision name (String's spelling) to its
+// Precision; the error lists the valid names.
+func ParsePrecision(s string) (Precision, error) {
+	for _, p := range []Precision{Single, Mixed, Double} {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown precision %q (want single, mixed, double)", s)
 }
 
 // GhostSync propagates per-atom values from owners to ghost copies; the

@@ -828,3 +828,16 @@ func TestCharmmTableVsExact(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestParsePrecision: every precision parses back from its String, and
+// an unknown name is an error that lists the valid ones.
+func TestParsePrecision(t *testing.T) {
+	for _, p := range []pair.Precision{pair.Single, pair.Mixed, pair.Double} {
+		if got, err := pair.ParsePrecision(p.String()); err != nil || got != p {
+			t.Errorf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := pair.ParsePrecision("quad"); err == nil || err.Error() != `unknown precision "quad" (want single, mixed, double)` {
+		t.Errorf("ParsePrecision(quad): %v", err)
+	}
+}

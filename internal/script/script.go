@@ -907,9 +907,9 @@ func (in *Interp) cmdDump(a []string) error {
 	return err
 }
 
-// cmdWriteRestart saves the run as a one-rank GMCK checkpoint — the
-// format mdrun -restart and ckpt.ReadFile read, written atomically:
-// write_restart <file>.
+// cmdWriteRestart saves the run as a one-rank GMCK checkpoint, written
+// atomically: a one-generation store that mdrun -checkpoint can name
+// (and ckpt.ReadFile reads): write_restart <file>.
 func (in *Interp) cmdWriteRestart(a []string) error {
 	if len(a) != 1 {
 		return fmt.Errorf("write_restart <file>")

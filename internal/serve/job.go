@@ -75,15 +75,8 @@ func (s *JobSpec) normalize() error {
 		}
 		return nil
 	}
-	known := false
-	for _, n := range workload.All() {
-		if string(n) == s.Workload {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown workload %q (want one of %v)", s.Workload, workload.All())
+	if _, err := workload.Parse(s.Workload); err != nil {
+		return err
 	}
 	if s.Steps <= 0 {
 		return errors.New("steps must be > 0")
@@ -109,10 +102,8 @@ func (s *JobSpec) normalize() error {
 	if s.KeepCheckpoints < 1 {
 		s.KeepCheckpoints = 2
 	}
-	switch s.Precision {
-	case "", "double", "single", "mixed":
-	default:
-		return fmt.Errorf("unknown precision %q (want single, mixed, double)", s.Precision)
+	if _, err := pair.ParsePrecision(s.Precision); err != nil && s.Precision != "" {
+		return err
 	}
 	if s.Fault != "" {
 		if _, err := fault.Parse(s.Fault, s.Seed); err != nil {
@@ -122,25 +113,17 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
-// precision maps the spec's precision string (already validated).
-func (s *JobSpec) precision() pair.Precision {
-	switch s.Precision {
-	case "single":
-		return pair.Single
-	case "mixed":
-		return pair.Mixed
-	default:
-		return pair.Double
-	}
-}
-
 // options is the workload build recipe the spec pins down; every
 // resume rebuilds from the identical recipe, which is what makes a
 // restored run bit-identical to an uninterrupted one.
 func (s *JobSpec) options() workload.Options {
+	prec, err := pair.ParsePrecision(s.Precision)
+	if err != nil {
+		prec = pair.Double // "": normalize rejected every other unknown name
+	}
 	return workload.Options{
 		Atoms:       s.Atoms,
-		Precision:   s.precision(),
+		Precision:   prec,
 		Seed:        s.Seed,
 		ThermoEvery: s.ThermoEvery,
 	}

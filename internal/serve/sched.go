@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"gomd/internal/atom"
-	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/fault"
 	"gomd/internal/harness"
@@ -514,28 +513,26 @@ func (s *Server) runWorkload(job *Job, ctx context.Context) (*Result, error) {
 			return cfg, st, err
 		},
 		Ranks:           spec.Ranks,
+		CheckpointEvery: spec.CheckpointEvery,
+		CheckpointPath:  s.ckptPath(job),
 		KeepCheckpoints: spec.KeepCheckpoints,
 		Retries:         spec.Retries,
 		Fault:           inj,
 	}
-	if spec.CheckpointEvery > 0 {
-		sup.CheckpointEvery = spec.CheckpointEvery
-		sup.CheckpointPath = s.ckptPath(job)
-		// Resume: a requeued job restores its newest generation that
-		// verifies. Restoring keeps the checkpoint cadence (and so the
-		// neighbor-rebuild schedule) identical to the uninterrupted run,
-		// which is what makes the resumed trajectory bit-identical.
-		if ck, gen, _, rerr := ckpt.ReadNewestValid(sup.CheckpointPath, spec.KeepCheckpoints); rerr == nil && ck.Ranks == spec.Ranks {
-			sup.RestartPath = ckpt.GenerationPath(sup.CheckpointPath, gen)
-			s.mu.Lock()
-			job.detail = fmt.Sprintf("resumed from checkpoint at step %d", ck.Step)
-			s.mu.Unlock()
-		}
-	}
+	// A requeued job resumes: with checkpointing on, Start restores its
+	// newest generation that verifies. The restored run keeps the
+	// checkpoint cadence (and so the neighbor-rebuild schedule) of the
+	// uninterrupted one, which is what makes the resumed trajectory
+	// bit-identical.
 	if err := sup.Start(); err != nil {
 		return nil, err
 	}
 	defer sup.Close()
+	if step := sup.LastRestore(); step >= 0 {
+		s.mu.Lock()
+		job.detail = fmt.Sprintf("resumed from checkpoint at step %d", step)
+		s.mu.Unlock()
+	}
 
 	// Reload frames persisted by previous daemon lifetimes: they seed
 	// the SSE history and tell the loop which steps are already durable.

@@ -27,6 +27,16 @@ const (
 // All lists the suite in the paper's Table 2 order.
 func All() []Name { return []Name{Rhodo, LJ, Chain, EAM, Chute} }
 
+// Parse maps a benchmark name to its Name; the error lists the suite.
+func Parse(s string) (Name, error) {
+	for _, n := range All() {
+		if string(n) == s {
+			return n, nil
+		}
+	}
+	return "", fmt.Errorf("unknown workload %q (want one of %v)", s, All())
+}
+
 // Sizes lists the paper's four system sizes in thousands of atoms.
 func Sizes() []int { return []int{32, 256, 864, 2048} }
 

@@ -134,6 +134,14 @@ func TestUnknownWorkload(t *testing.T) {
 	if _, _, err := workload.Build("nope", workload.Options{}); err == nil {
 		t.Error("unknown workload accepted")
 	}
+	if _, err := workload.Parse("nope"); err == nil || err.Error() != `unknown workload "nope" (want one of [rhodo lj chain eam chute])` {
+		t.Errorf("Parse(nope): %v", err)
+	}
+	for _, n := range workload.All() {
+		if got, err := workload.Parse(string(n)); err != nil || got != n {
+			t.Errorf("Parse(%q) = %v, %v", n, got, err)
+		}
+	}
 }
 
 // TestFreshStylesPerBuild: two builds must not share mutable style state
