@@ -59,6 +59,7 @@ func TestWorkerDeterminism(t *testing.T) {
 	}{
 		{workload.LJ, 2048, 8},
 		{workload.Rhodo, 1000, 6},
+		{workload.EAM, 2048, 8},
 	}
 	for _, tc := range cases {
 		ref, refE := trajectorySig(t, tc.name, tc.atoms, tc.steps, 1)

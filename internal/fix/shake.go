@@ -19,7 +19,8 @@ import (
 //
 // The SHAKE reference geometry (the constrained positions x(t) before the
 // unconstrained drift) is reconstructed as x - v*dt from the velocity
-// Verlet update, so the fix is stateless — corrections are identical no
+// Verlet update, so the fix carries no state between steps (its buffers
+// are scratch, kept for their capacity) — corrections are identical no
 // matter how atoms have been reordered or migrated between ranks.
 //
 // As in the paper's GPU characterization, SHAKE is a host-side (CPU-only)
@@ -35,6 +36,12 @@ type Shake struct {
 
 	// Iterations counts SHAKE sweeps for the Modify work model.
 	Iterations int64
+
+	// Scratch rebuilt every call and kept only for its capacity, so that
+	// a step allocates nothing: the constraint list and the reference
+	// bond vectors.
+	pairs []shakePair
+	ref   []vec.V3
 }
 
 // NewShake returns a Shake fix with LAMMPS-like defaults.
@@ -55,10 +62,11 @@ type shakePair struct {
 	d2   float64
 }
 
-// gatherConstraints lists the constraint pairs anchored at owned atoms.
+// gatherConstraints lists the constraint pairs anchored at owned atoms,
+// in f.pairs.
 func (f *Shake) gatherConstraints(c *Context) []shakePair {
 	st := c.Store
-	var out []shakePair
+	out := f.pairs[:0]
 	for i := 0; i < st.N; i++ {
 		for _, b := range st.Bonds[i] {
 			if d, ok := f.BondDist[b.Type]; ok {
@@ -74,6 +82,7 @@ func (f *Shake) gatherConstraints(c *Context) []shakePair {
 			}
 		}
 	}
+	f.pairs = out
 	return out
 }
 
@@ -94,7 +103,10 @@ func (f *Shake) InitialIntegrate(c *Context) {
 	// Reference (pre-drift) bond vectors, reconstructed from the Verlet
 	// update; computed once since corrections shift x and v coherently
 	// (x - v*dt is invariant under a SHAKE correction pair).
-	ref := make([]vec.V3, len(pairs))
+	if cap(f.ref) < len(pairs) {
+		f.ref = make([]vec.V3, len(pairs))
+	}
+	ref := f.ref[:len(pairs)]
 	for k, p := range pairs {
 		xa := st.Pos[p.a].Sub(st.Vel[p.a].Scale(dt))
 		xb := st.Pos[p.b].Sub(st.Vel[p.b].Scale(dt))

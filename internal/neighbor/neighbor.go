@@ -84,7 +84,9 @@ type List struct {
 	// across intra-rank workers. The produced list is bit-identical for
 	// any worker count: binning is a counting sort whose within-bin
 	// order is ascending atom index regardless of chunking, and each
-	// worker writes only its own rows.
+	// worker writes only its own rows. The pair kernels split the rows
+	// the same way (par.Chunk) and ask Boundary for the split's targets;
+	// it needs no pool, only the worker count.
 	Pool *par.Pool
 
 	lastPos []vec.V3 // owned positions snapshot at last build
@@ -101,20 +103,18 @@ type List struct {
 
 	// neigh holds every row's entries back to back; rowPtr[i] is where
 	// owned row i starts and rowPtr[owned] the total. It is the only
-	// index space: Row slices it, pair kernels address their per-entry
-	// scratch by rowPtr[i]+k, and Transpose maps into it. For entries
+	// index space: Row slices it, pair kernels address entries by
+	// rowPtr[i]+k, and Boundary's Slot maps from it. For entries
 	// produced with special-bond filtering, excluded partners are absent.
 	neigh  []int32
 	rowPtr []int32
 	segs   [][]int32 // scan output of workers 1.., appended to neigh after the scan
 
-	// Lazily built transpose of the half list (flat entry -> target
-	// atom), used by the deterministic two-phase pair kernels.
-	revPtr   []int32
-	revRow   []int32
-	revIdx   []int32
-	revCnt   []int32
-	revValid bool
+	// bnd is the boundary split of the most recent Build for bndW
+	// workers (0: not computed since the Build); bndCnt is its scratch.
+	bnd    Boundary
+	bndW   int
+	bndCnt []int32
 }
 
 // NewList returns a list with the given discipline, cutoff, and skin.
@@ -158,7 +158,7 @@ func (l *List) Build(st *atom.Store) {
 	cut2 := cut * cut
 	pool := l.Pool
 	W := pool.Workers()
-	l.revValid = false
+	l.bndW = 0
 
 	// Bin geometry: cover the bounding box of all atoms with bins of
 	// roughly half the interaction range and a distance-pruned stencil,
@@ -419,53 +419,84 @@ func (l *List) Row(i int) []int32 { return l.neigh[l.rowPtr[i]:l.rowPtr[i+1]] }
 // entry count.
 func (l *List) RowPtr() []int32 { return l.rowPtr }
 
-// Transpose returns the reverse scatter map of the most recent Build:
-// for each owned target atom j, the rows i whose entries point at j
-// (decoded index < owned) together with the flat entry index of that
-// (i,k) entry. Per target, rows appear in ascending (i,k) order — the
-// exact order a serial pass over the list would touch j — which is what
-// lets the two-phase pair kernels reproduce serial scatter arithmetic
-// bit-for-bit at any worker count.
-//
-// The map is built lazily (serially) and cached until the next Build.
-// Ghost targets have no entries; Full-mode kernels never scatter and do
-// not call this.
-func (l *List) Transpose() (ptr, row, idx []int32) {
-	if l.revValid {
-		return l.revPtr, l.revRow, l.revIdx
+// Boundary is the split of a half list's owned targets that lets W
+// workers scatter pair forces without changing a bit. The rows are cut
+// into par.Chunk(owned, W, w) chunks. Every entry of row i points at an
+// owned j > i or at a ghost, so an owned target's contributions come
+// from rows at or before its own. A target is interior when all of them
+// lie in its own chunk, whose worker therefore meets them in serial
+// order; it is a boundary target when some row of an earlier chunk
+// points at it. At W = 1 there are none.
+type Boundary struct {
+	// Flag[j] reports whether owned atom j is a boundary target.
+	Flag []bool
+	// Targets lists the boundary targets in ascending order. The entries
+	// that point at Targets[t] are the slots k in [Ptr[t], Ptr[t+1]), in
+	// ascending (row, entry) order — the order a serial pass touches the
+	// target; Row[k] is the row of slot k.
+	Targets, Ptr, Row []int32
+	// Slot maps the flat index (RowPtr()[i]+position) of every entry that
+	// points at a boundary target to its slot; other entries' values are
+	// undefined. A kernel that stores per slot writes scattered and
+	// reads each target's run in order.
+	Slot []int32
+}
+
+// Boundary returns the boundary split of the most recent Build for W
+// workers, computed serially on the first call and cached until the next
+// Build or a call with another W. Full-mode lists, whose kernels never
+// scatter, have no use for it.
+func (l *List) Boundary(W int) *Boundary {
+	b := &l.bnd
+	if l.bndW == W {
+		return b
 	}
+	l.bndW = W
 	owned := len(l.rowPtr) - 1
-	l.revCnt = grow(l.revCnt, owned)
-	clear(l.revCnt)
-	for _, e := range l.neigh {
-		if j := int(e & IdxMask); j < owned {
-			l.revCnt[j]++
+	b.Flag = grow(b.Flag, owned)
+	clear(b.Flag)
+	b.Targets, b.Ptr, b.Row = b.Targets[:0], append(b.Ptr[:0], 0), b.Row[:0]
+	if W <= 1 {
+		return b
+	}
+	// Flag the targets a row of an earlier chunk points at (they lie past
+	// that chunk's end) and count every owned target's entries.
+	cnt := grow(l.bndCnt, owned)
+	l.bndCnt = cnt
+	clear(cnt)
+	for w := 0; w < W; w++ {
+		rlo, rhi := par.Chunk(owned, W, w)
+		for _, e := range l.neigh[l.rowPtr[rlo]:l.rowPtr[rhi]] {
+			if j := int(e & IdxMask); j < owned {
+				cnt[j]++
+				if j >= rhi {
+					b.Flag[j] = true
+				}
+			}
 		}
 	}
-	l.revPtr = grow(l.revPtr, owned+1)
+	// Offsets over the boundary targets; cnt becomes the write cursor.
 	off := int32(0)
-	for j := 0; j < owned; j++ {
-		l.revPtr[j] = off
-		off += l.revCnt[j]
-		l.revCnt[j] = l.revPtr[j] // becomes the write cursor
+	for j, f := range b.Flag {
+		if f {
+			b.Targets = append(b.Targets, int32(j))
+			off += cnt[j]
+			b.Ptr = append(b.Ptr, off)
+			cnt[j] = off - cnt[j]
+		}
 	}
-	l.revPtr[owned] = off
-	l.revRow = grow(l.revRow, int(off))
-	l.revIdx = grow(l.revIdx, int(off))
+	b.Row = grow(b.Row, int(off))
+	b.Slot = grow(b.Slot, len(l.neigh))
 	for i := 0; i < owned; i++ {
 		for e := l.rowPtr[i]; e < l.rowPtr[i+1]; e++ {
-			j := int(l.neigh[e] & IdxMask)
-			if j >= owned {
-				continue
+			if j := int(l.neigh[e] & IdxMask); j < owned && b.Flag[j] {
+				t := cnt[j]
+				b.Row[t], b.Slot[e] = int32(i), t
+				cnt[j] = t + 1
 			}
-			t := l.revCnt[j]
-			l.revRow[t] = int32(i)
-			l.revIdx[t] = e
-			l.revCnt[j] = t + 1
 		}
 	}
-	l.revValid = true
-	return l.revPtr, l.revRow, l.revIdx
+	return b
 }
 
 // stencilLine is one (dz, dy) line of the pruned bin stencil; the x

@@ -461,3 +461,150 @@ func TestBuildMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// latticeStore is a jittered sc lattice of side n and spacing a, its atoms
+// indexed in lattice order (x fastest, z slowest) or, shuffled, in a
+// random order that leaves no index locality.
+func latticeStore(n int, a float64, shuffled bool, seed uint64) *atom.Store {
+	r := rng.New(seed)
+	pos := make([]vec.V3, n*n*n)
+	for i := range pos {
+		jit := vec.New(r.Range(-0.1, 0.1), r.Range(-0.1, 0.1), r.Range(-0.1, 0.1))
+		pos[i] = vec.New(float64(i%n), float64(i/n%n), float64(i/(n*n))).Add(jit).Scale(a)
+	}
+	if shuffled {
+		for i := len(pos) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			pos[i], pos[j] = pos[j], pos[i]
+		}
+	}
+	st := atom.New(len(pos))
+	for i, p := range pos {
+		st.Add(atom.Atom{Tag: int64(i + 1), Type: 1, Pos: p})
+	}
+	return st
+}
+
+// refBoundary is List.Boundary by its definition, entry by entry: an
+// owned target is a boundary target when a row of an earlier par.Chunk
+// chunk points at it, and its entries are listed in (row, entry) order.
+//
+// It returns the flat index of each slot's entry beside the reference.
+func refBoundary(t *testing.T, nl *neighbor.List, W int) (neighbor.Boundary, []int32) {
+	t.Helper()
+	rp := nl.RowPtr()
+	owned := len(rp) - 1
+	chunk := make([]int, owned)
+	for w := 0; w < W; w++ {
+		lo, hi := par.Chunk(owned, W, w)
+		for i := lo; i < hi; i++ {
+			chunk[i] = w
+		}
+	}
+	into := make([][][2]int32, owned)
+	ref := neighbor.Boundary{Flag: make([]bool, owned), Ptr: []int32{0}}
+	var idx []int32
+	for i := 0; i < owned; i++ {
+		for k, e := range nl.Row(i) {
+			j, _ := neighbor.Decode(e)
+			if j >= owned {
+				continue
+			}
+			if j <= i {
+				t.Fatalf("half list: row %d holds owned %d", i, j)
+			}
+			into[j] = append(into[j], [2]int32{int32(i), rp[i] + int32(k)})
+			if chunk[i] < chunk[j] {
+				ref.Flag[j] = true
+			}
+		}
+	}
+	for j, f := range ref.Flag {
+		if !f {
+			continue
+		}
+		ref.Targets = append(ref.Targets, int32(j))
+		for _, e := range into[j] {
+			ref.Row = append(ref.Row, e[0])
+			idx = append(idx, e[1])
+		}
+		ref.Ptr = append(ref.Ptr, int32(len(ref.Row)))
+	}
+	return ref, idx
+}
+
+// TestBoundaryMatchesReference: List.Boundary gives the flags and the
+// restricted transpose of its definition on lattice-ordered and
+// index-shuffled stores, with ghosts, with special-kind bits in the
+// entries, for W up to more workers than owned atoms, whichever W was
+// asked before, and again after a rebuild. At W = 1 nothing is a
+// boundary target; with no index locality nearly every target past the
+// first chunk is.
+func TestBoundaryMatchesReference(t *testing.T) {
+	const cutoff, skin = 1.5, 0.3
+	keepAll := func(atom.SpecialKind) (float64, bool) { return 0, true }
+	systems := []struct {
+		name    string
+		st      func() *atom.Store
+		special func(atom.SpecialKind) (float64, bool)
+	}{
+		{"lattice", func() *atom.Store { return latticeStore(7, 1, false, 41) }, nil},
+		{"shuffled", func() *atom.Store { return latticeStore(7, 1, true, 42) }, nil},
+		{"ghosts", func() *atom.Store { return ghostedStore(250, 5.5, cutoff+skin, 43) }, nil},
+		{"special-kinds", func() *atom.Store { st := ghostedStore(250, 5.5, cutoff+skin, 44); bondNeighbours(st); return st }, keepAll},
+		{"five-atoms", func() *atom.Store { return randomStore(5, 1.2, 45) }, nil},
+		{"empty", func() *atom.Store { return atom.New(0) }, nil},
+	}
+	share := map[string]float64{}
+	for _, sys := range systems {
+		st := sys.st()
+		nl := neighbor.NewList(neighbor.Half, cutoff, skin)
+		nl.SpecialWeight = sys.special
+		for build := 1; build <= 2; build++ {
+			nl.Build(st)
+			if sys.special != nil && !hasKindBits(nl) {
+				t.Fatalf("%s: no entry carries a special kind", sys.name)
+			}
+			for _, w := range []int{1, 2, 3, 7, 2, 1} {
+				id := fmt.Sprintf("%s build=%d W=%d", sys.name, build, w)
+				got := nl.Boundary(w)
+				want, idx := refBoundary(t, nl, w)
+				if !slices.Equal(got.Flag, want.Flag) || !slices.Equal(got.Targets, want.Targets) ||
+					!slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Row, want.Row) {
+					t.Fatalf("%s: Boundary %+v, reference %+v", id, *got, want)
+				}
+				for k, e := range idx {
+					if got.Slot[e] != int32(k) {
+						t.Fatalf("%s: entry %d has slot %d, reference %d", id, e, got.Slot[e], k)
+					}
+				}
+				if w == 1 && len(got.Targets) != 0 {
+					t.Fatalf("%s: %d boundary targets at one worker", id, len(got.Targets))
+				}
+				if w == 2 && st.N > 0 {
+					share[sys.name] = float64(len(got.Targets)) / float64(st.N)
+				}
+			}
+			for i := range st.Pos {
+				st.Pos[i] = st.Pos[i].Add(vec.New(0.05, -0.03, 0.02).Scale(float64(i%5) - 2))
+			}
+		}
+	}
+	// At W=2 the shuffled store makes nearly every target past chunk 0 a
+	// boundary target; the lattice only the layers next to the cut.
+	if share["shuffled"] < 0.45 || share["lattice"] > share["shuffled"]/2 {
+		t.Errorf("boundary share at W=2: shuffled %.2f, lattice %.2f", share["shuffled"], share["lattice"])
+	}
+}
+
+// hasKindBits reports whether any entry of nl carries a special kind.
+func hasKindBits(nl *neighbor.List) bool {
+	for i := 0; i < len(nl.RowPtr())-1; i++ {
+		for _, e := range nl.Row(i) {
+			if _, kind := neighbor.Decode(e); kind != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}

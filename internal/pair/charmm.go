@@ -20,7 +20,7 @@ type CharmmCoulLong struct {
 	GEwald     float64     // Ewald splitting parameter, set by the kspace solver
 	Prec       Precision
 
-	scr pairScratch // two-phase parallel path scratch
+	scr pairScratch // threaded row loop scratch
 
 	// Derived tables, built on the first Compute and again only when
 	// what they were derived from changed. GEwald is written by core
@@ -147,72 +147,81 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 
 	owned := st.N
 
-	// pairTerms evaluates one entry: the switched LJ term plus the
-	// erfc-damped real-space Coulomb term, read from the table (with the
-	// exclusion compensation for special pairs). Shared verbatim by the
-	// serial and two-phase parallel paths.
-	pairTerms := func(r2 T, qi, qj float64, ti, tj int, kind int) (fpair, epair float64) {
-		r2f := float64(r2)
-		inv2 := 1 / r2f
+	// One row loop at every worker count (see ljCompute / DESIGN.md).
+	pool := ctx.Pool
+	W := pool.Workers()
+	bnd := nl.Boundary(W)
+	rp := nl.RowPtr()
+	scr := &p.scr
+	scr.reserve(bnd, owned, W)
+	scr.begin(&res)
+	pool.Run("pair_rows", owned, func(w, rlo, rhi int) {
+		var pairs int64
+		keep := &scr.keep[w]
+		flag := bnd.Flag[:owned]
+		// pairTerms evaluates one entry: the switched LJ term plus the
+		// erfc-damped real-space Coulomb term, read from the table (with
+		// the exclusion compensation for special pairs). Declared in the
+		// loop's own function so that its one call inlines.
+		pairTerms := func(r2 T, qi, qj float64, ti, tj int, kind int) (fpair, epair float64) {
+			r2f := float64(r2)
+			inv2 := 1 / r2f
 
-		// Special (bonded-topology) pairs carry CHARMM weights:
-		// LJ excluded, Coulomb handled below as a k-space
-		// compensation (factor_coul = 0).
-		if kind == 0 && r2 <= cutLJ2 {
-			k := ti*nt + tj
-			inv6 := inv2 * inv2 * inv2
-			flj := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
-			elj := inv6 * (lj3[k]*inv6 - lj4[k])
-			if r2f > in2 {
-				// CHARMM switching: S(r) smoothly takes the LJ term
-				// from full at RInner to zero at ROuter.
-				t1 := out2 - r2f
-				t2 := t1 * t1
-				sw := t2 * (out2 + 2*r2f - 3*in2) / denom
-				dsw := 12 * t1 * (in2 - r2f) / denom // dS/d(r2)
-				flj = flj*sw - elj*dsw
-				elj *= sw
+			// Special (bonded-topology) pairs carry CHARMM weights:
+			// LJ excluded, Coulomb handled below as a k-space
+			// compensation (factor_coul = 0).
+			if kind == 0 && r2 <= cutLJ2 {
+				k := ti*nt + tj
+				inv6 := inv2 * inv2 * inv2
+				flj := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
+				elj := inv6 * (lj3[k]*inv6 - lj4[k])
+				if r2f > in2 {
+					// CHARMM switching: S(r) smoothly takes the LJ term
+					// from full at RInner to zero at ROuter.
+					t1 := out2 - r2f
+					t2 := t1 * t1
+					sw := t2 * (out2 + 2*r2f - 3*in2) / denom
+					dsw := 12 * t1 * (in2 - r2f) / denom // dS/d(r2)
+					flj = flj*sw - elj*dsw
+					elj *= sw
+				}
+				fpair += flj
+				epair += elj
 			}
-			fpair += flj
-			epair += elj
+
+			// A neutral partner makes qq = 0 and the term exactly 0.
+			if r2 <= cutCoul2 && qi != 0 && qj != 0 {
+				qq := qqr2e * qi * qj
+				var f, e float64
+				if c, d := tab.cell(r2f); c != nil {
+					f, e = cubics(c, d)
+				} else {
+					f, e = coulExact(tab.g, r2f)
+				}
+				fcoul, ecoul := qq*f, qq*e
+				if kind != 0 {
+					// Excluded pair: subtract the full 1/r term, leaving
+					// -erf(g r)/r, which exactly cancels the k-space
+					// solver's contribution for this pair.
+					pre := qq / math.Sqrt(r2f)
+					fcoul -= pre * inv2
+					ecoul -= pre
+				}
+				fpair += fcoul
+				epair += ecoul
+			}
+			return fpair, epair
 		}
-
-		// A neutral partner makes qq = 0 and the term exactly 0.
-		if r2 <= cutCoul2 && qi != 0 && qj != 0 {
-			qq := qqr2e * qi * qj
-			var f, e float64
-			if c, d := tab.cell(r2f); c != nil {
-				f, e = cubics(c, d)
-			} else {
-				f, e = coulExact(tab.g, r2f)
-			}
-			fcoul, ecoul := qq*f, qq*e
-			if kind != 0 {
-				// Excluded pair: subtract the full 1/r term, leaving
-				// -erf(g r)/r, which exactly cancels the k-space
-				// solver's contribution for this pair.
-				pre := qq / math.Sqrt(r2f)
-				fcoul -= pre * inv2
-				ecoul -= pre
-			}
-			fpair += fcoul
-			epair += ecoul
-		}
-		return fpair, epair
-	}
-
-	// Serial single-pass path (same per-row partial grouping as the
-	// parallel fold; see ljCompute).
-	if ctx.Pool.Workers() <= 1 {
-		keep := &p.scr.filters(1)[0]
-		for i := 0; i < owned; i++ {
+		for i := rlo; i < rhi; i++ {
 			pi := st.Pos[i]
 			ti := int(st.Type[i]) - 1
 			qi := st.Charge[i]
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			var fx, fy, fz, eRow, vRow float64
 			row := nl.Row(i)
-			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, maxCut2) {
+			base := int(rp[i])
+			kept := cutoffFilter(keep, st.Pos, row, xi, yi, zi, maxCut2)
+			for _, k := range kept {
 				j, kind := neighbor.Decode(row[k])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
@@ -224,83 +233,23 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 				fy += fpair * float64(dy)
 				fz += fpair * float64(dz)
 				if j < owned {
-					st.Force[j] = st.Force[j].Sub(vec.New(fpair*float64(dx), fpair*float64(dy), fpair*float64(dz)))
+					if flag[j] {
+						scr.hold(base+int(k), fpair)
+					} else {
+						st.Force[j] = st.Force[j].Sub(vec.New(fpair*float64(dx), fpair*float64(dy), fpair*float64(dz)))
+					}
 				}
-				w := scaleHalf(j, owned)
-				eRow += w * epair
-				vRow += w * fpair * float64(r2)
-				res.Pairs++
+				wgt := scaleHalf(j, owned)
+				eRow += wgt * epair
+				vRow += wgt * fpair * float64(r2)
 			}
-			st.Force[i] = st.Force[i].Add(vec.New(fx, fy, fz))
-			res.Energy += eRow
-			res.Virial += vRow
-		}
-		return res
-	}
-
-	// Two-phase parallel path (see ljCompute / DESIGN.md).
-	pool := ctx.Pool
-	rp := nl.RowPtr()
-	scr := &p.scr
-	scr.reserve(owned, int(rp[owned]), pool.Workers())
-	pool.Run("pair_rows", owned, func(w, rlo, rhi int) {
-		var pairs int64
-		keep := &scr.keep[w]
-		for i := rlo; i < rhi; i++ {
-			pi := st.Pos[i]
-			ti := int(st.Type[i]) - 1
-			qi := st.Charge[i]
-			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
-			var fx, fy, fz, eRow, vRow float64
-			row := nl.Row(i)
-			rowF := scr.pairF[rp[i]:rp[i+1]]
-			clear(rowF)
-			for _, k := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, maxCut2) {
-				j, kind := neighbor.Decode(row[k])
-				pj := st.Pos[j]
-				dx := xi - T(pj.X)
-				dy := yi - T(pj.Y)
-				dz := zi - T(pj.Z)
-				r2 := dx*dx + dy*dy + dz*dz
-				fpair, epair := pairTerms(r2, qi, st.Charge[j], ti, int(st.Type[j])-1, int(kind))
-				rowF[k] = fpair
-				fx += fpair * float64(dx)
-				fy += fpair * float64(dy)
-				fz += fpair * float64(dz)
-				w := scaleHalf(j, owned)
-				eRow += w * epair
-				vRow += w * fpair * float64(r2)
-				pairs++
-			}
-			scr.ownF[i] = [3]float64{fx, fy, fz}
-			scr.rowE[i] = eRow
-			scr.rowV[i] = vRow
+			pairs += int64(len(kept))
+			scr.own(st.Force, i, fx, fy, fz)
+			scr.sum(w, i, eRow, vRow)
 		}
 		scr.pairsW[w] = pairs
 	})
-	tptr, trow, tidx := nl.Transpose()
-	pool.Run("pair_gather", owned, func(w, jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			pj := st.Pos[j]
-			xj, yj, zj := T(pj.X), T(pj.Y), T(pj.Z)
-			var fx, fy, fz float64
-			for t := tptr[j]; t < tptr[j+1]; t++ {
-				fpair := scr.pairF[tidx[t]]
-				if fpair == 0 {
-					continue
-				}
-				pi := st.Pos[trow[t]]
-				fx -= fpair * float64(T(pi.X)-xj)
-				fy -= fpair * float64(T(pi.Y)-yj)
-				fz -= fpair * float64(T(pi.Z)-zj)
-			}
-			o := scr.ownF[j]
-			fx += o[0]
-			fy += o[1]
-			fz += o[2]
-			st.Force[j] = st.Force[j].Add(vec.New(fx, fy, fz))
-		}
-	})
-	scr.fold(owned, &res)
+	scr.fold(&res, owned, W)
+	replay[T](pool, scr, st.Pos, st.Force, false)
 	return res
 }

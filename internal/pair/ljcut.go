@@ -19,7 +19,7 @@ type LJCut struct {
 	Shift bool // energy-shift the potential to zero at the cutoff
 	Prec  Precision
 
-	scr pairScratch // two-phase parallel path scratch
+	scr pairScratch // threaded row loop scratch
 }
 
 // NewLJCut builds a single-type LJ potential.
@@ -72,149 +72,91 @@ func (p *LJCut) Compute(ctx *Context) Result {
 	}
 }
 
+// ljCoef holds one type pair's prefactors: 48εσ¹², 24εσ⁶, 4εσ¹², 4εσ⁶
+// and the energy shift.
+type ljCoef[T Real] struct{ lj1, lj2, lj3, lj4, shift T }
+
 func ljCompute[T Real](p *LJCut, ctx *Context) Result {
 	st := ctx.Store
 	nl := ctx.List
 	cut2 := T(p.RCut * p.RCut)
 	var res Result
-	// Precompute coefficient tables in T.
+	// Precompute the coefficient table in T, one record per type pair so
+	// that the row loop holds one base pointer and one bound, not five.
 	nt := len(p.Eps)
-	lj1 := make([]T, nt*nt) // 48*eps*sigma^12
-	lj2 := make([]T, nt*nt) // 24*eps*sigma^6
-	lj3 := make([]T, nt*nt) // 4*eps*sigma^12
-	lj4 := make([]T, nt*nt) // 4*eps*sigma^6
-	shift := make([]T, nt*nt)
+	coef := make([]ljCoef[T], nt*nt)
 	for i := 0; i < nt; i++ {
 		for j := 0; j < nt; j++ {
 			e, s := p.Eps[i][j], p.Sigma[i][j]
 			s6 := math.Pow(s, 6)
 			s12 := s6 * s6
-			lj1[i*nt+j] = T(48 * e * s12)
-			lj2[i*nt+j] = T(24 * e * s6)
-			lj3[i*nt+j] = T(4 * e * s12)
-			lj4[i*nt+j] = T(4 * e * s6)
+			c := &coef[i*nt+j]
+			c.lj1 = T(48 * e * s12)
+			c.lj2 = T(24 * e * s6)
+			c.lj3 = T(4 * e * s12)
+			c.lj4 = T(4 * e * s6)
 			if p.Shift {
 				rc6 := math.Pow(p.RCut, -6)
-				shift[i*nt+j] = T(4 * e * (s12*rc6*rc6 - s6*rc6))
+				c.shift = T(4 * e * (s12*rc6*rc6 - s6*rc6))
 			}
 		}
 	}
 	owned := st.N
-
-	// Serial single-pass path. Per-row energy/virial partials fold into
-	// the totals at row end — exactly the grouping of the two-phase
-	// parallel path's fold, so both paths agree bit for bit.
-	if ctx.Pool.Workers() <= 1 {
-		keep := &p.scr.filters(1)[0]
-		for i := 0; i < owned; i++ {
-			pi := st.Pos[i]
-			ti := int(st.Type[i]) - 1
-			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
-			var fx, fy, fz, eRow, vRow float64
-			row := nl.Row(i)
-			for _, kIdx := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
-				j := int(row[kIdx])
-				pj := st.Pos[j]
-				dx := xi - T(pj.X)
-				dy := yi - T(pj.Y)
-				dz := zi - T(pj.Z)
-				r2 := dx*dx + dy*dy + dz*dz
-				tj := int(st.Type[j]) - 1
-				k := ti*nt + tj
-				inv2 := 1 / r2
-				inv6 := inv2 * inv2 * inv2
-				fpair := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
-				fx += float64(fpair * dx)
-				fy += float64(fpair * dy)
-				fz += float64(fpair * dz)
-				w := scaleHalf(j, owned)
-				if j < owned {
-					st.Force[j] = st.Force[j].Sub(vec.New(float64(fpair*dx), float64(fpair*dy), float64(fpair*dz)))
-				}
-				e := float64(inv6*(lj3[k]*inv6-lj4[k]) - shift[k])
-				eRow += w * e
-				vRow += w * float64(fpair*r2)
-				res.Pairs++
-			}
-			st.Force[i] = st.Force[i].Add(vec.New(fx, fy, fz))
-			res.Energy += eRow
-			res.Virial += vRow
-		}
-		return res
-	}
-
-	// Two-phase parallel path; see DESIGN.md "Intra-rank threading".
-	// Phase 1 computes every pair once per owning row and stores its
-	// force magnitude; phase 2 gathers each target's scatter terms in
-	// ascending (row, entry) order through the list transpose,
-	// reproducing the serial scatter arithmetic exactly.
 	pool := ctx.Pool
+	W := pool.Workers()
+	bnd := nl.Boundary(W)
 	rp := nl.RowPtr()
 	scr := &p.scr
-	scr.reserve(owned, int(rp[owned]), pool.Workers())
+	scr.reserve(bnd, owned, W)
+	scr.begin(&res)
+	// One row loop at every worker count; see DESIGN.md "Intra-rank
+	// threading". An interior target takes its scatter here, a boundary
+	// target's waits in pairF for replay.
 	pool.Run("pair_rows", owned, func(w, rlo, rhi int) {
 		var pairs int64
 		keep := &scr.keep[w]
+		flag := bnd.Flag[:owned]
 		for i := rlo; i < rhi; i++ {
 			pi := st.Pos[i]
-			ti := int(st.Type[i]) - 1
+			ti := (int(st.Type[i])-1)*nt - 1 // coef row of i's type, less 1 for j's 1-based type
 			xi, yi, zi := T(pi.X), T(pi.Y), T(pi.Z)
 			var fx, fy, fz, eRow, vRow float64
 			row := nl.Row(i)
-			rowF := scr.pairF[rp[i]:rp[i+1]]
-			clear(rowF) // 0 marks out-of-cutoff for the gather
-			for _, kIdx := range cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2) {
+			base := int(rp[i])
+			kept := cutoffFilter(keep, st.Pos, row, xi, yi, zi, cut2)
+			for _, kIdx := range kept {
 				j := int(row[kIdx])
 				pj := st.Pos[j]
 				dx := xi - T(pj.X)
 				dy := yi - T(pj.Y)
 				dz := zi - T(pj.Z)
 				r2 := dx*dx + dy*dy + dz*dz
-				tj := int(st.Type[j]) - 1
-				k := ti*nt + tj
+				c := &coef[ti+int(st.Type[j])]
 				inv2 := 1 / r2
 				inv6 := inv2 * inv2 * inv2
-				fpair := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
-				rowF[kIdx] = float64(fpair)
+				fpair := inv6 * (c.lj1*inv6 - c.lj2) * inv2
 				fx += float64(fpair * dx)
 				fy += float64(fpair * dy)
 				fz += float64(fpair * dz)
-				w := scaleHalf(j, owned)
-				ev := float64(inv6*(lj3[k]*inv6-lj4[k]) - shift[k])
-				eRow += w * ev
-				vRow += w * float64(fpair*r2)
-				pairs++
+				wgt := scaleHalf(j, owned)
+				if j < owned {
+					if flag[j] {
+						scr.hold(base+int(kIdx), float64(fpair))
+					} else {
+						st.Force[j] = st.Force[j].Sub(vec.New(float64(fpair*dx), float64(fpair*dy), float64(fpair*dz)))
+					}
+				}
+				e := float64(inv6*(c.lj3*inv6-c.lj4) - c.shift)
+				eRow += wgt * e
+				vRow += wgt * float64(fpair*r2)
 			}
-			scr.ownF[i] = [3]float64{fx, fy, fz}
-			scr.rowE[i] = eRow
-			scr.rowV[i] = vRow
+			pairs += int64(len(kept))
+			scr.own(st.Force, i, fx, fy, fz)
+			scr.sum(w, i, eRow, vRow)
 		}
 		scr.pairsW[w] = pairs
 	})
-	tptr, trow, tidx := nl.Transpose()
-	pool.Run("pair_gather", owned, func(w, jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			pj := st.Pos[j]
-			xj, yj, zj := T(pj.X), T(pj.Y), T(pj.Z)
-			var fx, fy, fz float64
-			for t := tptr[j]; t < tptr[j+1]; t++ {
-				f64 := scr.pairF[tidx[t]]
-				if f64 == 0 {
-					continue
-				}
-				fpair := T(f64)
-				pi := st.Pos[trow[t]]
-				fx -= float64(fpair * (T(pi.X) - xj))
-				fy -= float64(fpair * (T(pi.Y) - yj))
-				fz -= float64(fpair * (T(pi.Z) - zj))
-			}
-			o := scr.ownF[j]
-			fx += o[0]
-			fy += o[1]
-			fz += o[2]
-			st.Force[j] = st.Force[j].Add(vec.New(fx, fy, fz))
-		}
-	})
-	scr.fold(owned, &res)
+	scr.fold(&res, owned, W)
+	replay[T](pool, scr, st.Pos, st.Force, true)
 	return res
 }

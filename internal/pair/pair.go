@@ -95,11 +95,12 @@ type Context struct {
 	QQr2E float64
 	// Dt is the timestep, needed by history-dependent (granular) styles.
 	Dt float64
-	// Pool, when non-nil and sized above one worker, runs the analytic
-	// kernels (lj/cut, eam, charmm) on intra-rank workers via their
-	// deterministic two-phase path; nil or one worker selects the
-	// single-pass serial path. Both paths produce bit-identical forces,
-	// energies, and virials (see DESIGN.md "Intra-rank threading").
+	// Pool runs the analytic kernels (lj/cut, eam, charmm) on intra-rank
+	// workers: each kernel has one row loop, called over all rows on a
+	// nil or one-worker pool and over par.Chunk rows per worker
+	// otherwise, with the scatter into boundary targets replayed after
+	// the barrier. Forces, energies and virials are bit-identical at
+	// every worker count (see DESIGN.md "Intra-rank threading").
 	Pool *par.Pool
 }
 
@@ -158,54 +159,129 @@ func cutoffFilter[T Real](keep *[]int32, pos []vec.V3, row []int32, xi, yi, zi, 
 	return out[:n]
 }
 
-// pairScratch is the per-style scratch of the two-phase parallel path:
-// phase 1 (rows) stores each in-cutoff entry's force magnitude in pairF
-// (0 marks out-of-cutoff), the row's own-force sum in ownF, and the
-// row's energy/virial partials in rowE/rowV; phase 2 (targets) gathers
-// scatter contributions through the list transpose. Scalars fold
-// serially over rows, so every total is independent of worker count.
+// pairScratch is a style's scratch for its threaded row loop (DESIGN.md
+// "Intra-rank threading"). A worker scatters straight into an interior
+// target; for a boundary target (neighbor.Boundary) it stores the
+// entry's magnitude in pairF, at the entry's slot, and a boundary row's
+// own sum in ownF, and replay applies both after the barrier. replay
+// zeroes what it reads, so pairF is all zeros between calls. Energy and
+// virial follow the serial row order too: chunk 0 adds its rows to e and
+// v as it goes, later chunks leave theirs in rowE and rowV, and fold
+// adds those after the barrier.
 type pairScratch struct {
-	pairF  []float64
-	ownF   [][3]float64
-	rowE   []float64
-	rowV   []float64
-	pairsW []int64
-	keep   [][]int32 // cutoffFilter scratch, one per worker
+	bnd        *neighbor.Boundary
+	pairF      []float64
+	ownF       [][3]float64
+	rowE, rowV []float64
+	e, v       float64
+	pairsW     []int64
+	keep       [][]int32 // cutoffFilter scratch, one per worker
 }
 
-// filters returns the cutoffFilter scratch of W workers; the serial
-// loops use slot 0.
-func (s *pairScratch) filters(W int) [][]int32 {
+// reserve sizes the scratch for a row pass of W workers over owned rows
+// split by b, and clears the pair counts.
+func (s *pairScratch) reserve(b *neighbor.Boundary, owned, W int) {
 	for len(s.keep) < W {
 		s.keep = append(s.keep, nil)
 	}
-	return s.keep
-}
-
-// reserve sizes the scratch for owned rows, flat entries, and W workers.
-func (s *pairScratch) reserve(owned, flat, W int) {
-	s.filters(W)
-	s.pairF = growSlice(s.pairF, flat)
-	s.ownF = growSlice(s.ownF, owned)
-	s.rowE = growSlice(s.rowE, owned)
-	s.rowV = growSlice(s.rowV, owned)
-	s.pairsW = growSlice(s.pairsW, W)
-	for w := range s.pairsW {
-		s.pairsW[w] = 0
+	s.bnd = b
+	if n := int(b.Ptr[len(b.Targets)]); cap(s.pairF) < n {
+		s.pairF = make([]float64, n)
+	} else {
+		s.pairF = s.pairF[:n] // zero by the invariant
 	}
+	if W > 1 { // one worker writes neither: no boundary row, no chunk past 0
+		s.ownF = growSlice(s.ownF, owned)
+		s.rowE = growSlice(s.rowE, owned)
+		s.rowV = growSlice(s.rowV, owned)
+	}
+	s.pairsW = growSlice(s.pairsW, W)
+	clear(s.pairsW)
 }
 
-// fold accumulates the per-row partials in ascending row order — the
-// same grouping the serial kernels use — plus the per-worker pair
-// counts, into res.
-func (s *pairScratch) fold(owned int, res *Result) {
-	for i := 0; i < owned; i++ {
+// begin starts a row pass whose energy and virial continue from res.
+func (s *pairScratch) begin(res *Result) { s.e, s.v = res.Energy, res.Virial }
+
+// sum records row i's energy and virial partials from worker w.
+func (s *pairScratch) sum(w, i int, e, v float64) {
+	if w == 0 {
+		s.e += e
+		s.v += v
+		return
+	}
+	s.rowE[i], s.rowV[i] = e, v
+}
+
+// fold ends a row pass of W workers over owned rows: res gets chunk 0's
+// totals plus every later row's partials in row order, and the pairs
+// counted so far.
+func (s *pairScratch) fold(res *Result, owned, W int) {
+	_, hi := par.Chunk(owned, W, 0)
+	res.Energy, res.Virial = s.e, s.v
+	for i := hi; i < owned; i++ {
 		res.Energy += s.rowE[i]
 		res.Virial += s.rowV[i]
 	}
+	res.Pairs = 0
 	for _, n := range s.pairsW {
 		res.Pairs += n
 	}
+}
+
+// hold stores f, the magnitude of the entry at flat index e, whose target
+// is a boundary target, in the entry's slot for replay. It stays out of
+// line on purpose: inlined, its operands take registers from every row
+// loop's hot path, which then spills, and the one-worker loop runs ≈ 4%
+// slower.
+//
+//go:noinline
+func (s *pairScratch) hold(e int, f float64) { s.pairF[s.bnd.Slot[e]] = f }
+
+// own adds row i's own force: straight into force[i] for an interior
+// row, into ownF for replay for a boundary one.
+func (s *pairScratch) own(force []vec.V3, i int, fx, fy, fz float64) {
+	if s.bnd.Flag[i] {
+		s.ownF[i] = [3]float64{fx, fy, fz}
+		return
+	}
+	force[i] = force[i].Add(vec.New(fx, fy, fz))
+}
+
+// replay applies, target by target, the scatter a row pass deferred for
+// the boundary targets of s.bnd: force[j] minus each stored contribution in
+// (row, entry) order, then plus the target's own sum — the serial
+// loop's operations in the serial loop's order. A contribution is the
+// magnitude times the separation pos[i]−pos[j] in T; tProduct selects
+// the product in T widened (lj/cut) or in float64 (charmm, eam), as the
+// style's row loop computes it. A zero magnitude is an entry the cutoff
+// dropped.
+func replay[T Real](pool *par.Pool, s *pairScratch, pos, force []vec.V3, tProduct bool) {
+	b := s.bnd
+	pool.Run("pair_boundary", len(b.Targets), func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			j := b.Targets[t]
+			pj := pos[j]
+			xj, yj, zj := T(pj.X), T(pj.Y), T(pj.Z)
+			f := force[j]
+			for k := b.Ptr[t]; k < b.Ptr[t+1]; k++ {
+				fp := s.pairF[k]
+				if fp == 0 {
+					continue
+				}
+				s.pairF[k] = 0
+				pi := pos[b.Row[k]]
+				dx, dy, dz := T(pi.X)-xj, T(pi.Y)-yj, T(pi.Z)-zj
+				if tProduct {
+					ft := T(fp)
+					f = f.Sub(vec.New(float64(ft*dx), float64(ft*dy), float64(ft*dz)))
+				} else {
+					f = f.Sub(vec.New(fp*float64(dx), fp*float64(dy), fp*float64(dz)))
+				}
+			}
+			o := s.ownF[j]
+			force[j] = f.Add(vec.New(o[0], o[1], o[2]))
+		}
+	})
 }
 
 // growSlice resizes s to length n reusing capacity; contents are

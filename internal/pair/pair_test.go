@@ -3,6 +3,7 @@ package pair_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gomd/internal/atom"
@@ -839,5 +840,107 @@ func TestParsePrecision(t *testing.T) {
 	}
 	if _, err := pair.ParsePrecision("quad"); err == nil || err.Error() != `unknown precision "quad" (want single, mixed, double)` {
 		t.Errorf("ParsePrecision(quad): %v", err)
+	}
+}
+
+// shuffledLattice is a jittered n³ sc lattice of spacing a with ntypes
+// types, charges of both signs and zero, and each atom bonded to its
+// lattice successor as a special pair, indexed in random order: with no
+// index locality, nearly every target past a row pass's first chunk is a
+// boundary target (neighbor.Boundary). Open boundaries, no ghosts.
+func shuffledLattice(n int, a float64, ntypes int, seed uint64) *atom.Store {
+	r := rng.New(seed)
+	order := make([]int, n*n*n)
+	for i := range order {
+		order[i] = i
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	st := atom.New(len(order))
+	for _, c := range order {
+		jit := vec.New(r.Range(-0.15, 0.15), r.Range(-0.15, 0.15), r.Range(-0.15, 0.15))
+		at := atom.Atom{
+			Tag: int64(c + 1), Type: int32(1 + c%ntypes), Charge: []float64{0.4, -0.4, 0}[c%3],
+			Pos: vec.New(float64(c%n), float64(c/n%n), float64(c/(n*n))).Add(jit).Scale(a),
+		}
+		if c > 0 {
+			at.Special = append(at.Special, atom.SpecialRef{Tag: int64(c), Kind: atom.SpecialKind(1 + c%3)})
+		}
+		if c < len(order)-1 {
+			at.Special = append(at.Special, atom.SpecialRef{Tag: int64(c + 2), Kind: atom.SpecialKind(1 + (c+1)%3)})
+		}
+		st.Add(at)
+	}
+	return st
+}
+
+// TestThreadedMatchesSerialAcrossRebuild: on a store with no index
+// locality (the worst case for the boundary split), the threaded row
+// loops of lj/cut, charmm and eam give the serial forces, energy, virial
+// and pair count bit for bit, and keep doing so across rebuilds — which a
+// boundary magnitude left in the per-entry scratch by the previous list
+// would break.
+func TestThreadedMatchesSerialAcrossRebuild(t *testing.T) {
+	const qqr2e = 332.06371
+	styles := []struct {
+		name    string
+		spacing float64
+		ntypes  int
+		mk      func() pair.Style
+	}{
+		{"lj mixed", 1.1, 2, func() pair.Style {
+			return pair.NewLJCutMixed([]float64{1, 0.6}, []float64{1, 1.2}, 2.5, pair.Mixed)
+		}},
+		{"lj double", 1.1, 1, func() pair.Style { return pair.NewLJCut(1, 1, 2.5, pair.Double) }},
+		{"charmm mixed", 1.1, 2, func() pair.Style {
+			return pair.NewCharmm([]float64{0.15, 0.3}, []float64{1.0, 1.1}, 2.0, 2.5, pair.Mixed)
+		}},
+		{"eam double", 2.55, 1, func() pair.Style { return pair.NewEAMCopper(pair.Double) }},
+		{"eam mixed", 2.55, 1, func() pair.Style { return pair.NewEAMCopper(pair.Mixed) }},
+	}
+	for _, sty := range styles {
+		for _, w := range []int{2, 7} {
+			serial, threaded := sty.mk(), sty.mk()
+			st := shuffledLattice(7, sty.spacing, sty.ntypes, 51)
+			cut := serial.Cutoff()
+			nl := neighbor.NewList(serial.ListMode(), cut, 0.12*cut)
+			if _, isCharmm := serial.(*pair.CharmmCoulLong); isCharmm {
+				nl.SpecialWeight = func(atom.SpecialKind) (float64, bool) { return 0, true }
+			}
+			pool := par.NewPool(w)
+			r := rng.New(52)
+			for build := 1; build <= 3; build++ {
+				id := fmt.Sprintf("%s workers=%d build=%d", sty.name, w, build)
+				nl.Build(st)
+				if b := nl.Boundary(w); len(b.Targets) < st.N/2 {
+					t.Fatalf("%s: %d boundary targets of %d owned, want most", id, len(b.Targets), st.N)
+				}
+				st.ZeroForces()
+				want := serial.Compute(&pair.Context{Store: st, List: nl, Sync: noSync{}, QQr2E: qqr2e})
+				wantF := slices.Clone(st.Force[:st.N])
+				st.ZeroForces()
+				got := threaded.Compute(&pair.Context{Store: st, List: nl, Sync: noSync{}, QQr2E: qqr2e, Pool: pool})
+				if got.Pairs != want.Pairs || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
+					math.Float64bits(got.Virial) != math.Float64bits(want.Virial) {
+					t.Fatalf("%s: result %+v, serial %+v", id, got, want)
+				}
+				for i, f := range wantF {
+					g := st.Force[i]
+					if math.Float64bits(g.X) != math.Float64bits(f.X) || math.Float64bits(g.Y) != math.Float64bits(f.Y) ||
+						math.Float64bits(g.Z) != math.Float64bits(f.Z) {
+						t.Fatalf("%s: force on atom %d is %v, serial %v", id, i, g, f)
+					}
+				}
+				// Move every atom so that the next list pairs differently
+				// and entries change places in the flat index space.
+				for i := range st.Pos[:st.N] {
+					d := 0.2 * sty.spacing
+					st.Pos[i] = st.Pos[i].Add(vec.New(r.Range(-d, d), r.Range(-d, d), r.Range(-d, d)))
+				}
+			}
+			pool.Close()
+		}
 	}
 }
