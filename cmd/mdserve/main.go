@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,30 +43,41 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
 }
 
-func run() int {
+// run is the daemon with its process boundary passed in: exit 0 after a
+// drain, 1 on a runtime failure, 2 on a usage error (reported before
+// anything is opened). A value on stop starts the drain; main feeds it
+// SIGINT and SIGTERM. Everything the daemon prints goes to stderr;
+// stdout is there for the run() shape every command shares.
+func run(args []string, stdout, stderr io.Writer, stop chan os.Signal) int {
+	fs := flag.NewFlagSet("mdserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":8900", "HTTP listen address (host:port; port 0 picks a free one)")
-		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-		dataDir   = flag.String("data", "serve-data", "directory for the journal, checkpoints, and frame logs")
-		maxQueue  = flag.Int("max-queue", 64, "max jobs admitted but not finished, all tenants (0 = unlimited)")
-		maxQueueT = flag.Int("max-queue-tenant", 16, "max pending jobs per tenant (0 = unlimited)")
-		slots     = flag.Int("slot-budget", 8, "rank x worker slots running concurrently (0 = unlimited)")
-		slotsT    = flag.Int("max-slots-tenant", 0, "max concurrently running slots per tenant (0 = unlimited)")
-		slotsJ    = flag.Int("max-slots-job", 0, "reject jobs larger than this many slots (0 = unlimited)")
-		drainTO   = flag.Duration("drain-timeout", 60*time.Second, "bound on the graceful drain (checkpoint boundary runs)")
-		faultSpec = flag.String("fault", "", "daemon-level fault drills, e.g. kill-daemon:step=100 or tear-journal:append=3")
-		seed      = flag.Uint64("seed", 42, "seed for fault-drill randomness")
+		addr      = fs.String("addr", ":8900", "HTTP listen address (host:port; port 0 picks a free one)")
+		addrFile  = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
+		dataDir   = fs.String("data", "serve-data", "directory for the journal, checkpoints, and frame logs")
+		maxQueue  = fs.Int("max-queue", 64, "max jobs admitted but not finished, all tenants (0 = unlimited)")
+		maxQueueT = fs.Int("max-queue-tenant", 16, "max pending jobs per tenant (0 = unlimited)")
+		slots     = fs.Int("slot-budget", 8, "rank x worker slots running concurrently (0 = unlimited)")
+		slotsT    = fs.Int("max-slots-tenant", 0, "max concurrently running slots per tenant (0 = unlimited)")
+		slotsJ    = fs.Int("max-slots-job", 0, "reject jobs larger than this many slots (0 = unlimited)")
+		drainTO   = fs.Duration("drain-timeout", 60*time.Second, "bound on the graceful drain (checkpoint boundary runs)")
+		faultSpec = fs.String("fault", "", "daemon-level fault drills, e.g. kill-daemon:step=100 or tear-journal:append=3")
+		seed      = fs.Uint64("seed", 42, "seed for fault-drill randomness")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var inj *fault.Injector
 	if *faultSpec != "" {
 		var err error
 		if inj, err = fault.Parse(*faultSpec, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mdserve: %v\n", err)
+			fmt.Fprintf(stderr, "mdserve: %v\n", err)
 			return 2
 		}
 	}
@@ -86,45 +98,46 @@ func run() int {
 		// journal flushes, without checkpoint-boundary runs. 137 mirrors a
 		// SIGKILLed process.
 		OnDaemonKill: func() {
-			fmt.Fprintln(os.Stderr, "mdserve: kill-daemon drill fired; dying hard")
+			fmt.Fprintln(stderr, "mdserve: kill-daemon drill fired; dying hard")
 			os.Exit(137)
 		},
 	}
-	if err := srv.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "mdserve: %v\n", err)
-		return 1
-	}
-
+	// Bind first: a daemon that cannot serve exits before its journal is
+	// replayed and any interrupted job resumes.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdserve: %v\n", err)
+		fmt.Fprintf(stderr, "mdserve: %v\n", err)
 		return 1
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mdserve: %v\n", err)
+			ln.Close()
+			fmt.Fprintf(stderr, "mdserve: %v\n", err)
 			return 1
 		}
+	}
+	if err := srv.Start(); err != nil {
+		ln.Close()
+		fmt.Fprintf(stderr, "mdserve: %v\n", err)
+		return 1
 	}
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "# mdserve listening on http://%s/api/v1/jobs (data: %s)\n", ln.Addr(), *dataDir)
+	fmt.Fprintf(stderr, "# mdserve listening on http://%s/api/v1/jobs (data: %s)\n", ln.Addr(), *dataDir)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "# mdserve: %v: draining (checkpointing running jobs)\n", sig)
-		signal.Stop(sigc) // a second signal kills us the default way
+	case sig := <-stop:
+		fmt.Fprintf(stderr, "# mdserve: %v: draining (checkpointing running jobs)\n", sig)
+		signal.Stop(stop) // a second signal kills us the default way
 	case err := <-httpDone:
-		fmt.Fprintf(os.Stderr, "mdserve: http server: %v\n", err)
+		fmt.Fprintf(stderr, "mdserve: http server: %v\n", err)
 		return 1
 	}
 
 	code := 0
 	if err := srv.Drain(*drainTO); err != nil {
-		fmt.Fprintf(os.Stderr, "mdserve: %v\n", err)
+		fmt.Fprintf(stderr, "mdserve: %v\n", err)
 		code = 1
 	}
 	// Drain the HTTP side after the scheduler: in-flight status scrapes
@@ -137,9 +150,9 @@ func run() int {
 	}
 	cancel()
 	if err := srv.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "mdserve: closing journal: %v\n", err)
+		fmt.Fprintf(stderr, "mdserve: closing journal: %v\n", err)
 		code = 1
 	}
-	fmt.Fprintf(os.Stderr, "# mdserve: drained, journal flushed, exiting %d\n", code)
+	fmt.Fprintf(stderr, "# mdserve: drained, journal flushed, exiting %d\n", code)
 	return code
 }

@@ -50,8 +50,9 @@ func appendV3(buf []byte, v vec.V3) []byte {
 }
 
 // reader walks an encoded payload with bounds checking; any overrun
-// marks it failed and zero-fills, so decoders return one typed error
-// at the end instead of panicking mid-stream.
+// marks it failed and zero-fills, so decoders return one typed error —
+// a bad-payload *mpi.FrameError, as the float64 lane raises — at the
+// end instead of panicking mid-stream.
 type reader struct {
 	buf    []byte
 	failed bool
@@ -136,7 +137,8 @@ func decodeGhosts(buf []byte) (any, error) {
 		}
 	}
 	if r.failed || len(r.buf) != 0 {
-		return nil, fmt.Errorf("ghost payload malformed (%d bytes, %d entries declared)", len(buf), n)
+		return nil, &mpi.FrameError{Reason: "bad-payload",
+			Detail: fmt.Sprintf("ghost payload malformed (%d bytes, %d entries declared)", len(buf), n)}
 	}
 	return gs, nil
 }
@@ -238,7 +240,8 @@ func decodeMigrants(buf []byte) (any, error) {
 		}
 	}
 	if r.failed || len(r.buf) != 0 {
-		return nil, fmt.Errorf("migrant payload malformed (%d bytes, %d entries declared)", len(buf), n)
+		return nil, &mpi.FrameError{Reason: "bad-payload",
+			Detail: fmt.Sprintf("migrant payload malformed (%d bytes, %d entries declared)", len(buf), n)}
 	}
 	return ms, nil
 }

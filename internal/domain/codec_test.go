@@ -1,12 +1,15 @@
 package domain
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"gomd/internal/atom"
+	"gomd/internal/mpi"
 	"gomd/internal/vec"
 )
 
@@ -120,13 +123,37 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Errorf("migrants:\n got %+v\nwant %+v", got, want)
 		}
 	}
+
+	// A payload cut short or carrying a trailing byte is rejected with
+	// the bad-payload *mpi.FrameError the float64 lane raises.
+	ghosts, _ := encodeGhosts(testGhosts())
+	migrants, _ := encodeMigrants(testMigrants())
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (any, error)
+		enc    []byte
+	}{{"ghosts", decodeGhosts, ghosts}, {"migrants", decodeMigrants, migrants}} {
+		for _, bad := range [][]byte{c.enc[:3], c.enc[:len(c.enc)-1], append(c.enc[:len(c.enc):len(c.enc)], 0)} {
+			_, err := c.decode(bad)
+			requireBadPayload(t, fmt.Sprintf("%s, %d of %d bytes", c.name, len(bad), len(c.enc)), err)
+		}
+	}
+}
+
+// requireBadPayload fails unless err is a bad-payload *mpi.FrameError.
+func requireBadPayload(t *testing.T, what string, err error) {
+	t.Helper()
+	var fe *mpi.FrameError
+	if !errors.As(err, &fe) || fe.Reason != "bad-payload" {
+		t.Fatalf("%s: error %v (%T), want a bad-payload *mpi.FrameError", what, err, err)
+	}
 }
 
 // FuzzDecodeDomainPayloads feeds both decoders bytes as a TCP peer could
-// send them. Each must return an error, or a value backed by the input
-// whose re-encoding decodes to the same value — never panic, and never
-// allocate more than a small multiple of len(buf) however large a count
-// field claims to be (reader.count's bound).
+// send them. Each must return a bad-payload *mpi.FrameError, or a value
+// backed by the input whose re-encoding decodes to the same value — never
+// panic, and never allocate more than a small multiple of len(buf)
+// however large a count field claims to be (reader.count's bound).
 func FuzzDecodeDomainPayloads(f *testing.F) {
 	ghosts, _ := encodeGhosts(testGhosts())
 	migrants, _ := encodeMigrants(testMigrants())
@@ -167,6 +194,7 @@ func FuzzDecodeDomainPayloads(f *testing.F) {
 				t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", c.name, len(buf), got, limit)
 			}
 			if err != nil {
+				requireBadPayload(t, c.name, err)
 				continue
 			}
 			enc, err := c.encode(v)

@@ -100,7 +100,7 @@ func TestCounterHookValidation(t *testing.T) {
 // comparison has no tolerance. Three kinds of change are meant to move
 // it, and each re-records the rows it touches: an internal/flops
 // constant, a kernel doing different work (a cutoff, a list, a mesh),
-// and ROADMAP 1g — the half-integer stencil fix changes the primed
+// and ROADMAP 4(b) — the half-integer stencil fix changes the primed
 // rhodo SpreadOps, hence the pppm row.
 func TestKernelCostsPinned(t *testing.T) {
 	type row struct {

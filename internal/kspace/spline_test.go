@@ -8,7 +8,7 @@ import (
 )
 
 // TestSplineWeightsHalfIntegerStencil documents a defect, found and not
-// fixed (ROADMAP item 1g): M_1 is taken as 0 at both ends of its support,
+// fixed (ROADMAP item 4(b)): M_1 is taken as 0 at both ends of its support,
 // so for an order-5 particle at an exactly half-integer mesh coordinate
 // every leaf of the recurrence is 0, the stencil is empty and the charge
 // never reaches the mesh. Lattice starts hit it — rhodo-4000 at seed 2022
@@ -19,7 +19,7 @@ func TestSplineWeightsHalfIntegerStencil(t *testing.T) {
 	var w [8]float64
 	var idx [8]int
 	if count := splineWeights(12.5, 20, 5, &w, &idx); count != 0 {
-		t.Errorf("u=12.5: stencil of %d points; the zero stencil is fixed — re-record bench/golden.json (ROADMAP 1g)", count)
+		t.Errorf("u=12.5: stencil of %d points; the zero stencil is fixed — re-record bench/golden.json (ROADMAP 4(b))", count)
 	}
 	for _, u := range []float64{12.5 - 1e-9, 12.5 + 1e-9} {
 		count := splineWeights(u, 20, 5, &w, &idx)

@@ -37,7 +37,9 @@ type Codec struct {
 	Match func(v any) bool
 	// Encode renders v to wire bytes.
 	Encode func(v any) ([]byte, error)
-	// Decode reconstructs the payload from wire bytes.
+	// Decode reconstructs the payload from wire bytes. A malformed
+	// payload is a bad-payload *FrameError, which reaches the receiving
+	// world's RankError as it is; any other error is wrapped in one.
 	Decode func(b []byte) (any, error)
 }
 
@@ -143,6 +145,9 @@ func decodePayload(id uint16, buf []byte) (any, error) {
 			fmt.Sprintf("codec id %d is not registered in this process (peer registry mismatch?)", id)}
 	}
 	v, err := c.Decode(buf)
+	if fe, ok := err.(*FrameError); ok {
+		return nil, fe
+	}
 	if err != nil {
 		return nil, &FrameError{"bad-payload",
 			fmt.Sprintf("codec %d rejected a %d-byte payload: %v", id, len(buf), err)}

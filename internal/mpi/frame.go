@@ -76,7 +76,7 @@ type FrameError struct {
 	// Reason is the machine-checkable category ("truncated-header",
 	// "bad-magic", "bad-version", "oversized-payload",
 	// "truncated-payload", "crc-mismatch", "world-mismatch",
-	// "bad-kind").
+	// "bad-kind", "unknown-codec", "bad-payload").
 	Reason string
 	Detail string
 }

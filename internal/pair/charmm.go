@@ -75,11 +75,14 @@ func (p *CharmmCoulLong) Compute(ctx *Context) Result {
 
 // charmmLJ caches the per-type-pair LJ prefactors, rounded through the
 // compute precision and flattened [ti*nt+tj], with the Eps, Sigma and
-// Prec they were built from.
+// Prec they were built from. on[k] is false when all four rounded
+// prefactors of the pair are zero (ε = 0 or σ = 0): such a pair has no
+// LJ term, and the kernel skips the block.
 type charmmLJ struct {
 	prec               Precision
 	eps, sigma         []float64
 	lj1, lj2, lj3, lj4 []float64
+	on                 []bool
 }
 
 // coulTab returns the Coulomb table for the current (GEwald, RCoul).
@@ -105,7 +108,8 @@ func ljCoeffs[T Real](p *CharmmCoulLong) *charmmLJ {
 	n := nt * nt
 	buf := make([]float64, 6*n)
 	*c = charmmLJ{prec: p.Prec, eps: buf[:n], sigma: buf[n : 2*n],
-		lj1: buf[2*n : 3*n], lj2: buf[3*n : 4*n], lj3: buf[4*n : 5*n], lj4: buf[5*n:]}
+		lj1: buf[2*n : 3*n], lj2: buf[3*n : 4*n], lj3: buf[4*n : 5*n], lj4: buf[5*n:],
+		on: make([]bool, n)}
 	for i := 0; i < nt; i++ {
 		for j := 0; j < nt; j++ {
 			e, s := p.Eps[i][j], p.Sigma[i][j]
@@ -117,6 +121,7 @@ func ljCoeffs[T Real](p *CharmmCoulLong) *charmmLJ {
 			c.lj2[k] = float64(T(24 * e * s6))
 			c.lj3[k] = float64(T(4 * e * s12))
 			c.lj4[k] = float64(T(4 * e * s6))
+			c.on[k] = c.lj1[k] != 0 || c.lj2[k] != 0 || c.lj3[k] != 0 || c.lj4[k] != 0
 		}
 	}
 	return c
@@ -129,7 +134,7 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 
 	nt := len(p.Eps)
 	lj := ljCoeffs[T](p)
-	lj1, lj2, lj3, lj4 := lj.lj1, lj.lj2, lj.lj3, lj.lj4
+	lj1, lj2, lj3, lj4, ljOn := lj.lj1, lj.lj2, lj.lj3, lj.lj4, lj.on
 	// Built here, before any pool.Run: the workers only read it.
 	tab := p.coulTab()
 
@@ -165,13 +170,20 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 		// loop's own function so that its one call inlines.
 		pairTerms := func(r2 T, qi, qj float64, ti, tj int, kind int) (fpair, epair float64) {
 			r2f := float64(r2)
-			inv2 := 1 / r2f
 
 			// Special (bonded-topology) pairs carry CHARMM weights:
 			// LJ excluded, Coulomb handled below as a k-space
 			// compensation (factor_coul = 0).
-			if kind == 0 && r2 <= cutLJ2 {
-				k := ti*nt + tj
+			//
+			// The block runs only for type pairs that have an LJ term
+			// (ljOn), and skipping it for the rest changes no bit. With
+			// lj1…lj4 all zero it would give flj = inv6·(0·inv6 − 0)·inv2
+			// and elj = inv6·(0·inv6 − 0), both zero, then flj·sw −
+			// elj·dsw and elj·sw, zero again: every factor is finite
+			// wherever r⁻⁶ is. fpair and epair start at +0, and
+			// +0 + ±0 = +0, which is what the skip leaves.
+			if k := ti*nt + tj; kind == 0 && r2 <= cutLJ2 && ljOn[k] {
+				inv2 := 1 / r2f
 				inv6 := inv2 * inv2 * inv2
 				flj := inv6 * (lj1[k]*inv6 - lj2[k]) * inv2
 				elj := inv6 * (lj3[k]*inv6 - lj4[k])
@@ -204,7 +216,7 @@ func charmmCompute[T Real](p *CharmmCoulLong, ctx *Context) Result {
 					// -erf(g r)/r, which exactly cancels the k-space
 					// solver's contribution for this pair.
 					pre := qq / math.Sqrt(r2f)
-					fcoul -= pre * inv2
+					fcoul -= pre * (1 / r2f) // not pre / r2f, which rounds differently
 					ecoul -= pre
 				}
 				fpair += fcoul

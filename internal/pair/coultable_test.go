@@ -3,10 +3,6 @@ package pair
 import (
 	"math"
 	"testing"
-
-	"gomd/internal/atom"
-	"gomd/internal/neighbor"
-	"gomd/internal/vec"
 )
 
 // TestCoulTableMatchesExact holds the table to the accuracy its comment
@@ -61,52 +57,5 @@ func TestCoulTableMatchesExact(t *testing.T) {
 	// A cutoff below the floor is an empty table, not a negative length.
 	if tab := newCoulTable(0.3, 0.05); len(tab.bins) != 0 {
 		t.Errorf("rc=0.05: %d bins, want none", len(tab.bins))
-	}
-}
-
-// computeDimer runs the kernel over two opposite charges 3 apart.
-func computeDimer(p *CharmmCoulLong) Result {
-	st := atom.New(2)
-	st.Add(atom.Atom{Tag: 1, Type: 1, Charge: 0.4})
-	st.Add(atom.Atom{Tag: 2, Type: 1, Pos: vec.New(3, 0, 0), Charge: -0.4})
-	nl := neighbor.NewList(p.ListMode(), p.Cutoff(), 0.5)
-	nl.Build(st)
-	return p.Compute(&Context{Store: st, List: nl, QQr2E: 332.06371})
-}
-
-// TestCharmmDerivedTablesFollowInputs: the Coulomb table is rebuilt when
-// GEwald or RCoul is reassigned and at no other time, and the LJ
-// prefactors follow Eps and Sigma rewritten in place, as a script's
-// pair_coeff does between two runs.
-func TestCharmmDerivedTablesFollowInputs(t *testing.T) {
-	p := NewCharmm([]float64{0.15}, []float64{3.2}, 6, 8, Double)
-	p.GEwald = 0.3
-	first := computeDimer(p)
-	tab := p.coul
-	if tab == nil || tab.g != 0.3 || tab.rcoul != 8 {
-		t.Fatalf("after the first Compute the table is %+v", tab)
-	}
-	if again := computeDimer(p); p.coul != tab || again != first {
-		t.Errorf("unchanged inputs: table rebuilt (%v) or result moved: %+v then %+v", p.coul != tab, first, again)
-	}
-	p.GEwald = 0.31
-	if computeDimer(p); p.coul == tab || p.coul.g != 0.31 {
-		t.Errorf("GEwald reassigned: table still for g=%v", p.coul.g)
-	}
-	tab = p.coul
-	p.RCoul = 7
-	if computeDimer(p); p.coul == tab || p.coul.rcoul != 7 {
-		t.Errorf("RCoul reassigned: table still for rcoul=%v", p.coul.rcoul)
-	}
-
-	p.Eps[0][0], p.Sigma[0][0] = 0.3, 3.0
-	fresh := NewCharmm([]float64{0.3}, []float64{3.0}, 6, 8, Double)
-	fresh.GEwald, fresh.RCoul = p.GEwald, p.RCoul
-	if got, want := computeDimer(p), computeDimer(fresh); got != want {
-		t.Errorf("Eps and Sigma rewritten in place: %+v, a style built with them gives %+v", got, want)
-	}
-	p.Prec, fresh.Prec = Mixed, Mixed
-	if got, want := computeDimer(p), computeDimer(fresh); got != want {
-		t.Errorf("Prec reassigned: %+v, a style built with it gives %+v", got, want)
 	}
 }

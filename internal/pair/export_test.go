@@ -14,3 +14,13 @@ func (t *coulTable) lookup(r2 float64) (f, e float64) {
 	}
 	return coulExact(t.g, r2)
 }
+
+// CoulTableKey reports the Coulomb table the last Compute used — its
+// identity and the (GEwald, RCoul) it was built for — or a nil id before
+// the first Compute.
+func (p *CharmmCoulLong) CoulTableKey() (id any, g, rcoul float64) {
+	if p.coul == nil {
+		return nil, 0, 0
+	}
+	return p.coul, p.coul.g, p.coul.rcoul
+}

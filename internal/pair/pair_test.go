@@ -922,17 +922,7 @@ func TestThreadedMatchesSerialAcrossRebuild(t *testing.T) {
 				wantF := slices.Clone(st.Force[:st.N])
 				st.ZeroForces()
 				got := threaded.Compute(&pair.Context{Store: st, List: nl, Sync: noSync{}, QQr2E: qqr2e, Pool: pool})
-				if got.Pairs != want.Pairs || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
-					math.Float64bits(got.Virial) != math.Float64bits(want.Virial) {
-					t.Fatalf("%s: result %+v, serial %+v", id, got, want)
-				}
-				for i, f := range wantF {
-					g := st.Force[i]
-					if math.Float64bits(g.X) != math.Float64bits(f.X) || math.Float64bits(g.Y) != math.Float64bits(f.Y) ||
-						math.Float64bits(g.Z) != math.Float64bits(f.Z) {
-						t.Fatalf("%s: force on atom %d is %v, serial %v", id, i, g, f)
-					}
-				}
+				requireSameBits(t, id, got, want, st.Force, wantF)
 				// Move every atom so that the next list pairs differently
 				// and entries change places in the flat index space.
 				for i := range st.Pos[:st.N] {

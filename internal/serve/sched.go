@@ -106,7 +106,7 @@ type JobStatus struct {
 // generation when they reach the front) — and begins dispatching.
 func (s *Server) Start() error {
 	if err := os.MkdirAll(s.DataDir, 0o755); err != nil {
-		return fmt.Errorf("serve: data dir: %w", err)
+		return fmt.Errorf("serve: data dir %s: %w", s.DataDir, err)
 	}
 	jr, replayed, err := OpenJournal(filepath.Join(s.DataDir, "serve.journal"))
 	if err != nil {
