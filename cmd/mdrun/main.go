@@ -176,7 +176,7 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 	}
 	var code int
 	if *inFile != "" {
-		code = runScript(*inFile, stdout, stderr)
+		code = runScript(soft, *inFile, stdout, stderr)
 	} else {
 		sup := &harness.Supervisor{
 			Factory: func() (core.Config, *atom.Store, error) {
@@ -244,8 +244,9 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// runScript runs a LAMMPS-style input script through the interpreter.
-func runScript(path string, stdout, stderr io.Writer) int {
+// runScript runs a LAMMPS-style input script through the interpreter;
+// soft stops it at the next chunk boundary of a `run` (exit 130).
+func runScript(soft context.Context, path string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
 		return fail(stderr, err)
@@ -253,7 +254,15 @@ func runScript(path string, stdout, stderr io.Writer) int {
 	defer f.Close()
 	interp := script.New(stdout)
 	start := time.Now()
-	if err := interp.Run(f); err != nil {
+	if err := interp.Run(soft, f); err != nil {
+		if soft.Err() != nil {
+			step := int64(0)
+			if sim := interp.Sim(); sim != nil {
+				step = sim.Step
+			}
+			fmt.Fprintf(stderr, "# mdrun: interrupted at step %d\n", step)
+			return 130
+		}
 		return fail(stderr, fmt.Errorf("%s: %w", path, err))
 	}
 	if sim := interp.Sim(); sim != nil {
@@ -309,7 +318,6 @@ func runWorld(soft context.Context, stdout, stderr io.Writer, sup *harness.Super
 	}
 	wall := time.Since(start)
 	eng = sup.Engine() // a recovery replaces it
-	eng.PublishObs(sup.Metrics)
 	if n := sup.Attempts(); n > 0 {
 		fmt.Fprintf(stdout, "# recovered from %d rank failure(s)\n", n)
 	}

@@ -5,12 +5,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"gomd/internal/ckpt"
+	"gomd/internal/obs"
 )
 
 // mdrun runs the command in-process and returns its exit code and output.
@@ -183,5 +185,80 @@ func TestStopDrainsToCheckpoint(t *testing.T) {
 	lines := stepLines(resumed)
 	if code != 0 || len(lines) != 7 || !strings.HasPrefix(lines[0], "step       40 ") || !strings.HasPrefix(lines[6], "step      100 ") {
 		t.Errorf("resume: exit %d, want steps 40..100\n%s%s", code, resumed, errOut)
+	}
+}
+
+// TestScriptStops: a stop request ends an -in script at the next chunk
+// boundary of its `run` with exit 130, instead of running it to the end.
+func TestScriptStops(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "in.lj")
+	src := `units lj
+lattice fcc 0.8442
+region box block 0 3 0 3 0 3
+create_box 1 box
+create_atoms 1 box
+mass 1 1.0
+velocity all create 1.44 87287
+pair_style lj/cut 2.5
+pair_coeff 1 1 1.0 1.0
+fix 1 all nve
+run 1000000
+`
+	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	soft, stop := context.WithCancel(context.Background())
+	stop()
+	var out, errb bytes.Buffer
+	if code := runContext(soft, []string{"-in", in}, &out, &errb); code != 130 {
+		t.Fatalf("exit %d, want 130\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), "interrupted at step 0") {
+		t.Errorf("stderr %q does not report the interruption", errb.String())
+	}
+}
+
+// TestMetricsDump: -metrics writes what the rank goroutines published
+// as they stepped — per-rank work, halo traffic, MPI profile, pool
+// accounting and wait share — each under one name: no per-function
+// mpi.<Func>.calls or par.runs counters beside the live gauges.
+func TestMetricsDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	if code, _, errOut := mdrun(t, "-bench", "lj", "-atoms", "2000", "-ranks", "2", "-workers", "2",
+		"-steps", "20", "-thermo", "10", "-metrics", path); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := obs.ReadSnapshot(f)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	for r := 0; r < 2; r++ {
+		for _, name := range []string{
+			obs.RankMetric("pair.ops", r),
+			obs.RankMetric("comm.halo_bytes", r),
+			fmt.Sprintf("mpi.live_calls{func=MPI_Sendrecv,rank=%d}", r),
+			obs.KernelMetric("par.live_runs", r, "pair_rows"),
+			obs.RankMetric("mpi.wait_share", r),
+		} {
+			if snap.Gauges[name] == 0 {
+				t.Errorf("gauge %s is %v, want non-zero", name, snap.Gauges[name])
+			}
+		}
+	}
+	retired := regexp.MustCompile(`^(mpi\.MPI_\w+\.calls\{rank=|par\.runs\{)`)
+	for name := range snap.Counters {
+		if retired.MatchString(name) {
+			t.Errorf("retired counter %s in the dump", name)
+		}
+	}
+	for name := range snap.Gauges {
+		if retired.MatchString(name) {
+			t.Errorf("retired series %s in the dump", name)
+		}
 	}
 }

@@ -112,8 +112,9 @@ type Checkpoint struct {
 }
 
 // historyCarrier matches the pair styles with per-contact state
-// (GranHookeHistory); kept structurally identical to the domain
-// package's private copy.
+// (pair.GranHookeHistory). Interfaces are structural, so this package
+// declares the method set it needs; internal/domain's backend.go
+// declares the same one for migrating history with atoms.
 type historyCarrier interface {
 	ExtractHistory(tag int64) map[int64]vec.V3
 	InjectHistory(tag int64, h map[int64]vec.V3)
@@ -708,6 +709,13 @@ func (d *ckptDecoder) str(max uint32) string {
 	return string(buf)
 }
 
+// capHint bounds the preallocation for a decoded length field. A length
+// is only a claim until the bytes behind it have been read, so decoded
+// slices start at most this large and grow by append as elements
+// arrive: a corrupt length costs memory in proportion to the input,
+// not to the claim.
+func capHint(n uint64) int { return int(min(n, 1<<10)) }
+
 // fail latches a semantic-validation error that finish must not wrap.
 func (d *ckptDecoder) fail(err error) {
 	if d.err == nil {
@@ -743,7 +751,7 @@ func (d *ckptDecoder) rank(rk *Rank, what string) {
 		d.fail(fmt.Errorf("ckpt: implausible atom count %d on %s", n, what))
 		return
 	}
-	rk.Atoms = make([]atom.Atom, 0, n)
+	rk.Atoms = make([]atom.Atom, 0, capHint(uint64(n)))
 	for i := int64(0); i < n && d.err == nil; i++ {
 		var a atom.Atom
 		a.Tag = d.i64()
@@ -792,9 +800,9 @@ func (d *ckptDecoder) rank(rk *Rank, what string) {
 	nfs := d.u32()
 	for k := uint32(0); k < nfs && d.err == nil; k++ {
 		m := d.u32()
-		fs := make([]float64, m)
-		for j := range fs {
-			fs[j] = d.f()
+		fs := make([]float64, 0, capHint(uint64(m)))
+		for j := uint32(0); j < m && d.err == nil; j++ {
+			fs = append(fs, d.f())
 		}
 		rk.FixState = append(rk.FixState, fs)
 	}
@@ -913,8 +921,9 @@ func Read(in io.Reader) (*Checkpoint, error) {
 	if ck.Ranks < 1 || ck.Ranks > 1<<16 {
 		return nil, fmt.Errorf("ckpt: implausible rank count %d", ck.Ranks)
 	}
-	ck.PerRank = make([]Rank, ck.Ranks)
+	ck.PerRank = make([]Rank, 0, capHint(uint64(ck.Ranks)))
 	for r := 0; r < ck.Ranks && d.err == nil; r++ {
+		ck.PerRank = append(ck.PerRank, Rank{})
 		d.rank(&ck.PerRank[r], fmt.Sprintf("rank %d", r))
 	}
 	d.footer()

@@ -534,9 +534,9 @@ func ReadShard(in io.Reader) (*Shard, error) {
 	if d.err != nil {
 		return nil, d.finish()
 	}
-	sh.Ranks = make([]int, nr)
-	for i := range sh.Ranks {
-		sh.Ranks[i] = int(d.u32())
+	sh.Ranks = make([]int, 0, capHint(uint64(nr)))
+	for i := uint32(0); i < nr && d.err == nil; i++ {
+		sh.Ranks = append(sh.Ranks, int(d.u32()))
 	}
 	for i := 0; i < 3; i++ {
 		sh.Grid[i] = int(d.u32())
@@ -548,8 +548,9 @@ func ReadShard(in io.Reader) (*Shard, error) {
 	if d.err != nil {
 		return nil, d.finish()
 	}
-	sh.PerRank = make([]Rank, nr)
+	sh.PerRank = make([]Rank, 0, len(sh.Ranks))
 	for i := 0; i < int(nr) && d.err == nil; i++ {
+		sh.PerRank = append(sh.PerRank, Rank{})
 		d.rank(&sh.PerRank[i], fmt.Sprintf("rank %d", sh.Ranks[i]))
 	}
 	d.footer()
@@ -603,8 +604,9 @@ func readManifest(in io.Reader) (*Manifest, error) {
 	if d.err != nil {
 		return nil, d.finish()
 	}
-	mf.Shards = make([]ShardRecord, ns)
-	for i := range mf.Shards {
+	mf.Shards = make([]ShardRecord, 0, capHint(uint64(ns)))
+	for i := uint32(0); i < ns && d.err == nil; i++ {
+		mf.Shards = append(mf.Shards, ShardRecord{})
 		sr := &mf.Shards[i]
 		sr.Name = d.str(1 << 10)
 		sr.CRC = d.u32()
@@ -615,9 +617,9 @@ func readManifest(in io.Reader) (*Manifest, error) {
 		if nr > 1<<16 {
 			return nil, fmt.Errorf("ckpt: implausible manifest rank count %d", nr)
 		}
-		sr.Ranks = make([]int, nr)
-		for j := range sr.Ranks {
-			sr.Ranks[j] = int(d.u32())
+		sr.Ranks = make([]int, 0, capHint(uint64(nr)))
+		for j := uint32(0); j < nr && d.err == nil; j++ {
+			sr.Ranks = append(sr.Ranks, int(d.u32()))
 		}
 		sr.Atoms = d.i64()
 	}

@@ -14,8 +14,9 @@ import (
 
 // liveCommPublisher is implemented by backends that can export their
 // rank's live communication accounting (the domain backend publishes
-// per-MPI-function calls/bytes/hops gauges; the serial backend has no
-// communication layer and implements nothing).
+// per-MPI-function calls/bytes/hops gauges and the rank's wait share;
+// the serial backend has no communication layer and implements
+// nothing).
 type liveCommPublisher interface {
 	PublishLiveComm(reg *obs.Registry, rank int)
 }
@@ -36,6 +37,26 @@ type liveObs struct {
 	kspaceFlops, kspaceBytes, kspaceAI *obs.Gauge
 
 	pairCost flops.Cost // per-pair cost of the configured style
+
+	counts [len(liveCounters)]*obs.Gauge // parallel to liveCounters
+}
+
+// liveCounters are the per-rank work and traffic totals publishLive
+// mirrors as {rank} gauges: the counters behind the paper's Figures 4/5
+// (pair-work spread, halo and migration volume, FFT mesh traffic).
+var liveCounters = [...]struct {
+	name string
+	get  func(*Counters) int64
+}{
+	{"pair.ops", func(c *Counters) int64 { return c.PairOps }},
+	{"neigh.pairs", func(c *Counters) int64 { return c.NeighPairs }},
+	{"comm.ghost_atoms", func(c *Counters) int64 { return c.GhostAtoms }},
+	{"comm.halo_bytes", func(c *Counters) int64 { return c.CommBytes }},
+	{"comm.halo_msgs", func(c *Counters) int64 { return c.CommMsgs }},
+	{"comm.migrated_atoms", func(c *Counters) int64 { return c.MigratedAtoms }},
+	{"kspace.fft_comm_bytes", func(c *Counters) int64 { return c.KspaceCommBytes }},
+	{"kspace.reduce_hops", func(c *Counters) int64 { return c.KspaceCommHops }},
+	{"kspace.fft_ops", func(c *Counters) int64 { return c.KspaceFFTOps }},
 }
 
 // initLive wires the cached live-gauge handles; called from build when a
@@ -46,6 +67,9 @@ func (s *Simulation) initLive(reg *obs.Registry, rank int) {
 	l.beats = reg.Gauge(obs.RankMetric("health.beats", rank))
 	l.phase = reg.Gauge(obs.RankMetric("health.phase", rank))
 	l.engineStep = reg.Gauge(obs.RankMetric("engine.step", rank))
+	for i, lc := range liveCounters {
+		l.counts[i] = reg.Gauge(obs.RankMetric(lc.name, rank))
+	}
 
 	l.pairCost = flops.Pair(s.Cfg.Pair.Name())
 	kernel := func(name, k string) *obs.Gauge {
@@ -66,10 +90,13 @@ func (s *Simulation) initLive(reg *obs.Registry, rank int) {
 }
 
 // publishLive refreshes the scrape-visible gauges from the rank
-// goroutine at the end of each step. Everything it reads (task counters,
-// pool stats, MPI stats) is plain rank-goroutine state; everything it
-// writes is a registry atomic — that one-way flow is what makes
-// mid-run scrapes race-free.
+// goroutine at the end of each step and of each ComputeThermo. It is the
+// only writer of the engine's accounting into the registry, and since
+// thermo is the only collective outside a step, the registry equals
+// Counters and the MPI profile whenever the engine is idle. Everything
+// it reads (task counters, pool stats, MPI stats) is plain rank-goroutine
+// state; everything it writes is a registry atomic — that one-way flow is
+// what makes mid-run scrapes race-free.
 func (s *Simulation) publishLive() {
 	l := s.live
 	if l == nil {
@@ -86,6 +113,9 @@ func (s *Simulation) publishLive() {
 	l.engineStep.Set(float64(s.Step))
 
 	c := &s.Counters
+	for i, lc := range liveCounters {
+		l.counts[i].Set(float64(lc.get(c)))
+	}
 	setCost := func(fg, bg, ag *obs.Gauge, cost flops.Cost) {
 		fg.Set(cost.Flops)
 		bg.Set(cost.Bytes)

@@ -706,31 +706,6 @@ func (s *Simulation) ObserveCommBytes(n int) {
 	s.commHist.Observe(float64(n))
 }
 
-// PublishObs exports this rank's accumulated engine counters into the
-// metrics registry under rank-labeled names: ghost-atom counts, halo
-// message traffic, migration volume, and FFT mesh-communication volume
-// (the counters behind the paper's Figures 4/5). Live metrics (step
-// histograms, neighbor rebuild counts) are already in the registry.
-func (s *Simulation) PublishObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	r := s.backend.Rank()
-	c := s.Counters
-	reg.Counter(obs.RankMetric("comm.ghost_atoms", r)).Add(c.GhostAtoms)
-	reg.Counter(obs.RankMetric("comm.halo_bytes", r)).Add(c.CommBytes)
-	reg.Counter(obs.RankMetric("comm.halo_msgs", r)).Add(c.CommMsgs)
-	reg.Counter(obs.RankMetric("comm.migrated_atoms", r)).Add(c.MigratedAtoms)
-	reg.Counter(obs.RankMetric("kspace.fft_comm_bytes", r)).Add(c.KspaceCommBytes)
-	reg.Counter(obs.RankMetric("kspace.reduce_hops", r)).Add(c.KspaceCommHops)
-	reg.Counter(obs.RankMetric("kspace.fft_ops", r)).Add(c.KspaceFFTOps)
-	reg.Counter(obs.RankMetric("pair.ops", r)).Add(c.PairOps)
-	reg.Counter(obs.RankMetric("neigh.pairs", r)).Add(c.NeighPairs)
-	// Worker-pool utilization per threaded kernel (empty for 1-worker
-	// configurations, which never dispatch).
-	s.pool.Publish(reg, r)
-}
-
 // Workers returns the intra-rank worker count of the threaded kernels.
 func (s *Simulation) Workers() int { return s.pool.Workers() }
 
@@ -791,7 +766,9 @@ func (s *Simulation) WrapOwned() {
 	}
 }
 
-// ComputeThermo evaluates the current global thermodynamic state.
+// ComputeThermo evaluates the current global thermodynamic state — a
+// collective on decomposed runs — and then refreshes the live gauges,
+// so the registry also counts the reductions it just made.
 func (s *Simulation) ComputeThermo() Thermo {
 	ke := s.backend.ReduceScalar(compute.KineticEnergy(s.Store, s.Cfg.Mass, s.Cfg.Units))
 	pe := s.backend.ReduceScalar(s.LastPE)
@@ -799,6 +776,7 @@ func (s *Simulation) ComputeThermo() Thermo {
 	n := s.backend.NGlobal(s)
 	t := compute.Temperature(ke, n, s.Cfg.Units)
 	p := compute.Pressure(ke, vir, s.Box.Volume())
+	s.publishLive()
 	return Thermo{
 		Step:        s.Step,
 		Temperature: t,

@@ -68,8 +68,10 @@ type Backend struct {
 	span *obs.Rank
 
 	// liveComm caches gauge handles for PublishLiveComm, indexed by
-	// mpi.Func; touched only by the rank goroutine.
+	// mpi.Func, and liveWait the rank's wait-share gauge; touched only
+	// by the rank goroutine.
 	liveComm []*liveCommGauges
+	liveWait *obs.Gauge
 }
 
 // ParkHung implements the core engine's hang-injection hook: the rank
@@ -470,7 +472,8 @@ type liveCommGauges struct {
 
 // PublishLiveComm exports this rank's cumulative MPI profile as live
 // gauges (mpi.live_calls / mpi.live_bytes / mpi.live_hops /
-// mpi.live_wait_ns under {func,rank} labels). It implements the core
+// mpi.live_wait_ns under {func,rank} labels, and mpi.wait_share{rank},
+// the blocked fraction of the rank's MPI time). It implements the core
 // engine's optional live-telemetry hook and must run on the rank
 // goroutine: Comm.Stats is plain state written by that goroutine's
 // primitives, and only the gauge stores cross into the scraper. Gauge
@@ -482,9 +485,11 @@ func (b *Backend) PublishLiveComm(reg *obs.Registry, rank int) {
 	}
 	if b.liveComm == nil {
 		b.liveComm = make([]*liveCommGauges, mpi.NumFuncs)
+		b.liveWait = reg.Gauge(obs.RankMetric("mpi.wait_share", rank))
 	}
+	st := &b.comm.Stats
 	for f := mpi.Func(0); f < mpi.NumFuncs; f++ {
-		fs := &b.comm.Stats.Funcs[f]
+		fs := &st.Funcs[f]
 		if fs.Calls == 0 {
 			continue
 		}
@@ -503,6 +508,9 @@ func (b *Backend) PublishLiveComm(reg *obs.Registry, rank int) {
 		lg.bytes.Set(float64(fs.Bytes))
 		lg.hops.Set(float64(fs.Hops))
 		lg.wait.Set(float64(fs.WaitTime.Nanoseconds()))
+	}
+	if tot := st.TotalTime(); tot > 0 {
+		b.liveWait.Set(float64(st.TotalWait()) / float64(tot))
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"gomd/internal/box"
 	"gomd/internal/core"
 	"gomd/internal/mpi"
-	"gomd/internal/obs"
 	"gomd/internal/vec"
 )
 
@@ -324,60 +323,4 @@ func (e *Engine) MPIStats() []mpi.Stats {
 		}
 	}
 	return out
-}
-
-// PublishObs exports the run's observability data into the metrics
-// registry: every rank's engine counters (core.Simulation.PublishObs),
-// the per-rank per-function MPI profile mirroring mpi.Stats exactly
-// (calls, bytes, and collective hop counts), and load-imbalance gauges
-// — the per-rank pair-work
-// spread and MPI wait share behind the paper's Figure 4. No-op when reg
-// is nil; call once at the end of a run.
-func (e *Engine) PublishObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for _, s := range e.Sims {
-		if s == nil {
-			continue
-		}
-		s.PublishObs(reg)
-	}
-	for r := 0; r < e.World.Size; r++ {
-		if e.World.Comm(r) == nil {
-			continue
-		}
-		st := e.World.Comm(r).Stats
-		for f := mpi.Func(0); f < mpi.NumFuncs; f++ {
-			fs := st.Funcs[f]
-			if fs.Calls == 0 && fs.Bytes == 0 {
-				continue
-			}
-			reg.Counter(obs.RankMetric("mpi."+f.String()+".calls", r)).Add(fs.Calls)
-			reg.Counter(obs.RankMetric("mpi."+f.String()+".bytes", r)).Add(fs.Bytes)
-			reg.Counter(obs.RankMetric("mpi."+f.String()+".hops", r)).Add(fs.Hops)
-		}
-		if tot := st.TotalTime(); tot > 0 {
-			reg.Gauge(obs.RankMetric("mpi.wait_share", r)).Set(
-				float64(st.TotalWait()) / float64(tot))
-		}
-	}
-	// Load imbalance over per-rank pair work: (max - mean) / mean,
-	// computed over this process' ranks.
-	var sum, max float64
-	nlocal := 0
-	for _, s := range e.Sims {
-		if s == nil {
-			continue
-		}
-		nlocal++
-		v := float64(s.Counters.PairOps)
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if mean := sum / float64(nlocal); mean > 0 {
-		reg.Gauge("load.imbalance_pct").Set(100 * (max - mean) / mean)
-	}
 }

@@ -2,6 +2,7 @@ package domain_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,8 +33,9 @@ func runObserved(t *testing.T, nranks, steps int) (*domain.Engine, *obs.Tracer, 
 	if err != nil {
 		t.Fatalf("domain.New: %v", err)
 	}
-	eng.Run(steps)
-	eng.PublishObs(reg)
+	if err := eng.Run(steps); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	return eng, tr, reg
 }
 
@@ -137,12 +139,17 @@ func TestTraceExportFourRanks(t *testing.T) {
 	}
 }
 
-// TestMetricsAgreeWithMPIStats checks that the MPI call and byte counts
-// published into the metrics registry agree exactly with the engine's
-// own per-rank mpi.Stats for the same run.
+// TestMetricsAgreeWithMPIStats checks that the registry, written only
+// by the rank goroutines' live publisher, agrees exactly with each
+// rank's own mpi.Stats and engine counters once the engine is idle —
+// including after a thermo evaluation outside the step loop, whose
+// reductions are MPI calls too.
 func TestMetricsAgreeWithMPIStats(t *testing.T) {
 	const nranks = 4
 	eng, _, reg := runObserved(t, nranks, 10)
+	if _, err := eng.ThermoErr(); err != nil {
+		t.Fatalf("ThermoErr: %v", err)
+	}
 
 	var buf bytes.Buffer
 	if err := reg.WriteJSON(&buf); err != nil {
@@ -152,26 +159,49 @@ func TestMetricsAgreeWithMPIStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
+	live := func(metric string, f mpi.Func, r int) float64 {
+		return snap.Gauges[fmt.Sprintf("%s{func=%s,rank=%d}", metric, f, r)]
+	}
 
-	stats := eng.MPIStats()
 	for r := 0; r < nranks; r++ {
+		st := eng.World.Comm(r).Stats
 		for f := mpi.Func(0); f < mpi.NumFuncs; f++ {
-			fs := stats[r].Funcs[f]
-			calls := snap.Counters[obs.RankMetric("mpi."+f.String()+".calls", r)]
-			bytes := snap.Counters[obs.RankMetric("mpi."+f.String()+".bytes", r)]
-			hops := snap.Counters[obs.RankMetric("mpi."+f.String()+".hops", r)]
-			if calls != fs.Calls {
-				t.Errorf("rank %d %s calls: registry %d, mpi.Stats %d", r, f, calls, fs.Calls)
-			}
-			if bytes != fs.Bytes {
-				t.Errorf("rank %d %s bytes: registry %d, mpi.Stats %d", r, f, bytes, fs.Bytes)
-			}
-			if hops != fs.Hops {
-				t.Errorf("rank %d %s hops: registry %d, mpi.Stats %d", r, f, hops, fs.Hops)
+			fs := st.Funcs[f]
+			for _, m := range []struct {
+				metric string
+				want   int64
+			}{
+				{"mpi.live_calls", fs.Calls},
+				{"mpi.live_bytes", fs.Bytes},
+				{"mpi.live_hops", fs.Hops},
+			} {
+				if got := live(m.metric, f, r); got != float64(m.want) {
+					t.Errorf("rank %d %s %s: registry %v, mpi.Stats %d", r, f, m.metric, got, m.want)
+				}
 			}
 		}
-		if fs := stats[r].Funcs[mpi.FuncSendrecv]; fs.Calls == 0 {
+		if st.Funcs[mpi.FuncSendrecv].Calls == 0 {
 			t.Errorf("rank %d made no Sendrecv calls; halo exchange missing from run", r)
+		}
+
+		c := eng.Sims[r].Counters
+		for _, m := range []struct {
+			name string
+			want int64
+		}{
+			{"pair.ops", c.PairOps},
+			{"neigh.pairs", c.NeighPairs},
+			{"comm.ghost_atoms", c.GhostAtoms},
+			{"comm.halo_bytes", c.CommBytes},
+			{"comm.halo_msgs", c.CommMsgs},
+			{"comm.migrated_atoms", c.MigratedAtoms},
+			{"kspace.fft_comm_bytes", c.KspaceCommBytes},
+			{"kspace.reduce_hops", c.KspaceCommHops},
+			{"kspace.fft_ops", c.KspaceFFTOps},
+		} {
+			if got := snap.Gauges[obs.RankMetric(m.name, r)]; got != float64(m.want) {
+				t.Errorf("rank %d %s: registry %v, Counters %d", r, m.name, got, m.want)
+			}
 		}
 	}
 }

@@ -131,8 +131,9 @@ type Runner struct {
 	// measurements record nothing, so a one-measurement campaign yields
 	// one run's timeline.
 	SpanTrace *obs.Tracer
-	// Metrics, when non-nil, receives live engine metrics plus the
-	// end-of-run per-rank counter and MPI-profile export.
+	// Metrics, when non-nil, receives every engine's live metrics: the
+	// ranks publish their counters and MPI profile as they step, so a
+	// rank's gauges hold the most recent measurement's totals.
 	Metrics *obs.Registry
 
 	mu    sync.Mutex
@@ -224,7 +225,6 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 			per[i] = diffCounters(s.Counters, base[i])
 			ms[i] = diffStats(eng.World.Comm(i).Stats, baseMPI[i])
 		}
-		eng.PublishObs(r.Metrics)
 		eng.Close()
 		cfg := eng.Sims[0].Cfg
 		l := eng.Sims[0].Box.Lengths()

@@ -23,7 +23,6 @@
 package par
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -189,36 +188,6 @@ func (p *Pool) Stats(name string) KernelStats {
 	return KernelStats{}
 }
 
-// Publish exports per-kernel barrier counts, busy/wall nanoseconds, and
-// mean worker utilization into reg under this rank's labels. Inline
-// pools (W <= 1) record no kernels and publish nothing.
-func (p *Pool) Publish(reg *obs.Registry, rank int) {
-	if p == nil || reg == nil {
-		return
-	}
-	p.mu.Lock()
-	names := make([]string, 0, len(p.kernels))
-	for name := range p.kernels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	stats := make([]KernelStats, len(names))
-	for i, name := range names {
-		stats[i] = *p.kernels[name]
-	}
-	p.mu.Unlock()
-	for i, name := range names {
-		ks := stats[i]
-		reg.Counter(obs.KernelMetric("par.runs", rank, name)).Add(ks.Runs)
-		reg.Counter(obs.KernelMetric("par.busy_ns", rank, name)).Add(ks.BusyNs)
-		reg.Counter(obs.KernelMetric("par.wall_ns", rank, name)).Add(ks.WallNs)
-		reg.Gauge(obs.KernelMetric("par.util", rank, name)).Set(ks.Util(p.w))
-	}
-	if len(names) > 0 {
-		reg.Gauge(obs.RankMetric("par.workers", rank)).Set(float64(p.w))
-	}
-}
-
 // liveGauges caches one kernel's live-gauge handles so per-step
 // publishing costs atomic stores, not registry map lookups.
 type liveGauges struct {
@@ -227,8 +196,8 @@ type liveGauges struct {
 
 // PublishLive exports the current per-kernel accounting as gauges
 // (par.live_runs / par.live_busy_ns / par.live_wall_ns / par.util under
-// {rank,kernel} labels, plus par.workers{rank}) — the scrape-time view
-// of the same accounting Publish exports as counters at end of run.
+// {rank,kernel} labels, plus par.workers{rank}): the registry's only
+// view of the pool's accounting.
 // Must be called from the goroutine that drives Run (the rank
 // goroutine): the stats are written without atomics by Run itself, and
 // only gauge stores cross into the scraper. Nil-safe.

@@ -98,8 +98,8 @@ func TestDisjointWritesRaceClean(t *testing.T) {
 	}
 }
 
-// TestStatsAndPublish checks per-kernel accounting and the metrics
-// export names.
+// TestStatsAndPublish checks per-kernel accounting and the live gauges
+// PublishLive exports it under.
 func TestStatsAndPublish(t *testing.T) {
 	p := par.NewPool(3)
 	defer p.Close()
@@ -123,9 +123,12 @@ func TestStatsAndPublish(t *testing.T) {
 		t.Fatalf("Util = %v, want within [0,1]", u)
 	}
 	reg := obs.NewRegistry()
-	p.Publish(reg, 2)
-	if got := reg.Counter(obs.KernelMetric("par.runs", 2, "k1")).Value(); got != 5 {
-		t.Fatalf("published runs = %d, want 5", got)
+	p.PublishLive(reg, 2)
+	if got := reg.Gauge(obs.KernelMetric("par.live_runs", 2, "k1")).Value(); got != 5 {
+		t.Fatalf("published runs = %v, want 5", got)
+	}
+	if got := reg.Gauge(obs.KernelMetric("par.live_wall_ns", 2, "k1")).Value(); got != float64(ks.WallNs) {
+		t.Fatalf("published wall = %v, want %d", got, ks.WallNs)
 	}
 	if reg.Gauge(obs.RankMetric("par.workers", 2)).Value() != 3 {
 		t.Fatal("par.workers gauge not published")

@@ -11,6 +11,7 @@ package script
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -118,8 +119,10 @@ func New(out io.Writer) *Interp {
 // Sim exposes the running simulation (nil before the first `run`).
 func (in *Interp) Sim() *core.Simulation { return in.sim }
 
-// Run executes a whole script.
-func (in *Interp) Run(r io.Reader) error {
+// Run executes a whole script. A cancelled ctx stops it at the next
+// chunk boundary of a `run` command, returning ctx's error; the steps
+// taken so far stand.
+func (in *Interp) Run(ctx context.Context, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var cont strings.Builder
@@ -142,14 +145,14 @@ func (in *Interp) Run(r io.Reader) error {
 		if line == "" {
 			continue
 		}
-		if err := in.exec(strings.Fields(line)); err != nil {
+		if err := in.exec(ctx, strings.Fields(line)); err != nil {
 			return fmt.Errorf("line %d: %w", in.line, err)
 		}
 	}
 	return sc.Err()
 }
 
-func (in *Interp) exec(tok []string) error {
+func (in *Interp) exec(ctx context.Context, tok []string) error {
 	switch tok[0] {
 	case "units":
 		return in.cmdUnits(tok[1:])
@@ -203,7 +206,7 @@ func (in *Interp) exec(tok []string) error {
 	case "write_restart":
 		return in.cmdWriteRestart(tok[1:])
 	case "run":
-		return in.cmdRun(tok[1:])
+		return in.cmdRun(ctx, tok[1:])
 	default:
 		return fmt.Errorf("unknown command %q", tok[0])
 	}
@@ -799,7 +802,12 @@ func (in *Interp) cmdFix(a []string) error {
 	return nil
 }
 
-func (in *Interp) cmdRun(a []string) error {
+// runChunk is the most steps a `run` takes between cancellation checks;
+// chunks also end at dump frames. Splitting a run changes no bits:
+// Run(a); Run(b) is Run(a+b).
+const runChunk = 100
+
+func (in *Interp) cmdRun(ctx context.Context, a []string) error {
 	if len(a) != 1 {
 		return fmt.Errorf("run <steps>")
 	}
@@ -812,20 +820,21 @@ func (in *Interp) cmdRun(a []string) error {
 			return err
 		}
 	}
-	if in.dumpEvery > 0 {
-		for done := 0; done < n; {
-			chunk := in.dumpEvery
-			if done+chunk > n {
-				chunk = n - done
-			}
-			in.sim.Run(chunk)
-			done += chunk
+	for done := 0; done < n; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		k := min(runChunk, n-done)
+		if in.dumpEvery > 0 {
+			k = min(k, in.dumpEvery-done%in.dumpEvery)
+		}
+		in.sim.Run(k)
+		done += k
+		if in.dumpEvery > 0 && (done%in.dumpEvery == 0 || done == n) {
 			if err := in.writeDumpFrames(); err != nil {
 				return err
 			}
 		}
-	} else {
-		in.sim.Run(n)
 	}
 	th := in.sim.ComputeThermo()
 	fmt.Fprintf(in.Out, "run complete: step %d T %.4f PE %.6g E %.6g\n",

@@ -1,6 +1,7 @@
 package script_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -39,7 +40,7 @@ run          100
 func TestLJMeltScript(t *testing.T) {
 	var out strings.Builder
 	in := script.New(&out)
-	if err := in.Run(strings.NewReader(ljMelt)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(ljMelt)); err != nil {
 		t.Fatal(err)
 	}
 	sim := in.Sim()
@@ -69,7 +70,7 @@ func TestLJMeltScript(t *testing.T) {
 func TestScriptMatchesWorkload(t *testing.T) {
 	var out strings.Builder
 	in := script.New(&out)
-	if err := in.Run(strings.NewReader(strings.Replace(ljMelt, "run          100", "run 0", 1))); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(strings.Replace(ljMelt, "run          100", "run 0", 1))); err != nil {
 		// run 0 is valid: build and evaluate once.
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ fix 1 all nve
 run 1
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if in.Sim().Store.N != 256 {
@@ -110,7 +111,7 @@ run 1
 
 func TestErrorsCarryLineNumbers(t *testing.T) {
 	src := "units lj\nbogus_command 1 2 3\n"
-	err := script.New(nil).Run(strings.NewReader(src))
+	err := script.New(nil).Run(context.Background(), strings.NewReader(src))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want line-2 error, got %v", err)
 	}
@@ -122,7 +123,7 @@ func TestRunWithoutSetupFails(t *testing.T) {
 		"units lj\nrun 10\n",
 		"units lj\nlattice fcc 0.8\nregion b block 0 2 0 2 0 2\ncreate_box 1 b\ncreate_atoms 1 b\nrun 5\n",
 	} {
-		if err := script.New(nil).Run(strings.NewReader(src)); err == nil {
+		if err := script.New(nil).Run(context.Background(), strings.NewReader(src)); err == nil {
 			t.Errorf("incomplete script accepted: %q", src)
 		}
 	}
@@ -145,7 +146,7 @@ timestep 0.0001
 run 20
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if in.Sim().Store.N != 216 {
@@ -156,7 +157,7 @@ run 20
 func TestMultipleRuns(t *testing.T) {
 	src := strings.Replace(ljMelt, "run          100", "run 10\nrun 15", 1)
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if in.Sim().Step != 25 {
@@ -181,7 +182,7 @@ timestep 0.005
 run 20
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	sim := in.Sim()
@@ -219,7 +220,7 @@ timestep 2.0
 run 5
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	sim := in.Sim()
@@ -249,7 +250,7 @@ fix 1 all nve
 run 2
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if in.Sim().Cfg.Kspace.Name() != "ewald" {
@@ -271,7 +272,7 @@ func TestScriptBadInputs(t *testing.T) {
 		"units lj\nkspace_style pppm\n",
 	}
 	for _, src := range cases {
-		if err := script.New(nil).Run(strings.NewReader(src)); err == nil {
+		if err := script.New(nil).Run(context.Background(), strings.NewReader(src)); err == nil {
 			t.Errorf("bad script accepted: %q", src)
 		}
 	}
@@ -292,7 +293,7 @@ fix 1 all nve
 run 1
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if n := in.Sim().Store.N; n != 108 {
@@ -320,7 +321,7 @@ run 10
 write_restart ` + rest + `
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(traj)
@@ -374,7 +375,7 @@ fix 1 all nve
 			in := script.New(nil)
 			in.Root = root
 			line := strings.ReplaceAll(cmd, "%s", bad)
-			if err := in.Run(strings.NewReader(setup + line + "\n")); !errors.Is(err, script.ErrOutsideRoot) {
+			if err := in.Run(context.Background(), strings.NewReader(setup+line+"\n")); !errors.Is(err, script.ErrOutsideRoot) {
 				t.Errorf("%q: err = %v, want ErrOutsideRoot", line, err)
 			}
 		}
@@ -385,7 +386,7 @@ fix 1 all nve
 
 	in := script.New(nil)
 	in.Root = root
-	if err := in.Run(strings.NewReader(setup + "dump 1 all xyz 5 traj.xyz\nrun 5\nwrite_data out.data\nwrite_restart out.ckpt\n")); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(setup+"dump 1 all xyz 5 traj.xyz\nrun 5\nwrite_data out.data\nwrite_restart out.ckpt\n")); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"traj.xyz", "out.data", "out.ckpt"} {
@@ -410,7 +411,7 @@ fix 1 all nvt temp 1.0 1.0 0.5
 run 20
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if in.Sim().Cfg.Pair.Name() != "morse" {
@@ -450,7 +451,7 @@ run 10
 write_data ` + dir + `/out.data
 `
 	in := script.New(nil)
-	if err := in.Run(strings.NewReader(src)); err != nil {
+	if err := in.Run(context.Background(), strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	if in.Sim().Store.N != st.N {

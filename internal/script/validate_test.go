@@ -1,6 +1,7 @@
 package script
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestValidateCoversInterpreter(t *testing.T) {
 		// command" error means the name itself was rejected.
 		err := func() (err error) {
 			defer func() { recover() }()
-			return New(nullWriter{}).Run(strings.NewReader(cmd + "\n"))
+			return New(nullWriter{}).Run(context.Background(), strings.NewReader(cmd+"\n"))
 		}()
 		if err != nil && strings.Contains(err.Error(), "unknown command") {
 			t.Errorf("Validate accepts %q but the interpreter does not", cmd)

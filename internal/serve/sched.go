@@ -661,12 +661,13 @@ func (w *logWriter) output() string {
 }
 
 // runScript runs a script job through the LAMMPS-style interpreter.
-// The interpreter is serial and has no checkpoint surface, so
-// cancellation and drain detach from it (the goroutine finishes into a
-// closed hub) and a daemon restart re-runs the script from scratch.
-// Every file the script names lives in the job's own directory: a
-// tenant can neither reach the daemon's files nor collide with another
-// job's.
+// The interpreter is serial and has no checkpoint surface: cancellation
+// and drain stop it at its next chunk boundary, and runScript returns
+// only once it has stopped, so nothing writes into the job directory
+// after the job's slots are freed; a daemon restart re-runs the script
+// from scratch. Every file the script names lives in the job's own
+// directory: a tenant can neither reach the daemon's files nor collide
+// with another job's.
 func (s *Server) runScript(job *Job, ctx context.Context) (*Result, error) {
 	w := &logWriter{hub: job.hub}
 	interp := script.New(w)
@@ -675,27 +676,20 @@ func (s *Server) runScript(job *Job, ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	done := make(chan error, 1)
-	go func() { done <- interp.Run(strings.NewReader(job.Spec.Script)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{WallMillis: time.Since(start).Milliseconds(), Output: w.output()}
-		if sim := interp.Sim(); sim != nil {
-			res.Steps = sim.Step
-			th := sim.ComputeThermo()
-			res.Final = &Frame{Step: th.Step, Temp: th.Temperature, Prs: th.Pressure,
-				PE: th.PotEnergy, KE: th.KinEnergy, Etot: th.TotalEnergy}
-		}
-		return res, nil
-	case <-ctx.Done():
+	if err := interp.Run(ctx, strings.NewReader(job.Spec.Script)); err != nil {
 		if s.hardCtx.Err() != nil {
 			return nil, errHardKill
 		}
-		return nil, ctx.Err()
+		return nil, err
 	}
+	res := &Result{WallMillis: time.Since(start).Milliseconds(), Output: w.output()}
+	if sim := interp.Sim(); sim != nil {
+		res.Steps = sim.Step
+		th := sim.ComputeThermo()
+		res.Final = &Frame{Step: th.Step, Temp: th.Temperature, Prs: th.Pressure,
+			PE: th.PotEnergy, KE: th.KinEnergy, Etot: th.TotalEnergy}
+	}
+	return res, nil
 }
 
 // loadFrames reads a frames file tolerant of a torn tail (the file is

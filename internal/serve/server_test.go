@@ -486,6 +486,59 @@ fix 1 all nve
 	}
 }
 
+// TestServeCancelStopsScript: cancelling a running script job stops
+// its interpreter, so once Wait returns nothing writes into the job
+// directory any more — the freed slots are really free.
+func TestServeCancelStopsScript(t *testing.T) {
+	const long = `units lj
+lattice fcc 0.8442
+region box block 0 3 0 3 0 3
+create_box 1 box
+create_atoms 1 box
+mass 1 1.0
+velocity all create 1.44 87287
+pair_style lj/cut 2.5
+pair_coeff 1 1 1.0 1.0
+fix 1 all nve
+dump 1 all xyz 20 traj.xyz
+run 1000000
+`
+	dir := t.TempDir()
+	s := startServer(t, dir, Limits{}, "")
+	id, err := s.Submit(JobSpec{Script: long})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	traj := filepath.Join(dir, id+".files", "traj.xyz")
+	size := func() int64 {
+		fi, err := os.Stat(traj)
+		if err != nil {
+			return 0
+		}
+		return fi.Size()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for size() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("script job wrote no dump frame")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := s.Cancel(id); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	waitState(t, s, id, StateCancelled, 30*time.Second)
+	s.Wait()
+	before := size()
+	time.Sleep(200 * time.Millisecond)
+	if after := size(); after != before {
+		t.Errorf("dump grew from %d to %d bytes after the cancelled job's Wait", before, after)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeRestartKeepsResults: terminal jobs survive a daemon restart
 // with their results intact, and IDs keep counting upward.
 func TestServeRestartKeepsResults(t *testing.T) {
