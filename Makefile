@@ -114,9 +114,12 @@ soak:
 # supervised kill recovery with re-rendezvous, and the distributed-
 # checkpoint drills (restore from the newest complete shard
 # generation, mid-commit torn-generation fallback, placement swap).
+# The mpi selection (~8 s a pass) runs three times so a concurrency
+# flake in the transport gets three chances to show; the harness drills
+# run once.
 transport-check:
-	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' \
-		./internal/mpi/ ./internal/harness/
+	go test -race -count=3 -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/mpi/
+	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/harness/
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted bytes:
 # TCP wire frames, halo/migration payloads, and the checkpoint formats

@@ -201,7 +201,6 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 			KeepCheckpoints: *ckptKeep,
 			Retries:         *retries,
 			HangTimeout:     of.HangTimeout,
-			Fault:           inj,
 			Metrics:         of.Metrics,
 			Tracer:          of.Tracer,
 			Trace:           of.Log,

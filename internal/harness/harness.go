@@ -145,8 +145,9 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{Opts: opts.WithDefaults(), cache: map[measureKey]*measured{}}
 }
 
-// minAtomsFor grows the measured size until the decomposition constraint
-// (sub-domain >= interaction range) holds for the rank count.
+// runEngine measures one spec on a supervised engine of nrun atoms,
+// doubling nrun until the decomposition constraint (sub-domain >=
+// interaction range) holds for the rank count.
 func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 	o := r.Opts
 	// The engine always measures at the workload's default kspace

@@ -139,7 +139,6 @@ func TestSupervisorCheckpointGenerationFallback(t *testing.T) {
 		CheckpointPath:  path,
 		KeepCheckpoints: 2,
 		Retries:         2,
-		Fault:           inj,
 		Metrics:         metrics,
 		Trace:           trace.New(&logBuf),
 	}
@@ -310,7 +309,6 @@ func TestSoakFaultCampaign(t *testing.T) {
 				KeepCheckpoints: 2,
 				Retries:         3,
 				HangTimeout:     hangDeadline,
-				Fault:           inj,
 			}
 			if err := sup.Start(); err != nil {
 				t.Fatalf("soak Start: %v", err)

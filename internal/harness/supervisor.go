@@ -13,7 +13,6 @@ import (
 	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/domain"
-	"gomd/internal/fault"
 	"gomd/internal/health"
 	"gomd/internal/mpi"
 	"gomd/internal/obs"
@@ -54,8 +53,8 @@ type Supervisor struct {
 	// — the hook a process-spanning (TCP) deployment uses. Each build
 	// attempt calls it afresh, so a recovery re-runs the rendezvous and
 	// gets a clean socket mesh. Composes with CheckpointEvery/
-	// CheckpointPath: each process writes sharded GMCK snapshots of its
-	// local ranks (ckpt.ShardWriter's two-phase commit), and a recovery
+	// CheckpointPath: each process writes GMCS shards of its local
+	// ranks (ckpt.ShardWriter's two-phase commit), and a recovery
 	// re-rendezvouses and restores every process from the newest
 	// complete generation — even when the new rendezvous assigns ranks
 	// to different processes, since shards are keyed by rank.
@@ -71,11 +70,6 @@ type Supervisor struct {
 	// makes no progress within the timeout triggers a diagnosed world
 	// abort that recovers through the same path as a crash.
 	HangTimeout time.Duration
-
-	// Fault, when set alongside checkpointing, installs the injector's
-	// checkpoint corruptor on the writer (truncate-ckpt / flip-ckpt
-	// faults damage the file right after each write).
-	Fault *fault.Injector
 
 	// Retries bounds recovery attempts over the supervisor's lifetime
 	// (0 = fail on the first rank error). Backoff is slept before each
@@ -130,10 +124,6 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 			if s.KeepCheckpoints > 1 {
 				s.shardWriter.SetKeep(s.KeepCheckpoints)
 			}
-			if s.Fault != nil {
-				s.shardWriter.SetCorruptor(s.Fault.CorruptShard)
-				s.shardWriter.SetKillCommit(s.Fault.KillDuringCommit)
-			}
 		}
 		sink = s.shardWriter.Sink()
 	case s.CheckpointEvery > 0 && s.CheckpointPath != "" && s.WorldBuilder == nil:
@@ -141,9 +131,6 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 			s.writer = ckpt.NewWriter(s.CheckpointPath, s.Ranks)
 			if s.KeepCheckpoints > 1 {
 				s.writer.SetKeep(s.KeepCheckpoints)
-			}
-			if s.Fault != nil {
-				s.writer.SetCorruptor(s.Fault.CorruptCheckpoint)
 			}
 		}
 		sink = s.writer.Sink()
@@ -168,6 +155,18 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 		if sink != nil {
 			cfg.CheckpointEvery = s.CheckpointEvery
 			cfg.CheckpointSink = sink
+		}
+		if inj := cfg.Fault; inj != nil {
+			// The workload's injector also damages what the checkpoint
+			// writer just wrote (truncate-ckpt, flip-ckpt, shard faults)
+			// and kills a process mid-commit.
+			if s.shardWriter != nil {
+				s.shardWriter.SetCorruptor(inj.CorruptShard)
+				s.shardWriter.SetKillCommit(inj.KillDuringCommit)
+			}
+			if s.writer != nil {
+				s.writer.SetCorruptor(inj.CorruptCheckpoint)
+			}
 		}
 		cfg.Health = s.monitor
 		cfg.Flight = s.flight

@@ -97,7 +97,6 @@ func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3,
 			CheckpointEvery: tc.every,
 			CheckpointPath:  path,
 			KeepCheckpoints: tc.keep,
-			Fault:           inj,
 			Retries:         tc.retries,
 			HangTimeout:     hangDeadline,
 			Trace:           trace.New(logs[i]),

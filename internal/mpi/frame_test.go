@@ -10,8 +10,10 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func dataFrame(t *testing.T, payload []float64) []byte {
@@ -177,6 +179,32 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(corrupt)
 	abortF := encodeFrame(frameHeader{kind: frameAbort, world: 42, src: 2}, encodeAbortPayload("boom", "stack"))
 	f.Add(abortF)
+	states := []CommState{{Rank: 1, Inbox: 2, InboxCap: 128}, {Rank: 3, Parked: &Park{Op: "MPI_Wait", Peer: 1, Tag: 5, Since: time.Unix(0, 9)}}}
+	f.Add(encodeFrame(frameHeader{kind: frameSnapResp, world: 42}, encodeSnapPayload(7, states)))
+	f.Add(encodeFrame(frameHeader{kind: frameHello}, encodeHelloPayload([]int{1, 2}, "127.0.0.1:7311")))
+	table := []procInfo{{proc: 0, ranks: []int{0}}, {proc: 1, addr: "127.0.0.1:7312", ranks: []int{1, 2}}}
+	f.Add(encodeFrame(frameHeader{kind: framePeers, world: 42}, encodePeersPayload(3, 1, table)))
+	// Counts nothing has validated: a snapshot claiming 65,536 states in
+	// 8 bytes, a peer table claiming 65,536 procs in 12.
+	f.Add(encodeFrame(frameHeader{kind: frameSnapResp, world: 42}, binary.LittleEndian.AppendUint32(make([]byte, 4), 1<<16)))
+	f.Add(encodeFrame(frameHeader{kind: framePeers, world: 42}, binary.LittleEndian.AppendUint32(make([]byte, 8), 1<<16)))
+	// The control-plane payload decoders, each reporting whether it
+	// produced a value.
+	control := map[byte]func([]byte) (bool, error){
+		frameAbort: func(b []byte) (bool, error) { decodeAbortPayload(b); return true, nil },
+		frameSnapResp: func(b []byte) (bool, error) {
+			v, err := decodeSnapPayload(b)
+			return v != nil, err
+		},
+		frameHello: func(b []byte) (bool, error) {
+			v, _, err := decodeHelloPayload(b)
+			return v != nil, err
+		},
+		framePeers: func(b []byte) (bool, error) {
+			_, _, v, err := decodePeersPayload(b)
+			return v != nil, err
+		},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := decodeFrameBytes(data, 0)
 		if err != nil {
@@ -198,6 +226,19 @@ func FuzzFrameDecode(f *testing.F) {
 				if _, ok := derr.(*FrameError); !ok {
 					t.Fatalf("payload error %T (%v), want *FrameError", derr, derr)
 				}
+			}
+		} else if decode := control[h.kind]; decode != nil {
+			// Control payloads meet FuzzCheckpointDecode's oracle: a value
+			// or an error, and at most 1 MiB + 32 B per input byte allocated.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ok, derr := decode(payload)
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(data)); got > limit {
+				t.Errorf("kind %d: decoding a %d-byte frame allocated %d (limit %d)", h.kind, len(data), got, limit)
+			}
+			if ok == (derr != nil) {
+				t.Errorf("kind %d: value %v with error %v; want exactly one", h.kind, ok, derr)
 			}
 		}
 	})

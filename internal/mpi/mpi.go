@@ -568,7 +568,7 @@ func (c *Comm) deliver(dst int, m message) int {
 // (when installed) and delivers it, plus any message a reorder fault
 // previously deferred. Collective hops bypass it (collSend delivers
 // directly). Returns the wire bytes charged now (0 for a
-// reorder-deferred message; its bytes are charged when flushed).
+// reorder-deferred message; its bytes are charged on release).
 func (c *Comm) sendP2P(dst int, m message) int {
 	if h := c.world.fault; h != nil {
 		delay, reorder := h.OnSend(c.rank, dst, m.tag)

@@ -223,9 +223,11 @@ func TestTCPMisalignedFloat64FrameIsTyped(t *testing.T) {
 	defer w1.Close()
 
 	t0 := w0.tr.(*tcpTransport)
-	t0.links[1].out <- outFrame{b: encodeFrame(frameHeader{
+	if _, err := t0.links[1].conn.Write(encodeFrame(frameHeader{
 		kind: frameData, codec: codecFloat64, world: t0.worldID, src: 0, dst: 1, tag: 5,
-	}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})}
+	}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})); err != nil {
+		t.Fatal(err)
+	}
 	err = w1.Parallel(func(c *Comm) {
 		c.SendrecvFloat64(-1, nil, 0, 5, nil)
 	})

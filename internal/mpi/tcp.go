@@ -14,21 +14,24 @@
 // the coordinator releases the world with a go frame. The rendezvous
 // connections double as the proc-0 data links.
 //
-// Ordering: each peer pair shares one connection with one writer
-// goroutine draining one FIFO queue, so messages between any (src,dst)
-// pair arrive in send order — the same per-(src,tag) FIFO the channel
-// transport provides, which is what the engine's bit-reproducibility
-// rests on.
+// Ordering: each peer pair shares one connection, and a sending rank
+// writes its frame onto it itself under the link's write lock before
+// its send returns. A rank's sends are sequential and the lock keeps
+// frames whole, so messages between any (src,dst) pair arrive in send
+// order — the same per-(src,tag) FIFO the channel transport provides,
+// which is what the engine's bit-reproducibility rests on.
 package mpi
 
 import (
 	"bufio"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	mathrand "math/rand"
 	"net"
+	"os"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -74,18 +77,17 @@ func (e *RendezvousError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *RendezvousError) Unwrap() error { return e.Err }
 
-// abortFlushTimeout bounds how long abort propagation waits on a full
-// wire queue before falling back to closing the connection (the peer
-// then observes a link failure, which aborts it just the same).
+// abortFlushTimeout bounds how long abort propagation waits to put its
+// frame on a link before falling back to closing the connection (the
+// peer then observes a link failure, which aborts it just the same).
 const abortFlushTimeout = 250 * time.Millisecond
 
 // snapshotTimeout bounds FillRemote's wait for each peer's comm-state
 // response; an unresponsive peer leaves its ranks' entries zero-valued.
 const snapshotTimeout = 500 * time.Millisecond
 
-// closeFlushTimeout bounds how long a graceful Close waits for each
-// link's writer to drain the queued frames (trailing collective data
-// plus the bye) before the socket is torn down regardless.
+// closeFlushTimeout bounds how long a graceful Close spends putting its
+// bye on the links before the sockets are torn down regardless.
 const closeFlushTimeout = time.Second
 
 // byeGraceTimeout is how long a clean peer departure (bye frame + EOF)
@@ -111,13 +113,6 @@ type RemoteAbort struct {
 // RemoteAbort greps identically to the local one.
 func (r RemoteAbort) String() string { return r.Text }
 
-// outFrame is one encoded frame queued on a link. pooled marks a data
-// frame: queued on this link only, so its writer may recycle the buffer.
-type outFrame struct {
-	b      []byte
-	pooled bool
-}
-
 // linkReadBuf sizes a link's buffered reader so one read call takes in a
 // whole halo payload (tens of KB); bufio's 4 KiB default needed several.
 const linkReadBuf = 64 << 10
@@ -130,10 +125,12 @@ type peerLink struct {
 	ranks []int
 	conn  net.Conn
 	br    *bufio.Reader
-	out   chan outFrame
-	// flushed is closed when the write loop exits (queue drained or
-	// write error); Close waits on it before tearing the socket down.
-	flushed chan struct{}
+	// mu serializes writes: every frame goes on conn whole, under mu,
+	// with the writer's deadline set. werr (guarded by mu) is the first
+	// failed write; it may have left part of a frame on the wire, so
+	// nothing is written after it.
+	mu   sync.Mutex
+	werr error
 	// peerBye records that the peer announced a graceful finalize, so
 	// the EOF that follows is a clean departure, not a process death.
 	peerBye atomic.Bool
@@ -164,10 +161,62 @@ type tcpTransport struct {
 // Name implements Transport.
 func (t *tcpTransport) Name() string { return "tcp" }
 
+// writeFrame puts one frame on the link; the caller holds l.mu and has
+// set the write deadline.
+func (l *peerLink) writeFrame(frame []byte) error {
+	if l.werr == nil {
+		_, l.werr = l.conn.Write(frame)
+	}
+	return l.werr
+}
+
+// writeBy writes a control frame by deadline, lock wait included: the
+// abort broadcast and the bye must not wait forever behind a wedged
+// write. It reports whether the frame went out.
+func (l *peerLink) writeBy(frame []byte, deadline time.Time) bool {
+	for !l.mu.TryLock() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	defer l.mu.Unlock()
+	l.conn.SetWriteDeadline(deadline)
+	return l.writeFrame(frame) == nil
+}
+
+// tryControl writes a control frame only if no rank holds the link at
+// this moment, so neither the watchdog nor a reader ever waits behind
+// a data write. A failed write is a lost link.
+func (t *tcpTransport) tryControl(l *peerLink, frame []byte) bool {
+	if !l.mu.TryLock() {
+		return false
+	}
+	l.conn.SetWriteDeadline(time.Now().Add(snapshotTimeout))
+	err := l.writeFrame(frame)
+	l.mu.Unlock()
+	if err != nil {
+		t.linkLost(l, fmt.Errorf("write: %w", err))
+	}
+	return err == nil
+}
+
+// expireWrites fails every write in progress or still to come on this
+// transport's links at once; the abort path calls it so a rank blocked
+// writing to a peer unwinds with the abort.
+func (t *tcpTransport) expireWrites() {
+	for _, l := range t.links {
+		if l != nil {
+			l.conn.SetWriteDeadline(time.Unix(1, 0))
+		}
+	}
+}
+
 // Deliver implements Transport: co-resident destinations take the
 // in-process mailbox path and charge logical payload bytes; remote
-// destinations are framed and charge header + encoded payload — the
-// bytes that actually cross the wire.
+// destinations are framed, written to the link by the sending rank
+// within the world's MailboxStall, and charge header + encoded payload
+// — the bytes that actually cross the wire.
 func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 	w := t.w
 	if dst < 0 || dst >= w.Size {
@@ -198,36 +247,33 @@ func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 		h.OnFrame(m.src, dst, m.tag, frame)
 	}
 	l := t.links[t.rankProc[dst]]
-	if err := t.enqueue(l, frame, m, dst); err != nil {
+	stall := w.opts.MailboxStall
+	l.mu.Lock()
+	l.conn.SetWriteDeadline(time.Now().Add(stall))
+	// Checked after the deadline is set, so an abort's expiry of it is
+	// never overwritten: either this sees the abort or the write does.
+	err := errAborted
+	if w.Aborted() == nil {
+		err = l.writeFrame(frame)
+	}
+	l.mu.Unlock()
+	n := len(frame)
+	bytePool.put(frame)
+	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) && w.Aborted() == nil {
+			return 0, &stallError{fmt.Sprintf(
+				"mpi: rank %d -> rank %d (tag %d, %d bytes) stalled %v writing to proc %d — peer process dead or not reading",
+				m.src, dst, m.tag, m.bytes, stall, l.proc)}
+		}
+		t.linkLost(l, fmt.Errorf("write: %w", err)) // quiet once aborted
+		if w.Aborted() != nil {
+			return 0, errAborted
+		}
 		return 0, err
 	}
 	t.framesSent.Add(1)
-	t.wireSent.Add(int64(len(frame)))
-	return len(frame), nil
-}
-
-// enqueue places a pooled data frame on a link's ordered queue with the
-// same stall semantics deliverLocal gives a full mailbox.
-func (t *tcpTransport) enqueue(l *peerLink, frame []byte, m message, dst int) error {
-	of := outFrame{b: frame, pooled: true}
-	select {
-	case l.out <- of:
-		return nil
-	default:
-	}
-	stall := t.w.opts.MailboxStall
-	timer := time.NewTimer(stall)
-	defer timer.Stop()
-	select {
-	case l.out <- of:
-		return nil
-	case <-t.w.abort:
-		return errAborted
-	case <-timer.C:
-		return &stallError{fmt.Sprintf(
-			"mpi: rank %d -> rank %d (tag %d, %d bytes) stalled %v on a full wire queue to proc %d: %d/%d frames queued — peer process dead or not draining",
-			m.src, dst, m.tag, m.bytes, stall, l.proc, len(l.out), cap(l.out))}
-	}
+	t.wireSent.Add(int64(n))
+	return n, nil
 }
 
 // PropagateAbort implements Transport: the first local failure is
@@ -245,14 +291,13 @@ func (t *tcpTransport) PropagateAbort(e *RankError) {
 			if l == nil {
 				continue
 			}
-			select {
-			case l.out <- outFrame{b: frame}:
-			case <-time.After(abortFlushTimeout):
-				// Queue wedged: close the link instead — the peer's
+			if !l.writeBy(frame, time.Now().Add(abortFlushTimeout)) {
+				// Link wedged or broken: close it instead — the peer's
 				// reader observes the loss and aborts its world.
 				l.conn.Close()
 			}
 		}
+		t.expireWrites()
 	})
 }
 
@@ -308,10 +353,8 @@ func (t *tcpTransport) requestSnapshot(l *peerLink) ([]CommState, bool) {
 	frame := encodeFrame(frameHeader{
 		kind: frameSnapReq, world: t.worldID, src: -1, dst: int32(l.proc),
 	}, binary.LittleEndian.AppendUint32(nil, seq))
-	select {
-	case l.out <- outFrame{b: frame}:
-	default:
-		return nil, false // queue wedged; don't block the watchdog
+	if !t.tryControl(l, frame) {
+		return nil, false // link busy or lost; don't block the watchdog
 	}
 	timer := time.NewTimer(snapshotTimeout)
 	defer timer.Stop()
@@ -328,89 +371,41 @@ func (t *tcpTransport) requestSnapshot(l *peerLink) ([]CommState, bool) {
 // Close implements Transport.
 func (t *tcpTransport) Close() error {
 	t.closeOnce.Do(func() {
-		// Graceful finalize: announce the departure and flush everything
-		// already queued (trailing collective data, then the bye) before
-		// tearing the sockets down, so a peer still draining its last
-		// section gets its data and can tell this clean shutdown from a
-		// process death. Skipped on aborted worlds — the abort frames
-		// already said everything.
+		// Graceful finalize: every data frame is already on the socket (a
+		// send returns once its frame is written), so announcing the
+		// departure lets a peer still draining its last section tell this
+		// clean shutdown from a process death. Best effort — a peer that
+		// misses the bye sees a raw EOF and aborts — and skipped on
+		// aborted worlds, where the abort frames already said everything.
 		if t.w.Aborted() == nil {
 			bye := encodeFrame(frameHeader{
 				kind: frameBye, world: t.worldID, src: int32(t.selfProc),
 			}, nil)
+			deadline := time.Now().Add(closeFlushTimeout)
 			for _, l := range t.links {
-				if l == nil {
-					continue
-				}
-				select {
-				case l.out <- outFrame{b: bye}:
-				default: // full queue: the peer sees a raw EOF and aborts
+				if l != nil {
+					l.writeBy(bye, deadline)
 				}
 			}
 		}
 		close(t.closed)
-		deadline := time.Now().Add(closeFlushTimeout)
 		for _, l := range t.links {
-			if l == nil {
-				continue
+			if l != nil {
+				l.conn.Close()
 			}
-			select {
-			case <-l.flushed:
-			case <-time.After(time.Until(deadline)):
-			}
-			l.conn.Close()
 		}
 	})
 	return nil
 }
 
-// start launches the writer and reader pumps for every link.
+// start launches the reader pump for every link; writes happen on the
+// goroutine that sends.
 func (t *tcpTransport) start() {
 	for _, l := range t.links {
-		if l == nil {
-			continue
-		}
-		go t.writeLoop(l)
-		go t.readLoop(l)
-	}
-}
-
-// writeLoop drains one link's ordered queue onto its connection. It
-// exits only on transport close or a write failure — not on world
-// abort — so queued abort frames still flush to the peer.
-func (t *tcpTransport) writeLoop(l *peerLink) {
-	defer close(l.flushed)
-	for {
-		select {
-		case f := <-l.out:
-			if err := l.write(f); err != nil {
-				t.linkLost(l, fmt.Errorf("write: %w", err))
-				return
-			}
-		case <-t.closed:
-			// Final drain: flush anything already queued (abort frames).
-			for {
-				select {
-				case f := <-l.out:
-					if l.write(f) != nil {
-						return
-					}
-				default:
-					return
-				}
-			}
+		if l != nil {
+			go t.readLoop(l)
 		}
 	}
-}
-
-// write puts one queued frame on the socket and recycles it if this
-// link was its only owner.
-func (l *peerLink) write(f outFrame) error {
-	_, err := l.conn.Write(f.b)
-	if f.pooled {
-		bytePool.put(f.b)
-	}
-	return err
 }
 
 // linkPayload picks the buffer a live link reads a frame's payload into:
@@ -478,6 +473,7 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 				Cause: RemoteAbort{Rank: int(h.src), Text: text, Stack: stack},
 				Stack: []byte(stack),
 			})
+			t.expireWrites()
 			return
 		case frameSnapReq:
 			if len(payload) < 4 {
@@ -491,10 +487,7 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 				kind: frameSnapResp, world: t.worldID,
 				src: int32(t.selfProc), dst: int32(l.proc),
 			}, encodeSnapPayload(binary.LittleEndian.Uint32(payload), states))
-			select {
-			case l.out <- outFrame{b: resp}:
-			default: // best effort; the requester times out
-			}
+			t.tryControl(l, resp) // dropped while a rank writes; the requester times out
 		case frameSnapResp:
 			if len(payload) < 4 {
 				continue
@@ -677,7 +670,7 @@ func decodeSnapPayload(buf []byte) ([]CommState, error) {
 	if n < 0 || n > 1<<16 {
 		return nil, malformed
 	}
-	out := make([]CommState, 0, n)
+	out := make([]CommState, 0, min(n, len(buf)/17)) // an entry is >= 17 bytes
 	for i := 0; i < n; i++ {
 		if len(buf) < 17 {
 			return nil, malformed
@@ -775,7 +768,7 @@ func decodePeersPayload(buf []byte) (size, selfProc int, table []procInfo, err e
 	if n < 1 || n > 1<<16 {
 		return 0, 0, nil, malformed
 	}
-	table = make([]procInfo, 0, n)
+	table = make([]procInfo, 0, min(n, len(buf)/12)) // an entry is >= 12 bytes
 	for i := 0; i < n; i++ {
 		if len(buf) < 4 {
 			return 0, 0, nil, malformed
@@ -1085,10 +1078,7 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 
 // newPeerLink wraps one wired connection as an ordered link.
 func newPeerLink(proc int, ranks []int, conn net.Conn, br *bufio.Reader) *peerLink {
-	return &peerLink{
-		proc: proc, ranks: ranks, conn: conn, br: br,
-		out: make(chan outFrame, 1024), flushed: make(chan struct{}),
-	}
+	return &peerLink{proc: proc, ranks: ranks, conn: conn, br: br}
 }
 
 // launchWorld assembles the World + transport and starts the pumps.

@@ -64,8 +64,8 @@ var errAborted = errors.New("mpi: world aborted")
 // corrupt-wire action). OnFrame may mutate frame in place; the CRC has
 // already been computed, so a payload flip surfaces on the receiver as
 // a typed crc-mismatch *FrameError and exercises the whole
-// wire-corruption recovery path. frame is a pooled buffer the link's
-// writer recycles once it is on the socket: OnFrame must not retain it.
+// wire-corruption recovery path. frame is a pooled buffer the sending
+// rank recycles once it is on the socket: OnFrame must not retain it.
 type WireFaultHook interface {
 	OnFrame(src, dst, tag int, frame []byte)
 }

@@ -517,7 +517,6 @@ func (s *Server) runWorkload(job *Job, ctx context.Context) (*Result, error) {
 		CheckpointPath:  s.ckptPath(job),
 		KeepCheckpoints: spec.KeepCheckpoints,
 		Retries:         spec.Retries,
-		Fault:           inj,
 	}
 	// A requeued job resumes: with checkpointing on, Start restores its
 	// newest generation that verifies. The restored run keeps the
