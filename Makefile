@@ -122,13 +122,15 @@ transport-check:
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/harness/
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted bytes:
-# TCP wire frames, halo/migration payloads, and the checkpoint formats
-# (GMCK, GMCS, KCMF). `make test` already replays every seed corpus;
+# TCP wire frames, halo/migration payloads, the checkpoint formats
+# (GMCK, GMCS, KCMF), and input scripts (parse, then run under a 1 s
+# deadline). `make test` already replays every seed corpus;
 # this step searches past it. Each target is named explicitly because
 # -fuzz takes one target per run.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s ./internal/mpi
 	go test -run '^$$' -fuzz '^FuzzDecodeDomainPayloads$$' -fuzztime 5s ./internal/domain
 	go test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 5s ./internal/ckpt
+	go test -run '^$$' -fuzz '^FuzzScript$$' -fuzztime 5s ./internal/script
 
 check: build vet fmt-check test race bench-module bench-smoke kernel-bench sweep-smoke serve-smoke faults soak transport-check fuzz

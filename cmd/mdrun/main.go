@@ -244,7 +244,7 @@ func fail(stderr io.Writer, err error) int {
 }
 
 // runScript runs a LAMMPS-style input script through the interpreter;
-// soft stops it at the next chunk boundary of a `run` (exit 130).
+// soft stops it before the next step of a `run` (exit 130).
 func runScript(soft context.Context, path string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {

@@ -188,8 +188,8 @@ func TestStopDrainsToCheckpoint(t *testing.T) {
 	}
 }
 
-// TestScriptStops: a stop request ends an -in script at the next chunk
-// boundary of its `run` with exit 130, instead of running it to the end.
+// TestScriptStops: a stop request ends an -in script before the next
+// step of its `run` with exit 130, instead of running it to the end.
 func TestScriptStops(t *testing.T) {
 	in := filepath.Join(t.TempDir(), "in.lj")
 	src := `units lj

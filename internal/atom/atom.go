@@ -56,6 +56,11 @@ type DihedralRef struct {
 	A, C, D int64
 }
 
+// MaxAtoms bounds the system an untrusted input may ask for: the paper's
+// largest system, 2048k atoms. The script interpreter and the job server
+// refuse a larger request before allocating anything for it.
+const MaxAtoms = 2_048_000
+
 // Store is the per-rank atom container.
 type Store struct {
 	// N is the number of owned atoms; Nghost the number of ghost entries

@@ -1,12 +1,27 @@
 // Package script interprets a LAMMPS-style input script — the lingua
 // franca the paper's benchmark inputs are written in — and drives the
-// gomd engine with it. The supported command subset covers the five
-// bench inputs: units, lattice, region, create_box/create_atoms, mass,
+// gomd engine with it. The supported command subset covers the bench
+// inputs: units, lattice, region, create_box/create_atoms, mass,
 // velocity create, pair_style/pair_coeff, neighbor/neigh_modify,
-// kspace_style, fix, timestep, thermo, run, and log/print.
+// kspace_style, the bonded styles, fix, timestep, thermo, run,
+// read_data/write_data, dump, write_restart and print.
 //
 // Scripts are line-oriented: `#` starts a comment, `&` at end of line
 // continues onto the next, tokens are whitespace-separated.
+//
+// A script is parsed whole before any command runs, against one table
+// whose row for each command gives its argument count, what must be
+// established before it (units, a lattice, a box, a pair style and its
+// coefficients, an integrator fix) and what it establishes. The parse
+// rejects an unknown command, a wrong argument count, a command before
+// what it needs, and a setup command after the first run (which builds
+// the simulation, so later setup could not reach it). Validate is that
+// parse, so a job server refuses at admission what would otherwise fail
+// or crash mid-run. Sizes are bounded before anything is allocated: a
+// box or a create_atoms may hold at most atom.MaxAtoms lattice sites,
+// create_box at most maxTypes atom types, and the first run refuses a
+// cutoff that would grid the box into more than maxCells neighbor bins
+// or Ewald k-vectors.
 package script
 
 import (
@@ -16,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -47,32 +63,28 @@ type Interp struct {
 	// unset, paths mean what they mean to the process (mdrun -in).
 	Root string
 
-	units   units.System
-	hasUnit bool
+	units units.System
 
 	latStyle lattice.Style
 	latA     float64 // lattice constant
-	hasLat   bool
 
 	// region "block" bounds in lattice units.
 	regions map[string][2]vec.V3
 
-	bx       box.Box
-	hasBox   bool
-	ntypes   int
-	masses   []float64
-	st       *atom.Store
-	pairSty  pair.Style
-	coeffSet bool
-	skin     float64
-	every    int
-	delay    int
-	noCheck  bool
-	kspaceS  kspace.Solver
-	bondSty  []bond.Style
-	fixes    []fix.Fix
-	dt       float64
-	thermoN  int
+	bx      box.Box
+	ntypes  int
+	masses  []float64
+	st      *atom.Store
+	pairSty pair.Style
+	skin    float64
+	every   int
+	delay   int
+	noCheck bool
+	kspaceS kspace.Solver
+	bondSty []bond.Style
+	fixes   []fix.Fix
+	dt      float64
+	thermoN int
 
 	sim *Simulation
 
@@ -80,13 +92,23 @@ type Interp struct {
 	dumpEvery  int
 	dumpFormat string
 	dumpPath   string
-
-	line int
 }
 
 // ErrOutsideRoot reports a file argument that does not stay under
 // Interp.Root.
 var ErrOutsideRoot = errors.New("script: file path escapes the job directory")
+
+// maxTypes bounds create_box's atom type count: every shipped input uses
+// at most 3, and 1024 keeps lj/cut's two ntypes² tables at 16 MB.
+const maxTypes = 1024
+
+// maxCells bounds the cells a run grids space into: the neighbor list
+// bins the box and its ghost shell at half the pair cutoff plus skin,
+// and Ewald sums over a cube of k-vectors as many across as the box
+// spans 2π/kcut. A cutoff tiny against the box (or an Ewald accuracy
+// near zero) would ask for more than any host has memory; 16 per atom
+// of the largest system leaves room for sparse boxes.
+const maxCells = 16 * atom.MaxAtoms
 
 // path resolves a script's file argument under Root.
 func (in *Interp) path(arg string) (string, error) {
@@ -119,103 +141,187 @@ func New(out io.Writer) *Interp {
 // Sim exposes the running simulation (nil before the first `run`).
 func (in *Interp) Sim() *core.Simulation { return in.sim }
 
-// Run executes a whole script. A cancelled ctx stops it at the next
-// chunk boundary of a `run` command, returning ctx's error; the steps
-// taken so far stand.
-func (in *Interp) Run(ctx context.Context, r io.Reader) error {
+// state is the set of facts the commands parsed so far establish.
+type state uint16
+
+const (
+	hasUnits state = 1 << iota
+	hasLattice
+	hasBox // a box and its atom store
+	hasPair
+	hasCoeff
+	hasFix
+	hasBond
+	hasAngle
+	hasDihedral
+	hasSim // the simulation is built; setup is over
+)
+
+// givers names, bit by bit, the command that establishes each fact.
+var givers = [...]string{"units", "lattice", "create_box", "pair_style", "pair_coeff",
+	"fix", "bond_style", "angle_style", "dihedral_style", "run"}
+
+const (
+	// build is what building the simulation (run, write_restart) needs.
+	build = hasUnits | hasBox | hasPair | hasCoeff | hasFix
+	// setup forbids a command that only shapes the build once the
+	// simulation exists.
+	setup = hasSim
+)
+
+// runFunc executes one command with its arguments.
+type runFunc func(in *Interp, ctx context.Context, a []string) error
+
+// command is one row of the script language.
+type command struct {
+	min, max int // argument count; max 0: no upper bound
+	usage    string
+	needs    state // must hold before the command
+	gives    state // holds after it
+	forbids  state // the command is an error once any of these holds
+	run      runFunc
+}
+
+func noop(*Interp, context.Context, []string) error { return nil }
+
+// table is the script language: every command the interpreter knows.
+var table = map[string]command{
+	"units":          {min: 1, max: 1, usage: "units lj|metal|real", gives: hasUnits, forbids: setup, run: (*Interp).cmdUnits},
+	"lattice":        {min: 2, usage: "lattice fcc|bcc|sc <scale>", needs: hasUnits, gives: hasLattice, forbids: setup, run: (*Interp).cmdLattice},
+	"region":         {min: 8, usage: "region <id> block <xlo> <xhi> <ylo> <yhi> <zlo> <zhi>", forbids: setup, run: (*Interp).cmdRegion},
+	"create_box":     {min: 2, max: 2, usage: "create_box <ntypes> <region>", needs: hasLattice, gives: hasBox, forbids: hasBox | setup, run: (*Interp).cmdCreateBox},
+	"create_atoms":   {min: 2, usage: "create_atoms <type> box|region <id>", needs: hasLattice | hasBox, forbids: setup, run: (*Interp).cmdCreateAtoms},
+	"read_data":      {min: 1, max: 1, usage: "read_data <file>", needs: hasUnits, gives: hasBox, forbids: setup, run: (*Interp).cmdReadData},
+	"mass":           {min: 2, max: 2, usage: "mass <type> <m>", needs: hasBox, forbids: setup, run: (*Interp).cmdMass},
+	"velocity":       {min: 4, usage: "velocity all create <T> <seed>", needs: hasBox, run: (*Interp).cmdVelocity},
+	"pair_style":     {min: 1, usage: "pair_style <style> [<cutoff>...]", needs: hasBox, gives: hasPair, forbids: setup, run: (*Interp).cmdPairStyle},
+	"pair_coeff":     {min: 2, usage: "pair_coeff <i> <j> <coefficients>", needs: hasPair, gives: hasCoeff, forbids: setup, run: (*Interp).cmdPairCoeff},
+	"neighbor":       {min: 1, usage: "neighbor <skin> [bin]", forbids: setup, run: (*Interp).cmdNeighbor},
+	"neigh_modify":   {usage: "neigh_modify [every <n>] [delay <n>] [check yes|no]", forbids: setup, run: (*Interp).cmdNeighModify},
+	"kspace_style":   {min: 2, usage: "kspace_style pppm|ewald <accuracy>", forbids: setup, run: (*Interp).cmdKspace},
+	"bond_style":     {min: 1, usage: "bond_style fene|harmonic", gives: hasBond, forbids: setup, run: bondStyle("bond_style")},
+	"angle_style":    {min: 1, usage: "angle_style harmonic", gives: hasAngle, forbids: setup, run: bondStyle("angle_style")},
+	"dihedral_style": {min: 1, usage: "dihedral_style charmm|harmonic", gives: hasDihedral, forbids: setup, run: bondStyle("dihedral_style")},
+	"bond_coeff":     {min: 3, usage: "bond_coeff <type> <K> <r0> [<eps> <sigma>]", needs: hasBond, forbids: setup, run: (*Interp).cmdBondCoeff},
+	"angle_coeff":    {min: 3, usage: "angle_coeff <type> <K> <theta0>", needs: hasAngle, forbids: setup, run: (*Interp).cmdAngleCoeff},
+	"dihedral_coeff": {min: 4, usage: "dihedral_coeff <type> <K> <n> <d>", needs: hasDihedral, forbids: setup, run: (*Interp).cmdDihedralCoeff},
+	"fix":            {min: 3, usage: "fix <id> <group> <style> [<args>...]", gives: hasFix, forbids: setup, run: (*Interp).cmdFix},
+	"timestep":       {min: 1, usage: "timestep <dt>", forbids: setup, run: (*Interp).cmdTimestep},
+	"thermo":         {min: 1, usage: "thermo <N>", forbids: setup, run: (*Interp).cmdThermo},
+	"run":            {min: 1, max: 1, usage: "run <steps>", needs: build, gives: hasSim, run: (*Interp).cmdRun},
+	"write_restart":  {min: 1, max: 1, usage: "write_restart <file>", needs: build, gives: hasSim, run: (*Interp).cmdWriteRestart},
+	"write_data":     {min: 1, max: 1, usage: "write_data <file>", needs: hasBox, run: (*Interp).cmdWriteData},
+	"dump":           {min: 5, usage: "dump <id> <group> xyz|custom <every> <file>", run: (*Interp).cmdDump},
+	"print":          {run: (*Interp).cmdPrint},
+	// Accepted for input compatibility; defaults apply.
+	"atom_style": {run: noop}, "log": {run: noop}, "echo": {run: noop}, "boundary": {run: noop},
+	"atom_modify": {run: noop}, "comm_modify": {run: noop}, "pair_modify": {run: noop},
+}
+
+// builtinCoeffs are the pair styles whose parameters come with the
+// style, so they need no pair_coeff.
+var builtinCoeffs = map[string]bool{"eam": true, "gran/hooke/history": true}
+
+// stmt is one parsed command: the line it ends on, its body, its
+// arguments.
+type stmt struct {
+	line int
+	run  runFunc
+	args []string
+}
+
+// parse reads a whole script and checks every command against the
+// table: name, argument count, and the facts it needs, in order. It
+// returns the commands and the facts the script establishes.
+func parse(r io.Reader) ([]stmt, state, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cont strings.Builder
-	for sc.Scan() {
-		in.line++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	var (
+		prog []stmt
+		have state
+		cont strings.Builder
+	)
+	for line := 1; sc.Scan(); line++ {
+		text := sc.Text()
+		if i := strings.IndexByte(text, '#'); i >= 0 {
+			text = text[:i]
 		}
-		line = strings.TrimSpace(line)
-		if strings.HasSuffix(line, "&") {
-			cont.WriteString(strings.TrimSuffix(line, "&"))
+		text = strings.TrimSpace(text)
+		if strings.HasSuffix(text, "&") {
+			cont.WriteString(strings.TrimSuffix(text, "&"))
 			cont.WriteByte(' ')
 			continue
 		}
 		if cont.Len() > 0 {
-			line = cont.String() + line
+			text = cont.String() + text
 			cont.Reset()
 		}
-		if line == "" {
+		tok := strings.Fields(text)
+		if len(tok) == 0 {
 			continue
 		}
-		if err := in.exec(ctx, strings.Fields(line)); err != nil {
-			return fmt.Errorf("line %d: %w", in.line, err)
+		name, args := tok[0], tok[1:]
+		c, ok := table[name]
+		var err error
+		switch missing := c.needs &^ have; {
+		case !ok:
+			err = fmt.Errorf("unknown command %q", name)
+		case len(args) < c.min || c.max > 0 && len(args) > c.max:
+			err = fmt.Errorf("usage: %s", c.usage)
+		case missing != 0:
+			err = fmt.Errorf("%s before %s", name, givers[bits.TrailingZeros16(uint16(missing))])
+		case c.forbids&have&hasSim != 0:
+			err = fmt.Errorf("%s after run: setup commands go before the first run", name)
+		case c.forbids&have != 0:
+			err = fmt.Errorf("%s: the box is already defined", name)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("line %d: %w", line, err)
+		}
+		have |= c.gives
+		if name == "pair_style" {
+			// A new pair style starts without coefficients.
+			have &^= hasCoeff
+			if builtinCoeffs[args[0]] {
+				have |= hasCoeff
+			}
+		}
+		prog = append(prog, stmt{line, c.run, args})
+	}
+	return prog, have, sc.Err()
+}
+
+// Validate parses a script without executing anything, so it never
+// touches the filesystem and is safe on untrusted input. Every error Run
+// would report before executing a command it reports too, and a script
+// that never builds the simulation is an error as well. Argument values
+// (numbers, styles, regions, files) are checked only when Run executes.
+func Validate(r io.Reader) error {
+	_, have, err := parse(r)
+	if err == nil && have&hasSim == 0 {
+		err = errors.New("script has no run command")
+	}
+	return err
+}
+
+// Run parses a whole script and then executes it. A parse error leaves
+// the interpreter untouched. A cancelled ctx stops a `run` command
+// before its next step, returning ctx's error; the steps taken so far
+// stand.
+func (in *Interp) Run(ctx context.Context, r io.Reader) error {
+	prog, _, err := parse(r)
+	if err != nil {
+		return err
+	}
+	for _, s := range prog {
+		if err := s.run(in, ctx, s.args); err != nil {
+			return fmt.Errorf("line %d: %w", s.line, err)
 		}
 	}
-	return sc.Err()
+	return nil
 }
 
-func (in *Interp) exec(ctx context.Context, tok []string) error {
-	switch tok[0] {
-	case "units":
-		return in.cmdUnits(tok[1:])
-	case "atom_style":
-		return nil // atomic/granular storage is uniform here
-	case "lattice":
-		return in.cmdLattice(tok[1:])
-	case "region":
-		return in.cmdRegion(tok[1:])
-	case "create_box":
-		return in.cmdCreateBox(tok[1:])
-	case "create_atoms":
-		return in.cmdCreateAtoms(tok[1:])
-	case "mass":
-		return in.cmdMass(tok[1:])
-	case "velocity":
-		return in.cmdVelocity(tok[1:])
-	case "pair_style":
-		return in.cmdPairStyle(tok[1:])
-	case "pair_coeff":
-		return in.cmdPairCoeff(tok[1:])
-	case "neighbor":
-		return in.cmdNeighbor(tok[1:])
-	case "neigh_modify":
-		return in.cmdNeighModify(tok[1:])
-	case "kspace_style":
-		return in.cmdKspace(tok[1:])
-	case "bond_style", "angle_style", "dihedral_style":
-		return in.cmdBondStyle(tok[0], tok[1:])
-	case "bond_coeff", "angle_coeff", "dihedral_coeff":
-		return in.cmdBondCoeff(tok[0], tok[1:])
-	case "fix":
-		return in.cmdFix(tok[1:])
-	case "timestep":
-		return in.one(tok[1:], &in.dt)
-	case "thermo":
-		n, err := atoi(tok[1])
-		in.thermoN = n
-		return err
-	case "print":
-		fmt.Fprintln(in.Out, strings.Join(tok[1:], " "))
-		return nil
-	case "log", "echo", "boundary", "atom_modify", "comm_modify", "pair_modify":
-		return nil // accepted for input compatibility; defaults apply
-	case "read_data":
-		return in.cmdReadData(tok[1:])
-	case "write_data":
-		return in.cmdWriteData(tok[1:])
-	case "dump":
-		return in.cmdDump(tok[1:])
-	case "write_restart":
-		return in.cmdWriteRestart(tok[1:])
-	case "run":
-		return in.cmdRun(ctx, tok[1:])
-	default:
-		return fmt.Errorf("unknown command %q", tok[0])
-	}
-}
-
-func (in *Interp) cmdUnits(a []string) error {
-	if len(a) != 1 {
-		return fmt.Errorf("units takes one style")
-	}
+func (in *Interp) cmdUnits(_ context.Context, a []string) error {
 	switch a[0] {
 	case "lj":
 		in.units = units.ForStyle(units.LJ)
@@ -226,22 +332,19 @@ func (in *Interp) cmdUnits(a []string) error {
 	default:
 		return fmt.Errorf("unsupported units %q", a[0])
 	}
-	in.hasUnit = true
 	in.dt = in.units.DefaultDt
 	return nil
 }
 
-func (in *Interp) cmdLattice(a []string) error {
-	if len(a) < 2 {
-		return fmt.Errorf("lattice needs style and scale")
-	}
+func (in *Interp) cmdLattice(_ context.Context, a []string) error {
+	var style lattice.Style
 	switch a[0] {
 	case "fcc":
-		in.latStyle = lattice.FCC
+		style = lattice.FCC
 	case "bcc":
-		in.latStyle = lattice.BCC
+		style = lattice.BCC
 	case "sc":
-		in.latStyle = lattice.SC
+		style = lattice.SC
 	default:
 		return fmt.Errorf("unsupported lattice %q", a[0])
 	}
@@ -249,29 +352,31 @@ func (in *Interp) cmdLattice(a []string) error {
 	if err != nil {
 		return err
 	}
+	// The scale is a reduced density in LJ units, otherwise the lattice
+	// constant.
+	lat := v
 	if in.units.Style == units.LJ {
-		// LJ units: the scale is a reduced density.
-		in.latA = lattice.CubicForDensity(in.latStyle, v)
-	} else {
-		// Otherwise it is the lattice constant.
-		in.latA = v
+		lat = lattice.CubicForDensity(style, v)
 	}
-	in.hasLat = true
+	if !(lat > 0) || math.IsInf(lat, 1) {
+		return fmt.Errorf("lattice scale %q gives no finite positive constant", a[1])
+	}
+	in.latStyle, in.latA = style, lat
 	return nil
 }
 
-func (in *Interp) cmdRegion(a []string) error {
-	// region <id> block xlo xhi ylo yhi zlo zhi
-	if len(a) < 8 || a[1] != "block" {
+func (in *Interp) cmdRegion(_ context.Context, a []string) error {
+	if a[1] != "block" {
 		return fmt.Errorf("only `region <id> block xlo xhi ylo yhi zlo zhi` is supported")
 	}
 	var b [6]float64
-	for i := 0; i < 6; i++ {
-		v, err := atof(a[2+i])
-		if err != nil {
-			return err
+	if err := floats(a[2:], &b[0], &b[1], &b[2], &b[3], &b[4], &b[5]); err != nil {
+		return err
+	}
+	for i := 0; i < 6; i += 2 {
+		if !(b[i] < b[i+1]) || math.IsInf(b[i], 0) || math.IsInf(b[i+1], 0) {
+			return fmt.Errorf("region %s: bounds %s %s are not finite with lo < hi", a[0], a[2+i], a[3+i])
 		}
-		b[i] = v
 	}
 	in.regions[a[0]] = [2]vec.V3{
 		vec.New(b[0], b[2], b[4]),
@@ -280,42 +385,47 @@ func (in *Interp) cmdRegion(a []string) error {
 	return nil
 }
 
-func (in *Interp) cmdCreateBox(a []string) error {
-	if len(a) != 2 {
-		return fmt.Errorf("create_box <ntypes> <region>")
+// cells counts the lattice cells along each axis of [lo, hi] and the
+// sites they hold, in float64 so that no count overflows before it is
+// checked against atom.MaxAtoms.
+func (in *Interp) cells(lo, hi vec.V3) (n [3]float64, sites float64) {
+	n = [3]float64{
+		math.Round((hi.X - lo.X) / in.latA),
+		math.Round((hi.Y - lo.Y) / in.latA),
+		math.Round((hi.Z - lo.Z) / in.latA),
 	}
+	return n, n[0] * n[1] * n[2] * float64(in.latStyle.BasisCount())
+}
+
+func (in *Interp) cmdCreateBox(_ context.Context, a []string) error {
 	n, err := atoi(a[0])
 	if err != nil {
 		return err
+	}
+	if n < 1 || n > maxTypes {
+		return fmt.Errorf("create_box: %d atom types, want 1..%d", n, maxTypes)
 	}
 	r, ok := in.regions[a[1]]
 	if !ok {
 		return fmt.Errorf("unknown region %q", a[1])
 	}
-	if !in.hasLat {
-		return fmt.Errorf("create_box before lattice")
+	lo := r[0].Scale(in.latA)
+	hi := r[1].Scale(in.latA)
+	if _, sites := in.cells(lo, hi); !(sites <= atom.MaxAtoms) {
+		return fmt.Errorf("create_box: the box holds %g lattice sites, over the %d-atom limit", sites, atom.MaxAtoms)
 	}
 	in.ntypes = n
 	in.masses = make([]float64, n)
 	for i := range in.masses {
 		in.masses[i] = 1
 	}
-	lo := r[0].Scale(in.latA)
-	hi := r[1].Scale(in.latA)
 	in.bx = box.NewPeriodic(lo, hi)
-	in.hasBox = true
 	in.st = atom.New(1024)
 	return nil
 }
 
-func (in *Interp) cmdCreateAtoms(a []string) error {
-	if len(a) < 2 {
-		return fmt.Errorf("create_atoms <type> box|region <id>")
-	}
-	if !in.hasBox {
-		return fmt.Errorf("create_atoms before create_box")
-	}
-	typ, err := atoi(a[0])
+func (in *Interp) cmdCreateAtoms(_ context.Context, a []string) error {
+	typ, err := in.typ(a[0])
 	if err != nil {
 		return err
 	}
@@ -330,10 +440,11 @@ func (in *Interp) cmdCreateAtoms(a []string) error {
 		}
 		lo, hi = r[0].Scale(in.latA), r[1].Scale(in.latA)
 	}
-	nx := int(math.Round((hi.X - lo.X) / in.latA))
-	ny := int(math.Round((hi.Y - lo.Y) / in.latA))
-	nz := int(math.Round((hi.Z - lo.Z) / in.latA))
-	pos := lattice.Generate(in.latStyle, in.latA, nx, ny, nz, lo)
+	n, sites := in.cells(lo, hi)
+	if total := float64(in.st.N) + sites; !(total <= atom.MaxAtoms) {
+		return fmt.Errorf("create_atoms: %g atoms, over the %d-atom limit", total, atom.MaxAtoms)
+	}
+	pos := lattice.Generate(in.latStyle, in.latA, int(n[0]), int(n[1]), int(n[2]), lo)
 	tag := int64(in.st.N)
 	for _, p := range pos {
 		tag++
@@ -343,11 +454,8 @@ func (in *Interp) cmdCreateAtoms(a []string) error {
 	return nil
 }
 
-func (in *Interp) cmdMass(a []string) error {
-	if len(a) != 2 {
-		return fmt.Errorf("mass <type> <m>")
-	}
-	t, err := atoi(a[0])
+func (in *Interp) cmdMass(_ context.Context, a []string) error {
+	t, err := in.typ(a[0])
 	if err != nil {
 		return err
 	}
@@ -355,16 +463,13 @@ func (in *Interp) cmdMass(a []string) error {
 	if err != nil {
 		return err
 	}
-	if t < 1 || t > in.ntypes {
-		return fmt.Errorf("type %d out of range", t)
-	}
 	in.masses[t-1] = m
 	return nil
 }
 
-func (in *Interp) cmdVelocity(a []string) error {
+func (in *Interp) cmdVelocity(_ context.Context, a []string) error {
 	// velocity all create <T> <seed>
-	if len(a) < 4 || a[0] != "all" || a[1] != "create" {
+	if a[0] != "all" || a[1] != "create" {
 		return fmt.Errorf("only `velocity all create <T> <seed>` is supported")
 	}
 	T, err := atof(a[2])
@@ -384,10 +489,7 @@ func (in *Interp) cmdVelocity(a []string) error {
 	return nil
 }
 
-func (in *Interp) cmdPairStyle(a []string) error {
-	if len(a) < 1 {
-		return fmt.Errorf("pair_style needs a style")
-	}
+func (in *Interp) cmdPairStyle(_ context.Context, a []string) error {
 	switch a[0] {
 	case "lj/cut":
 		if len(a) < 2 {
@@ -409,12 +511,8 @@ func (in *Interp) cmdPairStyle(a []string) error {
 		if len(a) < 3 {
 			return fmt.Errorf("lj/charmm/coul/long needs inner and outer cutoffs")
 		}
-		inner, err := atof(a[1])
-		if err != nil {
-			return err
-		}
-		outer, err := atof(a[2])
-		if err != nil {
+		var inner, outer float64
+		if err := floats(a[1:], &inner, &outer); err != nil {
 			return err
 		}
 		eps := make([]float64, in.ntypes)
@@ -431,48 +529,29 @@ func (in *Interp) cmdPairStyle(a []string) error {
 		in.pairSty = &pair.Morse{RCut: rc, Prec: pair.Double}
 	case "eam":
 		in.pairSty = pair.NewEAMCopper(pair.Double)
-		in.coeffSet = true
 	case "gran/hooke/history":
 		in.pairSty = pair.NewGranChute()
-		in.coeffSet = true
 	default:
 		return fmt.Errorf("unsupported pair_style %q", a[0])
 	}
 	return nil
 }
 
-func (in *Interp) cmdPairCoeff(a []string) error {
+func (in *Interp) cmdPairCoeff(_ context.Context, a []string) error {
 	// pair_coeff <i> <j> <eps> <sigma>  (or `* *` for all)
-	if in.pairSty == nil {
-		return fmt.Errorf("pair_coeff before pair_style")
-	}
 	switch p := in.pairSty.(type) {
 	case *pair.Morse:
 		// pair_coeff * * D0 alpha r0
 		if len(a) < 5 {
 			return fmt.Errorf("pair_coeff * * D0 alpha r0")
 		}
-		var err error
-		if p.D0, err = atof(a[2]); err != nil {
-			return err
-		}
-		if p.Alpha, err = atof(a[3]); err != nil {
-			return err
-		}
-		if p.R0, err = atof(a[4]); err != nil {
-			return err
-		}
-		in.coeffSet = true
+		return floats(a[2:], &p.D0, &p.Alpha, &p.R0)
 	case *pair.LJCut:
 		if len(a) < 4 {
 			return fmt.Errorf("pair_coeff i j eps sigma")
 		}
-		eps, err := atof(a[2])
-		if err != nil {
-			return err
-		}
-		sig, err := atof(a[3])
-		if err != nil {
+		var eps, sig float64
+		if err := floats(a[2:], &eps, &sig); err != nil {
 			return err
 		}
 		apply := func(i, j int) {
@@ -485,31 +564,26 @@ func (in *Interp) cmdPairCoeff(a []string) error {
 					apply(i, j)
 				}
 			}
-		} else {
-			i, err := atoi(a[0])
-			if err != nil {
-				return err
-			}
-			j, err := atoi(a[1])
-			if err != nil {
-				return err
-			}
-			apply(i-1, j-1)
+			return nil
 		}
-		in.coeffSet = true
+		i, err := in.typ(a[0])
+		if err != nil {
+			return err
+		}
+		j, err := in.typ(a[1])
+		if err != nil {
+			return err
+		}
+		apply(i-1, j-1)
 	case *pair.CharmmCoulLong:
 		if len(a) < 4 {
 			return fmt.Errorf("pair_coeff i j eps sigma")
 		}
-		eps, err := atof(a[2])
-		if err != nil {
+		var eps, sig float64
+		if err := floats(a[2:], &eps, &sig); err != nil {
 			return err
 		}
-		sig, err := atof(a[3])
-		if err != nil {
-			return err
-		}
-		i, err := atoi(a[0])
+		i, err := in.typ(a[0])
 		if err != nil {
 			return err
 		}
@@ -522,21 +596,17 @@ func (in *Interp) cmdPairCoeff(a []string) error {
 				p.Sigma[x][y] = 0.5 * (p.Sigma[x][x] + p.Sigma[y][y])
 			}
 		}
-		in.coeffSet = true
 	default:
 		// eam / granular take no coefficients here.
 	}
 	return nil
 }
 
-func (in *Interp) cmdNeighbor(a []string) error {
-	if len(a) < 1 {
-		return fmt.Errorf("neighbor <skin> [bin]")
-	}
-	return in.one(a[:1], &in.skin)
+func (in *Interp) cmdNeighbor(_ context.Context, a []string) error {
+	return floats(a, &in.skin)
 }
 
-func (in *Interp) cmdNeighModify(a []string) error {
+func (in *Interp) cmdNeighModify(_ context.Context, a []string) error {
 	for i := 0; i+1 < len(a); i += 2 {
 		switch a[i] {
 		case "every":
@@ -558,13 +628,16 @@ func (in *Interp) cmdNeighModify(a []string) error {
 	return nil
 }
 
-func (in *Interp) cmdKspace(a []string) error {
-	if len(a) < 2 || a[0] != "pppm" && a[0] != "ewald" {
+func (in *Interp) cmdKspace(_ context.Context, a []string) error {
+	if a[0] != "pppm" && a[0] != "ewald" {
 		return fmt.Errorf("kspace_style pppm|ewald <accuracy>")
 	}
 	acc, err := atof(a[1])
 	if err != nil {
 		return err
+	}
+	if !(acc > 0 && acc < 1) {
+		return fmt.Errorf("kspace accuracy %s is not in (0, 1)", a[1])
 	}
 	rc := 10.0
 	if ch, ok := in.pairSty.(*pair.CharmmCoulLong); ok {
@@ -578,12 +651,14 @@ func (in *Interp) cmdKspace(a []string) error {
 	return nil
 }
 
+// bondStyle is the body of the bonded-style command cmd.
+func bondStyle(cmd string) runFunc {
+	return func(in *Interp, _ context.Context, a []string) error { return in.cmdBondStyle(cmd, a) }
+}
+
 // cmdBondStyle registers a bonded style; coefficients follow via the
 // matching *_coeff command.
 func (in *Interp) cmdBondStyle(cmd string, a []string) error {
-	if len(a) < 1 {
-		return fmt.Errorf("%s needs a style", cmd)
-	}
 	switch cmd + " " + a[0] {
 	case "bond_style fene":
 		in.bondSty = append(in.bondSty, bond.NewFENEChain())
@@ -599,108 +674,65 @@ func (in *Interp) cmdBondStyle(cmd string, a []string) error {
 	return nil
 }
 
-// cmdBondCoeff sets coefficients on the most recent style of its class.
-func (in *Interp) cmdBondCoeff(cmd string, a []string) error {
-	find := func(match func(bond.Style) bool) bond.Style {
-		for i := len(in.bondSty) - 1; i >= 0; i-- {
-			if match(in.bondSty[i]) {
-				return in.bondSty[i]
-			}
+// last returns the most recent bonded style of type T. The parse puts
+// the matching *_style command before any *_coeff, so one exists.
+func last[T bond.Style](styles []bond.Style) (t T) {
+	for i := len(styles) - 1; i >= 0; i-- {
+		if s, ok := styles[i].(T); ok {
+			return s
 		}
-		return nil
 	}
-	switch cmd {
-	case "bond_coeff":
-		st := find(func(s bond.Style) bool {
-			switch s.(type) {
-			case *bond.FENE, *bond.Harmonic:
-				return true
-			}
-			return false
-		})
-		switch b := st.(type) {
+	return t
+}
+
+// cmdBondCoeff sets coefficients on the most recent bond style:
+// bond_coeff <t> K R0 eps sigma (fene) or <t> K r0 (harmonic).
+func (in *Interp) cmdBondCoeff(_ context.Context, a []string) error {
+	for i := len(in.bondSty) - 1; i >= 0; i-- {
+		switch b := in.bondSty[i].(type) {
 		case *bond.FENE:
-			// bond_coeff <t> K R0 eps sigma
 			if len(a) < 5 {
 				return fmt.Errorf("bond_coeff <t> K R0 eps sigma for fene")
 			}
-			var err error
-			if b.K, err = atof(a[1]); err != nil {
-				return err
-			}
-			if b.R0, err = atof(a[2]); err != nil {
-				return err
-			}
-			if b.Eps, err = atof(a[3]); err != nil {
-				return err
-			}
-			if b.Sigma, err = atof(a[4]); err != nil {
-				return err
-			}
+			return floats(a[1:], &b.K, &b.R0, &b.Eps, &b.Sigma)
 		case *bond.Harmonic:
-			if len(a) < 3 {
-				return fmt.Errorf("bond_coeff <t> K r0")
-			}
-			var err error
-			if b.K, err = atof(a[1]); err != nil {
-				return err
-			}
-			if b.R0, err = atof(a[2]); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("bond_coeff before bond_style")
+			return floats(a[1:], &b.K, &b.R0)
 		}
-	case "angle_coeff":
-		st := find(func(s bond.Style) bool { _, ok := s.(*bond.HarmonicAngle); return ok })
-		ang, _ := st.(*bond.HarmonicAngle)
-		if ang == nil {
-			return fmt.Errorf("angle_coeff before angle_style")
-		}
-		if len(a) < 3 {
-			return fmt.Errorf("angle_coeff <t> K theta0(deg)")
-		}
-		var err error
-		if ang.K, err = atof(a[1]); err != nil {
-			return err
-		}
-		deg, err := atof(a[2])
-		if err != nil {
-			return err
-		}
-		ang.Theta0 = deg * math.Pi / 180
-	case "dihedral_coeff":
-		st := find(func(s bond.Style) bool { _, ok := s.(*bond.DihedralHarmonic); return ok })
-		dh, _ := st.(*bond.DihedralHarmonic)
-		if dh == nil {
-			return fmt.Errorf("dihedral_coeff before dihedral_style")
-		}
-		if len(a) < 4 {
-			return fmt.Errorf("dihedral_coeff <t> K n d(deg)")
-		}
-		var err error
-		if dh.K, err = atof(a[1]); err != nil {
-			return err
-		}
-		n, err := atoi(a[2])
-		if err != nil {
-			return err
-		}
-		dh.N = n
-		deg, err := atof(a[3])
-		if err != nil {
-			return err
-		}
-		dh.D = deg * math.Pi / 180
 	}
 	return nil
 }
 
-func (in *Interp) cmdFix(a []string) error {
-	// fix <id> all <style> [args]
-	if len(a) < 3 {
-		return fmt.Errorf("fix <id> <group> <style> ...")
+// cmdAngleCoeff: angle_coeff <t> K theta0(deg).
+func (in *Interp) cmdAngleCoeff(_ context.Context, a []string) error {
+	ang := last[*bond.HarmonicAngle](in.bondSty)
+	var deg float64
+	if err := floats(a[1:], &ang.K, &deg); err != nil {
+		return err
 	}
+	ang.Theta0 = deg * math.Pi / 180
+	return nil
+}
+
+// cmdDihedralCoeff: dihedral_coeff <t> K n d(deg).
+func (in *Interp) cmdDihedralCoeff(_ context.Context, a []string) error {
+	dh := last[*bond.DihedralHarmonic](in.bondSty)
+	if err := floats(a[1:], &dh.K); err != nil {
+		return err
+	}
+	n, err := atoi(a[2])
+	if err != nil {
+		return err
+	}
+	var deg float64
+	if err := floats(a[3:], &deg); err != nil {
+		return err
+	}
+	dh.N, dh.D = n, deg*math.Pi/180
+	return nil
+}
+
+func (in *Interp) cmdFix(_ context.Context, a []string) error {
+	// fix <id> all <style> [args]
 	style := a[2]
 	args := a[3:]
 	switch style {
@@ -710,38 +742,30 @@ func (in *Interp) cmdFix(a []string) error {
 		if len(args) < 1 {
 			return fmt.Errorf("nve/limit needs a max displacement")
 		}
-		v, err := atof(args[0])
-		if err != nil {
+		f := &fix.NVELimit{}
+		if err := floats(args, &f.MaxDisp); err != nil {
 			return err
 		}
-		in.fixes = append(in.fixes, &fix.NVELimit{MaxDisp: v})
+		in.fixes = append(in.fixes, f)
 	case "langevin":
 		if len(args) < 3 {
 			return fmt.Errorf("langevin <Tstart> <Tstop> <damp>")
 		}
-		T, err := atof(args[0])
-		if err != nil {
+		f := &fix.Langevin{}
+		if err := floats(args, &f.T); err != nil {
 			return err
 		}
-		damp, err := atof(args[2])
-		if err != nil {
+		if err := floats(args[2:], &f.Damp); err != nil {
 			return err
 		}
-		in.fixes = append(in.fixes, &fix.Langevin{T: T, Damp: damp})
+		in.fixes = append(in.fixes, f)
 	case "nvt":
 		// fix 1 all nvt temp T T tdamp
 		if len(args) < 4 || args[0] != "temp" {
 			return fmt.Errorf("nvt temp <Tstart> <Tstop> <damp>")
 		}
 		f := &fix.NVT{}
-		var err error
-		if f.TStart, err = atof(args[1]); err != nil {
-			return err
-		}
-		if f.TStop, err = atof(args[2]); err != nil {
-			return err
-		}
-		if f.TDamp, err = atof(args[3]); err != nil {
+		if err := floats(args[1:], &f.TStart, &f.TStop, &f.TDamp); err != nil {
 			return err
 		}
 		in.fixes = append(in.fixes, f)
@@ -754,14 +778,7 @@ func (in *Interp) cmdFix(a []string) error {
 				if i+3 >= len(args) {
 					return fmt.Errorf("npt temp needs 3 values")
 				}
-				var err error
-				if f.TStart, err = atof(args[i+1]); err != nil {
-					return err
-				}
-				if f.TStop, err = atof(args[i+2]); err != nil {
-					return err
-				}
-				if f.TDamp, err = atof(args[i+3]); err != nil {
+				if err := floats(args[i+1:], &f.TStart, &f.TStop, &f.TDamp); err != nil {
 					return err
 				}
 				i += 3
@@ -769,11 +786,10 @@ func (in *Interp) cmdFix(a []string) error {
 				if i+3 >= len(args) {
 					return fmt.Errorf("npt iso needs 3 values")
 				}
-				var err error
-				if f.PTarget, err = atof(args[i+1]); err != nil {
+				if err := floats(args[i+1:], &f.PTarget); err != nil {
 					return err
 				}
-				if f.PDamp, err = atof(args[i+3]); err != nil {
+				if err := floats(args[i+3:], &f.PDamp); err != nil {
 					return err
 				}
 				i += 3
@@ -785,15 +801,14 @@ func (in *Interp) cmdFix(a []string) error {
 		if len(args) < 3 || args[1] != "chute" {
 			return fmt.Errorf("gravity <mag> chute <angle>")
 		}
-		mag, err := atof(args[0])
-		if err != nil {
+		f := &fix.Gravity{}
+		if err := floats(args, &f.Mag); err != nil {
 			return err
 		}
-		ang, err := atof(args[2])
-		if err != nil {
+		if err := floats(args[2:], &f.Angle); err != nil {
 			return err
 		}
-		in.fixes = append(in.fixes, &fix.Gravity{Mag: mag, Angle: ang})
+		in.fixes = append(in.fixes, f)
 	case "wall/gran":
 		in.fixes = append(in.fixes, fix.NewWallGranChute())
 	default:
@@ -802,15 +817,25 @@ func (in *Interp) cmdFix(a []string) error {
 	return nil
 }
 
-// runChunk is the most steps a `run` takes between cancellation checks;
-// chunks also end at dump frames. Splitting a run changes no bits:
-// Run(a); Run(b) is Run(a+b).
-const runChunk = 100
+func (in *Interp) cmdTimestep(_ context.Context, a []string) error {
+	return floats(a, &in.dt)
+}
 
+func (in *Interp) cmdThermo(_ context.Context, a []string) error {
+	n, err := atoi(a[0])
+	in.thermoN = n
+	return err
+}
+
+func (in *Interp) cmdPrint(_ context.Context, a []string) error {
+	fmt.Fprintln(in.Out, strings.Join(a, " "))
+	return nil
+}
+
+// cmdRun advances the simulation, building it first if this is the
+// first run. ctx is checked before every step; stepping one at a time
+// changes no bits, since Run(a); Run(b) is Run(a+b).
 func (in *Interp) cmdRun(ctx context.Context, a []string) error {
-	if len(a) != 1 {
-		return fmt.Errorf("run <steps>")
-	}
 	n, err := atoi(a[0])
 	if err != nil {
 		return err
@@ -820,16 +845,11 @@ func (in *Interp) cmdRun(ctx context.Context, a []string) error {
 			return err
 		}
 	}
-	for done := 0; done < n; {
+	for done := 1; done <= n; done++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		k := min(runChunk, n-done)
-		if in.dumpEvery > 0 {
-			k = min(k, in.dumpEvery-done%in.dumpEvery)
-		}
-		in.sim.Run(k)
-		done += k
+		in.sim.Run(1)
 		if in.dumpEvery > 0 && (done%in.dumpEvery == 0 || done == n) {
 			if err := in.writeDumpFrames(); err != nil {
 				return err
@@ -843,10 +863,7 @@ func (in *Interp) cmdRun(ctx context.Context, a []string) error {
 }
 
 // cmdReadData loads a LAMMPS data file: box, masses, atoms, topology.
-func (in *Interp) cmdReadData(a []string) error {
-	if len(a) != 1 {
-		return fmt.Errorf("read_data <file>")
-	}
+func (in *Interp) cmdReadData(_ context.Context, a []string) error {
 	path, err := in.path(a[0])
 	if err != nil {
 		return err
@@ -861,7 +878,6 @@ func (in *Interp) cmdReadData(a []string) error {
 		return err
 	}
 	in.bx = df.Box
-	in.hasBox = true
 	in.masses = df.Masses
 	in.ntypes = len(df.Masses)
 	in.st = df.Store()
@@ -870,13 +886,7 @@ func (in *Interp) cmdReadData(a []string) error {
 }
 
 // cmdWriteData saves the current system as a data file.
-func (in *Interp) cmdWriteData(a []string) error {
-	if len(a) != 1 {
-		return fmt.Errorf("write_data <file>")
-	}
-	if in.st == nil {
-		return fmt.Errorf("no system to write")
-	}
+func (in *Interp) cmdWriteData(_ context.Context, a []string) error {
 	bx := in.bx
 	st := in.st
 	if in.sim != nil {
@@ -897,10 +907,7 @@ func (in *Interp) cmdWriteData(a []string) error {
 
 // cmdDump configures trajectory output:
 // dump <id> all xyz|custom <every> <file>
-func (in *Interp) cmdDump(a []string) error {
-	if len(a) < 5 {
-		return fmt.Errorf("dump <id> <group> xyz|custom <every> <file>")
-	}
+func (in *Interp) cmdDump(_ context.Context, a []string) error {
 	switch a[2] {
 	case "xyz", "custom":
 		in.dumpFormat = a[2]
@@ -919,10 +926,7 @@ func (in *Interp) cmdDump(a []string) error {
 // cmdWriteRestart saves the run as a one-rank GMCK checkpoint, written
 // atomically: a one-generation store that mdrun -checkpoint can name
 // (and ckpt.ReadFile reads): write_restart <file>.
-func (in *Interp) cmdWriteRestart(a []string) error {
-	if len(a) != 1 {
-		return fmt.Errorf("write_restart <file>")
-	}
+func (in *Interp) cmdWriteRestart(_ context.Context, a []string) error {
 	path, err := in.path(a[0])
 	if err != nil {
 		return err
@@ -942,9 +946,6 @@ func (in *Interp) cmdWriteRestart(a []string) error {
 
 // writeDumpFrames appends trajectory frames during a run.
 func (in *Interp) writeDumpFrames() error {
-	if in.dumpEvery <= 0 || in.dumpPath == "" {
-		return nil
-	}
 	f, err := os.OpenFile(in.dumpPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -956,17 +957,26 @@ func (in *Interp) writeDumpFrames() error {
 	return dump.WriteLAMMPSDump(f, in.sim.Store, in.sim.Box, in.sim.Step)
 }
 
-// finalize assembles the core.Simulation from accumulated state.
+// finalize assembles the core.Simulation from accumulated state; the
+// parse has already seen units, a box, a pair style with coefficients
+// and a fix. It refuses an empty system and one that would grid space
+// into more than maxCells neighbor bins or Ewald k-vectors.
 func (in *Interp) finalize() error {
-	switch {
-	case !in.hasUnit:
-		return fmt.Errorf("no units command")
-	case !in.hasBox || in.st == nil || in.st.N == 0:
+	if in.st.N == 0 {
 		return fmt.Errorf("no atoms created")
-	case in.pairSty == nil || !in.coeffSet:
-		return fmt.Errorf("pair style/coefficients incomplete")
-	case len(in.fixes) == 0:
-		return fmt.Errorf("no integrator fix")
+	}
+	cut := in.pairSty.Cutoff() + in.skin
+	l := in.bx.Lengths()
+	if bins := (2*l.X/cut + 4) * (2*l.Y/cut + 4) * (2*l.Z/cut + 4); !(cut > 0 && bins <= maxCells) {
+		return fmt.Errorf("pair cutoff + skin %g bins the box into %.3g neighbor cells, over the limit of %d", cut, bins, maxCells)
+	}
+	if ew, ok := in.kspaceS.(*kspace.Ewald); ok {
+		// Ewald.Setup's k-vector loop bounds.
+		kcut := 2 * kspace.SplitParameter(ew.Accuracy, ew.RCut) * math.Sqrt(-math.Log(ew.Accuracy))
+		across := func(l float64) float64 { return 2*math.Floor(kcut*l/(2*math.Pi)+1) + 1 }
+		if k := across(l.X) * across(l.Y) * across(l.Z); !(k <= maxCells) {
+			return fmt.Errorf("ewald over a %.3g k-vector cube, over the limit of %d", k, maxCells)
+		}
 	}
 	cfg := core.Config{
 		Name:         "script",
@@ -990,15 +1000,24 @@ func (in *Interp) finalize() error {
 	return nil
 }
 
-func (in *Interp) one(a []string, dst *float64) error {
-	if len(a) < 1 {
-		return fmt.Errorf("missing value")
+// typ parses an atom type, which must be in 1..ntypes.
+func (in *Interp) typ(s string) (int, error) {
+	t, err := atoi(s)
+	if err == nil && (t < 1 || t > in.ntypes) {
+		err = fmt.Errorf("atom type %d out of range 1..%d", t, in.ntypes)
 	}
-	v, err := atof(a[0])
-	if err != nil {
-		return err
+	return t, err
+}
+
+// floats parses a[i] into *dst[i] for each destination.
+func floats(a []string, dst ...*float64) error {
+	for i, d := range dst {
+		v, err := atof(a[i])
+		if err != nil {
+			return err
+		}
+		*d = v
 	}
-	*dst = v
 	return nil
 }
 

@@ -3,11 +3,14 @@ package script_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gomd/internal/ckpt"
 	"gomd/internal/core"
@@ -258,6 +261,40 @@ run 2
 	}
 }
 
+// Prefixes of the crasher rows: an LJ lattice, a box on it, and
+// everything a run needs.
+const (
+	ljHead = "units lj\nlattice fcc 0.8442\n"
+	ljBox  = ljHead + "region box block 0 2 0 2 0 2\ncreate_box 1 box\n"
+	ljSim  = ljBox + "create_atoms 1 box\npair_style lj/cut 2.5\npair_coeff 1 1 1.0 1.0\nfix 1 all nve\n"
+)
+
+// crashers are inputs that once panicked the interpreter or ran it out
+// of memory (the sizes in the last seven rows); each must fail on line
+// `line`. They also seed FuzzScript.
+var crashers = []struct {
+	src  string
+	line int
+}{
+	{"thermo\nrun 1\n", 1},
+	{"&\n\nrun 1\n", 3},
+	{ljBox + "create_atoms 2 box\nvelocity all create 1 1\n", 5},
+	{ljBox + "create_atoms 1 box\npair_style lj/cut 2.5\npair_coeff 2 2 1.0 1.0\n", 7},
+	{ljHead + "region box block 3 0 0 3 0 3\ncreate_box 1 box\ncreate_atoms 1 box\n" +
+		"pair_style lj/cut 2.5\npair_coeff 1 1 1.0 1.0\nfix 1 all nve\nrun 1\n", 3},
+	{ljHead + "region box block 0 2 0 2 0 2\ncreate_box -1 box\n", 4},
+	{"units lj\nvelocity all create 1 1\n", 2},
+	{ljSim + "run 1\ncreate_atoms 1 box\n", 10},
+	{ljHead + "region box block 0 2 0 2 0 2\ncreate_box 100000000000 box\n", 4},
+	{ljHead + "region box block 0 1e6 0 1e6 0 1\ncreate_box 1 box\ncreate_atoms 1 box\n", 4},
+	{ljHead + "region box block 0 1e18 0 1e18 0 1e18\ncreate_box 1 box\ncreate_atoms 1 box\n", 4},
+	{"units lj\nlattice sc 1.0\nregion box block 0 100 0 100 0 100\ncreate_box 1 box\nlattice sc 1e6\ncreate_atoms 1 box\n", 6},
+	{ljSim + "kspace_style pppm -1.0e-4\nrun 1\n", 9},
+	{ljBox + "create_atoms 1 box\npair_style lj/cut 0.001\npair_coeff 1 1 1.0 1.0\nneighbor 0.0 bin\nfix 1 all nve\nrun 1\n", 10},
+	{"units real\nlattice sc 4.0\nregion box block 0 3 0 3 0 3\ncreate_box 1 box\ncreate_atoms 1 box\n" +
+		"pair_style lj/charmm/coul/long 0.05 0.1\npair_coeff 1 1 0.1 3.0\nkspace_style ewald 1.0e-5\nfix 1 all nve\nrun 2\n", 10},
+}
+
 func TestScriptBadInputs(t *testing.T) {
 	cases := []string{
 		"units klingon\n",
@@ -274,6 +311,13 @@ func TestScriptBadInputs(t *testing.T) {
 	for _, src := range cases {
 		if err := script.New(nil).Run(context.Background(), strings.NewReader(src)); err == nil {
 			t.Errorf("bad script accepted: %q", src)
+		}
+	}
+
+	for _, tc := range crashers {
+		err := script.New(nil).Run(context.Background(), strings.NewReader(tc.src))
+		if want := fmt.Sprintf("line %d:", tc.line); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%q: err = %v, want one starting %q", tc.src, err, want)
 		}
 	}
 }
@@ -472,4 +516,48 @@ write_data ` + dir + `/out.data
 	if in.Sim().Counters.BondTerms == 0 {
 		t.Error("no bond terms evaluated in scripted run")
 	}
+}
+
+// FuzzScript: Validate and Run share one parse, so for any input they
+// agree — a script the parse refuses, Validate refuses with the same
+// error and Run refuses before executing a command; Validate adds only
+// its "no run" check. Every script the parse accepts runs, confined to
+// a temporary directory under a 1 s deadline, to nil or an error, never
+// a panic.
+func FuzzScript(f *testing.F) {
+	examples, _ := filepath.Glob("../../examples/scripts/in.*")
+	for _, path := range examples {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, tc := range crashers {
+		f.Add(tc.src)
+	}
+	f.Add(ljMelt)
+	f.Fuzz(func(t *testing.T, src string) {
+		perr := script.ParseErr(strings.NewReader(src))
+		verr := script.Validate(strings.NewReader(src))
+		var out strings.Builder
+		in := script.New(&out)
+		in.Root = t.TempDir()
+		if perr != nil {
+			if verr == nil || verr.Error() != perr.Error() {
+				t.Fatalf("parse: %v, but Validate: %v", perr, verr)
+			}
+			if err := in.Run(context.Background(), strings.NewReader(src)); err == nil || err.Error() != perr.Error() || out.Len() > 0 {
+				t.Fatalf("parse: %v, but Run: %v after output %q", perr, err, out.String())
+			}
+			return
+		}
+		in.Out = io.Discard
+		if verr != nil && verr.Error() != "script has no run command" {
+			t.Fatalf("parse accepts, Validate: %v", verr)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		in.Run(ctx, strings.NewReader(src))
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"gomd/internal/atom"
 	"gomd/internal/fault"
 	"gomd/internal/pair"
 	"gomd/internal/script"
@@ -86,6 +87,9 @@ func (s *JobSpec) normalize() error {
 	}
 	if s.Workers < 1 {
 		s.Workers = 1
+	}
+	if s.Atoms < 0 || s.Atoms > atom.MaxAtoms {
+		return fmt.Errorf("atoms must be in 0..%d (0: the default)", atom.MaxAtoms)
 	}
 	if s.Atoms == 0 {
 		s.Atoms = 4000

@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"gomd/internal/atom"
+)
 
 // TestAdmissionDecisions is the table-driven policy check: structural
 // refusals are 400s, capacity refusals 429s with a Retry-After hint.
@@ -79,7 +83,8 @@ func TestSpecNormalize(t *testing.T) {
 		ok   bool
 	}{
 		{"workload-ok", JobSpec{Workload: "lj", Steps: 10}, true},
-		{"script-ok", JobSpec{Script: "timestep 0.005\nrun 10\n"}, true},
+		{"script-ok", JobSpec{Script: "units lj\nlattice fcc 0.8442\nregion box block 0 2 0 2 0 2\ncreate_box 1 box\n" +
+			"create_atoms 1 box\npair_style lj/cut 2.5\npair_coeff * * 1.0 1.0\nfix 1 all nve\ntimestep 0.005\nrun 10\n"}, true},
 		{"neither", JobSpec{}, false},
 		{"both", JobSpec{Workload: "lj", Steps: 10, Script: "run 1\n"}, false},
 		{"unknown-workload", JobSpec{Workload: "nope", Steps: 10}, false},
@@ -88,6 +93,10 @@ func TestSpecNormalize(t *testing.T) {
 		{"bad-fault", JobSpec{Workload: "lj", Steps: 10, Fault: "zap:rank=1"}, false},
 		{"script-unknown-command", JobSpec{Script: "explode everything\nrun 5\n"}, false},
 		{"script-no-run", JobSpec{Script: "timestep 0.005\n"}, false},
+		{"script-bare-thermo", JobSpec{Script: "thermo\nrun 1\n"}, false},
+		{"atoms-at-limit", JobSpec{Workload: "lj", Steps: 1, Atoms: atom.MaxAtoms}, true},
+		{"atoms-over-limit", JobSpec{Workload: "lj", Steps: 1, Atoms: 1 << 40}, false},
+		{"atoms-negative", JobSpec{Workload: "lj", Steps: 1, Atoms: -5}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

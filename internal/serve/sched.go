@@ -661,7 +661,7 @@ func (w *logWriter) output() string {
 
 // runScript runs a script job through the LAMMPS-style interpreter.
 // The interpreter is serial and has no checkpoint surface: cancellation
-// and drain stop it at its next chunk boundary, and runScript returns
+// and drain stop it before its next step, and runScript returns
 // only once it has stopped, so nothing writes into the job directory
 // after the job's slots are freed; a daemon restart re-runs the script
 // from scratch. Every file the script names lives in the job's own

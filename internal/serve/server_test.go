@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -423,6 +424,56 @@ run 20
 	s.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeRejectsPoisonScript: a script the parse refuses is a 400
+// naming its line and command, and is never journaled. Bare `thermo`
+// once passed admission and then panicked the job goroutine, taking the
+// daemon down; journaled as running, it did the same to every restart.
+// A valid script submitted to the same daemon next still runs.
+func TestServeRejectsPoisonScript(t *testing.T) {
+	dir := t.TempDir()
+	s := startServer(t, dir, Limits{}, "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{"script":"thermo\nrun 1\n"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 400 || !strings.Contains(string(body), "line 1") || !strings.Contains(string(body), "thermo") {
+		t.Fatalf("poison script: %d %s, want a 400 naming line 1 and thermo", resp.StatusCode, body)
+	}
+
+	id, err := s.Submit(JobSpec{Script: `units lj
+lattice fcc 0.8442
+region box block 0 3 0 3 0 3
+create_box 1 box
+create_atoms 1 box
+pair_style lj/cut 2.5
+pair_coeff 1 1 1.0 1.0
+fix 1 all nve
+thermo 5
+run 10
+`})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, id, StateDone, 30*time.Second)
+	s.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jr, jobs, err := OpenJournal(filepath.Join(dir, "serve.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	if len(jobs) != 1 || jobs[0].ID != id {
+		t.Fatalf("journal holds %+v, want only %s", jobs, id)
 	}
 }
 

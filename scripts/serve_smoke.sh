@@ -1,9 +1,9 @@
 #!/bin/sh
-# Serve-layer smoke: boot mdserve on an ephemeral port, drive one small
-# LJ job through the HTTP API to completion, scrape /metrics, then
-# SIGTERM-drain with a second job running and assert a clean exit (code
-# 0) with an intact journal. Run from the repository root (make
-# serve-smoke does).
+# Serve-layer smoke: boot mdserve on an ephemeral port, refuse a script
+# the parser rejects, drive one small LJ job through the HTTP API to
+# completion, scrape /metrics, then SIGTERM-drain with a second job
+# running and assert a clean exit (code 0) with an intact journal. Run
+# from the repository root (make serve-smoke does).
 set -eu
 
 DIR=$(mktemp -d /tmp/gomd-serve-smoke.XXXXXX)
@@ -34,6 +34,14 @@ while [ ! -s "$DIR/addr" ]; do
 	sleep 0.1
 done
 ADDR=$(cat "$DIR/addr")
+
+# A script the parser refuses is a 400 naming its line and command, not
+# a job that takes the daemon down.
+CODE=$(curl -sS -o "$DIR/poison.json" -w '%{http_code}' -X POST \
+	-d '{"script":"thermo\nrun 1\n"}' "http://$ADDR/api/v1/jobs")
+[ "$CODE" = 400 ] || fail "poison script: HTTP $CODE, want 400"
+grep -q 'line 1' "$DIR/poison.json" && grep -q 'thermo' "$DIR/poison.json" ||
+	fail "poison script: 400 body does not name line 1 and thermo: $(cat "$DIR/poison.json")"
 
 # Submit a small checkpointed LJ job and poll it to completion.
 BODY='{"tenant":"ci","workload":"lj","atoms":500,"steps":40,"ranks":2,"thermo_every":10,"checkpoint_every":20}'
