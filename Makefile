@@ -106,8 +106,9 @@ soak:
 	go test -race -run TestSoak ./internal/harness/
 
 # Transport layer under the race detector: the conformance suite run
-# against both transports (channel and TCP loopback), wire-codec
-# round-trip and framing-overhead tests, rendezvous/abort/death
+# against both transports (channel and TCP loopback), payload
+# pack/unpack round-trips (frames, ghosts and migrants, checkpoint
+# votes) and framing-overhead tests, rendezvous/abort/death
 # protocol tests (including the mid-handshake failure drills, which
 # must surface typed RendezvousErrors within the deadline), and the
 # cross-process end-to-end drills: bit identity chan vs TCP,
@@ -119,6 +120,7 @@ soak:
 # run once.
 transport-check:
 	go test -race -count=3 -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/mpi/
+	go test -race -run 'TestCodecRoundTrip|TestVoteCodecRoundTrip|TestManifestCannotEscapeGeneration' ./internal/domain/ ./internal/ckpt/
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/harness/
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted bytes:

@@ -16,10 +16,10 @@ package ckpt
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,9 +42,6 @@ const (
 	ManifestName = "manifest.kcmf"
 )
 
-// codecCkptVote carries Vote over TCP transports (domain owns +0/+1).
-const codecCkptVote = mpi.CodecUserBase + 8
-
 // Shard is one process' share of a sharded checkpoint: the Rank
 // snapshots of its local ranks plus the global header every restore
 // needs regardless of which shard it reads first.
@@ -66,82 +63,56 @@ type Shard struct {
 // manifest.
 type Vote struct {
 	Step  int64
-	Shard string // shard filename within the generation directory
+	Shard string // shard filename within the generation directory: shardName(Ranks[0])
 	CRC   uint32 // whole-file CRC32 (IEEE) of the shard as written
 	Ranks []int32
 	Atoms int64
 }
 
-// WireBytes reports the vote's encoded size (for transfer accounting).
-func (v *Vote) WireBytes() int {
-	return 8 + 4 + len(v.Shard) + 4 + 4 + 4*len(v.Ranks) + 8
+// ibits stores an integer as its bits, the way every integer crosses
+// the mpi runtime's float64 vectors.
+func ibits(v int64) float64 { return math.Float64frombits(uint64(v)) }
+
+// packVote renders v as the vector the commit sends: step, CRC, atom
+// count, then the ranks, each stored as its bits. The shard name does
+// not travel: rank 0 derives it from the first rank.
+func packVote(v *Vote) []float64 {
+	out := make([]float64, 0, 3+len(v.Ranks))
+	out = append(out, ibits(v.Step), ibits(int64(v.CRC)), ibits(v.Atoms))
+	for _, r := range v.Ranks {
+		out = append(out, ibits(int64(r)))
+	}
+	return out
 }
 
-func init() {
-	mpi.RegisterCodec(mpi.Codec{
-		ID:     codecCkptVote,
-		Match:  func(v any) bool { _, ok := v.(*Vote); return ok },
-		Encode: encodeVote,
-		Decode: decodeVote,
-	})
-}
-
-func encodeVote(v any) ([]byte, error) {
-	vt := v.(*Vote)
-	buf := make([]byte, 0, vt.WireBytes())
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(vt.Step))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vt.Shard)))
-	buf = append(buf, vt.Shard...)
-	buf = binary.LittleEndian.AppendUint32(buf, vt.CRC)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vt.Ranks)))
-	for _, r := range vt.Ranks {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
+// unpackVote validates a vote vector received from rank src: step, a
+// 32-bit CRC, atom count and at least one rank, every rank a
+// non-negative int32. A malformed vector is a bad-payload
+// *mpi.FrameError naming src and the vote tag. The shard name is
+// shardName of the first rank, never a string from the wire, so a peer
+// cannot make the manifest name a file outside its generation.
+func unpackVote(in []float64, src int) (*Vote, error) {
+	bad := func(format string, args ...any) error {
+		return &mpi.FrameError{Reason: "bad-payload", Detail: fmt.Sprintf("vote vector from rank %d (tag %d) malformed: %s",
+			src, mpi.TagCkptVote, fmt.Sprintf(format, args...))}
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(vt.Atoms))
-	return buf, nil
-}
-
-func decodeVote(b []byte) (any, error) {
-	rd := bytes.NewReader(b)
-	var step, atoms uint64
-	var nameLen, crc, nranks uint32
-	if err := binary.Read(rd, binary.LittleEndian, &step); err != nil {
-		return nil, err
+	if len(in) < 4 {
+		return nil, bad("%d floats, want step, CRC, atoms and at least one rank", len(in))
 	}
-	if err := binary.Read(rd, binary.LittleEndian, &nameLen); err != nil {
-		return nil, err
+	bits := func(i int) int64 { return int64(math.Float64bits(in[i])) }
+	crc := bits(1)
+	if crc < 0 || crc > math.MaxUint32 {
+		return nil, bad("CRC %d is not 32-bit", crc)
 	}
-	if nameLen > 1<<10 {
-		return nil, fmt.Errorf("ckpt: implausible vote shard-name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(rd, name); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(rd, binary.LittleEndian, &crc); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(rd, binary.LittleEndian, &nranks); err != nil {
-		return nil, err
-	}
-	if nranks > 1<<16 {
-		return nil, fmt.Errorf("ckpt: implausible vote rank count %d", nranks)
-	}
-	ranks := make([]int32, nranks)
+	ranks := make([]int32, len(in)-3)
 	for i := range ranks {
-		var r uint32
-		if err := binary.Read(rd, binary.LittleEndian, &r); err != nil {
-			return nil, err
+		r := bits(3 + i)
+		if r < 0 || r > math.MaxInt32 {
+			return nil, bad("rank %d", r)
 		}
 		ranks[i] = int32(r)
 	}
-	if err := binary.Read(rd, binary.LittleEndian, &atoms); err != nil {
-		return nil, err
-	}
-	return &Vote{
-		Step: int64(step), Shard: string(name), CRC: crc,
-		Ranks: ranks, Atoms: int64(atoms),
-	}, nil
+	return &Vote{Step: bits(0), Shard: shardName(int(ranks[0])), CRC: uint32(crc), Ranks: ranks, Atoms: bits(2)}, nil
 }
 
 // ShardDir names the shard store for checkpoint path (the monolithic
@@ -358,17 +329,15 @@ func (sw *ShardWriter) deposit(asm *shardAsm) error {
 // before the generation is complete.
 func (sw *ShardWriter) commit(comm *mpi.Comm, rank int, step int64, asm *shardAsm) error {
 	if rank != 0 {
-		v := asm.vote
-		comm.Send(0, mpi.TagCkptVote, &v, v.WireBytes())
+		comm.Send(0, mpi.TagCkptVote, packVote(&asm.vote), -1)
 		comm.Recv(0, mpi.TagCkptRelease)
 		return nil
 	}
 	votes := map[string]*Vote{asm.vote.Shard: &asm.vote}
 	for src := 1; src < sw.size; src++ {
-		data := comm.Recv(src, mpi.TagCkptVote)
-		v, ok := data.(*Vote)
-		if !ok {
-			return fmt.Errorf("ckpt: commit expected a vote from rank %d, got %T", src, data)
+		v, err := unpackVote(comm.Recv(src, mpi.TagCkptVote), src)
+		if err != nil {
+			return err
 		}
 		if v.Step != step {
 			return fmt.Errorf("ckpt: commit for step %d received a vote for step %d from rank %d", step, v.Step, src)
@@ -713,18 +682,32 @@ func loadGeneration(gd string, localRanks []int, worldSize int) (*ShardSet, erro
 		Grid:      mf.Grid,
 		Ranks:     map[int]*Rank{},
 	}
+	// Every record is checked before any shard file is read: a name that
+	// is not shardName of the record's first rank could point anywhere,
+	// "../" included.
 	covered := make([]bool, worldSize)
-	haveHeader := false
 	for _, sr := range mf.Shards {
-		local := false
+		if len(sr.Ranks) == 0 || sr.Name != shardName(sr.Ranks[0]) {
+			return nil, &IntegrityError{Section: "manifest", Detail: fmt.Sprintf(
+				"shard record %q does not name the shard of its first rank (ranks %v)", sr.Name, sr.Ranks)}
+		}
 		for _, r := range sr.Ranks {
 			if r < 0 || r >= worldSize {
 				return nil, fmt.Errorf("ckpt: manifest shard %s covers out-of-world rank %d", sr.Name, r)
 			}
 			covered[r] = true
-			if need[r] {
-				local = true
-			}
+		}
+	}
+	for r, ok := range covered {
+		if !ok {
+			return nil, fmt.Errorf("ckpt: manifest covers no shard for rank %d", r)
+		}
+	}
+	haveHeader := false
+	for _, sr := range mf.Shards {
+		local := false
+		for _, r := range sr.Ranks {
+			local = local || need[r]
 		}
 		ss.NGlobal += sr.Atoms
 		// Every shard's bytes are verified against the manifest CRC —
@@ -757,11 +740,6 @@ func loadGeneration(gd string, localRanks []int, worldSize int) (*ShardSet, erro
 				rk := sh.PerRank[i]
 				ss.Ranks[r] = &rk
 			}
-		}
-	}
-	for r, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("ckpt: manifest covers no shard for rank %d", r)
 		}
 	}
 	for _, r := range localRanks {

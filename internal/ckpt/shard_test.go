@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gomd/internal/atom"
 	"gomd/internal/box"
+	"gomd/internal/mpi"
 	"gomd/internal/rng"
 	"gomd/internal/vec"
 )
@@ -191,6 +193,39 @@ func TestManifestFallsBackOnCorruptShard(t *testing.T) {
 	}
 }
 
+// TestManifestCannotEscapeGeneration: a CRC-valid manifest whose record
+// names "../escape.gmcs" — next to a shard file whose CRC matches — is
+// rejected as corrupt before any shard is read, and the restore falls
+// back to the previous generation.
+func TestManifestCannotEscapeGeneration(t *testing.T) {
+	sw := NewShardWriter(filepath.Join(t.TempDir(), "ck.gmck"), 2)
+	writeGeneration(t, sw, 20, []int{0, 1})
+	asm := &shardAsm{shard: testShard(40, 2, []int{0, 1})}
+	if err := sw.deposit(asm); err != nil {
+		t.Fatalf("deposit: %v", err)
+	}
+	gd := filepath.Join(sw.dir, genDirName(40))
+	if err := os.Rename(filepath.Join(gd, shardName(0)), filepath.Join(sw.dir, "escape.gmcs")); err != nil {
+		t.Fatal(err)
+	}
+	v := asm.vote
+	v.Shard = "../escape.gmcs"
+	if err := sw.writeManifest(40, map[string]*Vote{v.Shard: &v}); err != nil {
+		t.Fatal(err)
+	}
+	ss, fails, err := ReadNewestValidManifest(sw.dir, []int{0}, 2)
+	if err != nil {
+		t.Fatalf("ReadNewestValidManifest: %v", err)
+	}
+	var ie *IntegrityError
+	if len(fails) != 1 || fails[0].Path != gd || !errors.As(fails[0].Err, &ie) || ie.Section != "manifest" {
+		t.Fatalf("rejections %v, want one manifest IntegrityError for %s", fails, gd)
+	}
+	if ss.Step != 20 {
+		t.Fatalf("restored step %d, want the fallback to 20", ss.Step)
+	}
+}
+
 func TestManifestMissingIsNotExist(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ck.gmck.shards")
 	if _, _, err := ReadNewestValidManifest(dir, []int{0}, 2); !errors.Is(err, os.ErrNotExist) {
@@ -211,20 +246,38 @@ func TestShardPruneKeepsNewestComplete(t *testing.T) {
 	}
 }
 
+// TestVoteCodecRoundTrip: a vote packs to {step, crc, atoms, ranks...}
+// with every integer stored as its bits, unpacks to the same vote with
+// the shard name derived from the first rank, and a malformed vector is
+// a bad-payload *mpi.FrameError naming the sender.
 func TestVoteCodecRoundTrip(t *testing.T) {
 	v := &Vote{Step: 40, Shard: "shard-r0002.gmcs", CRC: 0xdeadbeef, Ranks: []int32{2, 3}, Atoms: 1234}
-	b, err := encodeVote(v)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+	packed := packVote(v)
+	if len(packed) != 3+len(v.Ranks) {
+		t.Fatalf("packed %d floats, want %d", len(packed), 3+len(v.Ranks))
 	}
-	if len(b) != v.WireBytes() {
-		t.Fatalf("encoded %d bytes, WireBytes says %d", len(b), v.WireBytes())
-	}
-	got, err := decodeVote(b)
+	got, err := unpackVote(packed, 2)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("unpack: %v", err)
 	}
 	if !reflect.DeepEqual(v, got) {
 		t.Fatalf("vote round-trip mismatch: %+v vs %+v", v, got)
+	}
+	withFloat := func(i int, x float64) []float64 {
+		out := append([]float64(nil), packed...)
+		out[i] = x
+		return out
+	}
+	for name, in := range map[string][]float64{
+		"no ranks":       packed[:3],
+		"crc past 2^32":  withFloat(1, ibits(1<<32)),
+		"negative rank":  withFloat(3, ibits(-1)),
+		"rank past 2^31": withFloat(4, ibits(1<<31)),
+	} {
+		_, err := unpackVote(in, 5)
+		var fe *mpi.FrameError
+		if !errors.As(err, &fe) || fe.Reason != "bad-payload" || !strings.Contains(err.Error(), "from rank 5") {
+			t.Errorf("%s: %v, want a bad-payload *mpi.FrameError naming rank 5", name, err)
+		}
 	}
 }

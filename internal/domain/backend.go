@@ -52,9 +52,10 @@ type Backend struct {
 	recvStart [3][2]int
 	recvCount [3][2]int
 
-	// haloSend and haloRecv stage every per-step halo message
-	// (ForwardPositions, ReverseForces, ForwardScalar). One pair serves
-	// all stages: SendrecvFloat64 is done with the send buffer when it
+	// haloSend and haloRecv stage every halo message: the per-step ones
+	// (ForwardPositions, ReverseForces, ForwardScalar) and the borders
+	// buildGhosts sends; haloSend also packs migrants. One pair serves
+	// all stages: the runtime is done with a send buffer when the call
 	// returns, and each stage unpacks what it received before the next
 	// one packs. They grow to the largest face and are never reallocated
 	// again.
@@ -221,20 +222,26 @@ func (b *Backend) migrate(s *core.Simulation) {
 			if nb < 0 && from < 0 {
 				continue
 			}
+			buf := b.haloSend[:0]
+			for k := range out[dir] {
+				buf = packMigrant(buf, &out[dir][k])
+			}
+			b.haloSend = buf
 			bytes := migrantBytes(out[dir])
-			in := b.comm.Sendrecv(nb, out[dir], bytes, from, stageTag(tagMigrate, d, dir))
+			tag := stageTag(tagMigrate, d, dir)
+			in := b.comm.Sendrecv(nb, buf, bytes, from, tag)
 			s.Counters.CommMsgs++
 			s.Counters.CommBytes += int64(bytes)
 			s.ObserveCommBytes(bytes)
-			if in == nil {
-				continue
-			}
-			for _, m := range in.([]migrant) {
+			err := unpackMigrants(in, from, tag, func(m migrant) {
 				st.Add(m.Atom)
 				s.Counters.MigratedAtoms++
 				if hc != nil && m.History != nil {
 					hc.InjectHistory(m.Atom.Tag, m.History)
 				}
+			})
+			if err != nil {
+				panic(err)
 			}
 		}
 	}
@@ -300,13 +307,13 @@ func (b *Backend) buildGhosts(s *core.Simulation) {
 				}
 				shift = shift.WithComponent(d, sign*l.Component(d))
 			}
-			ghosts := make([]atom.Ghost, 0, 64)
+			buf := b.haloSend[:0]
 			if nb >= 0 {
 				for i := 0; i < total; i++ {
 					c := st.Pos[i].Component(d)
 					if (dir == 0 && c > bound) || (dir == 1 && c < bound) {
 						b.sendIdx[d][dir] = append(b.sendIdx[d][dir], int32(i))
-						ghosts = append(ghosts, atom.Ghost{
+						buf = packGhost(buf, atom.Ghost{
 							Tag:    st.Tag[i],
 							Type:   st.Type[i],
 							Pos:    st.Pos[i].Add(shift),
@@ -316,22 +323,17 @@ func (b *Backend) buildGhosts(s *core.Simulation) {
 					}
 				}
 			}
+			b.haloSend = buf
 			b.sendShift[d][dir] = shift
 
-			bytes := 9 * 8 * len(ghosts)
-			in := b.comm.Sendrecv(nb, ghosts, bytes, from, stageTag(tagGhost, d, dir))
-			s.Counters.CommMsgs++
-			s.Counters.CommBytes += int64(bytes)
-			s.ObserveCommBytes(bytes)
+			tag := stageTag(tagGhost, d, dir)
+			in := b.haloExchange(s, nb, buf, from, tag)
 			b.recvStart[d][dir] = st.Total()
-			if in != nil {
-				inGhosts := in.([]atom.Ghost)
-				b.recvCount[d][dir] = len(inGhosts)
-				for _, g := range inGhosts {
-					st.AddGhost(g)
-				}
-				s.Counters.GhostAtoms += int64(len(inGhosts))
+			b.recvCount[d][dir] = len(in) / ghostFloats
+			if err := unpackGhosts(in, from, tag, func(g atom.Ghost) { st.AddGhost(g) }); err != nil {
+				panic(err)
 			}
+			s.Counters.GhostAtoms += int64(len(in) / ghostFloats)
 		}
 	}
 }

@@ -1,247 +1,203 @@
-// Wire codecs for the domain payloads that cross rank boundaries:
-// halo ghosts and migrating atoms. Registered with the mpi codec
-// registry at init, so a process-spanning (TCP) world can carry the
-// same traffic the in-process channel transport moves by reference.
-// Every field round-trips bit-exactly — float64s travel as raw IEEE
-// bits — because the TCP engine's trajectory must be byte-identical to
-// the channel engine's.
+// Packing of the domain payloads that cross rank boundaries — halo
+// ghosts and migrating atoms — into the float64 vectors the mpi runtime
+// moves, LAMMPS's pack_border/pack_exchange convention. Floats travel as
+// they are and integers as their bits (LAMMPS's ubuf), so every field
+// round-trips exactly on either transport: the TCP engine's trajectory
+// must be byte-identical to the channel engine's. Unpacking validates
+// every integer and count against the floats that remain, so a malformed
+// vector from a peer is one bad-payload *mpi.FrameError naming its source
+// rank and tag — the receiving rank panics with it and the Supervisor
+// gets it as a RankError — never a slice bound or an oversized make.
 package domain
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"gomd/internal/atom"
 	"gomd/internal/mpi"
 	"gomd/internal/vec"
 )
 
-// Codec ids for domain payloads (wire protocol: both ends of a world
-// must agree, which holds because every process links this package).
-const (
-	codecGhosts   = mpi.CodecUserBase + 0
-	codecMigrants = mpi.CodecUserBase + 1
-)
+// ghostFloats is the packed size of one ghost: tag, type, pos, charge,
+// vel — the 9·8 bytes buildGhosts charges per ghost.
+const ghostFloats = 9
 
-func init() {
-	mpi.RegisterCodec(mpi.Codec{
-		ID:     codecGhosts,
-		Match:  func(v any) bool { _, ok := v.([]atom.Ghost); return ok },
-		Encode: encodeGhosts,
-		Decode: decodeGhosts,
-	})
-	mpi.RegisterCodec(mpi.Codec{
-		ID:     codecMigrants,
-		Match:  func(v any) bool { _, ok := v.([]migrant); return ok },
-		Encode: encodeMigrants,
-		Decode: decodeMigrants,
-	})
+// ibits stores an integer as its bits.
+func ibits(v int64) float64 { return math.Float64frombits(uint64(v)) }
+
+func appendV3(buf []float64, v vec.V3) []float64 { return append(buf, v.X, v.Y, v.Z) }
+
+// packGhost appends g's ghostFloats floats to buf.
+func packGhost(buf []float64, g atom.Ghost) []float64 {
+	buf = append(buf, ibits(g.Tag), ibits(int64(g.Type)))
+	buf = appendV3(buf, g.Pos)
+	buf = append(buf, g.Charge)
+	return appendV3(buf, g.Vel)
 }
 
-func appendF64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// packMigrant appends m to buf: the atom core, then counted special,
+// bond, angle, dihedral and contact-history lists. History entries go
+// in ascending partner-tag order, so a migrant packs to one vector
+// whatever the map's iteration order.
+func packMigrant(buf []float64, m *migrant) []float64 {
+	a := &m.Atom
+	buf = append(buf, ibits(a.Tag), ibits(int64(a.Type)), ibits(int64(a.Mol)))
+	buf = appendV3(buf, a.Pos)
+	buf = appendV3(buf, a.Vel)
+	buf = append(buf, a.Charge, ibits(int64(len(a.Special))))
+	for _, s := range a.Special {
+		buf = append(buf, ibits(s.Tag), ibits(int64(s.Kind)))
+	}
+	buf = append(buf, ibits(int64(len(a.Bonds))))
+	for _, b := range a.Bonds {
+		buf = append(buf, ibits(int64(b.Type)), ibits(b.Partner))
+	}
+	buf = append(buf, ibits(int64(len(a.Angles))))
+	for _, an := range a.Angles {
+		buf = append(buf, ibits(int64(an.Type)), ibits(an.A), ibits(an.C))
+	}
+	buf = append(buf, ibits(int64(len(a.Dihedrals))))
+	for _, dh := range a.Dihedrals {
+		buf = append(buf, ibits(int64(dh.Type)), ibits(dh.A), ibits(dh.C), ibits(dh.D))
+	}
+	buf = append(buf, ibits(int64(len(m.History))))
+	tags := make([]int64, 0, len(m.History))
+	for tag := range m.History {
+		tags = append(tags, tag)
+	}
+	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	for _, tag := range tags {
+		buf = append(buf, ibits(tag))
+		buf = appendV3(buf, m.History[tag])
+	}
+	return buf
 }
 
-func appendV3(buf []byte, v vec.V3) []byte {
-	buf = appendF64(buf, v.X)
-	buf = appendF64(buf, v.Y)
-	return appendF64(buf, v.Z)
+// unpacker walks a received vector. Every read is checked; the first
+// failure sticks and later reads return zeros, so an unpacker reports
+// one error at the end instead of panicking mid-vector.
+type unpacker struct {
+	in       []float64
+	src, tag int
+	what     string // payload kind, for the error
+	bad      string // first failure, "" while the vector is well formed
 }
 
-// reader walks an encoded payload with bounds checking; any overrun
-// marks it failed and zero-fills, so decoders return one typed error —
-// a bad-payload *mpi.FrameError, as the float64 lane raises — at the
-// end instead of panicking mid-stream.
-type reader struct {
-	buf    []byte
-	failed bool
+func (u *unpacker) fail(format string, args ...any) {
+	if u.bad == "" {
+		u.bad = fmt.Sprintf(format, args...)
+	}
 }
 
-func (r *reader) u8() byte {
-	if r.failed || len(r.buf) < 1 {
-		r.failed = true
+func (u *unpacker) f64() float64 {
+	if u.bad != "" {
 		return 0
 	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
+	if len(u.in) == 0 {
+		u.fail("truncated")
+		return 0
+	}
+	v := u.in[0]
+	u.in = u.in[1:]
 	return v
 }
 
-func (r *reader) u32() uint32 {
-	if r.failed || len(r.buf) < 4 {
-		r.failed = true
+func (u *unpacker) v3() vec.V3 { return vec.V3{X: u.f64(), Y: u.f64(), Z: u.f64()} }
+
+// int reads an integer stored as bits and requires it in [lo, hi].
+func (u *unpacker) int(lo, hi int64) int64 {
+	v := int64(math.Float64bits(u.f64()))
+	if v < lo || v > hi {
+		u.fail("integer %d outside [%d, %d]", v, lo, hi)
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
 	return v
 }
 
-func (r *reader) u64() uint64 {
-	if r.failed || len(r.buf) < 8 {
-		r.failed = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
+func (u *unpacker) i64() int64 { return u.int(math.MinInt64, math.MaxInt64) }
+func (u *unpacker) i32() int32 { return int32(u.int(math.MinInt32, math.MaxInt32)) }
+
+// count reads a list length whose entries take per floats each; it must
+// fit in the floats that remain, so a corrupted count cannot drive an
+// oversized allocation.
+func (u *unpacker) count(per int) int {
+	return int(u.int(0, int64(len(u.in)/per)))
 }
 
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+// err is the unpacker's verdict: nil, or the bad-payload *mpi.FrameError
+// the float64 frame check raises, naming the source rank and tag.
+func (u *unpacker) err() error {
+	if u.bad == "" {
+		return nil
+	}
+	return &mpi.FrameError{Reason: "bad-payload",
+		Detail: fmt.Sprintf("%s vector from rank %d (tag %d) malformed: %s", u.what, u.src, u.tag, u.bad)}
+}
 
-func (r *reader) v3() vec.V3 { return vec.V3{X: r.f64(), Y: r.f64(), Z: r.f64()} }
-
-// count reads a length prefix bounded by the remaining payload (each
-// element needs at least min bytes), so a corrupted count cannot drive
-// an oversized allocation.
-func (r *reader) count(min int) int {
-	n := int(r.u32())
-	if r.failed || n < 0 || min <= 0 || n > len(r.buf)/min {
-		if n != 0 {
-			r.failed = true
+// unpackGhosts validates a ghost vector received from src under tag and
+// passes each ghost to add, in order.
+func unpackGhosts(in []float64, src, tag int, add func(atom.Ghost)) error {
+	u := unpacker{in: in, src: src, tag: tag, what: "ghost"}
+	for len(u.in) > 0 && u.bad == "" {
+		g := atom.Ghost{Tag: u.i64(), Type: u.i32(), Pos: u.v3(), Charge: u.f64(), Vel: u.v3()}
+		if u.bad == "" {
+			add(g)
 		}
-		return 0
 	}
-	return n
+	return u.err()
 }
 
-// Ghost wire layout: 72 bytes per entry (tag u64, type u64, pos 3xf64,
-// charge f64, vel 3xf64) — exactly the 9*8 modeled size buildGhosts
-// charges, so for ghost traffic the modeled payload bytes and the
-// encoded payload bytes coincide.
-func encodeGhosts(v any) ([]byte, error) {
-	gs := v.([]atom.Ghost)
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+72*len(gs)), uint32(len(gs)))
-	for _, g := range gs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.Tag))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.Type))
-		buf = appendV3(buf, g.Pos)
-		buf = appendF64(buf, g.Charge)
-		buf = appendV3(buf, g.Vel)
-	}
-	return buf, nil
-}
-
-func decodeGhosts(buf []byte) (any, error) {
-	r := &reader{buf: buf}
-	n := r.count(72)
-	gs := make([]atom.Ghost, n)
-	for i := range gs {
-		gs[i] = atom.Ghost{
-			Tag:    int64(r.u64()),
-			Type:   int32(r.u64()),
-			Pos:    r.v3(),
-			Charge: r.f64(),
-			Vel:    r.v3(),
-		}
-	}
-	if r.failed || len(r.buf) != 0 {
-		return nil, &mpi.FrameError{Reason: "bad-payload",
-			Detail: fmt.Sprintf("ghost payload malformed (%d bytes, %d entries declared)", len(buf), n)}
-	}
-	return gs, nil
-}
-
-// Migrant wire layout per entry: atom core (tag u64, type u32, mol u32,
-// pos/vel 3xf64 each, charge f64), then counted lists for special,
-// bonds, angles, dihedrals, and contact history. The encoded size is
-// deliberately NOT the modeled migrantBytes — the model prices the
-// paper's packed-doubles convention, the codec prices this runtime's
-// frames — and mpi.Stats reports the latter for TCP worlds.
-func encodeMigrants(v any) ([]byte, error) {
-	ms := v.([]migrant)
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(ms)))
-	for _, m := range ms {
+// unpackMigrants validates a migrant vector received from src under tag
+// and passes each migrant to add, in order. History tags must ascend
+// strictly, as packMigrant writes them, so no entry is lost to a
+// duplicate key.
+func unpackMigrants(in []float64, src, tag int, add func(migrant)) error {
+	u := unpacker{in: in, src: src, tag: tag, what: "migrant"}
+	for len(u.in) > 0 && u.bad == "" {
+		var m migrant
 		a := &m.Atom
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.Tag))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Type))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Mol))
-		buf = appendV3(buf, a.Pos)
-		buf = appendV3(buf, a.Vel)
-		buf = appendF64(buf, a.Charge)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Special)))
-		for _, s := range a.Special {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Tag))
-			buf = append(buf, byte(s.Kind))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Bonds)))
-		for _, b := range a.Bonds {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Type))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(b.Partner))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Angles)))
-		for _, an := range a.Angles {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(an.Type))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(an.A))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(an.C))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Dihedrals)))
-		for _, dh := range a.Dihedrals {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(dh.Type))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(dh.A))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(dh.C))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(dh.D))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.History)))
-		for tag, h := range m.History {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(tag))
-			buf = appendV3(buf, h)
-		}
-	}
-	return buf, nil
-}
-
-func decodeMigrants(buf []byte) (any, error) {
-	r := &reader{buf: buf}
-	n := r.count(72) // atom core alone is 72 bytes + 5 counts
-	ms := make([]migrant, n)
-	for i := range ms {
-		a := atom.Atom{
-			Tag:    int64(r.u64()),
-			Type:   int32(r.u32()),
-			Mol:    int32(r.u32()),
-			Pos:    r.v3(),
-			Vel:    r.v3(),
-			Charge: r.f64(),
-		}
-		if ns := r.count(9); ns > 0 {
-			a.Special = make([]atom.SpecialRef, ns)
+		a.Tag, a.Type, a.Mol = u.i64(), u.i32(), u.i32()
+		a.Pos, a.Vel, a.Charge = u.v3(), u.v3(), u.f64()
+		if n := u.count(2); n > 0 {
+			a.Special = make([]atom.SpecialRef, n)
 			for j := range a.Special {
-				a.Special[j] = atom.SpecialRef{Tag: int64(r.u64()), Kind: atom.SpecialKind(r.u8())}
+				a.Special[j] = atom.SpecialRef{Tag: u.i64(), Kind: atom.SpecialKind(u.int(0, math.MaxUint8))}
 			}
 		}
-		if nb := r.count(12); nb > 0 {
-			a.Bonds = make([]atom.BondRef, nb)
+		if n := u.count(2); n > 0 {
+			a.Bonds = make([]atom.BondRef, n)
 			for j := range a.Bonds {
-				a.Bonds[j] = atom.BondRef{Type: int32(r.u32()), Partner: int64(r.u64())}
+				a.Bonds[j] = atom.BondRef{Type: u.i32(), Partner: u.i64()}
 			}
 		}
-		if na := r.count(20); na > 0 {
-			a.Angles = make([]atom.AngleRef, na)
+		if n := u.count(3); n > 0 {
+			a.Angles = make([]atom.AngleRef, n)
 			for j := range a.Angles {
-				a.Angles[j] = atom.AngleRef{Type: int32(r.u32()), A: int64(r.u64()), C: int64(r.u64())}
+				a.Angles[j] = atom.AngleRef{Type: u.i32(), A: u.i64(), C: u.i64()}
 			}
 		}
-		if nd := r.count(28); nd > 0 {
-			a.Dihedrals = make([]atom.DihedralRef, nd)
+		if n := u.count(4); n > 0 {
+			a.Dihedrals = make([]atom.DihedralRef, n)
 			for j := range a.Dihedrals {
-				a.Dihedrals[j] = atom.DihedralRef{
-					Type: int32(r.u32()), A: int64(r.u64()), C: int64(r.u64()), D: int64(r.u64()),
+				a.Dihedrals[j] = atom.DihedralRef{Type: u.i32(), A: u.i64(), C: u.i64(), D: u.i64()}
+			}
+		}
+		if n := u.count(4); n > 0 {
+			m.History = make(map[int64]vec.V3, n)
+			last := int64(math.MinInt64)
+			for j := 0; j < n; j++ {
+				tag := u.i64()
+				if j > 0 && tag <= last {
+					u.fail("history tag %d after %d", tag, last)
 				}
+				m.History[tag], last = u.v3(), tag
 			}
 		}
-		ms[i].Atom = a
-		if nh := r.count(32); nh > 0 {
-			ms[i].History = make(map[int64]vec.V3, nh)
-			for j := 0; j < nh; j++ {
-				ms[i].History[int64(r.u64())] = r.v3()
-			}
+		if u.bad == "" {
+			add(m)
 		}
 	}
-	if r.failed || len(r.buf) != 0 {
-		return nil, &mpi.FrameError{Reason: "bad-payload",
-			Detail: fmt.Sprintf("migrant payload malformed (%d bytes, %d entries declared)", len(buf), n)}
-	}
-	return ms, nil
+	return u.err()
 }

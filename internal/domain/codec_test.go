@@ -1,11 +1,13 @@
 package domain
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"gomd/internal/atom"
@@ -13,7 +15,7 @@ import (
 	"gomd/internal/vec"
 )
 
-// The codecs promise bit-exact float transport, so equality here is on
+// The packers promise bit-exact float transport, so equality here is on
 // IEEE bits: == would call two NaNs different and -0 and +0 the same.
 type v3bits [3]uint64
 
@@ -81,25 +83,68 @@ func testMigrants() []migrant {
 	}
 }
 
-// TestCodecRoundTrip: what crosses a TCP rank boundary arrives bit for
-// bit — NaN payloads and the sign of zero included — and a ghost
-// payload is exactly the 72 bytes per entry buildGhosts charges.
+// packGhosts and packMigrants pack whole payloads the way buildGhosts
+// and migrate do.
+func packGhosts(gs []atom.Ghost) []float64 {
+	var out []float64
+	for _, g := range gs {
+		out = packGhost(out, g)
+	}
+	return out
+}
+
+func packMigrants(ms []migrant) []float64 {
+	var out []float64
+	for i := range ms {
+		out = packMigrant(out, &ms[i])
+	}
+	return out
+}
+
+// Source rank and tag the unpack tests claim a vector came from.
+const testSrc, testTag = 3, 211
+
+func unpackAllGhosts(in []float64) ([]atom.Ghost, error) {
+	var out []atom.Ghost
+	err := unpackGhosts(in, testSrc, testTag, func(g atom.Ghost) { out = append(out, g) })
+	return out, err
+}
+
+func unpackAllMigrants(in []float64) ([]migrant, error) {
+	var out []migrant
+	err := unpackMigrants(in, testSrc, testTag, func(m migrant) { out = append(out, m) })
+	return out, err
+}
+
+// sameBits reports whether two vectors hold the same floats bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCodecRoundTrip: what crosses a rank boundary arrives bit for bit —
+// NaN payloads, the sign of zero and integers at their limits included —
+// a ghost is exactly the 9 floats (72 bytes) buildGhosts charges, and a
+// malformed vector is a bad-payload *mpi.FrameError naming its source.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, gs := range [][]atom.Ghost{testGhosts(), {}} {
-		enc, err := encodeGhosts(gs)
+		packed := packGhosts(gs)
+		if len(packed) != ghostFloats*len(gs) || 8*len(packed) != 72*len(gs) {
+			t.Errorf("%d ghosts pack to %d floats, want %d", len(gs), len(packed), ghostFloats*len(gs))
+		}
+		got, err := unpackAllGhosts(packed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(enc) != 4+72*len(gs) {
-			t.Errorf("%d ghosts encode to %d bytes, want %d", len(gs), len(enc), 4+72*len(gs))
-		}
-		dec, err := decodeGhosts(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := dec.([]atom.Ghost)
 		if len(got) != len(gs) {
-			t.Fatalf("decoded %d ghosts, want %d", len(got), len(gs))
+			t.Fatalf("unpacked %d ghosts, want %d", len(got), len(gs))
 		}
 		for i := range gs {
 			g, w := got[i], gs[i]
@@ -111,33 +156,75 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	for _, ms := range [][]migrant{testMigrants(), {}} {
-		enc, err := encodeMigrants(ms)
+		got, err := unpackAllMigrants(packMigrants(ms))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := decodeMigrants(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := canonMigrants(dec.([]migrant)), canonMigrants(ms); !reflect.DeepEqual(got, want) {
+		if got, want := canonMigrants(got), canonMigrants(ms); !reflect.DeepEqual(got, want) {
 			t.Errorf("migrants:\n got %+v\nwant %+v", got, want)
 		}
 	}
 
-	// A payload cut short or carrying a trailing byte is rejected with
-	// the bad-payload *mpi.FrameError the float64 lane raises.
-	ghosts, _ := encodeGhosts(testGhosts())
-	migrants, _ := encodeMigrants(testMigrants())
-	for _, c := range []struct {
-		name   string
-		decode func([]byte) (any, error)
-		enc    []byte
-	}{{"ghosts", decodeGhosts, ghosts}, {"migrants", decodeMigrants, migrants}} {
-		for _, bad := range [][]byte{c.enc[:3], c.enc[:len(c.enc)-1], append(c.enc[:len(c.enc):len(c.enc)], 0)} {
-			_, err := c.decode(bad)
-			requireBadPayload(t, fmt.Sprintf("%s, %d of %d bytes", c.name, len(bad), len(c.enc)), err)
+	// A history map packs in tag order, whatever order it iterates in.
+	big := migrant{Atom: atom.Atom{Tag: 5}, History: map[int64]vec.V3{}}
+	for tag := int64(0); tag < 64; tag++ {
+		big.History[tag*7919%257] = vec.V3{X: float64(tag)}
+	}
+	first := packMigrants([]migrant{big})
+	for i := 0; i < 8; i++ {
+		if again := packMigrants([]migrant{big}); !sameBits(first, again) {
+			t.Fatal("one history map packed to two vectors")
 		}
 	}
+
+	// Cut short, a trailing float, integers out of their field's range,
+	// counts past the floats that remain, and history tags out of order.
+	ghosts, migrants := packGhosts(testGhosts()), packMigrants(testMigrants())
+	withFloat := func(v []float64, i int, x float64) []float64 {
+		out := append([]float64(nil), v...)
+		out[i] = x
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		unpack func([]float64) error
+		in     []float64
+	}{
+		{"ghosts cut short", unpackErr(unpackAllGhosts), ghosts[:len(ghosts)-1]},
+		{"ghosts plus a float", unpackErr(unpackAllGhosts), append(ghosts[:len(ghosts):len(ghosts)], 0)},
+		{"ghost type past int32", unpackErr(unpackAllGhosts), withFloat(ghosts, 1, ibits(1<<31))},
+		{"migrants cut short", unpackErr(unpackAllMigrants), migrants[:len(migrants)-1]},
+		{"migrants plus a float", unpackErr(unpackAllMigrants), append(migrants[:len(migrants):len(migrants)], 0)},
+		{"migrant mol past int32", unpackErr(unpackAllMigrants), withFloat(migrants, 2, ibits(-1<<31-1))},
+		{"special count 2^32", unpackErr(unpackAllMigrants), withFloat(migrants, 10, ibits(1<<32))},
+		{"special count negative", unpackErr(unpackAllMigrants), withFloat(migrants, 10, ibits(-1))},
+		{"special kind past uint8", unpackErr(unpackAllMigrants), withFloat(migrants, 12, ibits(256))},
+		{"history tags out of order", unpackErr(unpackAllMigrants), swapHistory(migrants)},
+	} {
+		err := c.unpack(c.in)
+		requireBadPayload(t, c.name, err)
+		if want := fmt.Sprintf("from rank %d (tag %d)", testSrc, testTag); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v does not name %q", c.name, err, want)
+		}
+	}
+}
+
+// unpackErr drops an unpacker's value.
+func unpackErr[T any](unpack func([]float64) (T, error)) func([]float64) error {
+	return func(in []float64) error { _, err := unpack(in); return err }
+}
+
+// swapHistory returns testMigrants' packed vector with the first
+// migrant's two history entries (tags 17 and 99, the vector's last
+// floats before the second migrant) swapped.
+func swapHistory(packed []float64) []float64 {
+	first := len(packMigrants(testMigrants()[:1]))
+	out := append([]float64(nil), packed...)
+	h := out[first-8 : first]
+	for i := 0; i < 4; i++ {
+		h[i], h[4+i] = h[4+i], h[i]
+	}
+	return out
 }
 
 // requireBadPayload fails unless err is a bad-payload *mpi.FrameError.
@@ -149,67 +236,79 @@ func requireBadPayload(t *testing.T, what string, err error) {
 	}
 }
 
-// FuzzDecodeDomainPayloads feeds both decoders bytes as a TCP peer could
-// send them. Each must return a bad-payload *mpi.FrameError, or a value
-// backed by the input whose re-encoding decodes to the same value — never
-// panic, and never allocate more than a small multiple of len(buf)
-// however large a count field claims to be (reader.count's bound).
+// floatsToBytes and bytesToFloats convert between a vector and the bytes
+// of its floats (little-endian bits); bytesToFloats drops trailing bytes
+// that do not fill a whole float.
+func floatsToBytes(v []float64) []byte {
+	out := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+	}
+	return out
+}
+
+func bytesToFloats(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
+}
+
+// FuzzDecodeDomainPayloads feeds both unpackers vectors as a peer could
+// send them: the input's bytes become floats by bits. Each must return a
+// bad-payload *mpi.FrameError, or values whose re-pack is the input
+// vector bit for bit — never panic, and never allocate more than
+// 1 MiB + 32 bytes per input byte however large a count claims to be
+// (unpacker.count's bound).
 func FuzzDecodeDomainPayloads(f *testing.F) {
-	ghosts, _ := encodeGhosts(testGhosts())
-	migrants, _ := encodeMigrants(testMigrants())
-	for _, enc := range [][]byte{ghosts, migrants} {
+	ghosts, migrants := packGhosts(testGhosts()), packMigrants(testMigrants())
+	for _, v := range [][]float64{ghosts, migrants} {
+		enc := floatsToBytes(v)
 		f.Add(enc)
-		for _, n := range []int{0, 3, 4, 5, 76, len(enc) / 2, len(enc) - 1} {
+		for _, n := range []int{0, 3, 8, 72, 120, len(enc) / 2, len(enc) - 8, len(enc) - 1} {
 			f.Add(enc[:n])
 		}
-		f.Add(append(enc[:len(enc):len(enc)], 0)) // trailing byte
+		f.Add(floatsToBytes(append(v[:len(v):len(v)], 0))) // trailing float
 	}
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	f.Add(huge)
-	f.Add(append(huge, ghosts[4:]...))
-	// One migrant whose special-list count claims 4G entries.
-	f.Add(append(append([]byte{1, 0, 0, 0}, migrants[4:4+72]...), huge...))
+	// Counts claiming 2^32 special entries and 2^32 history entries
+	// (floats 10 and 35 of the first migrant).
+	for _, at := range []int{10, 35} {
+		claim := append([]float64(nil), migrants...)
+		claim[at] = ibits(1 << 32)
+		f.Add(floatsToBytes(claim))
+	}
+	f.Add(floatsToBytes(swapHistory(migrants)))
 
-	codecs := []struct {
+	unpackers := []struct {
 		name   string
-		decode func([]byte) (any, error)
-		encode func(any) ([]byte, error)
-		canon  func(any) any
+		repack func([]float64) ([]float64, error)
 	}{
-		{"ghosts", decodeGhosts, encodeGhosts, func(v any) any {
-			b, _ := encodeGhosts(v) // fixed layout, one field after another: the bytes are the bits
-			return b
+		{"ghosts", func(in []float64) ([]float64, error) {
+			gs, err := unpackAllGhosts(in)
+			return packGhosts(gs), err
 		}},
-		{"migrants", decodeMigrants, encodeMigrants, func(v any) any { return canonMigrants(v.([]migrant)) }},
+		{"migrants", func(in []float64) ([]float64, error) {
+			ms, err := unpackAllMigrants(in)
+			return packMigrants(ms), err
+		}},
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		for _, c := range codecs {
+		in := bytesToFloats(buf)
+		for _, u := range unpackers {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			v, err := c.decode(buf)
+			out, err := u.repack(in)
 			runtime.ReadMemStats(&after)
-			// Decoded structs are a few times their wire size; the slack
-			// absorbs whatever else the process allocated meanwhile.
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+16*len(buf)); got > limit {
-				t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", c.name, len(buf), got, limit)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(buf)); got > limit {
+				t.Errorf("%s: unpacking %d bytes allocated %d (limit %d)", u.name, len(buf), got, limit)
 			}
 			if err != nil {
-				requireBadPayload(t, c.name, err)
+				requireBadPayload(t, u.name, err)
 				continue
 			}
-			enc, err := c.encode(v)
-			if err != nil {
-				t.Fatalf("%s: re-encode: %v", c.name, err)
-			}
-			if len(enc) > len(buf) {
-				t.Errorf("%s: %d input bytes decoded to a value of %d wire bytes", c.name, len(buf), len(enc))
-			}
-			v2, err := c.decode(enc)
-			if err != nil {
-				t.Fatalf("%s: re-encoding does not decode: %v", c.name, err)
-			}
-			if a, b := c.canon(v), c.canon(v2); !reflect.DeepEqual(a, b) {
-				t.Errorf("%s: value changed across re-encode:\n%+v\n%+v", c.name, a, b)
+			if !sameBits(out, in) {
+				t.Errorf("%s: %d floats unpacked and re-packed to %d different ones", u.name, len(in), len(out))
 			}
 		}
 	})

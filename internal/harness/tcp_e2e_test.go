@@ -70,8 +70,9 @@ func channelReference(t *testing.T, name workload.Name, atoms, ranks, total int)
 
 // tcpBitIdentityCase: split a 4-rank run across two worlds joined over
 // loopback TCP (two ranks each) and require the trajectory to be
-// bit-identical to the channel reference.
-func tcpBitIdentityCase(t *testing.T, name workload.Name, atoms, total int) {
+// bit-identical to the channel reference. Returns the atoms the TCP run
+// migrated, summed over its ranks.
+func tcpBitIdentityCase(t *testing.T, name workload.Name, atoms, total int) int64 {
 	t.Helper()
 	const ranks = 4
 	want := channelReference(t, name, atoms, ranks, total)
@@ -82,6 +83,7 @@ func tcpBitIdentityCase(t *testing.T, name workload.Name, atoms, total int) {
 	}
 	var wg sync.WaitGroup
 	snaps := make([]map[int64][2]vec.V3, 2)
+	migrated := make([]int64, 2)
 	errs := make([]error, 2)
 	proc := func(i int, build func() (*mpi.World, error)) {
 		defer wg.Done()
@@ -101,6 +103,11 @@ func tcpBitIdentityCase(t *testing.T, name workload.Name, atoms, total int) {
 			return
 		}
 		snaps[i] = localBitSnapshot(eng)
+		for _, s := range eng.Sims {
+			if s != nil {
+				migrated[i] += s.Counters.MigratedAtoms
+			}
+		}
 	}
 	wg.Add(2)
 	go proc(1, func() (*mpi.World, error) {
@@ -116,6 +123,7 @@ func tcpBitIdentityCase(t *testing.T, name workload.Name, atoms, total int) {
 		}
 	}
 	requireBitIdentical(t, want, mergeSnapshots(t, snaps...))
+	return migrated[0] + migrated[1]
 }
 
 // TestTCPTransportBitIdentityLJ: 4-rank Lennard-Jones across two
@@ -129,6 +137,16 @@ func TestTCPTransportBitIdentityLJ(t *testing.T) {
 // processes, byte-identical to the channel world.
 func TestTCPTransportBitIdentityRhodo(t *testing.T) {
 	tcpBitIdentityCase(t, workload.Rhodo, 1500, 30)
+}
+
+// TestTCPTransportBitIdentityChute: granular grains migrate with their
+// gran/hooke/history contact maps, which must cross the process
+// boundary bit for bit. 433 atoms and 268 steps are the smallest run
+// found whose ranks migrate any atom.
+func TestTCPTransportBitIdentityChute(t *testing.T) {
+	if migrated := tcpBitIdentityCase(t, workload.Chute, 433, 268); migrated == 0 {
+		t.Fatal("no atom migrated: the run never sent a contact history across the boundary")
+	}
 }
 
 // tcpSupervisedCase runs a 4-rank workload split across two supervised

@@ -54,7 +54,7 @@ func TestRankAbortUnblocksSender(t *testing.T) {
 			panic(killErr{rank: 1})
 		}
 		for i := 0; ; i++ { // fill rank 1's mailbox until blocked
-			c.Send(1, 7, i, 8)
+			c.Send(1, 7, []float64{float64(i)}, 8)
 		}
 	})
 	var re *RankError
@@ -111,7 +111,7 @@ func TestRankAbortStallText(t *testing.T) {
 			return
 		}
 		for i := 0; ; i++ {
-			c.Send(1, 7, i, 8)
+			c.Send(1, 7, []float64{float64(i)}, 8)
 		}
 	})
 	var re *RankError
@@ -159,13 +159,13 @@ func TestFaultHookDelayAndReorder(t *testing.T) {
 	}))
 	err := w.Parallel(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 100, 11, 8) // held
-			c.Send(1, 200, 22, 8) // delivered first, then flushes the held one
+			c.Send(1, 100, []float64{11}, 8) // held
+			c.Send(1, 200, []float64{22}, 8) // delivered first, then flushes the held one
 		} else {
-			if got := c.Recv(0, 100).(int); got != 11 {
+			if got := c.Recv(0, 100)[0]; got != 11 {
 				panic("tag 100 payload corrupted")
 			}
-			if got := c.Recv(0, 200).(int); got != 22 {
+			if got := c.Recv(0, 200)[0]; got != 22 {
 				panic("tag 200 payload corrupted")
 			}
 		}
@@ -186,15 +186,15 @@ func TestFaultHookReorderFlushedBySenderRecv(t *testing.T) {
 	}))
 	err := w.Parallel(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 100, 33, 8) // held by the hook
-			if got := c.Recv(1, 300).(int); got != 44 {
+			c.Send(1, 100, []float64{33}, 8) // held by the hook
+			if got := c.Recv(1, 300)[0]; got != 44 {
 				panic("reply payload corrupted")
 			}
 		} else {
-			if got := c.Recv(0, 100).(int); got != 33 {
+			if got := c.Recv(0, 100)[0]; got != 33 {
 				panic("held message corrupted")
 			}
-			c.Send(0, 300, 44, 8)
+			c.Send(0, 300, []float64{44}, 8)
 		}
 	})
 	if err != nil {

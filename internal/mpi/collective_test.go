@@ -245,29 +245,24 @@ func TestMailboxStallPanics(t *testing.T) {
 	}
 }
 
-type sizedPayload struct{ n int }
-
-func (p sizedPayload) WireBytes() int { return p.n }
-
-// TestPayloadAccounting: unknown payload types must panic rather than
-// silently count as 0 bytes, and Sized payloads must report their size.
+// TestPayloadAccounting: a send is charged 8 bytes per float unless the
+// caller overrides the modeled size (a packed struct payload is priced
+// by its sender's model).
 func TestPayloadAccounting(t *testing.T) {
 	w := mpi.NewWorld(2)
 	w.Parallel(func(c *mpi.Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 5, sizedPayload{n: 40}, -1)
+			c.Send(1, 5, []float64{1, 2, 3}, -1)
+			c.Send(1, 6, []float64{1, 2, 3}, 40)
 		} else {
 			c.Recv(0, 5)
+			c.Recv(0, 6)
 		}
 	})
-	if got := w.Comm(0).Stats.Funcs[mpi.FuncSend].Bytes; got != 40 {
-		t.Errorf("Sized payload bytes = %d, want 40", got)
+	if got := w.Comm(0).Stats.Funcs[mpi.FuncSend].Bytes; got != 24+40 {
+		t.Errorf("send bytes = %d, want 24 modeled + 40 overridden", got)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown payload type with bytes < 0 did not panic")
-		}
-	}()
-	w.Comm(0).Send(1, 6, struct{ x int }{1}, -1)
+	if got := w.Comm(1).Stats.Funcs[mpi.FuncWait].Bytes; got != 24+40 {
+		t.Errorf("receive bytes = %d, want 24 + 40", got)
+	}
 }

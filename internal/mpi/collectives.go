@@ -81,24 +81,22 @@ type collStats struct {
 }
 
 // collSend delivers one collective hop's payload (raw: accounted by the
-// caller into the collective's own function bucket, not FuncSend).
-// Bytes charged are the transport's wire bytes — the payload size
-// in-process, framed size over TCP.
+// caller into the collective's own function bucket, not FuncSend). Like
+// every send it borrows data only for the call, so a rank may fold its
+// partner's contribution into data as soon as collSend returns. Bytes
+// charged are the transport's wire bytes — the payload size in-process,
+// framed size over TCP.
 func (c *Comm) collSend(cs *collStats, dst, tag int, data []float64) {
-	b := 8 * len(data)
-	wire := c.deliver(dst, message{src: c.rank, tag: tag, bytes: b, data: data})
+	wire := c.deliver(dst, message{src: c.rank, tag: tag, bytes: 8 * len(data), lane: laneBorrowed, f64: data})
 	cs.sent += int64(wire)
 }
 
 // collRecv blocks for one collective hop's payload, metering the wait.
 func (c *Comm) collRecv(cs *collStats, src, tag int) []float64 {
 	t0 := time.Now()
-	data := c.recvMatch(src, tag).payload()
+	data := c.recvMatch(src, tag).floatsInto(nil)
 	cs.wait += time.Since(t0)
-	if data == nil {
-		return nil
-	}
-	return data.([]float64)
+	return data
 }
 
 // allreduceTree combines data element-wise across all ranks with op,
@@ -141,9 +139,7 @@ func (c *Comm) allreduceTree(data []float64, op func(a, b float64) float64, base
 	}
 	for round, mask := 0, 1; mask < pof2; round, mask = round+1, mask<<1 {
 		partner := rank ^ mask
-		// Send a snapshot: the partner reads it while this rank mutates
-		// data with the partner's contribution.
-		c.collSend(cs, partner, base-round, append([]float64(nil), data...))
+		c.collSend(cs, partner, base-round, data)
 		part := c.collRecv(cs, partner, base-round)
 		cs.hops++
 		for i, v := range part {
@@ -151,7 +147,7 @@ func (c *Comm) allreduceTree(data []float64, op func(a, b float64) float64, base
 		}
 	}
 	if rank+pof2 < n {
-		c.collSend(cs, rank+pof2, foldOut, append([]float64(nil), data...))
+		c.collSend(cs, rank+pof2, foldOut, data)
 		cs.hops++
 	}
 }
@@ -286,7 +282,7 @@ func (c *Comm) butterflyReduce(data []float64, cs *collStats) {
 			sendLo, sendHi = lo, mid
 			keepLo, keepHi = mid, hi
 		}
-		c.collSend(cs, partner, tagButterfly-round, append([]float64(nil), data[sendLo:sendHi]...))
+		c.collSend(cs, partner, tagButterfly-round, data[sendLo:sendHi])
 		part := c.collRecv(cs, partner, tagButterfly-round)
 		cs.hops++
 		round++
@@ -304,7 +300,7 @@ func (c *Comm) butterflyReduce(data []float64, cs *collStats) {
 		partner := rank ^ mask
 		parent := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c.collSend(cs, partner, tagButterfly-round, append([]float64(nil), data[lo:hi]...))
+		c.collSend(cs, partner, tagButterfly-round, data[lo:hi])
 		part := c.collRecv(cs, partner, tagButterfly-round)
 		cs.hops++
 		round++
@@ -317,7 +313,7 @@ func (c *Comm) butterflyReduce(data []float64, cs *collStats) {
 	}
 
 	if rank+pof2 < n {
-		c.collSend(cs, rank+pof2, foldOut, append([]float64(nil), data...))
+		c.collSend(cs, rank+pof2, foldOut, data)
 		cs.hops++
 	}
 }

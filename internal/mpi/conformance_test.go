@@ -128,14 +128,14 @@ func TestTransportConformanceP2POrdering(t *testing.T) {
 				// Drain tag 2 first: every tag-1 message is an
 				// out-of-order buffer hit, yet per-tag order must hold.
 				for i := 0; i < msgs; i++ {
-					v := c.Recv(prev, 2).([]float64)
+					v := c.Recv(prev, 2)
 					if v[0] != float64(100+i) {
 						t.Errorf("rank %d tag 2 msg %d: got %v", c.Rank(), i, v[0])
 					}
 				}
 				seq := make([]float64, 0, msgs)
 				for i := 0; i < msgs; i++ {
-					seq = append(seq, c.Recv(prev, 1).([]float64)[0])
+					seq = append(seq, c.Recv(prev, 1)[0])
 				}
 				mu.Lock()
 				got[c.Rank()] = seq
@@ -423,9 +423,10 @@ func TestTransportConformanceStats(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// The typed float64 lane (SendrecvFloat64). Same matrix: the channel
-// world moves a pooled transit copy, the TCP world a pooled frame that
-// the receiving rank decodes; callers must not be able to tell.
+// Caller-buffered exchange (SendrecvFloat64) beside the allocating
+// forms. Same matrix: the channel world moves a pooled transit copy, the
+// TCP world a pooled frame that the receiving rank decodes; callers must
+// not be able to tell.
 
 // ramp returns n floats base, base+1, ...
 func ramp(n int, base float64) []float64 {
@@ -503,22 +504,22 @@ func TestTransportConformanceNullPartners(t *testing.T) {
 			requireAllOK(t, mw.runSPMD(func(c *mpi.Comm) {
 				scratch := make([]float64, 0, 16)
 				if got := c.SendrecvFloat64(-1, ramp(3, 0), -1, 1, scratch); len(got) != 0 {
-					t.Errorf("typed lane, no partners: got %v", got)
+					t.Errorf("SendrecvFloat64, no partners: got %v", got)
 				}
 				if got := c.Sendrecv(-1, ramp(3, 0), -1, -1, 1); got != nil {
-					t.Errorf("generic lane, no partners: got %v", got)
+					t.Errorf("Sendrecv, no partners: got %v", got)
 				}
 				switch c.Rank() {
 				case 0: // sends up, has nobody below
 					if got := c.SendrecvFloat64(1, ramp(5, 10), -1, 2, scratch); len(got) != 0 {
-						t.Errorf("typed send-only call returned %v", got)
+						t.Errorf("SendrecvFloat64 send-only call returned %v", got)
 					}
 					if got := c.Sendrecv(1, ramp(5, 20), -1, -1, 3); got != nil {
-						t.Errorf("generic send-only call returned %v", got)
+						t.Errorf("Sendrecv send-only call returned %v", got)
 					}
 				case 1: // receives from below, has nobody above
-					requireRamp(t, "typed recv-only", c.SendrecvFloat64(-1, nil, 0, 2, scratch), 5, 10)
-					requireRamp(t, "generic recv-only", c.Sendrecv(-1, nil, 0, 0, 3).([]float64), 5, 20)
+					requireRamp(t, "SendrecvFloat64 recv-only", c.SendrecvFloat64(-1, nil, 0, 2, scratch), 5, 10)
+					requireRamp(t, "Sendrecv recv-only", c.Sendrecv(-1, nil, 0, 0, 3), 5, 20)
 				}
 				f := c.Stats.Funcs
 				want := [3]int64{2, 0, 0} // rank 0: two MPI_Send
@@ -562,10 +563,11 @@ func TestTransportConformanceFloat64OutOfOrder(t *testing.T) {
 	}
 }
 
-// TestTransportConformanceFloat64MixedLanes: a typed send is a plain
-// []float64 to a generic Recv, and a generic Send of a []float64 lands in
-// a typed receive's buffer — collectives and tests mix the two. What the
-// generic side gets is its own slice, never pooled memory.
+// TestTransportConformanceFloat64MixedLanes: every send form matches
+// every receive form — a SendrecvFloat64 send arrives whole at Recv, a
+// Send lands in a SendrecvFloat64 receive buffer, and an empty vector
+// reaches either side as one. What Recv returns is its caller's own
+// slice, never pooled memory.
 func TestTransportConformanceFloat64MixedLanes(t *testing.T) {
 	const n = 2
 	for _, tc := range transportCases() {
@@ -574,24 +576,24 @@ func TestTransportConformanceFloat64MixedLanes(t *testing.T) {
 			requireAllOK(t, mw.runSPMD(func(c *mpi.Comm) {
 				switch c.Rank() {
 				case 0:
-					c.SendrecvFloat64(1, ramp(200, 1), -1, 1, nil) // typed -> generic
+					c.SendrecvFloat64(1, ramp(200, 1), -1, 1, nil) // SendrecvFloat64 -> Recv
 					c.SendrecvFloat64(1, ramp(200, 9), -1, 1, nil)
-					c.Send(1, 2, ramp(70, 3), -1) // generic -> typed
+					c.Send(1, 2, ramp(70, 3), -1) // Send -> SendrecvFloat64
 					c.Send(1, 3, nil, 0)          // a nil payload is an empty vector
 					c.SendrecvFloat64(1, nil, -1, 4, nil)
 				case 1:
-					first := c.Recv(0, 1).([]float64)
-					second := c.Recv(0, 1).([]float64) // would reuse first's pooled buffer, were it pooled
-					requireRamp(t, "generic Recv of a typed send", first, 200, 1)
-					requireRamp(t, "second generic Recv", second, 200, 9)
+					first := c.Recv(0, 1)
+					second := c.Recv(0, 1) // would reuse first's pooled buffer, were it pooled
+					requireRamp(t, "Recv of a SendrecvFloat64 send", first, 200, 1)
+					requireRamp(t, "second Recv", second, 200, 9)
 					recv := make([]float64, 0, 128)
 					recv = c.SendrecvFloat64(-1, nil, 0, 2, recv)
-					requireRamp(t, "typed receive of a generic Send", recv, 70, 3)
+					requireRamp(t, "SendrecvFloat64 receive of a Send", recv, 70, 3)
 					if got := c.SendrecvFloat64(-1, nil, 0, 3, recv); len(got) != 0 {
-						t.Errorf("typed receive of a nil payload: %v", got)
+						t.Errorf("SendrecvFloat64 receive of a nil payload: %v", got)
 					}
-					if got := c.Recv(0, 4).([]float64); len(got) != 0 {
-						t.Errorf("generic Recv of an empty typed send: %v", got)
+					if got := c.Recv(0, 4); len(got) != 0 {
+						t.Errorf("Recv of an empty SendrecvFloat64 send: %v", got)
 					}
 				}
 			}))
@@ -662,11 +664,11 @@ func TestTransportConformanceFloat64ReorderOwnsCopy(t *testing.T) {
 	}
 }
 
-// TestTransportConformanceFloat64Stats: the same traffic sent on the
-// typed lane and on the generic lane produces the same profile — calls
-// and bytes per MPI function, on every rank — so mpi.msgs_per_step,
-// mpi.bytes_per_step and the perfmodel's MPI breakdown did not move when
-// the halo loops changed lanes.
+// TestTransportConformanceFloat64Stats: the same traffic sent through
+// SendrecvFloat64 and through Send/Recv/Sendrecv produces the same
+// profile — calls and bytes per MPI function, on every rank — so
+// mpi.msgs_per_step, mpi.bytes_per_step and the perfmodel's MPI
+// breakdown do not depend on which form a caller uses.
 func TestTransportConformanceFloat64Stats(t *testing.T) {
 	const n = 4
 	type profile struct{ calls, bytes [mpi.NumFuncs]int64 }
@@ -760,8 +762,8 @@ func TestTransportConformanceAbortAfterTraffic(t *testing.T) {
 	}
 }
 
-// TestTransportConformanceFloat64SteadyStateAllocs pins the point of the
-// lane: after warm-up a 2,560-float exchange (the lj_halo_tcp x-face
+// TestTransportConformanceFloat64SteadyStateAllocs pins the point of
+// SendrecvFloat64: after warm-up a 2,560-float exchange (the lj_halo_tcp x-face
 // message) allocates nothing, on the channel world and on loopback TCP,
 // where the count is process-wide — both ranks, which write their own
 // frames, and both links' reader goroutines included. A pool that hands

@@ -11,7 +11,7 @@
 //	     0     4  magic   "gomW"
 //	     4     1  version (1)
 //	     5     1  kind    (frameData, frameAbort, ...)
-//	     6     2  codec   payload codec id (codec.go registry)
+//	     6     2  codec   payload codec id (codec.go: codecFloat64 for data)
 //	     8     8  world   world id (random, agreed at rendezvous)
 //	    16     4  src     source rank (int32)
 //	    20     4  dst     destination rank (int32)
@@ -96,18 +96,9 @@ func encodeFrame(h frameHeader, payload []byte) []byte {
 	return sealFrame(buf, h)
 }
 
-// encodeDataFrame is encodeFrame into a pooled buffer, for data frames:
-// each is queued on exactly one link, whose writer returns the buffer
-// once it is on the socket.
-func encodeDataFrame(h frameHeader, payload []byte) []byte {
-	buf := bytePool.get(frameHeaderLen + len(payload))
-	copy(buf[frameHeaderLen:], payload)
-	return sealFrame(buf, h)
-}
-
-// encodeFloat64Frame renders a codecFloat64 data frame straight from the
-// floats in one pass — no intermediate payload slice — into a pooled
-// buffer.
+// encodeFloat64Frame renders a data frame straight from the floats in
+// one pass — no intermediate payload slice — into a pooled buffer; the
+// sending rank returns it once it is on the socket.
 func encodeFloat64Frame(h frameHeader, v []float64) []byte {
 	buf := bytePool.get(frameHeaderLen + 8*len(v))
 	putFloat64s(buf[frameHeaderLen:], v)

@@ -1,4 +1,4 @@
-// Wire-codec round-trip and adversarial-input tests (internal package:
+// Frame round-trip and adversarial-input tests (internal package:
 // the frame layer is deliberately unexported — transports are the only
 // consumers). Every malformed stream must surface a typed *FrameError,
 // never a hang or an unbounded allocation; FuzzFrameDecode extends the
@@ -11,20 +11,22 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
 
+// floatBytes renders v in codecFloat64's encoding.
+func floatBytes(v []float64) []byte {
+	buf := make([]byte, 8*len(v))
+	putFloat64s(buf, v)
+	return buf
+}
+
 func dataFrame(t *testing.T, payload []float64) []byte {
 	t.Helper()
-	id, buf, err := encodePayload(payload)
-	if err != nil {
-		t.Fatalf("encodePayload: %v", err)
-	}
 	return encodeFrame(frameHeader{
-		kind: frameData, codec: id, world: 0xfeed, src: 1, dst: 2, tag: 7,
-	}, buf)
+		kind: frameData, codec: codecFloat64, world: 0xfeed, src: 1, dst: 2, tag: 7,
+	}, floatBytes(payload))
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -40,11 +42,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if h.kind != frameData || h.src != 1 || h.dst != 2 || h.tag != 7 || h.world != 0xfeed {
 		t.Fatalf("header mangled: %+v", h)
 	}
-	got, err := decodePayload(h.codec, body)
-	if err != nil {
-		t.Fatalf("decodePayload: %v", err)
+	if err := checkDataPayload(h.codec, body); err != nil {
+		t.Fatalf("checkDataPayload: %v", err)
 	}
-	vec := got.([]float64)
+	vec := make([]float64, len(body)/8)
+	getFloat64s(vec, body)
 	for i, v := range payload {
 		if math.Float64bits(vec[i]) != math.Float64bits(v) {
 			t.Fatalf("payload[%d] = %v, want bit-exact %v", i, vec[i], v)
@@ -52,19 +54,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameNilPayloadRoundTrip: a nil payload is an empty vector, a
+// zero-length codecFloat64 frame.
 func TestFrameNilPayloadRoundTrip(t *testing.T) {
-	id, buf, err := encodePayload(nil)
-	if err != nil || id != codecNil || len(buf) != 0 {
-		t.Fatalf("nil payload: id=%d buf=%v err=%v", id, buf, err)
+	frame := encodeFloat64Frame(frameHeader{kind: frameData, world: 1}, nil)
+	if len(frame) != frameHeaderLen {
+		t.Fatalf("nil payload: %d-byte frame, want the %d-byte header alone", len(frame), frameHeaderLen)
 	}
-	frame := encodeFrame(frameHeader{kind: frameData, codec: id, world: 1}, buf)
 	h, body, err := readFrame(bytes.NewReader(frame), 1)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	got, err := decodePayload(h.codec, body)
-	if err != nil || got != nil {
-		t.Fatalf("nil round-trip: got=%v err=%v", got, err)
+	if h.codec != codecFloat64 || len(body) != 0 {
+		t.Fatalf("nil payload: codec %d with %d payload bytes, want codec %d with none", h.codec, len(body), codecFloat64)
+	}
+	if err := checkDataPayload(h.codec, body); err != nil {
+		t.Fatalf("nil round-trip: %v", err)
 	}
 }
 
@@ -145,21 +150,13 @@ func TestFrameWorldMismatchBeforePayloadRead(t *testing.T) {
 }
 
 func TestFrameUnknownCodec(t *testing.T) {
-	_, err := decodePayload(0x7fff, []byte{1, 2, 3})
+	err := checkDataPayload(0x7fff, []byte{1, 2, 3})
 	requireFrameError(t, err, "unknown-codec")
 }
 
 func TestFrameMisalignedFloatPayload(t *testing.T) {
-	_, err := decodePayload(codecFloat64, []byte{1, 2, 3})
+	err := checkDataPayload(codecFloat64, []byte{1, 2, 3})
 	requireFrameError(t, err, "bad-payload")
-}
-
-func TestEncodePayloadUnknownType(t *testing.T) {
-	type opaque struct{ x int }
-	_, _, err := encodePayload(opaque{1})
-	if err == nil || !strings.Contains(err.Error(), "no registered wire codec") {
-		t.Fatalf("unknown payload type: err=%v", err)
-	}
 }
 
 // FuzzFrameDecode: arbitrary bytes through the frame decoder must
@@ -169,8 +166,8 @@ func TestEncodePayloadUnknownType(t *testing.T) {
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, frameHeaderLen))
-	id, buf, _ := encodePayload([]float64{1.5, -2.25})
-	good := encodeFrame(frameHeader{kind: frameData, codec: id, world: 42, src: 0, dst: 1, tag: 3}, buf)
+	good := encodeFrame(frameHeader{kind: frameData, codec: codecFloat64, world: 42, src: 0, dst: 1, tag: 3},
+		floatBytes([]float64{1.5, -2.25}))
 	f.Add(good)
 	trunc := append([]byte(nil), good[:len(good)-3]...)
 	f.Add(trunc)
@@ -219,10 +216,10 @@ func FuzzFrameDecode(f *testing.F) {
 		if !bytes.Equal(re, data[:len(re)]) {
 			t.Fatalf("accepted frame does not round-trip:\n in  %x\n out %x", data[:len(re)], re)
 		}
-		// Data frames additionally run the payload codec, which must
-		// fail typed, not panic.
+		// Data frames additionally run the float check the link reader
+		// does, which must fail typed, not panic.
 		if h.kind == frameData {
-			if _, derr := decodePayload(h.codec, payload); derr != nil {
+			if derr := checkDataPayload(h.codec, payload); derr != nil {
 				if _, ok := derr.(*FrameError); !ok {
 					t.Fatalf("payload error %T (%v), want *FrameError", derr, derr)
 				}

@@ -1,12 +1,16 @@
 // Package mpi implements the message-passing runtime the decomposed
-// engine runs on: a fixed set of ranks (goroutines) exchanging typed
-// messages through per-rank mailboxes, with the narrow primitive set
+// engine runs on: a fixed set of ranks (goroutines) exchanging float64
+// vectors through per-rank mailboxes, with the narrow primitive set
 // LAMMPS actually uses — Send, Recv (Wait), Sendrecv, Allreduce, plus
 // Init — instrumented per function exactly like the paper's Figure 5
 // breakdown (time, call count, and payload bytes per MPI function).
-// SendrecvFloat64 is Sendrecv with MPI's buffer contract for the per-step
-// halo vectors: caller-owned send and receive buffers, pooled buffers in
-// between (pool.go), no allocation in steady state.
+// As in LAMMPS, where every exchange is an MPI_DOUBLE buffer, a vector
+// is the only payload: callers with struct state (ghosts, migrating
+// atoms, checkpoint votes) pack it, integers stored as their bits.
+// Every send follows MPI's buffer contract — the caller's slice is its
+// own again when the call returns — and the runtime moves pooled copies
+// in between (pool.go). SendrecvFloat64 adds a caller-owned receive
+// buffer, so the per-step halo allocates nothing in steady state.
 //
 // The runtime executes real message passing (correctness: a decomposed
 // run reproduces the serial trajectory); the wall-clock of a 64-rank run
@@ -101,18 +105,16 @@ func (s *Stats) TotalWait() time.Duration {
 	return t
 }
 
-// lane says which form a message's payload travels in.
+// lane says which form a message's payload travels in. Every payload is
+// a float64 vector; the lane says who owns its memory.
 type lane uint8
 
 const (
-	// laneAny: data, handed over by reference in-process (struct payloads,
-	// collective hops, nil) and through the codec registry over TCP.
-	laneAny lane = iota
-	// laneBorrowed: f64 is the send slice of a SendrecvFloat64 call, valid
-	// only until that call returns. A transport encodes from it or takes a
-	// transit copy before the message outlives the call; it never reaches
-	// a mailbox.
-	laneBorrowed
+	// laneBorrowed: f64 is the caller's send slice, valid only until the
+	// sending call returns. A transport encodes from it or takes a
+	// transit copy before the message outlives the call; it never
+	// reaches a mailbox.
+	laneBorrowed lane = iota
 	// laneTransit: f64 is a pooled copy the runtime owns.
 	laneTransit
 	// laneWire: raw is a codecFloat64 frame payload, CRC-verified and
@@ -120,13 +122,11 @@ const (
 	laneWire
 )
 
-// message is one in-flight transfer. Floats travel in a typed field, not
-// boxed in data: the halo loops send thousands of them a second.
+// message is one in-flight transfer.
 type message struct {
 	src, tag int
 	bytes    int
 	lane     lane
-	data     any
 	f64      []float64
 	raw      []byte
 }
@@ -142,52 +142,20 @@ func (m message) owned() message {
 	return m
 }
 
-// floats returns the payload of a message about to be encoded when it is
-// a float64 vector, whichever lane carries it.
-func (m message) floats() ([]float64, bool) {
-	if m.lane == laneAny {
-		v, ok := m.data.([]float64)
-		return v, ok
-	}
-	return m.f64, true
-}
-
 // floatsInto lands a received payload in recv, grown only when too
 // small, and returns it cut to the received length; the pooled buffer
-// that carried it goes back. A generic-lane []float64 is copied, so the
-// caller owns what it gets on every path.
+// that carried it goes back. The caller owns what it gets on every path.
 func (m message) floatsInto(recv []float64) []float64 {
-	switch m.lane {
-	case laneTransit:
-		recv = sized(recv, len(m.f64))
-		copy(recv, m.f64)
-		floatPool.put(m.f64)
-	case laneWire:
+	if m.lane == laneWire {
 		recv = sized(recv, len(m.raw)/8)
 		getFloat64s(recv, m.raw)
 		bytePool.put(m.raw)
-	default:
-		switch d := m.data.(type) {
-		case nil:
-			recv = recv[:0]
-		case []float64:
-			recv = sized(recv, len(d))
-			copy(recv, d)
-		default:
-			panic(fmt.Sprintf("mpi: float64 receive from rank %d (tag %d) matched a %T payload", m.src, m.tag, d))
-		}
+		return recv
 	}
+	recv = sized(recv, len(m.f64))
+	copy(recv, m.f64)
+	floatPool.put(m.f64)
 	return recv
-}
-
-// payload surrenders a received message to the generic lane: data as it
-// is, a typed payload decoded into a fresh slice (collectives and tests
-// mix the lanes).
-func (m message) payload() any {
-	if m.lane == laneAny {
-		return m.data
-	}
-	return m.floatsInto(nil)
 }
 
 // sized returns buf with length n, reallocating only when its capacity
@@ -245,7 +213,7 @@ type World struct {
 // RankError is the structured form of a rank failure: the root-cause
 // panic of the first rank that died, converted by Parallel's per-rank
 // supervision. The cause's text (including the runtime's original
-// mailbox-stall and unknown-payload diagnostics) is preserved verbatim
+// mailbox-stall and bad-payload diagnostics) is preserved verbatim
 // in Error() for greppability.
 type RankError struct {
 	Rank  int
@@ -501,39 +469,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.Size }
 
-// Sized is implemented by payload types that know their own wire size;
-// it lets callers pass bytes < 0 for struct payloads without those
-// messages silently vanishing from the Figure 5 byte profile.
-type Sized interface {
-	WireBytes() int
-}
-
-// payloadBytes models the wire size of a payload, or -1 when the type is
-// unrecognized (callers must then either pass an explicit byte count or
-// implement Sized — unknown types are an accounting error, not 0 bytes).
-func payloadBytes(data any) int {
-	switch d := data.(type) {
-	case []float64:
-		return 8 * len(d)
-	case Sized:
-		return d.WireBytes()
-	case nil:
-		return 0
-	default:
-		return -1
-	}
-}
-
-// mustPayloadBytes resolves a wire size, panicking on unknown payload
-// types so new message kinds cannot silently report 0 bytes.
-func mustPayloadBytes(data any) int {
-	b := payloadBytes(data)
-	if b < 0 {
-		panic(fmt.Sprintf("mpi: payload type %T has no modeled wire size; pass an explicit byte count or implement mpi.Sized", data))
-	}
-	return b
-}
-
 // defaultMailboxStall is the 30s send bound a world adopts when
 // WorldOptions.MailboxStall is 0.
 const defaultMailboxStall = 30 * time.Second
@@ -555,7 +490,7 @@ func (c *Comm) deliver(dst int, m message) int {
 			if err == errAborted {
 				panic(abortPanic{w.abortErr})
 			}
-			// Transport failure (unregistered codec, dead socket):
+			// Transport failure (dead socket, bad destination):
 			// a rank error with the typed cause preserved.
 			panic(err)
 		}
@@ -604,11 +539,16 @@ const procNull = -1
 // p2p is the one point-to-point path under Send, Recv, Sendrecv and
 // SendrecvFloat64: a send to dst then a receive from src, either half
 // skipped for procNull, charged to MPI_Send, MPI_Wait or MPI_Sendrecv by
-// which halves ran. Stats charge the transport's wire bytes — identical
-// to the modeled size in-process, header + encoded payload over TCP. A
-// non-nil recv selects the typed receive (the payload lands in *recv);
-// otherwise the generic payload is returned.
-func (c *Comm) p2p(dst int, sm message, src, tag int, recv *[]float64) (data any) {
+// which halves ran. The send is modeled as sbytes, or 8 per float when
+// sbytes < 0. Stats charge the transport's wire bytes — identical to the
+// modeled size in-process, header + encoded payload over TCP. The
+// received payload lands in recv (grown only when too small); the result
+// is recv[:0] when there is no source.
+func (c *Comm) p2p(dst int, send []float64, sbytes, src, tag int, recv []float64) []float64 {
+	recv = recv[:0]
+	if sbytes < 0 {
+		sbytes = 8 * len(send)
+	}
 	var f Func
 	peer := dst
 	switch {
@@ -619,23 +559,19 @@ func (c *Comm) p2p(dst int, sm message, src, tag int, recv *[]float64) (data any
 	case src != procNull:
 		f, peer = FuncWait, src
 	default:
-		return nil
+		return recv
 	}
 	var bytes int
 	var wait time.Duration
 	t0 := time.Now()
 	t1 := t0
 	if dst != procNull {
-		bytes = c.sendP2P(dst, sm)
+		bytes = c.sendP2P(dst, message{src: c.rank, tag: tag, bytes: sbytes, lane: laneBorrowed, f64: send})
 		t1 = time.Now()
 	}
 	if src != procNull {
 		m := c.recvMatch(src, tag)
-		if recv != nil {
-			*recv = m.floatsInto(*recv)
-		} else {
-			data = m.payload()
-		}
+		recv = m.floatsInto(recv)
 		bytes += m.bytes
 		wait = time.Since(t1)
 	}
@@ -648,40 +584,36 @@ func (c *Comm) p2p(dst int, sm message, src, tag int, recv *[]float64) (data any
 	if c.span != nil {
 		c.span.Comm(funcNames[f], t0, el, int64(bytes), peer)
 	}
-	return data
+	return recv
 }
 
-// Send transmits data to rank dst under tag. bytes, when >= 0, overrides
-// the modeled wire size (used for struct payloads whose packed size the
-// caller knows).
-func (c *Comm) Send(dst, tag int, data any, bytes int) {
-	if bytes < 0 {
-		bytes = mustPayloadBytes(data)
-	}
-	c.p2p(dst, message{src: c.rank, tag: tag, bytes: bytes, data: data}, procNull, tag, nil)
+// Send transmits data to rank dst under tag; data is the caller's again
+// when Send returns. bytes, when >= 0, overrides the modeled wire size
+// (a packed struct payload is priced by its sender's model, not by its
+// float count).
+func (c *Comm) Send(dst, tag int, data []float64, bytes int) {
+	c.p2p(dst, data, bytes, procNull, tag, nil)
 }
 
 // Recv blocks until a message from src with tag arrives and returns its
-// payload; the blocked time is charged to MPI_Wait.
-func (c *Comm) Recv(src, tag int) any {
-	return c.p2p(procNull, message{}, src, tag, nil)
+// payload in a fresh slice (nil when empty); the blocked time is charged
+// to MPI_Wait.
+func (c *Comm) Recv(src, tag int) []float64 {
+	return c.p2p(procNull, nil, 0, src, tag, nil)
 }
 
-// Sendrecv sends sdata to dst and receives from src under the same tag.
-// Either partner may be -1 (MPI_PROC_NULL: a rank at the top of a slab
-// box still receives from below though it sends nothing up); the call is
-// then a plain MPI_Send or MPI_Wait and is charged as one, and the result
-// is nil when there is no source.
-func (c *Comm) Sendrecv(dst int, sdata any, sbytes, src, tag int) any {
-	if sbytes < 0 {
-		sbytes = mustPayloadBytes(sdata)
-	}
-	return c.p2p(dst, message{src: c.rank, tag: tag, bytes: sbytes, data: sdata}, src, tag, nil)
+// Sendrecv sends sdata to dst and receives from src under the same tag,
+// returning the payload in a fresh slice. Either partner may be -1
+// (MPI_PROC_NULL: a rank at the top of a slab box still receives from
+// below though it sends nothing up); the call is then a plain MPI_Send or
+// MPI_Wait and is charged as one, and the result is nil when there is no
+// source. sbytes, when >= 0, overrides the modeled send size as in Send.
+func (c *Comm) Sendrecv(dst int, sdata []float64, sbytes, src, tag int) []float64 {
+	return c.p2p(dst, sdata, sbytes, src, tag, nil)
 }
 
-// SendrecvFloat64 is the halo-exchange primitive: Sendrecv for float64
-// vectors, -1 partners included, with caller-owned buffers on both sides
-// instead of a boxed payload that changes hands.
+// SendrecvFloat64 is the halo-exchange primitive: Sendrecv with
+// caller-owned buffers on both sides.
 //
 // Buffers follow MPI's contract. send belongs to the caller again as
 // soon as the call returns: the runtime has copied or encoded it by
@@ -690,9 +622,7 @@ func (c *Comm) Sendrecv(dst int, sdata any, sbytes, src, tag int) any {
 // to the received length (length 0 when src is -1), so a caller that
 // stores the result back reuses one allocation for the life of the run.
 func (c *Comm) SendrecvFloat64(dst int, send []float64, src, tag int, recv []float64) []float64 {
-	recv = recv[:0]
-	c.p2p(dst, message{src: c.rank, tag: tag, bytes: 8 * len(send), lane: laneBorrowed, f64: send}, src, tag, &recv)
-	return recv
+	return c.p2p(dst, send, -1, src, tag, recv)
 }
 
 func (c *Comm) recvMatch(src, tag int) message {

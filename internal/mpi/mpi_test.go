@@ -12,7 +12,7 @@ func TestSendRecv(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3}, -1)
 		} else {
-			got := c.Recv(0, 7).([]float64)
+			got := c.Recv(0, 7)
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("recv payload: %v", got)
 			}
@@ -37,8 +37,8 @@ func TestOutOfOrderTags(t *testing.T) {
 			c.Send(1, 100, []float64{100}, -1)
 			c.Send(1, 200, []float64{200}, -1)
 		} else {
-			second := c.Recv(0, 200).([]float64)
-			first := c.Recv(0, 100).([]float64)
+			second := c.Recv(0, 200)
+			first := c.Recv(0, 100)
 			if second[0] != 200 || first[0] != 100 {
 				t.Errorf("tag matching broke: %v %v", first, second)
 			}
@@ -89,7 +89,7 @@ func TestSendrecvRing(t *testing.T) {
 	w.Parallel(func(c *mpi.Comm) {
 		right := (c.Rank() + 1) % n
 		left := (c.Rank() + n - 1) % n
-		got := c.Sendrecv(right, []float64{float64(c.Rank())}, -1, left, 9).([]float64)
+		got := c.Sendrecv(right, []float64{float64(c.Rank())}, -1, left, 9)
 		out[c.Rank()] = got[0]
 	})
 	for r := range out {
@@ -105,7 +105,7 @@ func TestSendrecvRing(t *testing.T) {
 func TestSelfSendrecv(t *testing.T) {
 	w := mpi.NewWorld(1)
 	w.Parallel(func(c *mpi.Comm) {
-		got := c.Sendrecv(0, []float64{42}, -1, 0, 3).([]float64)
+		got := c.Sendrecv(0, []float64{42}, -1, 0, 3)
 		if got[0] != 42 {
 			t.Errorf("self exchange: %v", got)
 		}

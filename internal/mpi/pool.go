@@ -1,7 +1,7 @@
-// Buffer pools behind the typed float64 lane (SendrecvFloat64): the
-// in-process transit copies, the outbound wire frames and the inbound
-// float64 frame payloads are taken from here and returned by the runtime
-// itself — by the receiving rank, the link's writer, the receiving rank
+// Buffer pools behind every send: the in-process transit copies, the
+// outbound wire frames and the inbound frame payloads are taken from
+// here and returned by the runtime itself — by the receiving rank, the
+// sending rank once its frame is on the socket, the receiving rank
 // again — so steady-state halo traffic allocates nothing. Nothing taken
 // from a pool is ever handed to a caller: Comm copies or decodes into
 // caller-owned memory first, which is why there is no release call to

@@ -1,9 +1,9 @@
 package mpi
 
-// Internal tests of the typed lane's buffer plumbing: the pools' size
-// cap and retention bounds, which frames a live link reads into pooled
-// memory, and the receiver-side check that replaces decodePayload's for
-// float64 frames that now travel still encoded.
+// Internal tests of the runtime's buffer plumbing: the pools' size cap
+// and retention bounds, which frames a live link reads into pooled
+// memory, and the receiver-side check on data frames that travel still
+// encoded.
 
 import (
 	"errors"
@@ -139,20 +139,20 @@ func TestPoolConcurrentOwnership(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLinkPayloadPoolsOnlyFloat64Data: registry codecs and control-plane
-// decoders may keep what they parse, so only float64 data payloads — the
-// ones the runtime itself decodes and returns — are read into pooled
-// memory.
+// TestLinkPayloadPoolsOnlyFloat64Data: every data frame is pooled —
+// the runtime itself decodes or rejects it and returns the buffer —
+// and control frames are not: their decoders may keep what they parse.
 func TestLinkPayloadPoolsOnlyFloat64Data(t *testing.T) {
 	marker := bytePool.get(4096)
 	bytePool.put(marker)
-	got := linkPayload(frameHeader{kind: frameData, codec: codecFloat64, paylen: 4000})
-	if !sameArray(marker, got) || len(got) != 4000 {
-		t.Fatal("a float64 data payload should be read into the pooled buffer")
+	for _, codec := range []uint16{codecFloat64, codecFloat64 + 1} {
+		got := linkPayload(frameHeader{kind: frameData, codec: codec, paylen: 4000})
+		if !sameArray(marker, got) || len(got) != 4000 {
+			t.Fatalf("a codec-%d data payload should be read into the pooled buffer", codec)
+		}
+		bytePool.put(got)
 	}
-	bytePool.put(got)
 	for _, h := range []frameHeader{
-		{kind: frameData, codec: CodecUserBase, paylen: 4000},
 		{kind: frameAbort, codec: codecFloat64, paylen: 4000},
 		{kind: frameSnapResp, paylen: 4000},
 	} {
@@ -164,7 +164,7 @@ func TestLinkPayloadPoolsOnlyFloat64Data(t *testing.T) {
 }
 
 // TestEncodeFloat64FrameMatchesEncodeFrame: the one-pass pooled encoder
-// writes the same bytes as encodePayload + encodeFrame (frame v1 is
+// writes the same bytes as putFloat64s + encodeFrame (frame v1 is
 // unchanged), also into a dirty recycled buffer.
 func TestEncodeFloat64FrameMatchesEncodeFrame(t *testing.T) {
 	h := frameHeader{kind: frameData, world: 0xabc, src: 3, dst: 1, tag: 305}
@@ -173,33 +173,24 @@ func TestEncodeFloat64FrameMatchesEncodeFrame(t *testing.T) {
 		for i := range v {
 			v[i] = float64(i) * -1.25
 		}
-		id, payload, err := encodePayload(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := encodeFrame(frameHeader{kind: h.kind, codec: id, world: h.world, src: h.src, dst: h.dst, tag: h.tag}, payload)
+		want := encodeFrame(frameHeader{kind: h.kind, codec: codecFloat64, world: h.world, src: h.src, dst: h.dst, tag: h.tag}, floatBytes(v))
 		for pass := 0; pass < 2; pass++ {
 			got := encodeFloat64Frame(h, v)
 			if string(got) != string(want) {
 				t.Fatalf("%d floats, pass %d: pooled frame differs from encodeFrame", n, pass)
 			}
-			data := encodeDataFrame(frameHeader{kind: h.kind, codec: id, world: h.world, src: h.src, dst: h.dst, tag: h.tag}, payload)
-			if string(data) != string(want) {
-				t.Fatalf("%d floats, pass %d: encodeDataFrame differs from encodeFrame", n, pass)
-			}
 			for i := range got {
 				got[i] = 0xa5 // hand the next pass a dirty buffer
 			}
 			bytePool.put(got)
-			bytePool.put(data)
 		}
 	}
 }
 
 // TestTCPMisalignedFloat64FrameIsTyped: float64 data frames are no
 // longer decoded by the reader, but a CRC-valid frame whose payload is
-// not a whole number of floats must still fail the world with the typed
-// bad-payload *FrameError decodePayload used to raise — not reach a rank
+// not a whole number of floats must still fail the world with a typed
+// bad-payload *FrameError — not reach a rank
 // that would decode len/8 floats and drop the rest.
 func TestTCPMisalignedFloat64FrameIsTyped(t *testing.T) {
 	co, err := ListenTCP("127.0.0.1:0", 2)

@@ -1,5 +1,5 @@
 // TCP transport: a World spanning OS processes over length-prefixed
-// frames (frame.go) with typed payload codecs (codec.go). Each process
+// frames (frame.go) carrying float64 vectors (codec.go). Each process
 // hosts a subset of ranks; deliveries to co-resident ranks take the
 // same in-process mailbox path as the channel transport (bit-identical
 // semantics), deliveries to remote ranks are framed onto a per-peer
@@ -229,19 +229,9 @@ func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 		kind: frameData, world: t.worldID,
 		src: int32(m.src), dst: int32(dst), tag: int32(m.tag),
 	}
-	var frame []byte
-	if v, ok := m.floats(); ok {
-		frame = encodeFloat64Frame(h, v)
-		if m.lane == laneTransit {
-			floatPool.put(m.f64) // a reorder-held copy, now encoded
-		}
-	} else {
-		id, payload, err := encodePayload(m.data)
-		if err != nil {
-			return 0, err
-		}
-		h.codec = id
-		frame = encodeDataFrame(h, payload)
+	frame := encodeFloat64Frame(h, m.f64)
+	if m.lane == laneTransit {
+		floatPool.put(m.f64) // a reorder-held copy, now encoded
 	}
 	if h := w.wireFault; h != nil {
 		h.OnFrame(m.src, dst, m.tag, frame)
@@ -409,11 +399,11 @@ func (t *tcpTransport) start() {
 }
 
 // linkPayload picks the buffer a live link reads a frame's payload into:
-// pooled for float64 data (it travels to the receiving rank still
-// encoded, and that rank returns it), fresh for everything else —
-// registry codecs and control-plane decoders may keep what they parse.
+// pooled for data (it travels to the receiving rank still encoded, and
+// that rank returns it), fresh for control frames, whose decoders may
+// keep what they parse.
 func linkPayload(h frameHeader) []byte {
-	if h.kind == frameData && h.codec == codecFloat64 {
+	if h.kind == frameData {
 		return bytePool.get(int(h.paylen))
 	}
 	return make([]byte, h.paylen)
@@ -436,19 +426,11 @@ func (t *tcpTransport) readLoop(l *peerLink) {
 		}
 		switch h.kind {
 		case frameData:
-			m := message{src: int(h.src), tag: int(h.tag), bytes: frameHeaderLen + len(payload)}
-			var derr error
-			if h.codec == codecFloat64 {
-				// Delivered still encoded: the receiving rank decodes
-				// straight into its caller's buffer (or, on the generic
-				// lane, a fresh slice) — one copy and one allocation fewer
-				// than decoding here.
-				m.lane, m.raw = laneWire, payload
-				derr = checkFloat64Payload(payload)
-			} else {
-				m.data, derr = decodePayload(h.codec, payload)
-			}
-			if derr != nil {
+			// Delivered still encoded: the receiving rank decodes straight
+			// into its caller's buffer — one copy fewer than decoding here.
+			m := message{src: int(h.src), tag: int(h.tag), bytes: frameHeaderLen + len(payload),
+				lane: laneWire, raw: payload}
+			if derr := checkDataPayload(h.codec, payload); derr != nil {
 				t.w.Abort(&RankError{Rank: int(h.src), Cause: derr, Stack: debug.Stack()})
 				return
 			}

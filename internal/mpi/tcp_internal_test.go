@@ -123,7 +123,7 @@ func TestTCPCloseAfterSendsDeliversAll(t *testing.T) {
 	}()
 	err = recv.Parallel(func(c *Comm) {
 		for i := 0; i < k; i++ {
-			if got := c.Recv(1, 1).([]float64); got[0] != float64(i) {
+			if got := c.Recv(1, 1); got[0] != float64(i) {
 				panic(fmt.Sprintf("frame %d carried %v", i, got[0]))
 			}
 		}

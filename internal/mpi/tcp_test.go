@@ -132,7 +132,7 @@ func TestTCPMultiRankProcesses(t *testing.T) {
 	body := func(c *mpi.Comm) {
 		s := c.AllreduceScalar(float64(c.Rank() + 1))
 		next, prev := (c.Rank()+1)%n, (c.Rank()-1+n)%n
-		got := c.Sendrecv(next, []float64{float64(c.Rank())}, -1, prev, 3).([]float64)
+		got := c.Sendrecv(next, []float64{float64(c.Rank())}, -1, prev, 3)
 		mu.Lock()
 		sums[c.Rank()] = s
 		ring[c.Rank()] = got[0]

@@ -31,9 +31,9 @@ type Transport interface {
 	// (header + encoded payload) for remote delivery — so mpi.Stats
 	// reports what actually crossed the wire. It returns errAborted when
 	// the world aborts mid-delivery, a *stallError past the world's
-	// MailboxStall bound, and transport-specific errors (codec, socket)
-	// otherwise; the Comm layer converts these to the abort sentinel and
-	// rank-failure panics.
+	// MailboxStall bound, and transport-specific errors (socket,
+	// destination) otherwise; the Comm layer converts these to the abort
+	// sentinel and rank-failure panics.
 	Deliver(dst int, m message) (wire int, err error)
 
 	// PropagateAbort announces a locally recorded world failure to every
