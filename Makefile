@@ -115,11 +115,14 @@ soak:
 # supervised kill recovery with re-rendezvous, and the distributed-
 # checkpoint drills (restore from the newest complete shard
 # generation, mid-commit torn-generation fallback, placement swap).
+# The mpi selection also holds the receive-poll tests: where a waiting
+# receive polls, and that a polling rank aborts, snapshots and stalls
+# as a parked one does.
 # The mpi selection (~8 s a pass) runs three times so a concurrency
 # flake in the transport gets three chances to show; the harness drills
 # run once.
 transport-check:
-	go test -race -count=3 -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/mpi/
+	go test -race -count=3 -run 'TestTransport|TestWire|TestFrame|TestTCP|TestRecvPoll' ./internal/mpi/
 	go test -race -run 'TestCodecRoundTrip|TestVoteCodecRoundTrip|TestManifestCannotEscapeGeneration' ./internal/domain/ ./internal/ckpt/
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/harness/
 

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -171,5 +172,30 @@ func TestCheckpointSerialRestartRejectsMultiRank(t *testing.T) {
 	ck := &Checkpoint{Ranks: 4, PerRank: make([]Rank, 4)}
 	if _, err := RestoreSerial(cfg, ck); err == nil {
 		t.Fatal("RestoreSerial should reject a 4-rank checkpoint")
+	}
+}
+
+// TestCheckpointSerialRestoreRefusesHugeBinGrid: a checkpoint whose box
+// spans 1e7 σ asks the neighbor list for a bin grid it refuses; serial
+// restore returns that as a too-many-bins SimError instead of panicking
+// in the caller.
+func TestCheckpointSerialRestoreRefusesHugeBinGrid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lj.ckpt")
+	o := workload.Options{Atoms: 256, Seed: 7}
+	cfg, st := workload.MustBuild(workload.LJ, o)
+	cfg.CheckpointEvery = 5
+	cfg.CheckpointSink = NewWriter(path, 1).Sink()
+	core.New(cfg, st).Run(5)
+	ck, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Box.Hi.X = ck.Box.Lo.X + 1e7
+
+	cfg2, _ := workload.MustBuild(workload.LJ, o)
+	_, err = RestoreSerial(cfg2, ck)
+	var se *core.SimError
+	if !errors.As(err, &se) || se.Kind != core.ErrTooManyBins {
+		t.Fatalf("RestoreSerial = %v, want a %s SimError", err, core.ErrTooManyBins)
 	}
 }

@@ -25,6 +25,9 @@ const (
 	ErrLostAtom     = "lost-atom"
 	ErrCkptWrite    = "checkpoint-write"
 	ErrHangInjected = "hang-injected"
+	// ErrTooManyBins: the neighbor list refused to bin atoms spread too
+	// far for its bin size (neighbor.BinError).
+	ErrTooManyBins = "too-many-bins"
 )
 
 // Error implements error.

@@ -108,3 +108,27 @@ func TestGuardrailInjectedHangSerial(t *testing.T) {
 		t.Errorf("error should point at decomposed runs: %v", se)
 	}
 }
+
+// TestGuardrailTooManyBins: a box stretched to 1e7 σ along x, as a
+// runaway barostat would leave it, puts periodic images 1e7 σ apart; the
+// neighbor list refuses the bin grid that span needs and the run fails
+// with a too-many-bins SimError instead of running the host out of
+// memory.
+func TestGuardrailTooManyBins(t *testing.T) {
+	cfg, st := workload.MustBuild(workload.LJ, workload.Options{Atoms: 256, Seed: 3})
+	cfg.Box.Hi.X = cfg.Box.Lo.X + 1e7
+	sim := core.New(cfg, st)
+	runErr := sim.RunChecked(5)
+	var se *core.SimError
+	if !errors.As(runErr, &se) {
+		t.Fatalf("RunChecked = %v (%T), want a *core.SimError", runErr, runErr)
+	}
+	if se.Kind != core.ErrTooManyBins || se.Step != 0 {
+		t.Fatalf("SimError = %+v, want kind %q at step 0", se, core.ErrTooManyBins)
+	}
+	for _, want := range []string{"too-many-bins", "cells, over the limit"} {
+		if !strings.Contains(runErr.Error(), want) {
+			t.Errorf("error text %q missing %q", runErr.Error(), want)
+		}
+	}
+}

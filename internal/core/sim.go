@@ -445,13 +445,12 @@ func (s *Simulation) step() {
 		s.lastRebuild = s.Step
 		s.beat.Mark(health.PhaseNeigh, s.Step)
 		tN := time.Now()
-		s.NL.Build(st)
+		if err := s.buildList(); err != nil {
+			panic(err)
+		}
 		d = time.Since(tN)
 		s.Times[TaskNeigh] += d
 		s.span.Span(obs.CatTask, TaskNeigh.String(), tN, d)
-		s.Counters.NeighBuilds = int64(s.NL.Stats.Builds)
-		s.Counters.NeighPairs = s.NL.Stats.TotalPairs
-		s.Counters.NeighChecks = s.NL.Stats.DistanceChecks
 	}
 
 	// --- Forces (steps V/VI/VII).
@@ -649,11 +648,26 @@ func (s *Simulation) KspaceReducer() func([]float64) {
 // carries positions and velocities but not forces.
 func (s *Simulation) Prime() {
 	s.backend.Rebuild(s)
-	s.NL.Build(s.Store)
+	if err := s.buildList(); err != nil {
+		panic(err)
+	}
+	s.evaluateForces()
+}
+
+// buildList rebuilds the neighbor list and mirrors its counters. A bin
+// grid the list refuses to allocate comes back as a too-many-bins
+// *SimError; step and Prime fail the rank with it.
+func (s *Simulation) buildList() error {
+	if err := s.NL.Build(s.Store); err != nil {
+		return &SimError{
+			Rank: s.backend.Rank(), Step: s.Step, Kind: ErrTooManyBins,
+			Detail: err.Error(),
+		}
+	}
 	s.Counters.NeighBuilds = int64(s.NL.Stats.Builds)
 	s.Counters.NeighPairs = s.NL.Stats.TotalPairs
 	s.Counters.NeighChecks = s.NL.Stats.DistanceChecks
-	s.evaluateForces()
+	return nil
 }
 
 // PrimeRestored readies a NewRestored simulation to run: it builds the
@@ -668,10 +682,9 @@ func (s *Simulation) PrimeRestored(force []vec.V3, pe, vir float64) error {
 	if len(force) != st.N {
 		return fmt.Errorf("core: checkpoint carries %d forces, rank owns %d atoms", len(force), st.N)
 	}
-	s.NL.Build(st)
-	s.Counters.NeighBuilds = int64(s.NL.Stats.Builds)
-	s.Counters.NeighPairs = s.NL.Stats.TotalPairs
-	s.Counters.NeighChecks = s.NL.Stats.DistanceChecks
+	if err := s.buildList(); err != nil {
+		return err
+	}
 	copy(st.Force[:st.N], force)
 	s.LastPE = pe
 	s.LastVirial = vir

@@ -21,12 +21,14 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gomd/internal/obs"
+	"gomd/internal/par"
 )
 
 // Func enumerates the instrumented MPI functions, following the paper's
@@ -386,8 +388,13 @@ func (w *World) Parallel(body func(c *Comm)) error {
 	var wg sync.WaitGroup
 	wg.Add(len(w.local))
 	for _, r := range w.local {
+		// Counted before it starts, so that no rank's first receive
+		// misses a peer; a straggler leaked after an abort keeps its
+		// count.
+		vacate := par.Occupy(1)
 		go func(c *Comm) {
 			defer wg.Done()
+			defer vacate()
 			defer func() {
 				rec := recover()
 				if rec == nil {
@@ -451,6 +458,8 @@ type Comm struct {
 	parkSince atomic.Int64 // unix nanos
 	// unmatched mirrors len(world.pend[rank]) for lock-free snapshots.
 	unmatched atomic.Int64
+	// polls counts the receives that entered the poll phase.
+	polls atomic.Int64
 }
 
 // heldMessage is one reorder-deferred in-flight message.
@@ -625,43 +634,122 @@ func (c *Comm) SendrecvFloat64(dst int, send []float64, src, tag int, recv []flo
 	return c.p2p(dst, send, -1, src, tag, recv)
 }
 
+// recvPollBudget bounds the poll phase of a receive: how long a waiting
+// rank spins on its mailbox before it parks. A variable only so internal
+// tests can lengthen it.
+var recvPollBudget = 2 * time.Millisecond
+
+// pollYieldEvery is how many polls pass between yields of the processor
+// (about 10 µs).
+const pollYieldEvery = 1024
+
+// recvMatch is the one receive path: it returns the first message from
+// src with tag, buffering the others it meets out of order.
+//
+// A receive that has to wait publishes its park state, then, where
+// pollable allows it, polls its mailbox for up to recvPollBudget before
+// it parks on it. Parked on a channel, a rank is woken onto its sender's
+// processor and resumes only once an idle processor steals it; polling,
+// it picks the message up on its own. Either way the time is MPI_Wait
+// time, as under an MPI whose waits busy-poll shared memory.
 func (c *Comm) recvMatch(src, tag int) message {
 	// A receive is an ordering point: release any reorder-deferred sends
 	// before blocking (the peers may be waiting on them).
 	c.flushHeld()
 	// Check the out-of-order buffer first.
-	pend := c.world.pend[c.rank]
+	w := c.world
+	pend := w.pend[c.rank]
 	for i, m := range pend {
 		if m.src == src && m.tag == tag {
-			c.world.pend[c.rank] = append(pend[:i], pend[i+1:]...)
+			w.pend[c.rank] = append(pend[:i], pend[i+1:]...)
 			c.unmatched.Add(-1)
 			return m
 		}
 	}
-	// Blocking path: publish the park state and, when the world bounds
-	// receive stalls, arm the deadline.
+	c.parkEnter(parkRecv, src, tag)
+	start := time.Now()
+	stall := w.opts.RecvStall
+	if c.pollable() {
+		c.polls.Add(1)
+		budget := recvPollBudget
+		if stall > 0 {
+			budget = min(budget, stall)
+		}
+		if m, ok := c.poll(src, tag, start.Add(budget)); ok {
+			return m
+		}
+	}
+	// Park, with the rest of the world's RecvStall bound, if any.
 	var stallC <-chan time.Time
-	if d := c.world.opts.RecvStall; d > 0 {
-		timer := time.NewTimer(d)
+	if stall > 0 {
+		timer := time.NewTimer(stall - time.Since(start))
 		defer timer.Stop()
 		stallC = timer.C
 	}
-	c.parkEnter(parkRecv, src, tag)
 	for {
 		select {
-		case m := <-c.world.inbox[c.rank]:
-			if m.src == src && m.tag == tag {
-				c.parkExit()
+		case m := <-w.inbox[c.rank]:
+			if c.accept(m, src, tag) {
 				return m
 			}
-			c.world.pend[c.rank] = append(c.world.pend[c.rank], m)
-			c.unmatched.Add(1)
-		case <-c.world.abort:
-			panic(abortPanic{c.world.abortErr})
+		case <-w.abort:
+			panic(abortPanic{w.abortErr})
 		case <-stallC:
-			panic(c.recvStallPanic(src, tag, c.world.opts.RecvStall))
+			panic(c.recvStallPanic(src, tag, stall))
 		}
 	}
+}
+
+// pollable reports whether a waiting receive may poll: only in a world
+// whose every rank is in this process (a TCP world's network poller
+// needs the processor a polling rank would hold) and only while the
+// process runs no more compute goroutines — ranks, pool helpers, serial
+// interpreters (par.Occupy) — than it has processors.
+func (c *Comm) pollable() bool {
+	w := c.world
+	return len(w.local) == w.Size && par.Occupied() <= runtime.GOMAXPROCS(0)
+}
+
+// poll checks the mailbox and the abort channel without blocking until
+// the message from src with tag arrives (true) or deadline passes
+// (false). Every pollYieldEvery polls it yields, so a goroutine this
+// rank readied runs here instead of waiting to be stolen.
+func (c *Comm) poll(src, tag int, deadline time.Time) (message, bool) {
+	w := c.world
+	// Two one-case selects, not one with two cases: each is a lock-free
+	// check while its channel is empty.
+	for i := 1; ; i++ {
+		select {
+		case m := <-w.inbox[c.rank]:
+			if c.accept(m, src, tag) {
+				return m, true
+			}
+		default:
+		}
+		select {
+		case <-w.abort:
+			panic(abortPanic{w.abortErr})
+		default:
+		}
+		if i%pollYieldEvery == 0 {
+			if time.Now().After(deadline) {
+				return message{}, false
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// accept ends a wait on m when it is the awaited message (true) and
+// files it in the out-of-order buffer otherwise.
+func (c *Comm) accept(m message, src, tag int) bool {
+	if m.src == src && m.tag == tag {
+		c.parkExit()
+		return true
+	}
+	c.world.pend[c.rank] = append(c.world.pend[c.rank], m)
+	c.unmatched.Add(1)
+	return false
 }
 
 // String summarizes the profile (debugging aid).

@@ -10,6 +10,7 @@
 package neighbor
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -141,6 +142,26 @@ func (l *List) NeedsRebuild(st *atom.Store) bool {
 	return false
 }
 
+// MaxBins bounds the cells Build grids the atoms' bounding box into: 16
+// per atom of the largest system an input may ask for, the bound the
+// script admission check applies at the first run.
+const MaxBins = 16 * atom.MaxAtoms
+
+// BinError is Build's refusal of a bin grid over MaxBins cells: the atoms
+// spread too far for the bin size (an atom flung far outside the box, or
+// a box a barostat inflated).
+type BinError struct {
+	Lo, Hi vec.V3  // the atoms' bounding box
+	Bin    float64 // bin edge: half of cutoff+skin
+	Cells  float64 // cells the grid would take
+}
+
+// Error implements error.
+func (e *BinError) Error() string {
+	return fmt.Sprintf("neighbor: atoms span %v to %v; bins of %g would take %.3g cells, over the limit of %d",
+		e.Lo, e.Hi, e.Bin, e.Cells, MaxBins)
+}
+
 // Build constructs the neighbor list over the owned+ghost atoms of st.
 // Positions must already include up-to-date ghosts extending at least
 // cutoff+skin beyond the owned region.
@@ -148,7 +169,10 @@ func (l *List) NeedsRebuild(st *atom.Store) bool {
 // With a Pool attached the bounds pass, binning, and per-atom scan run
 // across workers; the stored list (entry order included) is identical
 // for every worker count.
-func (l *List) Build(st *atom.Store) {
+//
+// A bin grid over MaxBins cells is refused with a *BinError before
+// anything is allocated for it; the list is left as it was.
+func (l *List) Build(st *atom.Store) error {
 	var tObs time.Time
 	if l.Span != nil {
 		tObs = time.Now()
@@ -197,11 +221,20 @@ func (l *List) Build(st *atom.Store) {
 	hi = hi.Add(vec.Splat(eps))
 	span := hi.Sub(lo)
 	half := cut / 2
-	nb := [3]int{
-		maxInt(1, int(span.X/half)),
-		maxInt(1, int(span.Y/half)),
-		maxInt(1, int(span.Z/half)),
+	// Cell counts are taken in float64 so no extent can overflow them. A
+	// count that is not finite (a NaN or infinite position, which the
+	// numerical guard reports as a lost atom) keeps one bin on its axis.
+	var n [3]float64
+	for d := range n {
+		n[d] = math.Floor(span.Component(d) / half)
+		if !(n[d] >= 1) || math.IsInf(n[d], 1) {
+			n[d] = 1
+		}
 	}
+	if cells := n[0] * n[1] * n[2]; cells > MaxBins {
+		return &BinError{Lo: lo, Hi: hi, Bin: half, Cells: cells}
+	}
+	nb := [3]int{int(n[0]), int(n[1]), int(n[2])}
 	inv := vec.New(float64(nb[0])/span.X, float64(nb[1])/span.Y, float64(nb[2])/span.Z)
 	nbins := nb[0] * nb[1] * nb[2]
 
@@ -385,6 +418,7 @@ func (l *List) Build(st *atom.Store) {
 	}
 	l.lastPos = l.lastPos[:st.N]
 	copy(l.lastPos, st.Pos[:st.N])
+	return nil
 }
 
 // NeighborsPerAtom returns the average neighbor count per owned atom of

@@ -1,9 +1,12 @@
 package neighbor_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -607,4 +610,47 @@ func hasKindBits(nl *neighbor.List) bool {
 		}
 	}
 	return false
+}
+
+// TestBuildRefusesHugeBinGrid: one atom flung to x = 1e12 would bin the
+// bounding box into ~1e12 cells. Build refuses it with a typed
+// *BinError naming the extents and the bin size, and allocates almost
+// nothing on the way; before the cap, make panicked with an untyped
+// runtime error (or a wide box ran the host out of memory).
+func TestBuildRefusesHugeBinGrid(t *testing.T) {
+	st := atom.New(2)
+	st.Add(atom.Atom{Tag: 1, Type: 1, Pos: vec.New(0, 0, 0)})
+	st.Add(atom.Atom{Tag: 2, Type: 1, Pos: vec.New(1e12, 1, 1)})
+	nl := neighbor.NewList(neighbor.Half, 2.5, 0.3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := nl.Build(st)
+	runtime.ReadMemStats(&after)
+	var be *neighbor.BinError
+	if !errors.As(err, &be) {
+		t.Fatalf("Build = %v, want a *neighbor.BinError", err)
+	}
+	if be.Hi.X < 1e12 || be.Bin != 1.4 || be.Cells <= neighbor.MaxBins {
+		t.Errorf("BinError = %+v, want the 1e12 extent, bin 1.4 and a cell count over %d", be, neighbor.MaxBins)
+	}
+	for _, want := range []string{"1e+12", "bins of 1.4", "over the limit"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error text lacks %q: %v", want, err)
+		}
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refused Build allocated %d bytes, want < 1 MiB", got)
+	}
+	if nl.Stats.Builds != 0 {
+		t.Errorf("refused Build counted as a build: %+v", nl.Stats)
+	}
+
+	// The same store within bounds builds as before.
+	st.Pos[1] = vec.New(2, 1, 1)
+	if err := nl.Build(st); err != nil {
+		t.Fatalf("Build of a compact store: %v", err)
+	}
+	if nl.Stats.LastPairs != 1 {
+		t.Errorf("pairs = %d, want 1", nl.Stats.LastPairs)
+	}
 }

@@ -24,6 +24,7 @@ package par
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gomd/internal/obs"
@@ -69,7 +70,28 @@ type Pool struct {
 	// live caches gauge handles for PublishLive; touched only by the
 	// pool's driving goroutine.
 	live map[string]*liveGauges
+
+	// vacate takes the helpers off the process's compute count (nil for
+	// an inline pool).
+	vacate func()
 }
+
+// occupied counts the goroutines of this process that run compute: the
+// rank goroutines of mpi.World.Parallel, every pool's helpers for the
+// life of the pool, and serial script interpreters.
+var occupied atomic.Int64
+
+// Occupy adds n goroutines to the process's compute count and returns
+// the function that takes them off again. A waiting mpi receive polls
+// only while the count is at most GOMAXPROCS, so that a polling rank
+// does not hold a processor a counted goroutine needs.
+func Occupy(n int) (vacate func()) {
+	occupied.Add(int64(n))
+	return func() { occupied.Add(-int64(n)) }
+}
+
+// Occupied returns the process's compute count (see Occupy).
+func Occupied() int { return int(occupied.Load()) }
 
 // NewPool creates a pool with the given worker count. Counts below 2
 // yield an inline pool that spawns no goroutines.
@@ -81,6 +103,7 @@ func NewPool(workers int) *Pool {
 	if workers > 1 {
 		p.busy = make([]int64, workers)
 		p.jobs = make([]chan job, workers-1)
+		p.vacate = Occupy(workers - 1)
 		for i := range p.jobs {
 			ch := make(chan job)
 			p.jobs[i] = ch
@@ -243,6 +266,9 @@ func (p *Pool) Close() {
 	p.closed = true
 	for _, ch := range p.jobs {
 		close(ch)
+	}
+	if p.vacate != nil {
+		p.vacate()
 	}
 }
 

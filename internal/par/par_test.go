@@ -165,3 +165,19 @@ func TestEmptyRunSkipsDispatch(t *testing.T) {
 		t.Fatalf("empty run recorded %d barriers", ks.Runs)
 	}
 }
+
+// TestPoolOccupiesHelpers: a pool adds its helper goroutines to the
+// process's compute count for its life; an inline pool adds nothing.
+func TestPoolOccupiesHelpers(t *testing.T) {
+	before := par.Occupied()
+	par.NewPool(1).Close()
+	p := par.NewPool(3)
+	if got := par.Occupied(); got != before+2 {
+		t.Fatalf("with a 3-worker pool open: occupied %d, want %d", got, before+2)
+	}
+	p.Close()
+	p.Close()
+	if got := par.Occupied(); got != before {
+		t.Fatalf("after Close: occupied %d, want %d", got, before)
+	}
+}

@@ -46,7 +46,9 @@ import (
 	"gomd/internal/fix"
 	"gomd/internal/kspace"
 	"gomd/internal/lattice"
+	"gomd/internal/neighbor"
 	"gomd/internal/pair"
+	"gomd/internal/par"
 	"gomd/internal/rng"
 	"gomd/internal/units"
 	"gomd/internal/vec"
@@ -107,8 +109,9 @@ const maxTypes = 1024
 // and Ewald sums over a cube of k-vectors as many across as the box
 // spans 2π/kcut. A cutoff tiny against the box (or an Ewald accuracy
 // near zero) would ask for more than any host has memory; 16 per atom
-// of the largest system leaves room for sparse boxes.
-const maxCells = 16 * atom.MaxAtoms
+// of the largest system leaves room for sparse boxes. It is the cap the
+// engine's neighbor list applies at every build.
+const maxCells = neighbor.MaxBins
 
 // path resolves a script's file argument under Root.
 func (in *Interp) path(arg string) (string, error) {
@@ -307,12 +310,14 @@ func Validate(r io.Reader) error {
 // Run parses a whole script and then executes it. A parse error leaves
 // the interpreter untouched. A cancelled ctx stops a `run` command
 // before its next step, returning ctx's error; the steps taken so far
-// stand.
+// stand. While it runs, the calling goroutine counts as one compute
+// goroutine of the process (par.Occupy).
 func (in *Interp) Run(ctx context.Context, r io.Reader) error {
 	prog, _, err := parse(r)
 	if err != nil {
 		return err
 	}
+	defer par.Occupy(1)()
 	for _, s := range prog {
 		if err := s.run(in, ctx, s.args); err != nil {
 			return fmt.Errorf("line %d: %w", s.line, err)

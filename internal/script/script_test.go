@@ -15,6 +15,7 @@ import (
 	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/dump"
+	"gomd/internal/par"
 	"gomd/internal/script"
 	"gomd/internal/workload"
 )
@@ -560,4 +561,28 @@ func FuzzScript(f *testing.F) {
 		defer cancel()
 		in.Run(ctx, strings.NewReader(src))
 	})
+}
+
+// occupancyWriter records the process's compute count at each write.
+type occupancyWriter struct{ seen []int }
+
+func (w *occupancyWriter) Write(p []byte) (int, error) {
+	w.seen = append(w.seen, par.Occupied())
+	return len(p), nil
+}
+
+// TestRunOccupiesOneGoroutine: a running interpreter counts as one
+// compute goroutine of the process, and gives it back when it returns.
+func TestRunOccupiesOneGoroutine(t *testing.T) {
+	before := par.Occupied()
+	w := &occupancyWriter{}
+	if err := script.New(w).Run(context.Background(), strings.NewReader("print hello\n")); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.seen) != 1 || w.seen[0] != before+1 {
+		t.Errorf("occupied during Run = %v, want [%d]", w.seen, before+1)
+	}
+	if got := par.Occupied(); got != before {
+		t.Errorf("occupied after Run = %d, want %d", got, before)
+	}
 }
