@@ -186,6 +186,10 @@ type World struct {
 	// tr moves messages between ranks: in-process channels (the
 	// reference) or length-prefixed TCP frames.
 	tr Transport
+	// pumps holds, by rank, the link a receive from that rank reads
+	// while it polls (tcp.go); nil for local ranks, links without a
+	// socket descriptor, and every rank of a channel world.
+	pumps []*peerLink
 
 	// Abort protocol (the MPI_Abort analogue). The first rank failure
 	// records its RankError and closes abort; every primitive blocked in
@@ -387,11 +391,15 @@ func (w *World) Parallel(body func(c *Comm)) error {
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(w.local))
-	for _, r := range w.local {
-		// Counted before it starts, so that no rank's first receive
-		// misses a peer; a straggler leaked after an abort keeps its
-		// count.
-		vacate := par.Occupy(1)
+	// Every rank is counted before any starts, so that no rank's first
+	// receive polls on a count that misses a peer; a straggler leaked
+	// after an abort keeps its count.
+	vacates := make([]func(), len(w.local))
+	for i := range vacates {
+		vacates[i] = par.Occupy(1)
+	}
+	for i, r := range w.local {
+		vacate := vacates[i]
 		go func(c *Comm) {
 			defer wg.Done()
 			defer vacate()
@@ -460,6 +468,8 @@ type Comm struct {
 	unmatched atomic.Int64
 	// polls counts the receives that entered the poll phase.
 	polls atomic.Int64
+	// pumped is poll's scratch for the frames a pump reads for this rank.
+	pumped []message
 }
 
 // heldMessage is one reorder-deferred in-flight message.
@@ -640,42 +650,44 @@ func (c *Comm) SendrecvFloat64(dst int, send []float64, src, tag int, recv []flo
 var recvPollBudget = 2 * time.Millisecond
 
 // pollYieldEvery is how many polls pass between yields of the processor
-// (about 10 µs).
-const pollYieldEvery = 1024
+// (about 10 µs). A poll that also pumps a link makes a system call, and
+// yields every pumpYieldEvery polls instead.
+const (
+	pollYieldEvery = 1024
+	pumpYieldEvery = 16
+)
 
 // recvMatch is the one receive path: it returns the first message from
 // src with tag, buffering the others it meets out of order.
 //
 // A receive that has to wait publishes its park state, then, where
-// pollable allows it, polls its mailbox for up to recvPollBudget before
-// it parks on it. Parked on a channel, a rank is woken onto its sender's
+// pollable allows it, polls for up to recvPollBudget before it parks on
+// its mailbox. Parked on a channel, a rank is woken onto its sender's
 // processor and resumes only once an idle processor steals it; polling,
-// it picks the message up on its own. Either way the time is MPI_Wait
-// time, as under an MPI whose waits busy-poll shared memory.
+// it picks the message up on its own. A receive from a rank across a
+// TCP link reads the link itself while it polls (pump): parked, it would
+// wait for the network poller to wake the link's reader goroutine, and
+// for that goroutine to wake it. Either way the time is MPI_Wait time,
+// as under an MPI whose waits busy-poll.
 func (c *Comm) recvMatch(src, tag int) message {
 	// A receive is an ordering point: release any reorder-deferred sends
 	// before blocking (the peers may be waiting on them).
 	c.flushHeld()
 	// Check the out-of-order buffer first.
-	w := c.world
-	pend := w.pend[c.rank]
-	for i, m := range pend {
-		if m.src == src && m.tag == tag {
-			w.pend[c.rank] = append(pend[:i], pend[i+1:]...)
-			c.unmatched.Add(-1)
-			return m
-		}
+	if m, ok := c.takePending(src, tag); ok {
+		return m
 	}
+	w := c.world
 	c.parkEnter(parkRecv, src, tag)
 	start := time.Now()
 	stall := w.opts.RecvStall
-	if c.pollable() {
+	if poll, link := c.pollable(src); poll {
 		c.polls.Add(1)
 		budget := recvPollBudget
 		if stall > 0 {
 			budget = min(budget, stall)
 		}
-		if m, ok := c.poll(src, tag, start.Add(budget)); ok {
+		if m, ok := c.poll(src, tag, link, start.Add(budget)); ok {
 			return m
 		}
 	}
@@ -700,22 +712,36 @@ func (c *Comm) recvMatch(src, tag int) message {
 	}
 }
 
-// pollable reports whether a waiting receive may poll: only in a world
-// whose every rank is in this process (a TCP world's network poller
-// needs the processor a polling rank would hold) and only while the
-// process runs no more compute goroutines — ranks, pool helpers, serial
-// interpreters (par.Occupy) — than it has processors.
-func (c *Comm) pollable() bool {
+// pollable reports whether a waiting receive from src may poll, and the
+// link it pumps while it does (nil: the mailbox alone). It polls only
+// while the process runs no more compute goroutines — ranks, pool
+// helpers, serial interpreters (par.Occupy) — than it has processors,
+// and then in a world whose every rank is in this process, or when src
+// is across a link with a socket descriptor. A local source in a world
+// with remote ranks is waited for parked.
+func (c *Comm) pollable(src int) (bool, *peerLink) {
 	w := c.world
-	return len(w.local) == w.Size && par.Occupied() <= runtime.GOMAXPROCS(0)
+	var link *peerLink
+	if src >= 0 && src < len(w.pumps) {
+		link = w.pumps[src]
+	}
+	if len(w.local) < w.Size && link == nil {
+		return false, nil
+	}
+	return par.Occupied() <= runtime.GOMAXPROCS(0), link
 }
 
-// poll checks the mailbox and the abort channel without blocking until
-// the message from src with tag arrives (true) or deadline passes
-// (false). Every pollYieldEvery polls it yields, so a goroutine this
-// rank readied runs here instead of waiting to be stolen.
-func (c *Comm) poll(src, tag int, deadline time.Time) (message, bool) {
+// poll checks the mailbox and the abort channel, and pumps link when it
+// is not nil, without blocking until the message from src with tag
+// arrives (true) or deadline passes (false). Every pollYieldEvery polls
+// (pumpYieldEvery with a link) it yields, so a goroutine this rank
+// readied runs here instead of waiting to be stolen.
+func (c *Comm) poll(src, tag int, link *peerLink, deadline time.Time) (message, bool) {
 	w := c.world
+	yieldEvery := pollYieldEvery
+	if link != nil {
+		yieldEvery = pumpYieldEvery
+	}
 	// Two one-case selects, not one with two cases: each is a lock-free
 	// check while its channel is empty.
 	for i := 1; ; i++ {
@@ -731,7 +757,15 @@ func (c *Comm) poll(src, tag int, deadline time.Time) (message, bool) {
 			panic(abortPanic{w.abortErr})
 		default:
 		}
-		if i%pollYieldEvery == 0 {
+		if link != nil {
+			var before int
+			if c.pumped, before = link.t.pump(link, c.rank, c.pumped[:0]); len(c.pumped) > 0 {
+				if m, ok := c.acceptPumped(c.pumped, before, src, tag); ok {
+					return m, true
+				}
+			}
+		}
+		if i%yieldEvery == 0 {
 			if time.Now().After(deadline) {
 				return message{}, false
 			}
@@ -747,9 +781,48 @@ func (c *Comm) accept(m message, src, tag int) bool {
 		c.parkExit()
 		return true
 	}
+	c.file(m)
+	return false
+}
+
+// acceptPumped ends a wait on the first match in ms, frames this rank
+// read off a link itself, or files them all. The first before messages
+// of the mailbox may include frames the link delivered there ahead of
+// ms; they are filed first, so the per-(src, tag) order holds.
+func (c *Comm) acceptPumped(ms []message, before, src, tag int) (message, bool) {
+	inbox := c.world.inbox[c.rank]
+	for ; before > 0; before-- {
+		c.file(<-inbox)
+	}
+	for _, m := range ms {
+		c.file(m)
+	}
+	if m, ok := c.takePending(src, tag); ok {
+		c.parkExit()
+		return m, true
+	}
+	return message{}, false
+}
+
+// file appends m to the out-of-order buffer.
+func (c *Comm) file(m message) {
 	c.world.pend[c.rank] = append(c.world.pend[c.rank], m)
 	c.unmatched.Add(1)
-	return false
+}
+
+// takePending removes and returns the first buffered message from src
+// with tag.
+func (c *Comm) takePending(src, tag int) (message, bool) {
+	w := c.world
+	pend := w.pend[c.rank]
+	for i, m := range pend {
+		if m.src == src && m.tag == tag {
+			w.pend[c.rank] = append(pend[:i], pend[i+1:]...)
+			c.unmatched.Add(-1)
+			return m, true
+		}
+	}
+	return message{}, false
 }
 
 // String summarizes the profile (debugging aid).

@@ -1,11 +1,15 @@
-// The poll phase of a waiting receive: where it runs (the guards) and
-// that a rank inside it behaves as a parked one does (abort, snapshot,
-// stall bound).
+// The poll phase of a waiting receive: where it runs (the guards), that
+// a rank inside it behaves as a parked one does (abort, snapshot, stall
+// bound), and that a rank polling a TCP link reads it as its reader
+// goroutine would.
 package mpi
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,11 +50,19 @@ func polls(w *World) (n int64) {
 	return n
 }
 
+// awaitPoll spins until c has entered the poll phase.
+func awaitPoll(c *Comm) {
+	for c.polls.Load() == 0 {
+		runtime.Gosched()
+	}
+}
+
 // traffic returns a body that runs waiting receives of every kind on
 // w's local ranks: a ring exchange, which on a TCP world of two
 // processes crosses to the other process at the ring's ends, and an
-// allreduce. No rank returns before every local rank is done receiving,
-// so each receive waits while all of them run.
+// allreduce. Every payload is checked. No rank returns before every
+// local rank is done receiving, so each receive waits while all of them
+// run.
 func traffic(w *World) func(*Comm) {
 	var received sync.WaitGroup
 	received.Add(len(w.local))
@@ -58,11 +70,92 @@ func traffic(w *World) func(*Comm) {
 		n := c.Size()
 		next, prev := (c.Rank()+1)%n, (c.Rank()-1+n)%n
 		for i := 0; i < 20; i++ {
-			c.Sendrecv(next, []float64{float64(i)}, -1, prev, 5)
+			got := c.Sendrecv(next, []float64{float64(i), float64(c.Rank())}, -1, prev, 5)
+			if len(got) != 2 || got[0] != float64(i) || got[1] != float64(prev) {
+				panic(fmt.Sprintf("round %d from rank %d carried %v", i, prev, got))
+			}
 		}
-		c.AllreduceScalar(1)
+		if sum := c.AllreduceScalar(1); sum != float64(n) {
+			panic(fmt.Sprintf("allreduce of ones over %d ranks read %v", n, sum))
+		}
 		received.Done()
 		received.Wait()
+	}
+}
+
+// tcpPair returns the two ends of one loopback TCP connection.
+func tcpPair(t *testing.T) (near, far net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	far, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	near = <-accepted
+	if near == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() {
+		near.Close()
+		far.Close()
+	})
+	return near, far
+}
+
+// linkedWorld builds process self (0 or 1) of a world of size whose
+// ranks local it hosts; conn links it to the other process, which hosts
+// the rest. With read false the link gets no reader goroutine, so a
+// frame on it is read only by a rank that pumps the link.
+func linkedWorld(t *testing.T, size, self int, local []int, conn net.Conn, read bool) *World {
+	t.Helper()
+	var remote []int
+	for r := 0; r < size; r++ {
+		if !slices.Contains(local, r) {
+			remote = append(remote, r)
+		}
+	}
+	peer := 1 - self
+	table := make([]procInfo, 2)
+	table[self] = procInfo{proc: self, ranks: local}
+	table[peer] = procInfo{proc: peer, ranks: remote}
+	links := make([]*peerLink, 2)
+	links[peer] = newPeerLink(peer, remote, conn, newLinkReader(conn))
+	tr := newTCPTransport(size, local, WorldOptions{}, 42, self, table, links)
+	if read {
+		tr.start()
+	}
+	t.Cleanup(func() { tr.w.Close() })
+	return tr.w
+}
+
+// wireData is the wire frame of a message from src to dst with tag
+// carrying v, for a linkedWorld.
+func wireData(src, dst, tag int, v ...float64) []byte {
+	return encodeFloat64Frame(frameHeader{kind: frameData, world: 42,
+		src: int32(src), dst: int32(dst), tag: int32(tag)}, v)
+}
+
+// within runs body on w's ranks and fails the test unless they are done
+// within 10 s.
+func within(t *testing.T, w *World, body func(*Comm)) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.Parallel(body) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the ranks did not finish within 10s")
+		return nil
 	}
 }
 
@@ -82,8 +175,8 @@ func TestRecvPollGuards(t *testing.T) {
 		}
 	})
 
-	t.Run("TCP world never polls", func(t *testing.T) {
-		roomFor(t, 4) // the goroutine count alone would allow the poll
+	t.Run("TCP world polls remote sources", func(t *testing.T) {
+		roomFor(t, 4)
 		co, err := ListenTCP("127.0.0.1:0", 4)
 		if err != nil {
 			t.Fatal(err)
@@ -111,8 +204,8 @@ func TestRecvPollGuards(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := polls(wc) + polls(wj); n != 0 {
-			t.Fatalf("a world with remote ranks polled %d receives", n)
+		if polls(wc) == 0 || polls(wj) == 0 {
+			t.Fatalf("receives from remote ranks polled %d and %d times, want both > 0", polls(wc), polls(wj))
 		}
 	})
 
@@ -190,13 +283,6 @@ func TestRecvPollGuards(t *testing.T) {
 // parked one does.
 func TestRecvPollSemantics(t *testing.T) {
 	setPollBudget(t, time.Minute)
-
-	// awaitPoll spins until c has entered the poll phase.
-	awaitPoll := func(c *Comm) {
-		for c.polls.Load() == 0 {
-			runtime.Gosched()
-		}
-	}
 
 	t.Run("peer panic unwinds the poller", func(t *testing.T) {
 		roomFor(t, 2)
@@ -278,6 +364,254 @@ func TestRecvPollSemantics(t *testing.T) {
 		// RecvStall + budget would be a minute.
 		if elapsed > 30*time.Second {
 			t.Errorf("stall fired after %v, want about %v", elapsed, stall)
+		}
+	})
+}
+
+// TestRecvPollLink: a receive from a rank across a TCP link reads the
+// link itself while it polls. Unless a case starts the link's reader
+// goroutine, nothing else reads the link, so every frame below reaches
+// its rank only because a polling rank read it and acted on it as the
+// reader would: data for another local rank, an abort, a snapshot
+// request.
+func TestRecvPollLink(t *testing.T) {
+	setPollBudget(t, time.Minute)
+
+	t.Run("a pump delivers the other local rank's frames", func(t *testing.T) {
+		roomFor(t, 2)
+		near, far := tcpPair(t)
+		w := linkedWorld(t, 3, 0, []int{0, 1}, near, false)
+		far.Write(wireData(2, 1, 5, 1))
+		far.Write(wireData(2, 0, 5, 2))
+		rank0Done := make(chan struct{})
+		err := within(t, w, func(c *Comm) {
+			if c.Rank() == 0 {
+				if got := c.Recv(2, 5); len(got) != 1 || got[0] != 2 {
+					panic(fmt.Sprintf("rank 0 received %v, want [2]", got))
+				}
+				close(rank0Done)
+				return
+			}
+			<-rank0Done
+			if n := len(w.inbox[1]); n != 1 {
+				panic(fmt.Sprintf("rank 1's mailbox holds %d messages after rank 0's pump, want 1", n))
+			}
+			if got := c.Recv(2, 5); len(got) != 1 || got[0] != 1 {
+				panic(fmt.Sprintf("rank 1 received %v, want [1]", got))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("frames stay whole and in order under two pumping ranks and the reader", func(t *testing.T) {
+		roomFor(t, 2)
+		const rounds = 200
+		near, far := tcpPair(t)
+		a := linkedWorld(t, 4, 0, []int{0, 1}, near, true)
+		b := linkedWorld(t, 4, 1, []int{2, 3}, far, true)
+		send := func(c *Comm) {
+			for i := 0; i < rounds; i++ {
+				v := make([]float64, 1+(i*37)%3000)
+				for j := range v {
+					v[j] = float64(i*10 + c.Rank())
+				}
+				c.Send(c.Rank()-2, 1+i%3, v, -1)
+			}
+		}
+		errc := make(chan error, 1)
+		go func() { errc <- b.Parallel(send) }()
+		err := within(t, a, func(c *Comm) {
+			for i := 0; i < rounds; i++ {
+				got := c.Recv(c.Rank()+2, 1+i%3)
+				if len(got) != 1+(i*37)%3000 || got[0] != float64(i*10+c.Rank()+2) || got[len(got)-1] != got[0] {
+					panic(fmt.Sprintf("rank %d message %d: %d floats, first %v", c.Rank(), i, len(got), got[0]))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if polls(a) == 0 {
+			t.Fatal("no receive polled")
+		}
+	})
+
+	for _, tc := range []struct {
+		name   string
+		split  int           // bytes of the first frame written first
+		before time.Duration // when the first part is written
+	}{
+		{"split in the header while polling", 10, 5 * time.Millisecond},
+		{"split in the payload while polling", frameHeaderLen + 100, 5 * time.Millisecond},
+		{"split in the payload after parking", frameHeaderLen + 100, 60 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The pause between the parts outlasts the budget: whichever
+			// reader took the first part keeps the read token and finishes
+			// the frame, and the poller parks meanwhile or waits in it.
+			setPollBudget(t, 20*time.Millisecond)
+			roomFor(t, 1)
+			near, far := tcpPair(t)
+			w := linkedWorld(t, 2, 0, []int{0}, near, true)
+			first := make([]float64, 1000)
+			for i := range first {
+				first[i] = float64(i)
+			}
+			frame := wireData(1, 0, 5, first...)
+			go func() {
+				time.Sleep(tc.before)
+				far.Write(frame[:tc.split])
+				time.Sleep(60 * time.Millisecond)
+				far.Write(frame[tc.split:])
+				far.Write(wireData(1, 0, 5, -1))
+			}()
+			err := within(t, w, func(c *Comm) {
+				got := c.Recv(1, 5)
+				if len(got) != len(first) {
+					panic(fmt.Sprintf("the split frame arrived with %d floats, want %d", len(got), len(first)))
+				}
+				for i, v := range got {
+					if v != first[i] {
+						panic(fmt.Sprintf("the split frame's float %d reads %v", i, v))
+					}
+				}
+				if got := c.Recv(1, 5); len(got) != 1 || got[0] != -1 {
+					panic(fmt.Sprintf("the frame after the split one carried %v, want [-1]", got))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	t.Run("an abort read by a pump unwinds the poller", func(t *testing.T) {
+		roomFor(t, 1)
+		near, far := tcpPair(t)
+		a := linkedWorld(t, 2, 0, []int{0}, near, false)
+		b := linkedWorld(t, 2, 1, []int{1}, far, true)
+		go func() {
+			awaitPoll(a.comms[0])
+			b.Abort(&RankError{Rank: 1, Cause: "remote failure"})
+		}()
+		err := within(t, a, func(c *Comm) { c.Recv(1, 7) })
+		var re *RankError
+		if !errors.As(err, &re) || re.Rank != 1 {
+			t.Fatalf("err = %v, want a *RankError from rank 1", err)
+		}
+		if ra, ok := re.Cause.(RemoteAbort); !ok || ra.Text != "remote failure" {
+			t.Fatalf("cause = %#v, want RemoteAbort with the remote text", re.Cause)
+		}
+	})
+
+	t.Run("a pump answers a snapshot request", func(t *testing.T) {
+		roomFor(t, 2)
+		near, far := tcpPair(t)
+		a := linkedWorld(t, 2, 0, []int{0}, near, false)
+		b := linkedWorld(t, 2, 1, []int{1}, far, true)
+		done := make(chan error, 1)
+		go func() {
+			done <- a.Parallel(func(c *Comm) {
+				if got := c.Recv(1, 7); len(got) != 1 || got[0] != 3 {
+					panic(fmt.Sprintf("received %v, want [3]", got))
+				}
+			})
+		}()
+		awaitPoll(a.comms[0])
+		if got := b.SnapshotComm()[0].Parked; got == nil || got.Op != "MPI_Wait" || got.Peer != 1 || got.Tag != 7 {
+			t.Errorf("the polling rank 0 reads %+v from the peer process, want MPI_Wait on peer 1 tag 7", got)
+		}
+		if err := b.Parallel(func(c *Comm) { c.Send(0, 7, []float64{3}, -1) }); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the poller never received the message")
+		}
+	})
+
+	t.Run("frames left in the link's buffer reach ranks that park", func(t *testing.T) {
+		// One write puts three frames on the socket, so the pump's first
+		// read takes them all into the link's buffer; the receives after
+		// it park, with the link's reader waiting on an empty socket.
+		roomFor(t, 2)
+		near, far := tcpPair(t)
+		w := linkedWorld(t, 3, 0, []int{0, 1}, near, true)
+		var burst []byte
+		for _, f := range [][]byte{wireData(2, 0, 5, 1), wireData(2, 1, 5, 2), wireData(2, 0, 6, 3)} {
+			burst = append(burst, f...)
+		}
+		go func() {
+			awaitPoll(w.comms[0])
+			far.Write(burst)
+		}()
+		parked := func(c *Comm, src, tag int) float64 {
+			defer par.Occupy(runtime.GOMAXPROCS(0))() // no receive polls
+			return c.Recv(src, tag)[0]
+		}
+		rank0Done := make(chan struct{})
+		err := within(t, w, func(c *Comm) {
+			if c.Rank() == 0 {
+				first := c.Recv(2, 5)[0]
+				close(rank0Done)
+				if second := parked(c, 2, 6); first != 1 || second != 3 {
+					panic(fmt.Sprintf("rank 0 received %v then %v, want 1 then 3", first, second))
+				}
+				return
+			}
+			<-rank0Done
+			if got := parked(c, 2, 5); got != 2 {
+				panic(fmt.Sprintf("rank 1 received %v, want 2", got))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("a pumped frame queues behind the mailbox", func(t *testing.T) {
+		// The link's reader delivered x and y before the pump read m, all
+		// from rank 1 with tag 5; z arrived after m was read. The receive
+		// ends on x, and the next ones find y, then m, then z.
+		w := NewWorld(2)
+		c := w.comms[0]
+		msg := func(v float64) message { return message{src: 1, tag: 5, bytes: 8, f64: []float64{v}} }
+		for _, v := range []float64{1, 2, 3} {
+			w.inbox[0] <- msg(v)
+		}
+		m, ok := c.acceptPumped([]message{msg(9)}, 2, 1, 5)
+		if !ok || m.f64[0] != 1 {
+			t.Fatalf("the wait ended on %v (%v), want the mailbox's first message", m.f64, ok)
+		}
+		for _, want := range []float64{2, 9, 3} {
+			got, ok := c.takePending(1, 5)
+			if !ok {
+				got, ok = <-w.inbox[0], true
+			}
+			if got.f64[0] != want {
+				t.Fatalf("next message carries %v, want %v", got.f64[0], want)
+			}
+		}
+	})
+
+	t.Run("a link without a descriptor is never pumped", func(t *testing.T) {
+		roomFor(t, 1)
+		w := pipeWorld(t, WorldOptions{RecvStall: 50 * time.Millisecond})
+		err := within(t, w, func(c *Comm) { c.Recv(1, 1) })
+		if err == nil || !strings.Contains(err.Error(), "stalled") {
+			t.Fatalf("err = %v, want the receive stall", err)
+		}
+		if n := polls(w); n != 0 {
+			t.Fatalf("a receive across a pipe link polled %d times", n)
 		}
 	})
 }

@@ -19,7 +19,10 @@
 // its send returns. A rank's sends are sequential and the lock keeps
 // frames whole, so messages between any (src,dst) pair arrive in send
 // order — the same per-(src,tag) FIFO the channel transport provides,
-// which is what the engine's bit-reproducibility rests on.
+// which is what the engine's bit-reproducibility rests on. The read
+// side keeps that order with a read token: one goroutine at a time —
+// the link's reader, or a rank that waits on the link and reads it
+// itself (pump) — reads whole frames and acts on them in stream order.
 package mpi
 
 import (
@@ -117,14 +120,35 @@ func (r RemoteAbort) String() string { return r.Text }
 // whole halo payload (tens of KB); bufio's 4 KiB default needed several.
 const linkReadBuf = 64 << 10
 
-func newLinkReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, linkReadBuf) }
+// linkReader is a connection's buffered reader and the socket reader
+// under it: the descriptor itself where the platform allows it
+// (sock_unix.go), nil for a connection without one, read through the
+// connection.
+type linkReader struct {
+	*bufio.Reader
+	sock *sock
+}
+
+func newLinkReader(conn net.Conn) linkReader {
+	if s := newSock(conn); s != nil {
+		return linkReader{bufio.NewReaderSize(s, linkReadBuf), s}
+	}
+	return linkReader{bufio.NewReaderSize(conn, linkReadBuf), nil}
+}
 
 // peerLink is one ordered connection to a peer process.
 type peerLink struct {
+	t     *tcpTransport // set on links a rank may pump
 	proc  int
 	ranks []int
 	conn  net.Conn
+	// rmu is the read token. Its holder owns br, the socket's read side,
+	// hdr and rdone, and lets go of it only between frames.
+	rmu   sync.Mutex
 	br    *bufio.Reader
+	sock  *sock // nil: no descriptor; the link is never pumped
+	hdr   []byte
+	rdone bool // reading has ended: the link failed or a frame failed the world
 	// mu serializes writes: every frame goes on conn whole, under mu,
 	// with the writer's deadline set. werr (guarded by mu) is the first
 	// failed write; it may have left part of a frame on the wire, so
@@ -201,13 +225,14 @@ func (t *tcpTransport) tryControl(l *peerLink, frame []byte) bool {
 	return err == nil
 }
 
-// expireWrites fails every write in progress or still to come on this
-// transport's links at once; the abort path calls it so a rank blocked
-// writing to a peer unwinds with the abort.
-func (t *tcpTransport) expireWrites() {
+// expireLinks fails every read and write in progress or still to come
+// on this transport's links at once; the abort path calls it so a rank
+// blocked writing to a peer, or reading the rest of a frame off a link
+// it pumps, unwinds with the abort.
+func (t *tcpTransport) expireLinks() {
 	for _, l := range t.links {
 		if l != nil {
-			l.conn.SetWriteDeadline(time.Unix(1, 0))
+			l.conn.SetDeadline(time.Unix(1, 0))
 		}
 	}
 }
@@ -287,7 +312,7 @@ func (t *tcpTransport) PropagateAbort(e *RankError) {
 				l.conn.Close()
 			}
 		}
-		t.expireWrites()
+		t.expireLinks()
 	})
 }
 
@@ -388,7 +413,7 @@ func (t *tcpTransport) Close() error {
 	return nil
 }
 
-// start launches the reader pump for every link; writes happen on the
+// start launches the reader for every link; writes happen on the
 // goroutine that sends.
 func (t *tcpTransport) start() {
 	for _, l := range t.links {
@@ -409,95 +434,170 @@ func linkPayload(h frameHeader) []byte {
 	return make([]byte, h.paylen)
 }
 
-// readLoop pumps one link's inbound frames: data into local mailboxes,
-// aborts into the local abort protocol, snapshot requests back out as
-// responses.
+// readLoop is the link's reader. It takes the read token and acts on
+// every frame that has arrived, bytes left in the buffer by the
+// rendezvous included, then waits, without the token and without
+// consuming a byte, until more arrive. A rank pumping the link may read
+// them first; the reader then finds nothing and waits again. A link
+// without a descriptor is read blocking, under the token, for as long
+// as it lives.
 func (t *tcpTransport) readLoop(l *peerLink) {
-	hdr := make([]byte, frameHeaderLen)
 	for {
-		h, payload, err := readFrameInto(l.br, t.worldID, hdr, linkPayload)
-		if err != nil {
-			if err == io.EOF && l.peerBye.Load() {
-				t.peerFinished(l)
-				return
-			}
-			t.linkLost(l, err)
+		l.rmu.Lock()
+		for !l.rdone && l.arrived() {
+			t.readOne(l, -1)
+		}
+		done := l.rdone
+		l.rmu.Unlock()
+		if done {
 			return
 		}
-		switch h.kind {
-		case frameData:
-			// Delivered still encoded: the receiving rank decodes straight
-			// into its caller's buffer — one copy fewer than decoding here.
-			m := message{src: int(h.src), tag: int(h.tag), bytes: frameHeaderLen + len(payload),
-				lane: laneWire, raw: payload}
-			if derr := checkDataPayload(h.codec, payload); derr != nil {
-				t.w.Abort(&RankError{Rank: int(h.src), Cause: derr, Stack: debug.Stack()})
-				return
+		if err := l.sock.await(); err != nil {
+			l.rmu.Lock()
+			if !l.rdone {
+				t.readFailed(l, err)
 			}
-			dst := int(h.dst)
-			if dst < 0 || dst >= t.w.Size || t.w.inbox[dst] == nil {
-				t.w.Abort(&RankError{Rank: int(h.src), Cause: &FrameError{
-					"bad-dst", fmt.Sprintf("frame addressed to rank %d, not hosted here", dst)},
-					Stack: debug.Stack()})
-				return
-			}
-			if _, derr := t.w.deliverLocal(dst, m); derr != nil {
-				if derr == errAborted {
-					return
-				}
-				t.w.Abort(&RankError{Rank: dst, Cause: derr, Stack: debug.Stack()})
-				return
-			}
-		case frameAbort:
-			text, stack := decodeAbortPayload(payload)
-			t.w.abortLocal(&RankError{
-				Rank:  int(h.src),
-				Cause: RemoteAbort{Rank: int(h.src), Text: text, Stack: stack},
-				Stack: []byte(stack),
-			})
-			t.expireWrites()
-			return
-		case frameSnapReq:
-			if len(payload) < 4 {
-				continue
-			}
-			states := make([]CommState, 0, len(t.w.local))
-			for _, r := range t.w.local {
-				states = append(states, t.w.localCommState(r))
-			}
-			resp := encodeFrame(frameHeader{
-				kind: frameSnapResp, world: t.worldID,
-				src: int32(t.selfProc), dst: int32(l.proc),
-			}, encodeSnapPayload(binary.LittleEndian.Uint32(payload), states))
-			t.tryControl(l, resp) // dropped while a rank writes; the requester times out
-		case frameSnapResp:
-			if len(payload) < 4 {
-				continue
-			}
-			seq := binary.LittleEndian.Uint32(payload)
-			states, derr := decodeSnapPayload(payload)
-			if derr != nil {
-				continue
-			}
-			t.snapMu.Lock()
-			ch := t.snapWait[seq]
-			t.snapMu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- states:
-				default:
-				}
-			}
-		case frameBye:
-			l.peerBye.Store(true)
-		default:
-			// Rendezvous kinds after launch: protocol violation.
-			t.w.Abort(&RankError{Rank: int(h.src), Cause: &FrameError{
-				"bad-kind", fmt.Sprintf("rendezvous frame kind %d on a live world link", h.kind)},
-				Stack: debug.Stack()})
+			l.rmu.Unlock()
 			return
 		}
 	}
+}
+
+// pump lets rank self, waiting in a receive from a rank across l, read
+// the link itself instead of waiting for the reader goroutine to be
+// woken. It takes the read token only if it is free and acts on the
+// frames that have arrived, appending the data frames addressed to self
+// to mine, in stream order, for the receive to match. It stops reading
+// the socket at the first of them, but not before the link's buffer is
+// empty: the reader waits on the socket alone and would never see bytes
+// left there. before counts the messages in self's mailbox when the
+// token is let go: every frame the link delivered there is among them.
+func (t *tcpTransport) pump(l *peerLink, self int, mine []message) (_ []message, before int) {
+	if !l.rmu.TryLock() {
+		return mine, 0
+	}
+	defer l.rmu.Unlock()
+	for !l.rdone && (l.br.Buffered() > 0 || len(mine) == 0 && l.arrived()) {
+		if m, ok := t.readOne(l, self); ok {
+			mine = append(mine, m)
+		}
+	}
+	return mine, len(t.w.inbox[self])
+}
+
+// arrived reports, for the read token's holder, whether a frame has at
+// least begun to arrive. A link without a descriptor cannot tell, and
+// reads as arrived: its reader blocks in the read.
+func (l *peerLink) arrived() bool {
+	return l.br.Buffered() > 0 || l.sock == nil || l.sock.readable()
+}
+
+// readOne reads one frame off l and acts on it (dispatch); the caller
+// holds the read token.
+func (t *tcpTransport) readOne(l *peerLink, self int) (message, bool) {
+	h, payload, err := readFrameInto(l.br, t.worldID, l.hdr, linkPayload)
+	if err != nil {
+		t.readFailed(l, err)
+		return message{}, false
+	}
+	return t.dispatch(l, h, payload, self)
+}
+
+// readFailed ends reading l on err: a clean departure (bye, then EOF) is
+// watched by peerFinished, anything else is a lost link.
+func (t *tcpTransport) readFailed(l *peerLink, err error) {
+	l.rdone = true
+	if err == io.EOF && l.peerBye.Load() {
+		go t.peerFinished(l)
+		return
+	}
+	t.linkLost(l, err)
+}
+
+// dispatch acts on one frame read off l under its read token: data into
+// the addressed rank's mailbox — or, when it is addressed to self, back
+// to the caller (true) — aborts into the local abort protocol, snapshot
+// requests back out as responses. A frame that ends the link's reading
+// (an abort, a frame that fails the world) sets l.rdone.
+func (t *tcpTransport) dispatch(l *peerLink, h frameHeader, payload []byte, self int) (message, bool) {
+	switch h.kind {
+	case frameData:
+		// Delivered still encoded: the receiving rank decodes straight
+		// into its caller's buffer — one copy fewer than decoding here.
+		m := message{src: int(h.src), tag: int(h.tag), bytes: frameHeaderLen + len(payload),
+			lane: laneWire, raw: payload}
+		if derr := checkDataPayload(h.codec, payload); derr != nil {
+			t.w.Abort(&RankError{Rank: int(h.src), Cause: derr, Stack: debug.Stack()})
+			l.rdone = true
+			break
+		}
+		dst := int(h.dst)
+		if dst < 0 || dst >= t.w.Size || t.w.inbox[dst] == nil {
+			t.w.Abort(&RankError{Rank: int(h.src), Cause: &FrameError{
+				"bad-dst", fmt.Sprintf("frame addressed to rank %d, not hosted here", dst)},
+				Stack: debug.Stack()})
+			l.rdone = true
+			break
+		}
+		if dst == self {
+			return m, true
+		}
+		if _, derr := t.w.deliverLocal(dst, m); derr != nil {
+			if derr != errAborted {
+				t.w.Abort(&RankError{Rank: dst, Cause: derr, Stack: debug.Stack()})
+			}
+			l.rdone = true
+		}
+	case frameAbort:
+		text, stack := decodeAbortPayload(payload)
+		t.w.abortLocal(&RankError{
+			Rank:  int(h.src),
+			Cause: RemoteAbort{Rank: int(h.src), Text: text, Stack: stack},
+			Stack: []byte(stack),
+		})
+		t.expireLinks()
+		l.rdone = true
+	case frameSnapReq:
+		if len(payload) < 4 {
+			break
+		}
+		states := make([]CommState, 0, len(t.w.local))
+		for _, r := range t.w.local {
+			states = append(states, t.w.localCommState(r))
+		}
+		resp := encodeFrame(frameHeader{
+			kind: frameSnapResp, world: t.worldID,
+			src: int32(t.selfProc), dst: int32(l.proc),
+		}, encodeSnapPayload(binary.LittleEndian.Uint32(payload), states))
+		t.tryControl(l, resp) // dropped while a rank writes; the requester times out
+	case frameSnapResp:
+		if len(payload) < 4 {
+			break
+		}
+		seq := binary.LittleEndian.Uint32(payload)
+		states, derr := decodeSnapPayload(payload)
+		if derr != nil {
+			break
+		}
+		t.snapMu.Lock()
+		ch := t.snapWait[seq]
+		t.snapMu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- states:
+			default:
+			}
+		}
+	case frameBye:
+		l.peerBye.Store(true)
+	default:
+		// Rendezvous kinds after launch: protocol violation.
+		t.w.Abort(&RankError{Rank: int(h.src), Cause: &FrameError{
+			"bad-kind", fmt.Sprintf("rendezvous frame kind %d on a live world link", h.kind)},
+			Stack: debug.Stack()})
+		l.rdone = true
+	}
+	return message{}, false
 }
 
 // peerFinished handles a clean departure (bye frame, then EOF): the
@@ -784,7 +884,7 @@ func writeDeadlineFrame(conn net.Conn, frame []byte, timeout time.Duration) erro
 }
 
 // readDeadlineFrame reads one frame under the rendezvous deadline.
-func readDeadlineFrame(conn net.Conn, br *bufio.Reader, expectWorld uint64, timeout time.Duration) (frameHeader, []byte, error) {
+func readDeadlineFrame(conn net.Conn, br linkReader, expectWorld uint64, timeout time.Duration) (frameHeader, []byte, error) {
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	defer conn.SetReadDeadline(time.Time{})
 	return readFrame(br, expectWorld)
@@ -821,7 +921,7 @@ func (co *TCPCoordinator) Close() error { return co.ln.Close() }
 // joinerConn is one accepted rendezvous connection.
 type joinerConn struct {
 	conn  net.Conn
-	br    *bufio.Reader
+	br    linkReader
 	ranks []int
 	addr  string
 }
@@ -1059,12 +1159,22 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 }
 
 // newPeerLink wraps one wired connection as an ordered link.
-func newPeerLink(proc int, ranks []int, conn net.Conn, br *bufio.Reader) *peerLink {
-	return &peerLink{proc: proc, ranks: ranks, conn: conn, br: br}
+func newPeerLink(proc int, ranks []int, conn net.Conn, br linkReader) *peerLink {
+	return &peerLink{proc: proc, ranks: ranks, conn: conn, br: br.Reader, sock: br.sock,
+		hdr: make([]byte, frameHeaderLen)}
 }
 
-// launchWorld assembles the World + transport and starts the pumps.
+// launchWorld assembles the World + transport and starts the links'
+// readers.
 func launchWorld(size int, localRanks []int, opts WorldOptions, worldID uint64, selfProc int, table []procInfo, links []*peerLink) *World {
+	t := newTCPTransport(size, localRanks, opts, worldID, selfProc, table, links)
+	t.start()
+	return t.w
+}
+
+// newTCPTransport assembles the World + transport, its links' readers
+// not yet started.
+func newTCPTransport(size int, localRanks []int, opts WorldOptions, worldID uint64, selfProc int, table []procInfo, links []*peerLink) *tcpTransport {
 	w := newWorld(size, localRanks, opts)
 	rankProc := make([]int, size)
 	for _, p := range table {
@@ -1078,8 +1188,14 @@ func launchWorld(size int, localRanks []int, opts WorldOptions, worldID uint64, 
 		closed: make(chan struct{}),
 	}
 	w.tr = t
-	t.start()
-	return w
+	w.pumps = make([]*peerLink, size)
+	for r, p := range rankProc {
+		if l := links[p]; l != nil && l.sock != nil {
+			l.t = t
+			w.pumps[r] = l
+		}
+	}
+	return t
 }
 
 // dialRetry dials addr until it answers or the budget lapses (the

@@ -238,7 +238,7 @@ type stmt struct {
 // returns the commands and the facts the script establishes.
 func parse(r io.Reader) ([]stmt, state, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grown as lines need, up to 1 MiB
 	var (
 		prog []stmt
 		have state
