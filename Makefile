@@ -106,25 +106,32 @@ soak:
 	go test -race -run TestSoak ./internal/harness/
 
 # Transport layer under the race detector: the conformance suite run
-# against both transports (channel and TCP loopback), payload
+# against both kinds of world (every rank in one process, and ranks in
+# several processes joined over TCP loopback), payload
 # pack/unpack round-trips (frames, ghosts and migrants, checkpoint
 # votes) and framing-overhead tests, rendezvous/abort/death
-# protocol tests (including the mid-handshake failure drills, which
-# must surface typed RendezvousErrors within the deadline), and the
-# cross-process end-to-end drills: bit identity chan vs TCP,
+# protocol tests (including the mid-handshake failure drills and the
+# malformed peer tables, which must surface typed RendezvousErrors
+# within the deadline), the departure tests (a receive from a process
+# that said bye fails at once, after every message it sent has been
+# received), and the cross-process end-to-end drills: bit identity
+# chan vs TCP,
 # supervised kill recovery with re-rendezvous, and the distributed-
 # checkpoint drills (restore from the newest complete shard
 # generation, mid-commit torn-generation fallback, placement swap).
 # The mpi selection also holds the receive-poll tests: where a waiting
 # receive polls, that a polling rank aborts, snapshots and stalls as a
 # parked one does, and that a rank polling a TCP link reads it as the
-# link's reader would (TestRecvPollLink).
+# link's reader would (TestRecvPollLink). The internal/domain
+# selection holds TestRestoreFactoryFailureClosesWorld, a two-process
+# TCP drill: a build that fails in one process fails its peer, parked
+# in the first collective before or after the failure.
 # The mpi selection (~8 s a pass) runs three times so a concurrency
-# flake in the transport gets three chances to show; the harness drills
-# run once.
+# flake in the transport gets three chances to show; the domain, ckpt
+# and harness drills run once.
 transport-check:
 	go test -race -count=3 -run 'TestTransport|TestWire|TestFrame|TestTCP|TestRecvPoll' ./internal/mpi/
-	go test -race -run 'TestCodecRoundTrip|TestVoteCodecRoundTrip|TestManifestCannotEscapeGeneration' ./internal/domain/ ./internal/ckpt/
+	go test -race -run 'TestCodecRoundTrip|TestVoteCodecRoundTrip|TestManifestCannotEscapeGeneration|TestRestoreFactoryFailureClosesWorld' ./internal/domain/ ./internal/ckpt/
 	go test -race -run 'TestTransport|TestWire|TestFrame|TestTCP' ./internal/harness/
 
 # Five seconds of coverage-guided fuzzing per decoder of untrusted bytes:

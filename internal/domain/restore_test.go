@@ -75,52 +75,72 @@ func TestRestoreFactoryFailure(t *testing.T) {
 // TestRestoreFactoryFailureClosesWorld: the failing build must not leave
 // its world open. A channel world holds nothing to observe, so this runs
 // the same path on a world spanning two "processes": when the first
-// one's factory fails, its peer — parked in the restore's first
-// collective by then — must see the world die instead of waiting
-// forever.
+// one's factory fails, its peer must see the world die instead of
+// waiting forever — whether the peer is parked in the restore's first
+// collective by then, or parks there only after the failed process has
+// closed its world and left.
 func TestRestoreFactoryFailureClosesWorld(t *testing.T) {
 	f, ck := ljCheckpoint(t, 864, 3)
-	co, err := mpi.ListenTCP("127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peerWorld := make(chan *mpi.World, 1)
-	peer := make(chan error, 1)
-	go func() {
-		w, err := mpi.JoinTCP(co.Addr(), []int{2}, mpi.WorldOptions{})
-		peerWorld <- w
-		if err == nil {
-			var eng *domain.Engine
-			if eng, err = domain.RestoreOnWorld(f, w, ck.ShardSet()); err == nil {
-				eng.Close()
+	for _, tc := range []struct {
+		name        string
+		parkedFirst bool // the peer parks before the factory fails
+	}{
+		{"peer parked before the failure", true},
+		{"peer parks after the failure", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co, err := mpi.ListenTCP("127.0.0.1:0", 3)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		peer <- err
-	}()
-	w, err := co.Host([]int{0, 1}, mpi.WorldOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw := <-peerWorld
-	boom := errors.New("boom")
-	failing := failSecond(f, boom)
-	_, err = domain.RestoreOnWorld(func() (core.Config, *atom.Store, error) {
-		// Fail only once the peer waits on this process: a departure the
-		// peer is not yet parked on is indistinguishable from a clean exit.
-		for pw != nil && pw.SnapshotComm()[2].Parked == nil {
-			time.Sleep(time.Millisecond)
-		}
-		return failing()
-	}, w, ck.ShardSet())
-	if !errors.Is(err, boom) {
-		t.Fatalf("RestoreOnWorld with a failing factory: %v", err)
-	}
-	select {
-	case err := <-peer:
-		if err == nil {
-			t.Error("the peer restored against a process that never built its ranks")
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("the peer is still waiting: the failed build left its world open")
+			failed := make(chan struct{})
+			peerFactory := f
+			if !tc.parkedFirst {
+				// The peer starts its build only once the failed process
+				// has closed its world.
+				peerFactory = func() (core.Config, *atom.Store, error) {
+					<-failed
+					return f()
+				}
+			}
+			peerWorld := make(chan *mpi.World, 1)
+			peer := make(chan error, 1)
+			go func() {
+				w, err := mpi.JoinTCP(co.Addr(), []int{2}, mpi.WorldOptions{})
+				peerWorld <- w
+				if err == nil {
+					var eng *domain.Engine
+					if eng, err = domain.RestoreOnWorld(peerFactory, w, ck.ShardSet()); err == nil {
+						eng.Close()
+					}
+				}
+				peer <- err
+			}()
+			w, err := co.Host([]int{0, 1}, mpi.WorldOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pw := <-peerWorld
+			boom := errors.New("boom")
+			failing := failSecond(f, boom)
+			_, err = domain.RestoreOnWorld(func() (core.Config, *atom.Store, error) {
+				for tc.parkedFirst && pw != nil && pw.SnapshotComm()[2].Parked == nil {
+					time.Sleep(time.Millisecond)
+				}
+				return failing()
+			}, w, ck.ShardSet())
+			close(failed)
+			if !errors.Is(err, boom) {
+				t.Fatalf("RestoreOnWorld with a failing factory: %v", err)
+			}
+			select {
+			case err := <-peer:
+				if err == nil {
+					t.Error("the peer restored against a process that never built its ranks")
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("the peer is still waiting: the failed build left its world open")
+			}
+		})
 	}
 }

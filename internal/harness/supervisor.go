@@ -251,7 +251,7 @@ func (s *Supervisor) build() error {
 	}
 	// The engine closes w with itself; read what the log needs first.
 	event := map[string]any{
-		"transport": w.Transport().Name(),
+		"transport": w.Transport(),
 		"world_id":  fmt.Sprintf("%016x", w.ID()),
 		"attempt":   s.attempts,
 	}
@@ -481,7 +481,7 @@ func (s *Supervisor) recordRecovery(re *mpi.RankError) {
 		// to the peers' logs of the same incident (the follow-up
 		// checkpoint-restore event carries the replacement world's id and
 		// the generation chosen).
-		payload["transport"] = s.eng.World.Transport().Name()
+		payload["transport"] = s.eng.World.Transport()
 		payload["world_id"] = fmt.Sprintf("%016x", s.eng.World.ID())
 	}
 	if s.flight != nil {

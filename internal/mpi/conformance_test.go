@@ -1,11 +1,11 @@
-// Transport conformance suite: one table-driven matrix every transport
-// must pass identically. The channel transport is the reference
-// semantics; the TCP transport (simulated here as one process-per-rank
-// set of worlds wired over loopback) must be observably identical —
+// Conformance suite: one table-driven matrix both kinds of world must
+// pass identically. A channel world (every rank in this process) is the
+// reference semantics; a world whose ranks are spread over processes
+// joined by TCP links (simulated here as one process-per-rank set of
+// worlds wired over loopback) must be observably identical —
 // point-to-point ordering per (src,tag), bit-identical collectives,
 // abort unblocking parked peers, recv-deadline diagnosis, and comm
-// snapshots that report remote mailbox depth. Any future transport
-// plugs into the same table.
+// snapshots that report remote mailbox depth.
 package mpi_test
 
 import (
@@ -19,9 +19,9 @@ import (
 	"gomd/internal/mpi"
 )
 
-// multiWorld is one transport case's view of a world: the set of World
-// objects that jointly cover ranks 0..n-1 (one for the channel
-// transport, one per simulated process for TCP).
+// multiWorld is one case's view of a world: the set of World objects
+// that jointly cover ranks 0..n-1 (one for a channel world, one per
+// simulated process for TCP).
 type multiWorld struct {
 	worlds []*mpi.World
 }

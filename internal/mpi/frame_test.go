@@ -1,5 +1,5 @@
 // Frame round-trip and adversarial-input tests (internal package:
-// the frame layer is deliberately unexported — transports are the only
+// the frame layer is deliberately unexported — the links are its only
 // consumers). Every malformed stream must surface a typed *FrameError,
 // never a hang or an unbounded allocation; FuzzFrameDecode extends the
 // same contract to arbitrary bytes.
@@ -8,6 +8,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -185,6 +186,8 @@ func FuzzFrameDecode(f *testing.F) {
 	// 8 bytes, a peer table claiming 65,536 procs in 12.
 	f.Add(encodeFrame(frameHeader{kind: frameSnapResp, world: 42}, binary.LittleEndian.AppendUint32(make([]byte, 4), 1<<16)))
 	f.Add(encodeFrame(frameHeader{kind: framePeers, world: 42}, binary.LittleEndian.AppendUint32(make([]byte, 8), 1<<16)))
+	// A well-formed peer table for a world of 2^31 ranks.
+	f.Add(encodeFrame(frameHeader{kind: framePeers, world: 42}, encodePeersPayload(1<<31, 1, table)))
 	// The control-plane payload decoders, each reporting whether it
 	// produced a value.
 	control := map[byte]func([]byte) (bool, error){
@@ -197,9 +200,32 @@ func FuzzFrameDecode(f *testing.F) {
 			v, _, err := decodeHelloPayload(b)
 			return v != nil, err
 		},
+		// A joiner checks a decoded table before it allocates a world from
+		// it; a table that passes places every rank on one process.
 		framePeers: func(b []byte) (bool, error) {
-			_, _, v, err := decodePeersPayload(b)
-			return v != nil, err
+			size, self, v, err := decodePeersPayload(b)
+			if err != nil {
+				return v != nil, err
+			}
+			var local []int
+			if self >= 0 && self < len(v) {
+				local = v[self].ranks
+			}
+			if err := checkPeers(size, self, v, local); err != nil {
+				return false, err
+			}
+			hosts := make([]int, size)
+			for _, p := range v {
+				for _, r := range p.ranks {
+					hosts[r]++
+				}
+			}
+			for r, n := range hosts {
+				if n != 1 {
+					panic(fmt.Sprintf("accepted peer table places rank %d on %d processes", r, n))
+				}
+			}
+			return true, nil
 		},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

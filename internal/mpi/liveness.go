@@ -36,7 +36,7 @@ type WorldOptions struct {
 	// Rendezvous bounds every blocking step of the TCP rendezvous
 	// handshake (coordinator accepts, joiner dial retries, peer-table and
 	// ready/go exchanges, mesh wiring). 0 selects the 30s default. Only
-	// TCP worlds consult it; the channel transport has no rendezvous.
+	// TCP worlds consult it; a channel world has no rendezvous.
 	Rendezvous time.Duration
 }
 
@@ -120,7 +120,9 @@ func (w *World) SnapshotComm() []CommState {
 	for _, r := range w.local {
 		out[r] = w.localCommState(r)
 	}
-	w.tr.FillRemote(out)
+	if w.net != nil {
+		w.net.FillRemote(out)
+	}
 	return out
 }
 

@@ -172,10 +172,9 @@ func sized(buf []float64, n int) []float64 {
 // World is a communicator universe of Size ranks with persistent
 // mailboxes; it survives across multiple Parallel sections, like an MPI
 // job spanning many collective phases. A world built by NewWorld hosts
-// every rank in this process (the channel transport); a world built by
-// the TCP rendezvous (ListenTCP/JoinTCP) hosts only the ranks in
-// LocalRanks — the rest live in peer processes and are reached through
-// the transport.
+// every rank in this process and has no links; a world built by the TCP
+// rendezvous (ListenTCP/JoinTCP) hosts only the ranks in LocalRanks —
+// the rest live in peer processes and are reached through net's links.
 type World struct {
 	Size  int
 	local []int          // ranks hosted in this process, ascending
@@ -183,13 +182,9 @@ type World struct {
 	pend  [][]message    // per-rank out-of-order buffer (local only)
 	comms []*Comm        // nil for remote ranks
 
-	// tr moves messages between ranks: in-process channels (the
-	// reference) or length-prefixed TCP frames.
-	tr Transport
-	// pumps holds, by rank, the link a receive from that rank reads
-	// while it polls (tcp.go); nil for local ranks, links without a
-	// socket descriptor, and every rank of a channel world.
-	pumps []*peerLink
+	// net holds the links to the processes hosting the other ranks
+	// (tcp.go); nil when every rank is in this process.
+	net *tcpTransport
 
 	// Abort protocol (the MPI_Abort analogue). The first rank failure
 	// records its RankError and closes abort; every primitive blocked in
@@ -199,7 +194,6 @@ type World struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 	abortErr  *RankError
-	closeOnce sync.Once
 
 	// fault, when non-nil, intercepts point-to-point sends for
 	// deterministic fault injection (internal/fault). Nil costs one
@@ -207,8 +201,8 @@ type World struct {
 	fault FaultHook
 	// wireFault, when non-nil, intercepts encoded wire frames on the TCP
 	// transport's send side (after the CRC is computed, so a mutation
-	// surfaces as a receiver-side CRC failure). Ignored by the channel
-	// transport — there is no wire to corrupt.
+	// surfaces as a receiver-side CRC failure). Ignored by a world
+	// without links — there is no wire to corrupt.
 	wireFault WireFaultHook
 
 	// opts holds the liveness bounds resolved at world creation (see
@@ -268,14 +262,10 @@ func (w *World) SetWireFaultHook(h WireFaultHook) { w.wireFault = h }
 func NewWorld(n int) *World { return NewWorldWith(n, WorldOptions{}) }
 
 // NewWorldWith creates a world of n ranks with explicit liveness bounds.
-func NewWorldWith(n int, opts WorldOptions) *World {
-	w := newWorld(n, nil, opts)
-	w.tr = &chanTransport{w: w}
-	return w
-}
+func NewWorldWith(n int, opts WorldOptions) *World { return newWorld(n, nil, opts) }
 
 // newWorld builds the rank-local state of a world hosting the given
-// ranks (nil = all n). The caller attaches the transport.
+// ranks (nil = all n). A TCP world attaches its links afterwards.
 func newWorld(n int, local []int, opts WorldOptions) *World {
 	if n < 1 {
 		panic("mpi: world size must be >= 1")
@@ -315,9 +305,14 @@ func (w *World) Comm(r int) *Comm { return w.comms[r] }
 // every rank.
 func (w *World) LocalRanks() []int { return w.local }
 
-// Transport exposes the world's message-moving layer (diagnostics and
-// the transport conformance suite).
-func (w *World) Transport() Transport { return w.tr }
+// Transport names how the world moves messages, for diagnostics: "chan"
+// when every rank is in this process, "tcp" when it has links to others.
+func (w *World) Transport() string {
+	if w.net != nil {
+		return "tcp"
+	}
+	return "chan"
+}
 
 // ID returns the world's rendezvous identity: the random 64-bit id the
 // coordinator minted for a TCP world (every frame carries it, so stray
@@ -326,19 +321,20 @@ func (w *World) Transport() Transport { return w.tr }
 // different processes can be correlated post-hoc — two JSONL streams
 // naming the same world id rebuilt the same rendezvous.
 func (w *World) ID() uint64 {
-	if t, ok := w.tr.(*tcpTransport); ok {
-		return t.worldID
+	if w.net != nil {
+		return w.net.worldID
 	}
 	return 0
 }
 
-// Close releases the world's transport resources (sockets and pump
-// goroutines for TCP worlds; a no-op for channel worlds). Idempotent.
-// The world must not be used afterwards.
+// Close releases the world's links (sockets and their reader
+// goroutines; a no-op for channel worlds). Idempotent. The world must
+// not be used afterwards.
 func (w *World) Close() error {
-	var err error
-	w.closeOnce.Do(func() { err = w.tr.Close() })
-	return err
+	if w.net != nil {
+		w.net.close()
+	}
+	return nil
 }
 
 // Abort records the first rank failure, releases every local rank
@@ -347,7 +343,9 @@ func (w *World) Close() error {
 // cascades of the first).
 func (w *World) Abort(e *RankError) {
 	w.abortLocal(e)
-	w.tr.PropagateAbort(w.abortErr)
+	if w.net != nil {
+		w.net.PropagateAbort(w.abortErr)
+	}
 }
 
 // abortLocal is the in-process half of Abort: used directly for aborts
@@ -372,8 +370,8 @@ func (w *World) Aborted() *RankError {
 
 // Parallel runs body on every local rank concurrently and waits for
 // all of them (an SPMD section; for a process-spanning world, every
-// process runs its own Parallel over its LocalRanks and the transport
-// stitches the sections together). Each rank goroutine runs supervised: a panic
+// process runs its own Parallel over its LocalRanks and the links
+// stitch the sections together). Each rank goroutine runs supervised: a panic
 // becomes a *RankError, aborts the world (unblocking peers parked in
 // Send/Wait/Allreduce), and is returned once every rank has unwound.
 // On an already-aborted world Parallel returns the recorded failure
@@ -492,27 +490,35 @@ func (c *Comm) Size() int { return c.world.Size }
 // WorldOptions.MailboxStall is 0.
 const defaultMailboxStall = 30 * time.Second
 
-// deliver hands m to the world's transport, panicking with rank/tag/
+// deliver hands m to dst's mailbox when dst is in this process and to
+// the link toward dst's process otherwise, panicking with rank/tag/
 // queue diagnostics if delivery stalls past the world's MailboxStall
 // bound. A world abort unblocks the send and unwinds with the abort
 // sentinel, so a dead destination cannot wedge its peers. Returns the
-// wire bytes actually charged (framed size for remote destinations).
+// wire bytes actually charged: the logical payload size in-process, the
+// framed size (header + encoded payload) across a link.
 func (c *Comm) deliver(dst int, m message) int {
 	w := c.world
 	c.parkEnter(parkSend, dst, m.tag)
-	wire, err := w.tr.Deliver(dst, m)
+	if dst < 0 || dst >= w.Size {
+		panic(fmt.Errorf("mpi: send to rank %d outside world of %d", dst, w.Size))
+	}
+	var wire int
+	var err error
+	if w.inbox[dst] != nil {
+		wire, err = w.deliverLocal(dst, m)
+	} else {
+		wire, err = w.net.Deliver(dst, m)
+	}
+	if err == errAborted {
+		panic(abortPanic{w.abortErr})
+	}
+	if e, ok := err.(*stallError); ok {
+		panic(e.msg)
+	}
 	if err != nil {
-		switch e := err.(type) {
-		case *stallError:
-			panic(e.msg)
-		default:
-			if err == errAborted {
-				panic(abortPanic{w.abortErr})
-			}
-			// Transport failure (dead socket, bad destination):
-			// a rank error with the typed cause preserved.
-			panic(err)
-		}
+		// A dead socket: a rank error with the typed cause preserved.
+		panic(err)
 	}
 	c.parkExit()
 	return wire
@@ -669,6 +675,11 @@ const (
 // wait for the network poller to wake the link's reader goroutine, and
 // for that goroutine to wake it. Either way the time is MPI_Wait time,
 // as under an MPI whose waits busy-poll.
+//
+// A receive from a rank in another process also waits on that process'
+// departure (peerLink.fin). Once it has come, everything the process
+// sent is in this rank's mailbox or out-of-order buffer: a receive the
+// mailbox does not satisfy then never will be, and fails the world.
 func (c *Comm) recvMatch(src, tag int) message {
 	// A receive is an ordering point: release any reorder-deferred sends
 	// before blocking (the peers may be waiting on them).
@@ -681,13 +692,14 @@ func (c *Comm) recvMatch(src, tag int) message {
 	c.parkEnter(parkRecv, src, tag)
 	start := time.Now()
 	stall := w.opts.RecvStall
-	if poll, link := c.pollable(src); poll {
+	link := w.link(src)
+	if poll, pump := c.pollable(link); poll {
 		c.polls.Add(1)
 		budget := recvPollBudget
 		if stall > 0 {
 			budget = min(budget, stall)
 		}
-		if m, ok := c.poll(src, tag, link, start.Add(budget)); ok {
+		if m, ok := c.poll(src, tag, pump, start.Add(budget)); ok {
 			return m
 		}
 	}
@@ -697,6 +709,10 @@ func (c *Comm) recvMatch(src, tag int) message {
 		timer := time.NewTimer(stall - time.Since(start))
 		defer timer.Stop()
 		stallC = timer.C
+	}
+	var fin <-chan struct{} // nil: src is in this process
+	if link != nil {
+		fin = link.fin
 	}
 	for {
 		select {
@@ -708,23 +724,46 @@ func (c *Comm) recvMatch(src, tag int) message {
 			panic(abortPanic{w.abortErr})
 		case <-stallC:
 			panic(c.recvStallPanic(src, tag, stall))
+		case <-fin:
+			return c.departed(link, src, tag)
 		}
 	}
 }
 
-// pollable reports whether a waiting receive from src may poll, and the
-// link it pumps while it does (nil: the mailbox alone). It polls only
-// while the process runs no more compute goroutines — ranks, pool
-// helpers, serial interpreters (par.Occupy) — than it has processors,
-// and then in a world whose every rank is in this process, or when src
-// is across a link with a socket descriptor. A local source in a world
-// with remote ranks is waited for parked.
-func (c *Comm) pollable(src int) (bool, *peerLink) {
+// departed ends a wait on src after src's process said bye and its link
+// l ended: the awaited message is in the mailbox now, or it never comes
+// and the world fails with the departure named.
+func (c *Comm) departed(l *peerLink, src, tag int) message {
 	w := c.world
-	var link *peerLink
-	if src >= 0 && src < len(w.pumps) {
-		link = w.pumps[src]
+	for len(w.inbox[c.rank]) > 0 {
+		if m := <-w.inbox[c.rank]; c.accept(m, src, tag) {
+			return m
+		}
 	}
+	if w.Aborted() == nil {
+		w.Abort(&RankError{
+			Rank: src,
+			Cause: fmt.Errorf("mpi: link to proc %d (ranks %v) lost: peer finalized while rank %d was parked in %s on rank %d",
+				l.proc, l.ranks, c.rank, parkOpName(parkRecv, tag), src),
+			Stack: debug.Stack(),
+		})
+	}
+	panic(abortPanic{w.abortErr})
+}
+
+// pollable reports whether a waiting receive may poll, and the link it
+// pumps while it does (nil: the mailbox alone), given link, the link to
+// the source's process (nil when the source is in this one). It polls
+// only while the process runs no more compute goroutines — ranks, pool
+// helpers, serial interpreters (par.Occupy) — than it has processors,
+// and then in a world whose every rank is in this process, or when the
+// source is across a link with a socket descriptor. A local source in a
+// world with remote ranks is waited for parked.
+func (c *Comm) pollable(link *peerLink) (bool, *peerLink) {
+	if link != nil && link.sock == nil {
+		link = nil
+	}
+	w := c.world
 	if len(w.local) < w.Size && link == nil {
 		return false, nil
 	}
@@ -733,16 +772,17 @@ func (c *Comm) pollable(src int) (bool, *peerLink) {
 
 // poll checks the mailbox and the abort channel, and pumps link when it
 // is not nil, without blocking until the message from src with tag
-// arrives (true) or deadline passes (false). Every pollYieldEvery polls
-// (pumpYieldEvery with a link) it yields, so a goroutine this rank
-// readied runs here instead of waiting to be stolen.
+// arrives (true), deadline passes or link's process has departed
+// (false). Every pollYieldEvery polls (pumpYieldEvery with a link) it
+// yields, so a goroutine this rank readied runs here instead of waiting
+// to be stolen.
 func (c *Comm) poll(src, tag int, link *peerLink, deadline time.Time) (message, bool) {
 	w := c.world
 	yieldEvery := pollYieldEvery
 	if link != nil {
 		yieldEvery = pumpYieldEvery
 	}
-	// Two one-case selects, not one with two cases: each is a lock-free
+	// One-case selects, not one with several cases: each is a lock-free
 	// check while its channel is empty.
 	for i := 1; ; i++ {
 		select {
@@ -759,10 +799,15 @@ func (c *Comm) poll(src, tag int, link *peerLink, deadline time.Time) (message, 
 		}
 		if link != nil {
 			var before int
-			if c.pumped, before = link.t.pump(link, c.rank, c.pumped[:0]); len(c.pumped) > 0 {
+			if c.pumped, before = w.net.pump(link, c.rank, c.pumped[:0]); len(c.pumped) > 0 {
 				if m, ok := c.acceptPumped(c.pumped, before, src, tag); ok {
 					return m, true
 				}
+			}
+			select {
+			case <-link.fin:
+				return message{}, false // the park decides, at once
+			default:
 			}
 		}
 		if i%yieldEvery == 0 {

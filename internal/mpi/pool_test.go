@@ -213,7 +213,7 @@ func TestTCPMisalignedFloat64FrameIsTyped(t *testing.T) {
 	defer w0.Close()
 	defer w1.Close()
 
-	t0 := w0.tr.(*tcpTransport)
+	t0 := w0.net
 	if _, err := t0.links[1].conn.Write(encodeFrame(frameHeader{
 		kind: frameData, codec: codecFloat64, world: t0.worldID, src: 0, dst: 1, tag: 5,
 	}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})); err != nil {

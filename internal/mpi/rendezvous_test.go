@@ -203,3 +203,65 @@ func TestTCPRendezvousSurvivesStrayDialer(t *testing.T) {
 		t.Fatalf("world sizes %d/%d, want 2/2", w.Size, hostWorld.Size)
 	}
 }
+
+// TestTCPRendezvousRejectsBadPeerTable: a joiner checks the peer table
+// its coordinator sends before it allocates anything from it, so a
+// stray or buggy listener at -join's address gets a typed "peers"-phase
+// error, never a panic or a world sized by the table. The joiner hosts
+// rank 1 in every case.
+func TestTCPRendezvousRejectsBadPeerTable(t *testing.T) {
+	p := func(proc int, ranks ...int) procInfo {
+		return procInfo{proc: proc, addr: "127.0.0.1:1", ranks: ranks}
+	}
+	cases := []struct {
+		name     string
+		size     int
+		selfProc int
+		table    []procInfo
+	}{
+		{"self beyond the table", 2, 5, []procInfo{p(0, 0), p(1, 1)}},
+		{"self is the coordinator", 2, 0, []procInfo{p(0, 0), p(1, 1)}},
+		{"rank beyond the size", 2, 1, []procInfo{p(0, 0, 2), p(1, 1)}},
+		{"size below the joiner's rank", 1, 1, []procInfo{p(0, 0), p(1, 1)}},
+		{"size of 2^31", 1 << 31, 1, []procInfo{p(0, 0), p(1, 1)}},
+		{"size past the rank bound", maxRanks + 1, 1, []procInfo{p(0, 0), p(1, 1)}},
+		{"rank hosted twice", 2, 1, []procInfo{p(0, 0, 1), p(1, 1)}},
+		{"rank hosted nowhere", 3, 1, []procInfo{p(0, 0), p(1, 1)}},
+		{"entry names another process", 2, 1, []procInfo{p(0, 0), p(2, 1)}},
+		{"joiner's ranks differ", 2, 1, []procInfo{p(0, 1), p(1, 0)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			defer ln.Close()
+			served := make(chan net.Conn, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					served <- nil
+					return
+				}
+				// Answer the hello with the table and hold the connection
+				// open, so the joiner fails on the table and not on an EOF.
+				readFrame(bufio.NewReader(conn), 0)
+				conn.Write(encodeFrame(frameHeader{kind: framePeers, world: 42},
+					encodePeersPayload(tc.size, tc.selfProc, tc.table)))
+				served <- conn
+			}()
+			err = requireWithin(t, rendezvousDeadline, func() error {
+				w, err := JoinTCP(ln.Addr().String(), []int{1}, WorldOptions{Rendezvous: rendezvousDeadline})
+				if w != nil {
+					w.Close()
+				}
+				return err
+			})
+			if conn := <-served; conn != nil {
+				conn.Close()
+			}
+			requirePhase(t, err, "peers")
+		})
+	}
+}

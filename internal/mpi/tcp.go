@@ -1,10 +1,12 @@
-// TCP transport: a World spanning OS processes over length-prefixed
-// frames (frame.go) carrying float64 vectors (codec.go). Each process
-// hosts a subset of ranks; deliveries to co-resident ranks take the
-// same in-process mailbox path as the channel transport (bit-identical
-// semantics), deliveries to remote ranks are framed onto a per-peer
-// ordered connection. The control plane — abort propagation, watchdog
-// comm-state snapshots — rides the same links as dedicated frame kinds.
+// TCP links: the remote half of a World spanning OS processes, over
+// length-prefixed frames (frame.go) carrying float64 vectors (codec.go).
+// Each process hosts a subset of ranks. Comm.deliver hands a message for
+// a co-resident rank to its mailbox, as in a channel world (bit-identical
+// semantics), and one for a remote rank to tcpTransport.Deliver, which
+// frames it onto the ordered connection to that rank's process. The
+// control plane — abort propagation, watchdog comm-state snapshots, the
+// bye of a clean finalize — rides the same links as dedicated frame
+// kinds.
 //
 // Rendezvous: a coordinator listens (ListenTCP), joiners dial (JoinTCP)
 // and announce the ranks they host plus a mesh listener address. Once
@@ -18,11 +20,17 @@
 // writes its frame onto it itself under the link's write lock before
 // its send returns. A rank's sends are sequential and the lock keeps
 // frames whole, so messages between any (src,dst) pair arrive in send
-// order — the same per-(src,tag) FIFO the channel transport provides,
+// order — the same per-(src,tag) FIFO a channel world provides,
 // which is what the engine's bit-reproducibility rests on. The read
 // side keeps that order with a read token: one goroutine at a time —
 // the link's reader, or a rank that waits on the link and reads it
 // itself (pump) — reads whole frames and acts on them in stream order.
+//
+// Departure: a process that finalizes says bye on every link before it
+// closes them. The EOF after a bye closes the link's fin, and a receive
+// still waiting on one of the departed ranks fails the world then, not
+// after a grace period (Comm.recvMatch). An EOF without a bye is a
+// process death and aborts the world at once.
 package mpi
 
 import (
@@ -36,6 +44,7 @@ import (
 	"net"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,6 +94,11 @@ func (e *RendezvousError) Unwrap() error { return e.Err }
 // peer then observes a link failure, which aborts it just the same).
 const abortFlushTimeout = 250 * time.Millisecond
 
+// maxRanks bounds a world's size, and every rank or process count a
+// payload decoder accepts, so a hostile stream cannot size an
+// allocation.
+const maxRanks = 1 << 16
+
 // snapshotTimeout bounds FillRemote's wait for each peer's comm-state
 // response; an unresponsive peer leaves its ranks' entries zero-valued.
 const snapshotTimeout = 500 * time.Millisecond
@@ -92,12 +106,6 @@ const snapshotTimeout = 500 * time.Millisecond
 // closeFlushTimeout bounds how long a graceful Close spends putting its
 // bye on the links before the sockets are torn down regardless.
 const closeFlushTimeout = time.Second
-
-// byeGraceTimeout is how long a clean peer departure (bye frame + EOF)
-// may leave a local rank parked on the departed ranks before it is
-// diagnosed as an abort: long enough for an in-flight wakeup to land,
-// short enough that a misaligned program fails promptly.
-const byeGraceTimeout = 250 * time.Millisecond
 
 // RemoteAbort is the cause recorded when a world abort arrives over the
 // wire: the originating rank's failure text and stack, carried across
@@ -138,7 +146,6 @@ func newLinkReader(conn net.Conn) linkReader {
 
 // peerLink is one ordered connection to a peer process.
 type peerLink struct {
-	t     *tcpTransport // set on links a rank may pump
 	proc  int
 	ranks []int
 	conn  net.Conn
@@ -158,9 +165,13 @@ type peerLink struct {
 	// peerBye records that the peer announced a graceful finalize, so
 	// the EOF that follows is a clean departure, not a process death.
 	peerBye atomic.Bool
+	// fin is closed on that clean departure (readFailed); a receive from
+	// one of the peer's ranks waits on it.
+	fin chan struct{}
 }
 
-// tcpTransport implements Transport over a full mesh of peerLinks.
+// tcpTransport is a World's remote half: a full mesh of peerLinks to
+// the processes hosting the ranks that are not in this one.
 type tcpTransport struct {
 	w        *World
 	worldID  uint64
@@ -175,15 +186,16 @@ type tcpTransport struct {
 	snapMu   sync.Mutex
 	snapSeq  uint32
 	snapWait map[uint32]chan []CommState
-
-	// framesSent / wireSent meter outbound traffic across all links
-	// (conformance and byte-accounting tests).
-	framesSent atomic.Int64
-	wireSent   atomic.Int64
 }
 
-// Name implements Transport.
-func (t *tcpTransport) Name() string { return "tcp" }
+// link returns the link to the process hosting rank r: nil when r is in
+// this process, outside the world, or the world has no links.
+func (w *World) link(r int) *peerLink {
+	if w.net == nil || r < 0 || r >= w.Size {
+		return nil
+	}
+	return w.net.links[w.net.rankProc[r]]
+}
 
 // writeFrame puts one frame on the link; the caller holds l.mu and has
 // set the write deadline.
@@ -237,19 +249,13 @@ func (t *tcpTransport) expireLinks() {
 	}
 }
 
-// Deliver implements Transport: co-resident destinations take the
-// in-process mailbox path and charge logical payload bytes; remote
-// destinations are framed, written to the link by the sending rank
-// within the world's MailboxStall, and charge header + encoded payload
-// — the bytes that actually cross the wire.
+// Deliver frames m for remote rank dst and writes it to the link to
+// dst's process on the sending rank's goroutine, within the world's
+// MailboxStall. It returns header + encoded payload, the bytes that
+// actually cross the wire; errAborted when the world aborts first; a
+// *stallError past the bound; and the socket's error otherwise.
 func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 	w := t.w
-	if dst < 0 || dst >= w.Size {
-		return 0, fmt.Errorf("mpi: send to rank %d outside world of %d", dst, w.Size)
-	}
-	if w.inbox[dst] != nil {
-		return w.deliverLocal(dst, m)
-	}
 	h := frameHeader{
 		kind: frameData, world: t.worldID,
 		src: int32(m.src), dst: int32(dst), tag: int32(m.tag),
@@ -286,15 +292,13 @@ func (t *tcpTransport) Deliver(dst int, m message) (int, error) {
 		}
 		return 0, err
 	}
-	t.framesSent.Add(1)
-	t.wireSent.Add(int64(n))
 	return n, nil
 }
 
-// PropagateAbort implements Transport: the first local failure is
-// broadcast to every peer once; remote worlds record it without
-// re-broadcasting (the mesh means every process hears the origin
-// directly), so propagation terminates.
+// PropagateAbort announces a locally recorded world failure to every
+// peer process, once; remote worlds record it without re-broadcasting
+// (the mesh means every process hears the origin directly), so
+// propagation terminates.
 func (t *tcpTransport) PropagateAbort(e *RankError) {
 	t.bcastOnce.Do(func() {
 		payload := encodeAbortPayload(fmt.Sprint(e.Cause), string(e.Stack))
@@ -316,10 +320,11 @@ func (t *tcpTransport) PropagateAbort(e *RankError) {
 	})
 }
 
-// FillRemote implements Transport: ask every peer process for its
-// ranks' comm states, best-effort with a bounded wait, and merge the
-// answers. Each peer owns a disjoint rank set, so responses write
-// disjoint entries of out.
+// FillRemote asks every peer process for its ranks' comm states,
+// best-effort with a bounded wait, and merges the answers into out
+// (indexed by rank); an unreachable peer leaves its ranks' entries
+// zero-valued rather than blocking the watchdog. Each peer owns a
+// disjoint rank set, so responses write disjoint entries of out.
 func (t *tcpTransport) FillRemote(out []CommState) {
 	var wg sync.WaitGroup
 	for _, l := range t.links {
@@ -383,8 +388,8 @@ func (t *tcpTransport) requestSnapshot(l *peerLink) ([]CommState, bool) {
 	}
 }
 
-// Close implements Transport.
-func (t *tcpTransport) Close() error {
+// close says bye to every peer and closes the links. Idempotent.
+func (t *tcpTransport) close() {
 	t.closeOnce.Do(func() {
 		// Graceful finalize: every data frame is already on the socket (a
 		// send returns once its frame is written), so announcing the
@@ -410,7 +415,6 @@ func (t *tcpTransport) Close() error {
 			}
 		}
 	})
-	return nil
 }
 
 // start launches the reader for every link; writes happen on the
@@ -503,12 +507,19 @@ func (t *tcpTransport) readOne(l *peerLink, self int) (message, bool) {
 	return t.dispatch(l, h, payload, self)
 }
 
-// readFailed ends reading l on err: a clean departure (bye, then EOF) is
-// watched by peerFinished, anything else is a lost link.
+// readFailed ends reading l on err: a clean departure (bye, then EOF)
+// closes l.fin, anything else is a lost link.
+//
+// It runs under the read token, after every frame read off l has been
+// dispatched, and a dispatch returns only once its message is in the
+// addressed rank's mailbox or in the hands of the rank that pumped it.
+// So when fin closes, everything the peer sent to a rank of this
+// process has reached that rank: a receive from the peer that its
+// mailbox and out-of-order buffer cannot satisfy never will be.
 func (t *tcpTransport) readFailed(l *peerLink, err error) {
 	l.rdone = true
 	if err == io.EOF && l.peerBye.Load() {
-		go t.peerFinished(l)
+		close(l.fin)
 		return
 	}
 	t.linkLost(l, err)
@@ -598,64 +609,6 @@ func (t *tcpTransport) dispatch(l *peerLink, h frameHeader, payload []byte, self
 		l.rdone = true
 	}
 	return message{}, false
-}
-
-// peerFinished handles a clean departure (bye frame, then EOF): the
-// peer finalized deliberately, which is harmless at shutdown. But a
-// local rank parked on one of its ranks — now, or at any later point
-// while this transport lives — has desynchronized the SPMD program: that
-// message will never come, so only an abort can unblock the rank. The
-// finished link is therefore watched until the transport closes or the
-// world aborts, and a park on it that outlasts a short grace period (a
-// wakeup already delivered by the final data frames may still be
-// landing) aborts the world. Only code after a bye runs here; the data
-// path is untouched.
-func (t *tcpTransport) peerFinished(l *peerLink) {
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	var since time.Time // when the current park on l was first seen
-	for {
-		if t.w.Aborted() != nil {
-			return
-		}
-		rank, peer, op := t.parkedOn(l)
-		switch {
-		case rank < 0:
-			since = time.Time{}
-		case since.IsZero():
-			since = time.Now()
-		case time.Since(since) > byeGraceTimeout:
-			t.w.Abort(&RankError{
-				Rank: peer,
-				Cause: fmt.Errorf("mpi: link to proc %d (ranks %v) lost: peer finalized while rank %d was parked in %s on rank %d",
-					l.proc, l.ranks, rank, op, peer),
-				Stack: debug.Stack(),
-			})
-			return
-		}
-		select {
-		case <-t.closed:
-			return
-		case <-tick.C:
-		}
-	}
-}
-
-// parkedOn returns the first local rank parked on one of the link's
-// ranks (with the peer and primitive), or -1.
-func (t *tcpTransport) parkedOn(l *peerLink) (rank, peer int, op string) {
-	for _, r := range t.w.local {
-		cs := t.w.localCommState(r)
-		if cs.Parked == nil {
-			continue
-		}
-		for _, pr := range l.ranks {
-			if cs.Parked.Peer == pr {
-				return r, pr, cs.Parked.Op
-			}
-		}
-	}
-	return -1, -1, ""
 }
 
 // linkLost handles a connection failure: quiet if the world is already
@@ -749,7 +702,7 @@ func decodeSnapPayload(buf []byte) ([]CommState, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf[4:]))
 	buf = buf[8:]
-	if n < 0 || n > 1<<16 {
+	if n < 0 || n > maxRanks {
 		return nil, malformed
 	}
 	out := make([]CommState, 0, min(n, len(buf)/17)) // an entry is >= 17 bytes
@@ -809,7 +762,7 @@ func decodeHelloPayload(buf []byte) (ranks []int, addr string, err error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	if n < 1 || n > 1<<16 || len(buf) < 4*n {
+	if n < 1 || n > maxRanks || len(buf) < 4*n {
 		return nil, "", malformed
 	}
 	ranks = make([]int, n)
@@ -847,7 +800,7 @@ func decodePeersPayload(buf []byte) (size, selfProc int, table []procInfo, err e
 	selfProc = int(binary.LittleEndian.Uint32(buf[4:]))
 	n := int(binary.LittleEndian.Uint32(buf[8:]))
 	buf = buf[12:]
-	if n < 1 || n > 1<<16 {
+	if n < 1 || n > maxRanks {
 		return 0, 0, nil, malformed
 	}
 	table = make([]procInfo, 0, min(n, len(buf)/12)) // an entry is >= 12 bytes
@@ -862,7 +815,7 @@ func decodePeersPayload(buf []byte) (size, selfProc int, table []procInfo, err e
 		}
 		nr := int(binary.LittleEndian.Uint32(buf))
 		buf = buf[4:]
-		if nr < 1 || nr > 1<<16 || len(buf) < 4*nr {
+		if nr < 1 || nr > maxRanks || len(buf) < 4*nr {
 			return 0, 0, nil, malformed
 		}
 		p.ranks = make([]int, nr)
@@ -873,6 +826,41 @@ func decodePeersPayload(buf []byte) (size, selfProc int, table []procInfo, err e
 		table = append(table, p)
 	}
 	return size, selfProc, table, nil
+}
+
+// checkPeers refuses a peer table that does not describe a world the
+// joiner hosting local belongs to, before anything is allocated from
+// it: a size within [2, maxRanks], entries indexed by their process,
+// the joiner's own index past the coordinator's, every rank of the
+// world hosted exactly once, and the joiner's entry holding local.
+func checkPeers(size, selfProc int, table []procInfo, local []int) error {
+	if size < 2 || size > maxRanks {
+		return fmt.Errorf("mpi: peer table for a world of %d ranks", size)
+	}
+	if selfProc < 1 || selfProc >= len(table) {
+		return fmt.Errorf("mpi: peer table of %d processes places this one at %d", len(table), selfProc)
+	}
+	hosted := make([]bool, size)
+	n := 0
+	for i, p := range table {
+		if p.proc != i {
+			return fmt.Errorf("mpi: peer table entry %d names process %d", i, p.proc)
+		}
+		for _, r := range p.ranks {
+			if r < 0 || r >= size || hosted[r] {
+				return fmt.Errorf("mpi: peer table places rank %d twice or outside a world of %d", r, size)
+			}
+			hosted[r] = true
+			n++
+		}
+	}
+	if n != size {
+		return fmt.Errorf("mpi: peer table hosts %d of %d ranks", n, size)
+	}
+	if !slices.Equal(table[selfProc].ranks, local) {
+		return fmt.Errorf("mpi: peer table gives this process ranks %v, it hosts %v", table[selfProc].ranks, local)
+	}
+	return nil
 }
 
 // writeDeadlineFrame writes one frame under the rendezvous deadline.
@@ -1086,8 +1074,11 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 	}
 	worldID := h.world
 	size, selfProc, table, err := decodePeersPayload(payload)
+	if err == nil {
+		err = checkPeers(size, selfProc, table, localRanks)
+	}
 	if err != nil {
-		return fail(err)
+		return fail(&RendezvousError{Phase: "peers", Err: err})
 	}
 
 	// Wire the joiner mesh: accept from higher proc indices, dial lower.
@@ -1161,10 +1152,10 @@ func JoinTCP(addr string, localRanks []int, opts WorldOptions) (*World, error) {
 // newPeerLink wraps one wired connection as an ordered link.
 func newPeerLink(proc int, ranks []int, conn net.Conn, br linkReader) *peerLink {
 	return &peerLink{proc: proc, ranks: ranks, conn: conn, br: br.Reader, sock: br.sock,
-		hdr: make([]byte, frameHeaderLen)}
+		hdr: make([]byte, frameHeaderLen), fin: make(chan struct{})}
 }
 
-// launchWorld assembles the World + transport and starts the links'
+// launchWorld assembles the World and its links and starts the links'
 // readers.
 func launchWorld(size int, localRanks []int, opts WorldOptions, worldID uint64, selfProc int, table []procInfo, links []*peerLink) *World {
 	t := newTCPTransport(size, localRanks, opts, worldID, selfProc, table, links)
@@ -1172,7 +1163,7 @@ func launchWorld(size int, localRanks []int, opts WorldOptions, worldID uint64, 
 	return t.w
 }
 
-// newTCPTransport assembles the World + transport, its links' readers
+// newTCPTransport assembles the World and its links, the links' readers
 // not yet started.
 func newTCPTransport(size int, localRanks []int, opts WorldOptions, worldID uint64, selfProc int, table []procInfo, links []*peerLink) *tcpTransport {
 	w := newWorld(size, localRanks, opts)
@@ -1187,14 +1178,7 @@ func newTCPTransport(size int, localRanks []int, opts WorldOptions, worldID uint
 		rankProc: rankProc, links: links,
 		closed: make(chan struct{}),
 	}
-	w.tr = t
-	w.pumps = make([]*peerLink, size)
-	for r, p := range rankProc {
-		if l := links[p]; l != nil && l.sock != nil {
-			l.t = t
-			w.pumps[r] = l
-		}
-	}
+	w.net = t
 	return t
 }
 

@@ -309,3 +309,39 @@ func TestTCPPeerFinishedBeforeParkAborts(t *testing.T) {
 		t.Fatalf("finished-peer diagnosis missing: %v", err)
 	}
 }
+
+// TestTCPPeerFinishedWhileParkedAborts: a rank already parked on a peer
+// when the peer finalizes cleanly is failed as soon as the departure
+// reaches its process, well inside the 250 ms grace a park once got,
+// with the same diagnosis.
+func TestTCPPeerFinishedWhileParkedAborts(t *testing.T) {
+	mw := buildTCPWorlds(t, 2, mpi.WorldOptions{})
+	done := make(chan error, 1)
+	go func() {
+		done <- mw.worlds[0].Parallel(func(c *mpi.Comm) {
+			c.Recv(1, 5) // never sent
+		})
+	}()
+	for mw.worlds[0].SnapshotComm()[0].Parked == nil {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // past the poll phase, into the park
+	start := time.Now()
+	mw.worlds[1].Close()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("rank parked on a finished peer was not aborted within 2s")
+	}
+	if took := time.Since(start); took > 150*time.Millisecond {
+		t.Errorf("the parked rank failed %v after its peer finalized, want well under 250ms", took)
+	}
+	var re *mpi.RankError
+	if !errors.As(err, &re) || re.Rank != 1 {
+		t.Fatalf("Parallel returned %v, want a *mpi.RankError for rank 1", err)
+	}
+	if !strings.Contains(err.Error(), "peer finalized while rank 0 was parked in MPI_Wait on rank 1") {
+		t.Fatalf("finished-peer diagnosis missing: %v", err)
+	}
+}
