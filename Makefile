@@ -49,12 +49,13 @@ bench-module:
 wallbench:
 	bash bench/run.sh $(ARGS)
 
-# Short 8-rank rhodopsin campaign with a strict data log: fails if any
-# engine measurement is missing from the JSONL (the trace.Logger.Err()
-# path), catching end-to-end harness regressions the unit tests skip.
+# Short 8-rank rhodopsin campaign with a data log: mdbench fails if any
+# engine measurement is missing from the JSONL (every requested log is
+# verified, the trace.Logger.Err() path), catching end-to-end harness
+# regressions the unit tests skip.
 bench-smoke:
 	go run ./cmd/mdbench -exp fig12 -quick -sizes 32 -ranks 8 \
-		-log /tmp/gomd-bench-smoke.jsonl -strict-log > /dev/null
+		-log /tmp/gomd-bench-smoke.jsonl > /dev/null
 	@test -s /tmp/gomd-bench-smoke.jsonl || \
 		{ echo "bench-smoke: empty data log" >&2; exit 1; }
 
@@ -68,12 +69,13 @@ kernel-bench:
 	go test -run '^$$' -bench . -benchtime 1x \
 		./internal/pair ./internal/neighbor ./internal/kspace ./internal/core
 
-# Campaign-runner smoke: a quick 2x2 grid (two workloads, two rank
-# counts, guardrails on, strict data log) through cmd/mdsweep. Fails on
-# any lost CSV/JSONL/manifest write or incomplete data log.
+# Campaign smoke: a quick 2x2 grid (two workloads, two rank counts,
+# guardrails on by the -grid default, verified data log) through
+# mdbench -grid. Fails on any lost CSV/data-log/manifest write or
+# incomplete data log.
 sweep-smoke:
-	go run ./cmd/mdsweep -workloads lj,rhodo -atoms 32 -ranks 1,4 -quick \
-		-csv /tmp/gomd-sweep-smoke.csv -jsonl /tmp/gomd-sweep-smoke.jsonl \
+	go run ./cmd/mdbench -grid -workloads lj,rhodo -sizes 32 -ranks 1,4 -quick \
+		-csv /tmp/gomd-sweep-smoke.csv -log /tmp/gomd-sweep-smoke.jsonl \
 		-manifest /tmp/gomd-sweep-smoke.json > /dev/null
 	@test -s /tmp/gomd-sweep-smoke.csv || \
 		{ echo "sweep-smoke: empty sweep CSV" >&2; exit 1; }

@@ -15,10 +15,10 @@ import (
 )
 
 // benchParams trims sweeps for bench time: one small size, few ranks.
-var benchParams = harness.Params{
-	Sizes:      []int{32},
-	CPURanks:   []int{1, 4, 8},
-	GPUDevices: []int{1, 2},
+var benchParams = harness.CampaignSpec{
+	SizesK: []int{32},
+	Ranks:  []int{1, 4, 8},
+	GPUs:   []int{1, 2},
 }
 
 // benchRunner is shared so engine measurements amortize across benches

@@ -1,13 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"gomd/internal/obs"
+	"gomd/internal/workload"
 )
 
 // readManifest parses the manifest a run wrote, keeping the raw bytes
@@ -25,27 +27,21 @@ func readManifest(t *testing.T, path string) (manifest, string) {
 	return man, string(data)
 }
 
-// sweep runs the CLI with args and returns (exit code, stdout, stderr).
-func sweep(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var out, errb bytes.Buffer
-	code := run(args, &out, &errb)
-	return code, out.String(), errb.String()
-}
-
 // TestGridMode: a small real grid runs end to end and every artifact —
-// CSV, JSONL, manifest — is written, parseable, and row-complete.
+// CSV, data log, manifest, metrics dump — is written, parseable, and
+// row-complete.
 func TestGridMode(t *testing.T) {
 	dir := t.TempDir()
-	csvPath := filepath.Join(dir, "sweep.csv")
-	jsonlPath := filepath.Join(dir, "sweep.jsonl")
+	csvPath := filepath.Join(dir, "grid.csv")
+	logPath := filepath.Join(dir, "grid.jsonl")
 	maniPath := filepath.Join(dir, "manifest.json")
+	metricsPath := filepath.Join(dir, "metrics.json")
 
-	code, stdout, stderr := sweep(t,
-		"-workloads", "lj", "-atoms", "32", "-ranks", "1,2",
+	code, stdout, stderr := mdbench(t, "-grid",
+		"-workloads", "lj", "-sizes", "32", "-ranks", "1,2",
 		"-precisions", "mixed,double", "-trials", "2",
 		"-measure-cap", "2000", "-steps", "3", "-warmup", "2",
-		"-csv", csvPath, "-jsonl", jsonlPath, "-manifest", maniPath)
+		"-csv", csvPath, "-log", logPath, "-manifest", maniPath, "-metrics", metricsPath)
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -70,30 +66,48 @@ func TestGridMode(t *testing.T) {
 		}
 	}
 
-	// JSONL: every line parses; exactly one "cell" record per cell, each
-	// carrying the full structured result.
-	jsonlData, err := os.ReadFile(jsonlPath)
+	// Data log: every line parses; exactly one "cell" record per cell,
+	// each carrying the full structured result.
+	logData, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := 0
-	for n, line := range strings.Split(strings.TrimSpace(string(jsonlData)), "\n") {
+	for n, line := range strings.Split(strings.TrimSpace(string(logData)), "\n") {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("jsonl line %d: %v: %q", n+1, err, line)
+			t.Fatalf("log line %d: %v: %q", n+1, err, line)
 		}
 		if rec["kind"] == "cell" {
 			cells++
 		}
 	}
 	if cells != wantCells {
-		t.Errorf("jsonl has %d cell records, want %d", cells, wantCells)
+		t.Errorf("data log has %d cell records, want %d", cells, wantCells)
+	}
+
+	// The grid's runners carry the front end's metrics registry: the
+	// dump holds the engines' series (it was empty when they did not).
+	mf, err := os.Open(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := obs.ReadSnapshot(mf)
+	mf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) == 0 {
+		t.Error("grid -metrics dump is empty")
 	}
 
 	// Manifest: parseable, complete, and self-describing.
 	man, raw := readManifest(t, maniPath)
-	if man.Tool != "mdsweep" {
+	if man.Tool != "mdbench" {
 		t.Errorf("manifest tool = %q", man.Tool)
+	}
+	if man.Log != logPath || man.CSV != csvPath {
+		t.Errorf("manifest names csv %q and log %q, want %q and %q", man.CSV, man.Log, csvPath, logPath)
 	}
 	if len(man.Cells) != wantCells {
 		t.Errorf("manifest has %d cells, want %d", len(man.Cells), wantCells)
@@ -117,7 +131,7 @@ func TestGridMode(t *testing.T) {
 		t.Errorf("fidelity = %+v, want the resolved %+v", man.Fidelity, wantFid)
 	}
 	wantGrid := gridConfig{
-		Workloads: []string{"lj"}, SizesK: []int{32}, Ranks: []int{1, 2}, Workers: []int{1},
+		Workloads: []workload.Name{workload.LJ}, SizesK: []int{32}, Ranks: []int{1, 2}, Workers: []int{1},
 		Precisions: []string{"mixed", "double"}, KspaceAccs: []float64{0}, Trials: 2,
 	}
 	if !reflect.DeepEqual(man.Grid, wantGrid) {
@@ -132,16 +146,15 @@ func TestGridMode(t *testing.T) {
 	// config hash (it used to hash the flags' zeros and nulls as typed).
 	run := func(name string, args ...string) manifest {
 		path := filepath.Join(dir, name)
-		args = append(args, "-workloads", "lj", "-atoms", "32", "-ranks", "1", "-quick",
-			"-csv", "", "-jsonl", "", "-manifest", path)
-		if code, _, stderr := sweep(t, args...); code != 0 {
+		args = append(args, "-grid", "-workloads", "lj", "-sizes", "32", "-ranks", "1", "-quick", "-manifest", path)
+		if code, _, stderr := mdbench(t, args...); code != 0 {
 			t.Fatalf("%s: exit %d\n%s", name, code, stderr)
 		}
 		man, _ := readManifest(t, path)
 		return man
 	}
 	defaults := run("defaults.json")
-	explicit := run("explicit.json", "-warmup", "10", "-seed", "2022", "-steps", "6",
+	explicit := run("explicit.json", "-warmup", "10", "-seed", "2022", "-steps", "6", "-check-every", "2",
 		"-measure-cap", "6000", "-workers", "1", "-precisions", "mixed", "-kspace-acc", "0", "-trials", "1")
 	if f := defaults.Fidelity; f.Warmup != 10 || f.Seed != 2022 || f.Steps != 6 {
 		t.Errorf("defaults run recorded fidelity %+v, want warmup 10, seed 2022, steps 6", f)
@@ -155,37 +168,56 @@ func TestGridMode(t *testing.T) {
 	}
 }
 
-// TestBadFlags: every malformed grid or unknown name is a usage error,
-// not a crash or a silent default — the flags of the retired experiment
-// mode (mdbench is that front-end) and trajectory store included.
+// TestBadFlags: every malformed grid, unknown name or flag the grid does
+// not read is a usage error, not a crash or a silent default.
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-workloads", "nope"},
-		{"-atoms", "32,many"},
+		{"-sizes", "32,many"},
 		{"-precisions", "half"},
 		{"-kspace-acc", "1e-4,tight"},
-		{"-exp", "table1", "-quick"},
-		{"-list"},
+		{"-exp", "table1"},
+		{"-profile"},
+		{"-chart"},
 		{"-gpus", "1"},
+		{"-atoms", "32"},
+		{"-jsonl", "s.jsonl"},
+		{"-strict-log"},
 		{"-trajectory", "t.jsonl"},
 	}
 	for _, args := range cases {
-		if code, _, _ := sweep(t, args...); code == 0 {
-			t.Errorf("args %v exited 0, want nonzero", args)
+		if code, _, _ := mdbench(t, append([]string{"-grid"}, args...)...); code != 2 {
+			t.Errorf("-grid %v exited %d, want 2", args, code)
 		}
 	}
 }
 
-// TestCSVWriteFailure: an unwritable CSV path exits nonzero (satellite:
-// output errors must never yield exit 0 with truncated artifacts).
+// TestCSVWriteFailure: an unwritable CSV path exits nonzero (output
+// errors must never yield exit 0 with truncated artifacts).
 func TestCSVWriteFailure(t *testing.T) {
 	dir := t.TempDir()
-	code, _, stderr := sweep(t,
-		"-workloads", "lj", "-atoms", "32", "-ranks", "1",
+	code, _, stderr := mdbench(t, "-grid",
+		"-workloads", "lj", "-sizes", "32", "-ranks", "1",
 		"-measure-cap", "1000", "-steps", "2", "-warmup", "1",
-		"-csv", filepath.Join(dir, "no", "such", "dir", "out.csv"),
-		"-jsonl", "", "-manifest", "")
-	if code == 0 {
-		t.Fatalf("unwritable csv path exited 0; stderr:\n%s", stderr)
+		"-csv", filepath.Join(dir, "no", "such", "dir", "out.csv"))
+	if code != 1 {
+		t.Fatalf("unwritable csv path exited %d, want 1; stderr:\n%s", code, stderr)
+	}
+}
+
+// TestIncompleteLogFailsGrid: a data log that loses a record fails the
+// grid with exit 1, and no manifest vouches for the campaign.
+func TestIncompleteLogFailsGrid(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	maniPath := filepath.Join(t.TempDir(), "manifest.json")
+	code, _, stderr := mdbench(t, "-grid", "-workloads", "lj", "-sizes", "32", "-ranks", "1",
+		"-measure-cap", "1000", "-steps", "2", "-warmup", "1", "-log", "/dev/full", "-manifest", maniPath)
+	if code != 1 || !strings.Contains(stderr, "data log incomplete") {
+		t.Errorf("exit %d, want 1 naming the incomplete data log; stderr:\n%s", code, stderr)
+	}
+	if _, err := os.Stat(maniPath); err == nil {
+		t.Error("a manifest was written for a campaign whose data log is incomplete")
 	}
 }

@@ -5,9 +5,19 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// mdbench runs the command in-process and returns (exit code, stdout,
+// stderr).
+func mdbench(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code := run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
 
 // TestRun drives the CLI in-process through run(): exit codes (0 done, 1
 // failed, 2 usage) and what reaches stdout, stderr and the -csv file.
@@ -48,6 +58,12 @@ func TestRun(t *testing.T) {
 			stdout: []string{"Table 2"}, csv: []string{"# Table 2", "Benchmark,Force field,Cutoff", "\nrhodo,CHARMM,"}},
 		{name: "csv into a missing directory", args: []string{"-exp", "table1", "-quick", "-csv", missing}, code: 1,
 			stderr: []string{"csv:", missing}},
+		{name: "modes are exclusive", args: []string{"-exp", "table1", "-grid"}, code: 2,
+			stderr: []string{"mutually exclusive"}},
+		{name: "grid flag under -exp", args: []string{"-exp", "table1", "-trials", "2"}, code: 2,
+			stderr: []string{"-trials does not apply to -exp"}},
+		{name: "one worker width under -exp", args: []string{"-exp", "table1", "-workers", "1,2"}, code: 2,
+			stderr: []string{"-exp takes one -workers value, got 2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,5 +132,82 @@ func TestFailedRunKeepsArtifacts(t *testing.T) {
 	}
 	if fi, err := os.Stat(profPath); err != nil || fi.Size() == 0 {
 		t.Errorf("CPU profile missing or empty: %v, %v", fi, err)
+	}
+}
+
+// TestExitCodes: every axis or threshold value no measurement can run
+// exits 2 with a usage message before any output file is opened, in
+// every mode. Before, these panicked (world size, makeslice), printed
+// rows for a 0-atom system, priced a 16384-cubed mesh at 0 TS/s, failed
+// on hashing a NaN, or ran one trial for -trials -1.
+func TestExitCodes(t *testing.T) {
+	const lj = "-workloads=lj"
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stderr string
+	}{
+		{"exp ranks 0", []string{"-exp", "fig3", "-quick", "-ranks", "0"}, "ranks 0 is below 1"},
+		{"exp ranks -2", []string{"-exp", "fig3", "-quick", "-ranks", "-2"}, "ranks -2 is below 1"},
+		{"grid ranks 0", []string{"-grid", lj, "-sizes", "32", "-ranks", "0"}, "ranks 0 is below 1"},
+		{"grid ranks -2", []string{"-grid", lj, "-sizes", "32", "-ranks", "1,-2"}, "ranks -2 is below 1"},
+		{"profile ranks 0", []string{"-profile", lj, "-sizes", "32", "-ranks", "0"}, "ranks 0 is below 1"},
+		{"profile ranks -2", []string{"-profile", lj, "-sizes", "32", "-ranks", "-2"}, "ranks -2 is below 1"},
+		{"measure cap -5", []string{"-exp", "fig3", "-quick", "-sizes", "32", "-ranks", "1", "-measure-cap", "-5"}, "measure cap -5 is negative"},
+		{"steps -1", []string{"-exp", "fig3", "-steps", "-1"}, "steps -1 is negative"},
+		{"warmup -1", []string{"-grid", lj, "-warmup", "-1"}, "warmup -1 is negative"},
+		{"sizes -32", []string{"-exp", "fig3", "-quick", "-sizes", "-32"}, "size -32 is below 1"},
+		{"exp sizes 0", []string{"-exp", "fig3", "-quick", "-sizes", "0"}, "size 0 is below 1"},
+		{"profile sizes 0", []string{"-profile", lj, "-sizes", "0", "-ranks", "1"}, "size 0 is below 1"},
+		{"grid sizes 0", []string{"-grid", lj, "-sizes", "0", "-ranks", "1"}, "size 0 is below 1"},
+		{"trials -1", []string{"-grid", lj, "-sizes", "32", "-ranks", "1", "-trials", "-1"}, "trials -1 is below 1"},
+		{"gpus 0", []string{"-exp", "fig6", "-gpus", "0"}, "GPU count 0 is below 1"},
+		{"profile kspace-acc -1", []string{"-profile", "-workloads", "rhodo", "-sizes", "32", "-ranks", "1", "-kspace-acc", "-1"}, "kspace accuracy -1 is not in (0, 1)"},
+		{"grid kspace-acc -1", []string{"-grid", "-workloads", "rhodo", "-sizes", "32", "-ranks", "1", "-kspace-acc", "-1"}, "kspace accuracy -1 is not in (0, 1)"},
+		{"grid kspace-acc NaN", []string{"-grid", "-workloads", "rhodo", "-sizes", "32", "-ranks", "1", "-kspace-acc", "NaN"}, "kspace accuracy NaN is not in (0, 1)"},
+		{"kspace-acc 1", []string{"-grid", lj, "-kspace-acc", "1"}, "kspace accuracy 1 is not in (0, 1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			outs := []string{"-csv", "o.csv", "-log", "o.jsonl", "-trace", "o.trace", "-metrics", "o.metrics", "-manifest", "o.json"}
+			args := append([]string{}, tc.args...)
+			for i := 0; i < len(outs); i += 2 {
+				// Only the output flags the mode reads: the others are
+				// usage errors of their own.
+				if ms, ok := modeFlags[outs[i][1:]]; ok && !slices.Contains(ms, mode(tc.args[0])) {
+					continue
+				}
+				args = append(args, outs[i], filepath.Join(dir, outs[i+1]))
+			}
+			code, stdout, stderr := mdbench(t, args...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr)
+			}
+			if strings.Contains(stdout, "TS/s") || strings.Contains(stdout, "Figure") {
+				t.Errorf("printed results:\n%s", stdout)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("left output files behind: %v", left)
+			}
+		})
+	}
+}
+
+// TestUnreachableKspaceAccuracy: a threshold in (0, 1) that no PPPM mesh
+// meets passes the front end but fails the measurement with the typed
+// mesh error — exit 1 and no row, where it used to print 0.000 TS/s.
+func TestUnreachableKspaceAccuracy(t *testing.T) {
+	for _, m := range []string{"-grid", "-profile"} {
+		code, stdout, stderr := mdbench(t, m, "-workloads", "rhodo", "-sizes", "32", "-ranks", "1",
+			"-measure-cap", "1000", "-steps", "2", "-warmup", "1", "-kspace-acc", "1e-300")
+		if code != 1 || !strings.Contains(stderr, "no pppm mesh") {
+			t.Errorf("%s: exit %d, want 1 naming the mesh\nstderr:\n%s", m, code, stderr)
+		}
+		if strings.Contains(stdout, "TS/s") {
+			t.Errorf("%s printed a row:\n%s", m, stdout)
+		}
 	}
 }

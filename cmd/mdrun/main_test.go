@@ -57,6 +57,12 @@ func TestExitCodes(t *testing.T) {
 		{"unknown-precision", []string{"-precision", "quad"}, 2, "single, mixed, double"},
 		{"malformed-fault", []string{"-fault", "kill:rank"}, 2, ""},
 		{"unknown-flag", []string{"-no-such-flag"}, 2, ""},
+		// Build refuses the threshold before any mesh is sized; it used to
+		// size and allocate a 16384-cubed mesh and run out of memory.
+		{"kspace-acc-negative", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "-1"}, 1, "kspace accuracy -1 is not in (0, 1)"},
+		{"kspace-acc-nan", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "NaN"}, 1, "kspace accuracy NaN is not in (0, 1)"},
+		// In range, but no mesh meets it: the constructor's typed refusal.
+		{"kspace-acc-unreachable", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "1e-300"}, 1, "kspace-grid"},
 		{"store-atom-count-mismatch", []string{"-atoms", "256", "-checkpoint-every", "10", "-checkpoint", store}, 1, "checkpoint holds 500 atoms, the workload builds 256"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,7 +47,11 @@ func main() {
 		q2 += st.Charge[i] * st.Charge[i]
 	}
 	for _, acc := range []float64{1e-4, 1e-5, 1e-6, 1e-7} {
-		gx, gy, gz := kspace.MeshFor(acc, 10, l.X, l.Y, l.Z, st.N, q2, cfg.Units.QQr2E)
+		gx, gy, gz, err := kspace.MeshFor(acc, 10, l.X, l.Y, l.Z, st.N, q2, cfg.Units.QQr2E, pppm.Order)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Printf("  %.0e -> %3dx%3dx%3d (%8d points)\n", acc, gx, gy, gz, gx*gy*gz)
 	}
 }

@@ -28,6 +28,9 @@ const (
 	// ErrTooManyBins: the neighbor list refused to bin atoms spread too
 	// far for its bin size (neighbor.BinError).
 	ErrTooManyBins = "too-many-bins"
+	// ErrKspaceGrid: the long-range solver refused to size its grid for
+	// the requested accuracy (kspace.GridError).
+	ErrKspaceGrid = "kspace-grid"
 )
 
 // Error implements error.

@@ -205,19 +205,21 @@ func (g ghostSync) ForwardScalar(buf []float64) {
 }
 
 // New builds a simulation over a pre-populated store using the serial
-// backend. Decomposed simulations are built by the domain package.
+// backend; it panics where NewWithBackend returns an error. Decomposed
+// simulations are built by the domain package.
 func New(cfg Config, st *atom.Store) *Simulation {
-	return NewWithBackend(cfg, st, &SerialBackend{})
-}
-
-// NewWithBackend builds a simulation with an explicit backend.
-func NewWithBackend(cfg Config, st *atom.Store, be Backend) *Simulation {
-	s, err := build(cfg, st, be, nil)
+	s, err := NewWithBackend(cfg, st, &SerialBackend{})
 	if err != nil {
-		// build only fails when restoring (rs != nil).
 		panic(err)
 	}
 	return s
+}
+
+// NewWithBackend builds a simulation with an explicit backend. A
+// k-space grid the solver refuses to allocate is a kspace-grid
+// *SimError.
+func NewWithBackend(cfg Config, st *atom.Store, be Backend) (*Simulation, error) {
+	return build(cfg, st, be, nil)
 }
 
 // RestoreState carries the non-store state a checkpoint must replay for
@@ -311,7 +313,9 @@ func build(cfg Config, st *atom.Store, be Backend, rs *RestoreState) (*Simulatio
 			q2 = be.ReduceScalar(q2)
 		}
 		s.Q2Setup = q2
-		cfg.Kspace.Setup(s.SetupBox, be.NGlobal(s), q2, cfg.Units.QQr2E)
+		if err := cfg.Kspace.Setup(s.SetupBox, be.NGlobal(s), q2, cfg.Units.QQr2E); err != nil {
+			return nil, &SimError{Rank: be.Rank(), Step: s.Step, Kind: ErrKspaceGrid, Detail: err.Error()}
+		}
 		// Replicated-mesh decomposition: every rank evaluates the full
 		// reciprocal sum, so each reports 1/ranks of energy and virial.
 		cfg.Kspace.SetShare(1 / float64(be.Size()))

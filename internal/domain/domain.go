@@ -138,7 +138,7 @@ func NewOnWorld(factory Factory, world *mpi.World) (*Engine, error) {
 
 	return assemble(factory, cfg, world, grid, global.N,
 		func(cfg core.Config, be *Backend) (*core.Simulation, error) {
-			return core.NewWithBackend(cfg, stores[be.Rank()], be), nil
+			return core.NewWithBackend(cfg, stores[be.Rank()], be)
 		})
 }
 

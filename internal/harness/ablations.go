@@ -27,7 +27,7 @@ func ablations() []Experiment {
 // runAblSkin sweeps the LJ skin distance: small skins rebuild constantly,
 // large skins bloat the list; the bench default (0.3 sigma) sits near the
 // optimum.
-func runAblSkin(r *Runner, _ Params) ([]Table, error) {
+func runAblSkin(r *Runner, _ CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title: "Ablation: LJ neighbor skin distance (serial engine measurement, CPU-instance pricing)",
 		Header: []string{"Skin [sigma]", "Rebuild interval [steps]", "Pairs/atom in list",
@@ -80,7 +80,7 @@ func runAblSkin(r *Runner, _ Params) ([]Table, error) {
 // runAblOrder sweeps the PPPM B-spline assignment order at fixed
 // accuracy: higher orders permit coarser meshes (less FFT) at more
 // spread/interp work per atom.
-func runAblOrder(r *Runner, _ Params) ([]Table, error) {
+func runAblOrder(r *Runner, _ CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title: "Ablation: PPPM assignment order at 1e-4 relative accuracy (rhodo surrogate)",
 		Header: []string{"Order", "Mesh", "Spread ops/atom/step",
@@ -127,8 +127,7 @@ func runAblOrder(r *Runner, _ Params) ([]Table, error) {
 // runAblGPURanks sweeps MPI processes per device for LJ, reproducing the
 // paper's observation that time-multiplexing several sub-domains on one
 // GPU raises utilization up to a point.
-func runAblGPURanks(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runAblGPURanks(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Ablation: MPI ranks per GPU device (lj, 256k atoms, 2 devices)",
 		Header: []string{"Ranks/GPU", "Total ranks", "TS/s", "GPU util %"},
@@ -178,8 +177,7 @@ func maxI64(a, b int64) int64 {
 // hold atoms-per-rank fixed and grow ranks, the regime prior LAMMPS
 // studies (the paper's §4.1 citations) report. Efficiency is
 // TS/s(n)/TS/s(1) since per-rank work is constant.
-func runWeakScaling(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runWeakScaling(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Extension: weak scaling at 32k atoms per rank (CPU instance)",
 		Header: []string{"Bench", "Ranks", "Atoms[k]", "TS/s", "Weak efficiency %"},
@@ -210,7 +208,7 @@ func runWeakScaling(r *Runner, p Params) ([]Table, error) {
 
 // runRoofline is an extension: place each workload's dominant tasks on
 // the CPU instance's roofline from measured per-step counters.
-func runRoofline(r *Runner, _ Params) ([]Table, error) {
+func runRoofline(r *Runner, _ CampaignSpec) ([]Table, error) {
 	rl := perfmodel.CPURoofline()
 	t := Table{
 		Title: "Extension: roofline placement of dominant tasks (CPU instance)",

@@ -1,12 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
-	"gomd/internal/core"
 	"gomd/internal/pair"
-	"gomd/internal/trace"
 	"gomd/internal/workload"
 )
 
@@ -14,7 +13,7 @@ import (
 // atoms × ranks × workers × precision × PPPM tolerance, each cell
 // repeated Trials times. This is the paper's whole evaluation expressed
 // as one object — Tables 1–3 and Figs 3–16 are slices of this grid — and
-// the mdsweep command's core input.
+// the axes of every mdbench mode.
 type CampaignSpec struct {
 	Workloads []workload.Name
 	// SizesK are target system sizes in thousands of atoms.
@@ -28,10 +27,19 @@ type CampaignSpec struct {
 	KspaceAccs []float64
 	// Trials repeats every cell with a trial-varied RNG seed.
 	Trials int
+
+	// GPUs are the GPU device counts the experiments' GPU-instance
+	// sweeps price (the grid's cells run on the CPU instance), and
+	// RanksPerGPU the MPI processes multiplexed per device: the paper
+	// found no more than 48 total processes beneficial on the 52-core
+	// host, i.e. 6 per device at 8 devices.
+	GPUs        []int
+	RanksPerGPU int
 }
 
 // WithDefaults returns the grid RunCampaign actually sweeps: every empty
-// axis replaced by its default. mdsweep records this, not what was typed.
+// axis (and a zero Trials) replaced by its default. mdbench -grid
+// records this, not what was typed.
 func (c CampaignSpec) WithDefaults() CampaignSpec {
 	if len(c.Workloads) == 0 {
 		c.Workloads = workload.All()
@@ -51,10 +59,39 @@ func (c CampaignSpec) WithDefaults() CampaignSpec {
 	if len(c.KspaceAccs) == 0 {
 		c.KspaceAccs = []float64{0}
 	}
-	if c.Trials <= 0 {
+	if c.Trials == 0 {
 		c.Trials = 1
 	}
+	if len(c.GPUs) == 0 {
+		c.GPUs = []int{1, 2, 4, 6, 8}
+	}
+	if c.RanksPerGPU == 0 {
+		c.RanksPerGPU = 6
+	}
 	return c
+}
+
+// Validate reports every axis value Spec.Validate or Options.Validate
+// would refuse in some cell, and a Trials below 1: call it on the
+// resolved grid (WithDefaults).
+func (c CampaignSpec) Validate() error {
+	var err error
+	for _, v := range c.SizesK {
+		err = errors.Join(err, atLeastOne("size", v))
+	}
+	for _, v := range c.Ranks {
+		err = errors.Join(err, atLeastOne("ranks", v))
+	}
+	for _, v := range c.GPUs {
+		err = errors.Join(err, atLeastOne("GPU count", v))
+	}
+	for _, v := range c.Workers {
+		err = errors.Join(err, Options{Workers: v}.Validate())
+	}
+	for _, v := range c.KspaceAccs {
+		err = errors.Join(err, workload.CheckKspaceAccuracy(v))
+	}
+	return errors.Join(err, atLeastOne("trials", c.Trials), atLeastOne("ranks per GPU", c.RanksPerGPU))
 }
 
 // Cell is one grid point of a campaign.
@@ -85,16 +122,13 @@ func (c CampaignSpec) Cells() []Cell {
 	for _, wl := range c.Workloads {
 		accs := c.KspaceAccs
 		if workload.Describe(wl).KspaceStyle == "" {
-			accs = accs[:1]
+			accs = []float64{0}
 		}
 		for _, size := range c.SizesK {
 			for _, ranks := range c.Ranks {
 				for _, w := range c.Workers {
 					for _, prec := range c.Precisions {
 						for _, acc := range accs {
-							if workload.Describe(wl).KspaceStyle == "" {
-								acc = 0
-							}
 							for trial := 0; trial < c.Trials; trial++ {
 								out = append(out, Cell{
 									Spec: Spec{
@@ -138,43 +172,33 @@ type CellResult struct {
 	Wall time.Duration
 }
 
-// TaskNames returns the column labels matching CellResult.TaskPct.
-func TaskNames() []string {
-	var out []string
-	for _, t := range core.Tasks() {
-		out = append(out, t.String())
-	}
-	return out
-}
-
-// RunCampaign executes every cell of spec under opts, invoking emit for
-// each completed cell in grid order; an emit error aborts the campaign
-// (writers that fail must stop the run, not truncate it silently).
+// RunCampaign executes every cell of spec on runners made from tmpl —
+// its options and its hooks (data log, span tracer, metrics registry) —
+// invoking emit for each completed cell in grid order; an emit error
+// aborts the campaign (writers that fail must stop the run, not truncate
+// it silently). A grid Validate refuses runs no cell.
 //
 // One Runner is created per (workers, trial) pair: worker width is a
 // Runner-level option, and a fresh runner per trial defeats the
 // measurement cache so repeat trials re-run the engine instead of
 // replaying the first trial's counters. Trials > 0 perturb the seed, so
 // trial t measures an independently initialized system.
-func RunCampaign(spec CampaignSpec, opts Options, tr *trace.Logger, emit func(CellResult) error) error {
+func RunCampaign(spec CampaignSpec, tmpl *Runner, emit func(CellResult) error) error {
 	spec = spec.WithDefaults()
-	opts = opts.WithDefaults()
-	type runnerKey struct{ workers, trial int }
-	runners := map[runnerKey]*Runner{}
-	runnerFor := func(k runnerKey) *Runner {
-		if r, ok := runners[k]; ok {
-			return r
-		}
-		o := opts
-		o.Workers = k.workers
-		o.Seed = opts.Seed + uint64(k.trial)
-		r := NewRunner(o)
-		r.Trace = tr
-		runners[k] = r
-		return r
+	if err := errors.Join(spec.Validate(), tmpl.Opts.Validate()); err != nil {
+		return err
 	}
+	runners := map[[2]int]*Runner{} // by (workers, trial)
 	for _, cell := range spec.Cells() {
-		r := runnerFor(runnerKey{cell.Workers, cell.Trial})
+		k := [2]int{cell.Workers, cell.Trial}
+		r := runners[k]
+		if r == nil {
+			o := tmpl.Opts
+			o.Workers, o.Seed = cell.Workers, tmpl.Opts.Seed+uint64(cell.Trial)
+			r = NewRunner(o)
+			r.Trace, r.SpanTrace, r.Metrics = tmpl.Trace, tmpl.SpanTrace, tmpl.Metrics
+			runners[k] = r
+		}
 		t0 := time.Now()
 		m, err := r.Measure(cell.Spec)
 		if err != nil {

@@ -1,8 +1,11 @@
 package harness_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"gomd/internal/core"
 	"gomd/internal/harness"
 	"gomd/internal/pair"
 	"gomd/internal/workload"
@@ -79,9 +82,9 @@ func TestRunCampaign(t *testing.T) {
 		Precisions: []pair.Precision{pair.Mixed, pair.Double},
 		Trials:     2,
 	}
-	opts := harness.Options{MeasureCap: 2000, Steps: 3, Warmup: 2, CheckEvery: 1}
+	runner := harness.NewRunner(harness.Options{MeasureCap: 2000, Steps: 3, Warmup: 2, CheckEvery: 1})
 	var got []harness.CellResult
-	err := harness.RunCampaign(spec, opts, nil, func(r harness.CellResult) error {
+	err := harness.RunCampaign(spec, runner, func(r harness.CellResult) error {
 		got = append(got, r)
 		return nil
 	})
@@ -102,8 +105,8 @@ func TestRunCampaign(t *testing.T) {
 		if r.NMeasured <= 0 || r.NTarget != 32000 {
 			t.Errorf("%s: sizes %d/%d", r.Label(), r.NMeasured, r.NTarget)
 		}
-		if len(r.TaskPct) != len(harness.TaskNames()) {
-			t.Errorf("%s: %d task columns, want %d", r.Label(), len(r.TaskPct), len(harness.TaskNames()))
+		if len(r.TaskPct) != len(core.Tasks()) {
+			t.Errorf("%s: %d task columns, want %d", r.Label(), len(r.TaskPct), len(core.Tasks()))
 		}
 	}
 	// Repeat trials must be fresh measurements, not cache replays: the
@@ -117,7 +120,7 @@ func TestRunCampaign(t *testing.T) {
 	}
 	// An emit error aborts the campaign with context.
 	n := 0
-	err = harness.RunCampaign(spec, opts, nil, func(harness.CellResult) error {
+	err = harness.RunCampaign(spec, runner, func(harness.CellResult) error {
 		n++
 		return errSentinel
 	})
@@ -131,3 +134,37 @@ var errSentinel = errFixed("sentinel")
 type errFixed string
 
 func (e errFixed) Error() string { return string(e) }
+
+// TestMeasureRefusesBadSpec: a spec or option no measurement can run is
+// an error from Measure and RunCampaign, before any engine starts. These
+// used to panic (world size, makeslice), price a 0-atom system, or run
+// one trial for Trials -1.
+func TestMeasureRefusesBadSpec(t *testing.T) {
+	lj := harness.Spec{Workload: workload.LJ, AtomsK: 32, Ranks: 1}
+	r := harness.NewRunner(harness.Options{})
+	for _, spec := range []harness.Spec{
+		{Workload: workload.LJ, AtomsK: 32, Ranks: 0},
+		{Workload: workload.LJ, AtomsK: 32, Ranks: -2},
+		{Workload: workload.LJ, AtomsK: 0, Ranks: 1},
+		{Workload: workload.LJ, AtomsK: -32, Ranks: 1},
+		{Workload: workload.Rhodo, AtomsK: 32, Ranks: 1, KspaceAcc: -1},
+		{Workload: workload.Rhodo, AtomsK: 32, Ranks: 1, KspaceAcc: math.NaN()},
+	} {
+		if m, err := r.Measure(spec); err == nil {
+			t.Errorf("Measure(%+v) = %+v, want an error", spec, m)
+		}
+	}
+	for _, o := range []harness.Options{{MeasureCap: -5}, {Steps: -1}, {Warmup: -1}, {Workers: -1}} {
+		if _, err := harness.NewRunner(o).Measure(lj); err == nil {
+			t.Errorf("Measure with %+v succeeded, want an error", o)
+		}
+	}
+	spec := harness.CampaignSpec{Workloads: []workload.Name{workload.LJ}, SizesK: []int{32}, Ranks: []int{1}, Trials: -1}
+	err := harness.RunCampaign(spec, r, func(harness.CellResult) error {
+		t.Error("a cell ran")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "trials -1") {
+		t.Errorf("RunCampaign with Trials -1 = %v, want the trials error", err)
+	}
+}

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"gomd/internal/core"
 	"gomd/internal/neighbor"
@@ -12,61 +10,17 @@ import (
 	"gomd/internal/workload"
 )
 
-// Params select the sweep ranges of an experiment; zero values use the
-// paper's full ranges.
-type Params struct {
-	// Sizes in thousands of atoms (paper: 32, 256, 864, 2048).
-	Sizes []int
-	// CPURanks (paper: 1..64 in powers of two).
-	CPURanks []int
-	// GPUDevices (paper: 1, 2, 4, 6, 8).
-	GPUDevices []int
-	// RanksPerGPU is the MPI-process-per-device multiplexing factor; the
-	// paper found no more than 48 total processes beneficial on the
-	// 52-core host, i.e. 6 per device at 8 devices.
-	RanksPerGPU int
-}
-
-func (p Params) withDefaults() Params {
-	if len(p.Sizes) == 0 {
-		p.Sizes = workload.Sizes()
-	}
-	if len(p.CPURanks) == 0 {
-		p.CPURanks = []int{1, 2, 4, 8, 16, 32, 64}
-	}
-	if len(p.GPUDevices) == 0 {
-		p.GPUDevices = []int{1, 2, 4, 6, 8}
-	}
-	if p.RanksPerGPU == 0 {
-		p.RanksPerGPU = 6
-	}
-	return p
-}
-
-// ParseInts parses the comma grid of integers that mdbench's and
-// mdsweep's -sizes/-atoms/-ranks/... flags carry ("1, 2,4"; empty tokens
-// are skipped, so "" is nil and "1,,4" is [1 4]).
-func ParseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // Experiment regenerates one table or figure of the paper.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(r *Runner, p Params) ([]Table, error)
+	run   func(r *Runner, c CampaignSpec) ([]Table, error)
+}
+
+// Run regenerates the experiment over c's sizes, rank and GPU counts;
+// an empty axis sweeps the paper's full range (WithDefaults).
+func (e Experiment) Run(r *Runner, c CampaignSpec) ([]Table, error) {
+	return e.run(r, c.WithDefaults())
 }
 
 // Registry lists every experiment in paper order.
@@ -110,7 +64,7 @@ func Get(id string) (Experiment, bool) {
 
 // --- Tables -------------------------------------------------------------
 
-func runTable1(*Runner, Params) ([]Table, error) {
+func runTable1(*Runner, CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Table 1: computational tasks of a timestep",
 		Header: []string{"Task", "Step", "Description"},
@@ -126,7 +80,7 @@ func runTable1(*Runner, Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runTable2(r *Runner, _ Params) ([]Table, error) {
+func runTable2(r *Runner, _ CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title: "Table 2: benchmark suite (paper taxonomy + measured neighbors/atom)",
 		Header: []string{"Benchmark", "Force field", "Cutoff", "Skin",
@@ -177,7 +131,7 @@ func measuredNeighborsPerAtom(name workload.Name) float64 {
 	return per
 }
 
-func runTable3(*Runner, Params) ([]Table, error) {
+func runTable3(*Runner, CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Table 3: instances",
 		Header: []string{"Instance", "Description"},
@@ -217,15 +171,14 @@ func taskHeader(prefix ...string) []string {
 	return h
 }
 
-func runFig3(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig3(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 3: CPU execution-time breakdown by task [%]",
 		Header: taskHeader("Bench", "Size[k]", "Ranks"),
 	}
 	for _, name := range workload.All() {
-		for _, size := range p.Sizes {
-			for _, ranks := range p.CPURanks {
+		for _, size := range p.SizesK {
+			for _, ranks := range p.Ranks {
 				m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks})
 				if err != nil {
 					return nil, err
@@ -253,15 +206,14 @@ func avg(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-func runFig4(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig4(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 4: MPI time share and MPI imbalance, averaged over ranks [%]",
 		Header: []string{"Bench", "Size[k]", "Ranks", "MPI time %", "MPI imbalance %"},
 	}
 	for _, name := range workload.All() {
-		for _, size := range p.Sizes {
-			for _, ranks := range p.CPURanks {
+		for _, size := range p.SizesK {
+			for _, ranks := range p.Ranks {
 				if ranks < 4 {
 					continue // the paper plots 4..64
 				}
@@ -301,15 +253,14 @@ func mpiBreakdownRow(out perfmodel.Outcome) []float64 {
 
 var mpiHeader = []string{"Allreduce%", "Init%", "Send%", "Sendrecv%", "Wait%", "others%"}
 
-func runFig5(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig5(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 5: MPI function breakdown (share of MPI time) [%]",
 		Header: append([]string{"Bench", "Size[k]", "Ranks"}, mpiHeader...),
 	}
 	for _, name := range workload.All() {
-		for _, size := range p.Sizes {
-			for _, ranks := range p.CPURanks {
+		for _, size := range p.SizesK {
+			for _, ranks := range p.Ranks {
 				if ranks < 4 {
 					continue
 				}
@@ -328,17 +279,16 @@ func runFig5(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig6(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig6(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title: "Figure 6: CPU performance, energy efficiency, parallel efficiency",
 		Header: []string{"Bench", "Size[k]", "Ranks", "TS/s",
 			"TS/s/W", "Parallel eff %"},
 	}
 	for _, name := range workload.All() {
-		for _, size := range p.Sizes {
+		for _, size := range p.SizesK {
 			var base float64
-			for _, ranks := range p.CPURanks {
+			for _, ranks := range p.Ranks {
 				m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks})
 				if err != nil {
 					return nil, err
@@ -374,7 +324,7 @@ func gpuBenchmarks() []workload.Name {
 	return out
 }
 
-func (r *Runner) gpuMeasure(name workload.Name, size, devices int, p Params, prec pair.Precision, acc float64) (*Measurement, perfmodel.GPUOutcome, error) {
+func (r *Runner) gpuMeasure(name workload.Name, size, devices int, p CampaignSpec, prec pair.Precision, acc float64) (*Measurement, perfmodel.GPUOutcome, error) {
 	ranks := devices * p.RanksPerGPU
 	m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks, Precision: prec, KspaceAcc: acc})
 	if err != nil {
@@ -384,15 +334,14 @@ func (r *Runner) gpuMeasure(name workload.Name, size, devices int, p Params, pre
 	return m, out, err
 }
 
-func runFig7(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig7(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 7: GPU execution-time breakdown by task [%]",
 		Header: taskHeader("Bench", "Size[k]", "GPUs"),
 	}
 	for _, name := range gpuBenchmarks() {
-		for _, size := range p.Sizes {
-			for _, dev := range p.GPUDevices {
+		for _, size := range p.SizesK {
+			for _, dev := range p.GPUs {
 				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
 				if err != nil {
 					return nil, err
@@ -408,8 +357,7 @@ func runFig7(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig8(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig8(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title: "Figure 8: GPU kernels and data movement (share of device-active time) [%]",
 		Header: []string{"Bench", "Size[k]", "GPUs", "HtoD%", "DtoH%",
@@ -417,8 +365,8 @@ func runFig8(r *Runner, p Params) ([]Table, error) {
 			"particle_map%", "interp%", "special%", "zero%"},
 	}
 	for _, name := range gpuBenchmarks() {
-		for _, size := range p.Sizes {
-			for _, dev := range p.GPUDevices {
+		for _, size := range p.SizesK {
+			for _, dev := range p.GPUs {
 				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
 				if err != nil {
 					return nil, err
@@ -454,17 +402,16 @@ func runFig8(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig9(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig9(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title: "Figure 9: GPU performance, energy efficiency, parallel efficiency",
 		Header: []string{"Bench", "Size[k]", "GPUs", "TS/s", "TS/s/W",
 			"Parallel eff %", "GPU util %"},
 	}
 	for _, name := range gpuBenchmarks() {
-		for _, size := range p.Sizes {
+		for _, size := range p.SizesK {
 			var base float64
-			for _, dev := range p.GPUDevices {
+			for _, dev := range p.GPUs {
 				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
 				if err != nil {
 					return nil, err
@@ -515,16 +462,15 @@ func log10(x float64) float64 {
 	return 0
 }
 
-func runFig10(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig10(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 10: rhodo CPU performance vs kspace relative error threshold",
 		Header: []string{"Variant", "Size[k]", "Ranks", "TS/s", "Parallel eff %", "Mesh"},
 	}
 	for _, acc := range errThresholds {
-		for _, size := range p.Sizes {
+		for _, size := range p.SizesK {
 			var base float64
-			for _, ranks := range p.CPURanks {
+			for _, ranks := range p.Ranks {
 				m, err := r.Measure(Spec{Workload: workload.Rhodo, AtomsK: size, Ranks: ranks, KspaceAcc: acc})
 				if err != nil {
 					return nil, err
@@ -548,8 +494,7 @@ func runFig10(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig11(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig11(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 11: rhodo CPU task breakdown vs kspace error threshold [%]",
 		Header: taskHeader("Variant", "Size[k]", "Ranks"),
@@ -558,8 +503,8 @@ func runFig11(r *Runner, p Params) ([]Table, error) {
 		if acc == 1e-5 {
 			continue // the paper omits e-5 here
 		}
-		for _, size := range p.Sizes {
-			for _, ranks := range p.CPURanks {
+		for _, size := range p.SizesK {
+			for _, ranks := range p.Ranks {
 				if ranks < 2 {
 					continue
 				}
@@ -578,15 +523,14 @@ func runFig11(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig12(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig12(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 12: rhodo MPI function breakdown vs kspace error threshold [%]",
 		Header: append([]string{"Variant", "Size[k]", "Ranks"}, mpiHeader...),
 	}
 	for _, acc := range errThresholds {
-		for _, size := range p.Sizes {
-			for _, ranks := range p.CPURanks {
+		for _, size := range p.SizesK {
+			for _, ranks := range p.Ranks {
 				if ranks < 4 {
 					continue
 				}
@@ -605,16 +549,15 @@ func runFig12(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig13(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig13(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 13: rhodo GPU performance vs kspace error threshold",
 		Header: []string{"Variant", "Size[k]", "GPUs", "TS/s", "Parallel eff %"},
 	}
 	for _, acc := range errThresholds {
-		for _, size := range p.Sizes {
+		for _, size := range p.SizesK {
 			var base float64
-			for _, dev := range p.GPUDevices {
+			for _, dev := range p.GPUs {
 				_, out, err := r.gpuMeasure(workload.Rhodo, size, dev, p, pair.Mixed, acc)
 				if err != nil {
 					return nil, err
@@ -634,15 +577,14 @@ func runFig13(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig14(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig14(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 14: rhodo MPI overhead and imbalance vs kspace error threshold [%]",
 		Header: []string{"Variant", "Size[k]", "Ranks", "MPI time %", "MPI imbalance %"},
 	}
 	for _, acc := range []float64{1e-4, 1e-6, 1e-7} {
-		for _, size := range p.Sizes {
-			for _, ranks := range p.CPURanks {
+		for _, size := range p.SizesK {
+			for _, ranks := range p.Ranks {
 				if ranks < 4 {
 					continue
 				}
@@ -669,16 +611,15 @@ func precLabel(base string, p pair.Precision) string {
 	return base + "-" + p.String()
 }
 
-func runFig15(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig15(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 15: CPU performance vs floating-point precision [TS/s]",
 		Header: []string{"Variant", "Size[k]", "Ranks", "TS/s"},
 	}
 	for _, name := range []workload.Name{workload.LJ, workload.Rhodo} {
 		for _, prec := range precisions {
-			for _, size := range p.Sizes {
-				for _, ranks := range p.CPURanks {
+			for _, size := range p.SizesK {
+				for _, ranks := range p.Ranks {
 					m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks, Precision: prec})
 					if err != nil {
 						return nil, err
@@ -692,16 +633,15 @@ func runFig15(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runFig16(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runFig16(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Figure 16: GPU performance vs floating-point precision [TS/s]",
 		Header: []string{"Variant", "Size[k]", "GPUs", "TS/s"},
 	}
 	for _, name := range []workload.Name{workload.LJ, workload.Rhodo} {
 		for _, prec := range precisions {
-			for _, size := range p.Sizes {
-				for _, dev := range p.GPUDevices {
+			for _, size := range p.SizesK {
+				for _, dev := range p.GPUs {
 					_, out, err := r.gpuMeasure(name, size, dev, p, prec, 0)
 					if err != nil {
 						return nil, err
@@ -715,8 +655,7 @@ func runFig16(r *Runner, p Params) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func runHeadline(r *Runner, p Params) ([]Table, error) {
-	p = p.withDefaults()
+func runHeadline(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
 		Title:  "Section 10 headline anchors: paper vs model",
 		Header: []string{"Anchor", "Paper", "Model"},
@@ -751,7 +690,7 @@ func runHeadline(r *Runner, p Params) ([]Table, error) {
 
 	// chute 32k best small-system performance.
 	best := 0.0
-	for _, ranks := range p.CPURanks {
+	for _, ranks := range p.Ranks {
 		mc, err := r.Measure(Spec{Workload: workload.Chute, AtomsK: 32, Ranks: ranks})
 		if err != nil {
 			return nil, err
@@ -803,9 +742,9 @@ func runHeadline(r *Runner, p Params) ([]Table, error) {
 	// GPU parallel efficiency minimum across the suite and sizes.
 	worst := 100.0
 	for _, name := range gpuBenchmarks() {
-		for _, size := range p.Sizes {
+		for _, size := range p.SizesK {
 			var base float64
-			for _, dev := range p.GPUDevices {
+			for _, dev := range p.GPUs {
 				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
 				if err != nil {
 					return nil, err

@@ -74,6 +74,21 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// Validate reports a negative fidelity option or worker width (zero
+// selects the default).
+func (o Options) Validate() error {
+	var err error
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"measure cap", o.MeasureCap}, {"steps", o.Steps}, {"warmup", o.Warmup}, {"workers", o.Workers}} {
+		if f.v < 0 {
+			err = errors.Join(err, fmt.Errorf("harness: %s %d is negative", f.name, f.v))
+		}
+	}
+	return err
+}
+
 // Spec identifies one experimental configuration.
 type Spec struct {
 	Workload  workload.Name
@@ -81,6 +96,20 @@ type Spec struct {
 	Ranks     int
 	Precision pair.Precision
 	KspaceAcc float64 // 0 = workload default
+}
+
+// Validate reports what no measurement can run: a size or rank count
+// below 1, or a PPPM threshold that is neither 0 nor in (0, 1).
+func (s Spec) Validate() error {
+	return errors.Join(atLeastOne("size", s.AtomsK), atLeastOne("ranks", s.Ranks),
+		workload.CheckKspaceAccuracy(s.KspaceAcc))
+}
+
+func atLeastOne(name string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("harness: %s %d is below 1", name, v)
+	}
+	return nil
 }
 
 // Measurement is a completed engine run plus target-scaled model input.
@@ -253,6 +282,9 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 // the target size.
 func (r *Runner) Measure(spec Spec) (*Measurement, error) {
 	o := r.Opts
+	if err := errors.Join(spec.Validate(), o.Validate()); err != nil {
+		return nil, err
+	}
 	target := spec.AtomsK * 1000
 	nrun := target
 	if nrun > o.MeasureCap {
@@ -298,8 +330,11 @@ func (r *Runner) Measure(spec Spec) (*Measurement, error) {
 		for d := 0; d < 3; d++ {
 			edge[d] = m.boxEdge[d] * math.Cbrt(factor)
 		}
-		nx, ny, nz := kspace.MeshFor(acc, 10.0, edge[0], edge[1], edge[2],
-			target, m.q2sum*factor, 332.06371)
+		nx, ny, nz, err := kspace.MeshFor(acc, 10.0, edge[0], edge[1], edge[2],
+			target, m.q2sum*factor, 332.06371, 5)
+		if err != nil {
+			return nil, err
+		}
 		scale.TargetGridDims = [3]int{nx, ny, nz}
 		scale.TargetGridPts = int64(nx) * int64(ny) * int64(nz)
 		out.gridDims = scale.TargetGridDims

@@ -181,7 +181,7 @@ func TestGPUMeasurementPath(t *testing.T) {
 
 func TestTable2Experiment(t *testing.T) {
 	exp, _ := harness.Get("table2")
-	tables, err := exp.Run(quickRunner(), harness.Params{})
+	tables, err := exp.Run(quickRunner(), harness.CampaignSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestAblSkinShape(t *testing.T) {
 		t.Skip("slow")
 	}
 	exp, _ := harness.Get("abl-skin")
-	tables, err := exp.Run(quickRunner(), harness.Params{})
+	tables, err := exp.Run(quickRunner(), harness.CampaignSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

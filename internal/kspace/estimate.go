@@ -1,6 +1,11 @@
 package kspace
 
-import "math"
+import (
+	"fmt"
+	"math"
+
+	"gomd/internal/neighbor"
+)
 
 // acons are the Deserno-Holm coefficients of the PPPM ik-differentiation
 // RMS force-error estimate, indexed [order][m] (J. Chem. Phys. 109, 7678
@@ -41,27 +46,59 @@ func EstimateIKError(h, prd, g float64, order, natoms int, q2 float64) float64 {
 		math.Sqrt(g*prd*math.Sqrt(2*math.Pi)*sum/float64(natoms)) / (prd * prd)
 }
 
-// MeshFor returns the per-dimension power-of-two PPPM mesh sizes that
-// meet the relative accuracy for a box of edge lengths l, without
-// allocating any solver state. It mirrors PPPM.Setup's sizing rule and
-// exists so the performance model can price meshes far larger than the
-// engine would want to allocate.
-func MeshFor(accuracy, rcut, lx, ly, lz float64, natoms int, q2sum, qqr2e float64) (nx, ny, nz int) {
+// MaxMeshDim bounds the mesh size MeshFor searches per dimension.
+const MaxMeshDim = 1 << 14
+
+// MeshFor returns the per-dimension FFT-factorable PPPM mesh sizes that
+// meet the relative accuracy with assignment order for a box of edge
+// lengths l, without allocating any solver state. It is PPPM.Setup's
+// sizing rule, and the performance model calls it to price meshes far
+// larger than the engine would want to allocate. An accuracy no mesh up
+// to MaxMeshDim per dimension meets (a NaN, a non-positive or an
+// absurdly small one) is a *GridError.
+func MeshFor(accuracy, rcut, lx, ly, lz float64, natoms int, q2sum, qqr2e float64, order int) (nx, ny, nz int, err error) {
+	if _, ok := acons[order]; !ok {
+		return 0, 0, 0, &GridError{Solver: "pppm", Accuracy: accuracy, Order: order}
+	}
 	g := SplitParameter(accuracy, rcut)
-	target := accuracy * qqr2e // two-unit-charge force reference
+	// Absolute force accuracy target: relative accuracy times the force
+	// between two unit charges 1 distance-unit apart (LAMMPS convention).
+	target := accuracy * qqr2e
 	q2 := qqr2e * q2sum
-	dim := func(prd float64) int {
-		n := 4
-		for n < 1<<14 {
-			h := prd / float64(n)
-			if EstimateIKError(h, prd, g, 5, natoms, q2) <= target {
+	var dims [3]int
+	for d, prd := range [3]float64{lx, ly, lz} {
+		for n := 4; n <= MaxMeshDim; n = NiceFFTSize(n + 1) {
+			if EstimateIKError(prd/float64(n), prd, g, order, natoms, q2) <= target {
+				dims[d] = n
 				break
 			}
-			n = NiceFFTSize(n + 1)
 		}
-		return n
+		if dims[d] == 0 {
+			return 0, 0, 0, &GridError{Solver: "pppm", Accuracy: accuracy, Order: order}
+		}
 	}
-	return dim(lx), dim(ly), dim(lz)
+	return dims[0], dims[1], dims[2], nil
+}
+
+// GridError is a solver's refusal to size its reciprocal-space grid: no
+// PPPM mesh up to MaxMeshDim per dimension meets the accuracy (Cells is
+// 0), or the grid that does would take more than neighbor.MaxBins
+// cells, the bound on what one host allocates.
+type GridError struct {
+	Solver   string
+	Accuracy float64
+	Order    int     // PPPM assignment order
+	Cells    float64 // cells the grid would take; 0 when no mesh meets the accuracy
+}
+
+// Error implements error.
+func (e *GridError) Error() string {
+	if e.Cells == 0 {
+		return fmt.Sprintf("kspace: no %s mesh of order %d up to %d per dimension meets accuracy %g",
+			e.Solver, e.Order, MaxMeshDim, e.Accuracy)
+	}
+	return fmt.Sprintf("kspace: %s accuracy %g asks for a grid of %.3g cells, over the limit of %d",
+		e.Solver, e.Accuracy, e.Cells, neighbor.MaxBins)
 }
 
 // EstimateRealError returns the estimated RMS force error of the

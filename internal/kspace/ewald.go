@@ -5,6 +5,7 @@ import (
 
 	"gomd/internal/atom"
 	"gomd/internal/box"
+	"gomd/internal/neighbor"
 	"gomd/internal/vec"
 )
 
@@ -29,7 +30,10 @@ type Solver interface {
 	Name() string
 	// Setup prepares the solver for a box and charge population; it must
 	// be called before Compute and again if the box changes materially.
-	Setup(bx box.Box, natoms int, q2sum, qqr2e float64)
+	// A grid the accuracy would size past neighbor.MaxBins cells, or that
+	// no mesh meets, is a *GridError, returned before anything is
+	// allocated.
+	Setup(bx box.Box, natoms int, q2sum, qqr2e float64) error
 	// GEwald returns the real/reciprocal splitting parameter for the
 	// short-range erfc damping in the pair style.
 	GEwald() float64
@@ -79,24 +83,27 @@ func (e *Ewald) GEwald() float64 { return e.g }
 // SetShare implements Solver.
 func (e *Ewald) SetShare(f float64) { e.share = f }
 
-// Setup implements Solver.
-func (e *Ewald) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) {
-	e.qqr2e = qqr2e
-	e.q2sum = q2sum
-	e.g = SplitParameter(e.Accuracy, e.RCut)
+// Setup implements Solver. The k vectors are drawn from a
+// (2nmax+1)-per-dimension cube, which is what the cell bound counts.
+func (e *Ewald) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) error {
+	g := SplitParameter(e.Accuracy, e.RCut)
 	if e.GOverride > 0 {
-		e.g = e.GOverride
+		g = e.GOverride
 	}
 	// Include every k with |k| below the cutoff where the Gaussian factor
 	// has decayed to the accuracy target.
-	kcut := 2 * e.g * math.Sqrt(-math.Log(e.Accuracy))
+	kcut := 2 * g * math.Sqrt(-math.Log(e.Accuracy))
 	l := bx.Lengths()
 	unit := vec.New(2*math.Pi/l.X, 2*math.Pi/l.Y, 2*math.Pi/l.Z)
-	nmax := [3]int{
-		int(kcut/unit.X) + 1,
-		int(kcut/unit.Y) + 1,
-		int(kcut/unit.Z) + 1,
+	span := [3]float64{math.Floor(kcut / unit.X), math.Floor(kcut / unit.Y), math.Floor(kcut / unit.Z)}
+	cells := (2*span[0] + 3) * (2*span[1] + 3) * (2*span[2] + 3)
+	if !(cells <= neighbor.MaxBins) { // NaN included
+		return &GridError{Solver: "ewald", Accuracy: e.Accuracy, Cells: cells}
 	}
+	e.qqr2e = qqr2e
+	e.q2sum = q2sum
+	e.g = g
+	nmax := [3]int{int(span[0]) + 1, int(span[1]) + 1, int(span[2]) + 1}
 	e.kvecs = e.kvecs[:0]
 	e.coefA = e.coefA[:0]
 	kcut2 := kcut * kcut
@@ -123,6 +130,7 @@ func (e *Ewald) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) {
 			}
 		}
 	}
+	return nil
 }
 
 // Compute implements Solver. reduce is accepted for interface symmetry;

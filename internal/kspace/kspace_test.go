@@ -453,7 +453,10 @@ func TestNiceFFTSizes(t *testing.T) {
 func TestMeshForNiceAndMonotone(t *testing.T) {
 	prev := 0
 	for _, acc := range []float64{1e-4, 1e-5, 1e-6, 1e-7} {
-		nx, ny, nz := kspace.MeshFor(acc, 10, 70, 70, 70, 32000, 11500, 332.06371)
+		nx, ny, nz, err := kspace.MeshFor(acc, 10, 70, 70, 70, 32000, 11500, 332.06371, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !kspace.FactorableFFT(nx) || !kspace.FactorableFFT(ny) || !kspace.FactorableFFT(nz) {
 			t.Errorf("mesh %dx%dx%d not FFT-factorable", nx, ny, nz)
 		}

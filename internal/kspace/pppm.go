@@ -6,6 +6,7 @@ import (
 
 	"gomd/internal/atom"
 	"gomd/internal/box"
+	"gomd/internal/neighbor"
 	"gomd/internal/obs"
 	"gomd/internal/par"
 	"gomd/internal/vec"
@@ -100,28 +101,22 @@ func (p *PPPM) SetShare(f float64) { p.share = f }
 func (p *PPPM) Mesh() (nx, ny, nz int) { return p.nx, p.ny, p.nz }
 
 // Setup implements Solver: chooses the splitting parameter and the
-// smallest power-of-two mesh meeting the accuracy target per dimension.
-func (p *PPPM) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) {
+// smallest FFT-factorable mesh meeting the accuracy target per dimension
+// (MeshFor). A mesh over neighbor.MaxBins points is refused with a
+// *GridError before anything is allocated.
+func (p *PPPM) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) error {
+	l := bx.Lengths()
+	nx, ny, nz, err := MeshFor(p.Accuracy, p.RCut, l.X, l.Y, l.Z, natoms, q2sum, qqr2e, p.Order)
+	if err != nil {
+		return err
+	}
+	if cells := float64(nx) * float64(ny) * float64(nz); cells > neighbor.MaxBins {
+		return &GridError{Solver: "pppm", Accuracy: p.Accuracy, Order: p.Order, Cells: cells}
+	}
 	p.qqr2e = qqr2e
 	p.q2sum = q2sum
 	p.natoms = natoms
 	p.g = SplitParameter(p.Accuracy, p.RCut)
-	l := bx.Lengths()
-	// Absolute force accuracy target: relative accuracy times the force
-	// between two unit charges 1 distance-unit apart (LAMMPS convention).
-	target := p.Accuracy * qqr2e
-	dim := func(prd float64) int {
-		n := 4
-		for n < 1<<14 {
-			h := prd / float64(n)
-			if EstimateIKError(h, prd, p.g, p.Order, natoms, qqr2e*q2sum) <= target {
-				break
-			}
-			n = NiceFFTSize(n + 1)
-		}
-		return n
-	}
-	nx, ny, nz := dim(l.X), dim(l.Y), dim(l.Z)
 	if p.fft == nil || nx != p.nx || ny != p.ny || nz != p.nz {
 		p.nx, p.ny, p.nz = nx, ny, nz
 		p.fft = NewFFT3D(nx, ny, nz)
@@ -136,6 +131,7 @@ func (p *PPPM) Setup(bx box.Box, natoms int, q2sum, qqr2e float64) {
 	p.denX = splineDenominator(nx, p.Order)
 	p.denY = splineDenominator(ny, p.Order)
 	p.denZ = splineDenominator(nz, p.Order)
+	return nil
 }
 
 // Compute implements Solver.

@@ -6,8 +6,8 @@ import (
 )
 
 // WriteFiles writes the trace and/or metrics dump to the given paths; an
-// empty path (or nil source) skips that output. Shared by the mdrun,
-// mdprof, and mdbench -trace/-metrics flags.
+// empty path (or nil source) skips that output. Shared by the mdrun and
+// mdbench -trace/-metrics flags.
 func WriteFiles(tr *Tracer, reg *Registry, tracePath, metricsPath string) error {
 	if tracePath != "" && tr != nil {
 		f, err := os.Create(tracePath)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -11,19 +12,15 @@ import (
 	"gomd/internal/trace"
 )
 
-// Flags is the observability flag bundle of mdrun, mdprof and mdbench:
-// Register declares the flags, Open starts what they ask for, Close
-// shuts it down and writes the end-of-run files — in one place, so an
-// error exit cannot skip the metrics shutdown or the log close.
+// Flags is the observability flag bundle of mdrun and mdbench: Register
+// declares the flags, Open starts what they ask for, Close shuts it down
+// and writes the end-of-run files — in one place, so an error exit
+// cannot skip the metrics shutdown or the log close.
 type Flags struct {
 	TracePath, MetricsPath, MetricsAddr, PprofAddr, LogPath string
 	HangTimeout                                             time.Duration
 	FlightPath                                              string
 	FlightDepth                                             int
-
-	// LaxLog downgrades an incomplete data log from an error to a warning
-	// (mdbench without -strict-log: the log is auxiliary there).
-	LaxLog bool
 
 	// Set by Open; each stays nil (and nil-safe) when its flag is unset.
 	Tracer  *Tracer
@@ -43,7 +40,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write an engine metrics JSON dump to this file")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live OpenMetrics on this address (e.g. :9100; /metrics and /metrics.json)")
 	fs.StringVar(&f.PprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
-	fs.StringVar(&f.LogPath, "log", "", "write a JSONL data log (run summary, measurements, recoveries)")
+	fs.StringVar(&f.LogPath, "log", "", "write a JSONL data log (run summary, measurements, grid cells, recoveries); a lost record fails the run")
 	fs.DurationVar(&f.HangTimeout, "hang-timeout", 0, "abort (and within -retries recover) ranks making no progress for this long, with a parked-primitive diagnosis (0 = off)")
 }
 
@@ -104,10 +101,8 @@ func (f *Flags) Close(stderr io.Writer) error {
 			logErr = cerr
 		}
 	}
-	if logErr != nil && f.LaxLog {
-		fmt.Fprintf(stderr, "%s: warning: data log incomplete: %v\n", f.cmd, logErr)
-	} else if logErr != nil && err == nil {
-		err = fmt.Errorf("data log incomplete: %w", logErr)
+	if logErr != nil {
+		err = errors.Join(err, fmt.Errorf("data log incomplete: %w", logErr))
 	}
 	return err
 }

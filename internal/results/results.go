@@ -2,7 +2,7 @@
 // carries so that two records can be told comparable: which host made it
 // (Fingerprint), from which commit (GitSHA), and under which generating
 // configuration (ConfigHash). bench/ stamps its result files with the
-// first two; the mdsweep campaign manifest uses all three.
+// first two; the mdbench -grid campaign manifest uses all three.
 package results
 
 import (

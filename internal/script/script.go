@@ -21,7 +21,7 @@
 // box or a create_atoms may hold at most atom.MaxAtoms lattice sites,
 // create_box at most maxTypes atom types, and the first run refuses a
 // cutoff that would grid the box into more than maxCells neighbor bins
-// or Ewald k-vectors.
+// (the engine refuses an Ewald k-vector cube over the same bound).
 package script
 
 import (
@@ -105,12 +105,11 @@ var ErrOutsideRoot = errors.New("script: file path escapes the job directory")
 const maxTypes = 1024
 
 // maxCells bounds the cells a run grids space into: the neighbor list
-// bins the box and its ghost shell at half the pair cutoff plus skin,
-// and Ewald sums over a cube of k-vectors as many across as the box
-// spans 2π/kcut. A cutoff tiny against the box (or an Ewald accuracy
-// near zero) would ask for more than any host has memory; 16 per atom
-// of the largest system leaves room for sparse boxes. It is the cap the
-// engine's neighbor list applies at every build.
+// bins the box and its ghost shell at half the pair cutoff plus skin. A
+// cutoff tiny against the box would ask for more than any host has
+// memory; 16 per atom of the largest system leaves room for sparse
+// boxes. It is the cap the engine's neighbor list applies at every
+// build, and the k-space solvers at setup.
 const maxCells = neighbor.MaxBins
 
 // path resolves a script's file argument under Root.
@@ -965,7 +964,8 @@ func (in *Interp) writeDumpFrames() error {
 // finalize assembles the core.Simulation from accumulated state; the
 // parse has already seen units, a box, a pair style with coefficients
 // and a fix. It refuses an empty system and one that would grid space
-// into more than maxCells neighbor bins or Ewald k-vectors.
+// into more than maxCells neighbor bins; the engine constructor refuses
+// an Ewald k-vector cube over the same bound.
 func (in *Interp) finalize() error {
 	if in.st.N == 0 {
 		return fmt.Errorf("no atoms created")
@@ -974,14 +974,6 @@ func (in *Interp) finalize() error {
 	l := in.bx.Lengths()
 	if bins := (2*l.X/cut + 4) * (2*l.Y/cut + 4) * (2*l.Z/cut + 4); !(cut > 0 && bins <= maxCells) {
 		return fmt.Errorf("pair cutoff + skin %g bins the box into %.3g neighbor cells, over the limit of %d", cut, bins, maxCells)
-	}
-	if ew, ok := in.kspaceS.(*kspace.Ewald); ok {
-		// Ewald.Setup's k-vector loop bounds.
-		kcut := 2 * kspace.SplitParameter(ew.Accuracy, ew.RCut) * math.Sqrt(-math.Log(ew.Accuracy))
-		across := func(l float64) float64 { return 2*math.Floor(kcut*l/(2*math.Pi)+1) + 1 }
-		if k := across(l.X) * across(l.Y) * across(l.Z); !(k <= maxCells) {
-			return fmt.Errorf("ewald over a %.3g k-vector cube, over the limit of %d", k, maxCells)
-		}
 	}
 	cfg := core.Config{
 		Name:         "script",
@@ -1001,8 +993,9 @@ func (in *Interp) finalize() error {
 		ThermoEvery:  in.thermoN,
 		ThermoTo:     in.Out,
 	}
-	in.sim = core.New(cfg, in.st)
-	return nil
+	sim, err := core.NewWithBackend(cfg, in.st, &core.SerialBackend{})
+	in.sim = sim
+	return err
 }
 
 // typ parses an atom type, which must be in 1..ntypes.

@@ -109,10 +109,23 @@ type Options struct {
 	ThermoEvery    int
 }
 
+// CheckKspaceAccuracy accepts a KspaceAccuracy of 0 (the default) or
+// in (0, 1): a relative error threshold outside it (NaN included) has no
+// PPPM mesh, or none a host could allocate.
+func CheckKspaceAccuracy(acc float64) error {
+	if acc != 0 && !(acc > 0 && acc < 1) {
+		return fmt.Errorf("workload: kspace accuracy %g is not in (0, 1)", acc)
+	}
+	return nil
+}
+
 // Build constructs the benchmark as a ready-to-wire configuration and
 // populated atom store. The caller chooses the execution backend (serial
 // core.New or a decomposed domain.New).
 func Build(n Name, o Options) (core.Config, *atom.Store, error) {
+	if err := CheckKspaceAccuracy(o.KspaceAccuracy); err != nil {
+		return core.Config{}, nil, err
+	}
 	if o.Atoms == 0 {
 		o.Atoms = 32000
 	}
