@@ -22,6 +22,10 @@
 // -check-every enables the numerical guardrails (NaN/Inf forces and
 // energies, lost atoms).
 //
+// The run flags are one harness.RunSpec, the recipe mdserve and mdbench
+// build their runs from: a value its Validate refuses (-ranks 0, a
+// negative -atoms or -retries, ...) exits 2 before any file is opened.
+//
 // Usage:
 //
 //	mdrun -bench lj -atoms 32000 -steps 200 -thermo 20
@@ -68,15 +72,11 @@ import (
 	"syscall"
 	"time"
 
-	"gomd/internal/atom"
 	"gomd/internal/core"
-	"gomd/internal/fault"
 	"gomd/internal/harness"
 	"gomd/internal/mpi"
 	"gomd/internal/obs"
-	"gomd/internal/pair"
 	"gomd/internal/script"
-	"gomd/internal/workload"
 )
 
 func main() {
@@ -110,28 +110,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 func runContext(soft context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mdrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var rs harness.RunSpec
+	fs.StringVar(&rs.Workload, "bench", "lj", "workload: rhodo, lj, chain, eam, chute")
+	fs.IntVar(&rs.Atoms, "atoms", 32000, "approximate atom count")
+	fs.IntVar(&rs.Steps, "steps", 100, "the run's total length in timesteps (a resumed run stops here too)")
+	fs.IntVar(&rs.Ranks, "ranks", 1, "MPI ranks")
+	fs.IntVar(&rs.Workers, "workers", 1, "intra-rank worker-pool width for pair/neighbor/PPPM kernels")
+	fs.IntVar(&rs.Thermo, "thermo", 10, "thermo output interval")
+	fs.Uint64Var(&rs.Seed, "seed", 42, "RNG seed")
+	fs.StringVar(&rs.Precision, "precision", "double", "pair arithmetic: single, mixed, double")
+	fs.Float64Var(&rs.KspaceAcc, "kspace-acc", 0, "rhodo PPPM relative error threshold (default 1e-4)")
+	fs.IntVar(&rs.CheckpointEvery, "checkpoint-every", 0, "write a restart checkpoint every N steps (0 = off)")
+	fs.IntVar(&rs.KeepCheckpoints, "keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
+	fs.IntVar(&rs.Retries, "retries", 0, "automatic recoveries from rank failures")
+	fs.StringVar(&rs.Fault, "fault", "", "deterministic fault injection, e.g. kill:rank=1,step=50;nan:rank=0,step=30")
+	fs.IntVar(&rs.CheckEvery, "check-every", 0, "run numerical guardrails (NaN/Inf/lost-atom) every N steps (0 = off)")
 	var (
-		inFile    = fs.String("in", "", "LAMMPS-style input script (overrides -bench)")
-		bench     = fs.String("bench", "lj", "workload: rhodo, lj, chain, eam, chute")
-		atoms     = fs.Int("atoms", 32000, "approximate atom count")
-		steps     = fs.Int("steps", 100, "the run's total length in timesteps (a resumed run stops here too)")
-		ranks     = fs.Int("ranks", 1, "MPI ranks")
-		workers   = fs.Int("workers", 1, "intra-rank worker-pool width for pair/neighbor/PPPM kernels")
-		thermo    = fs.Int("thermo", 10, "thermo output interval")
-		seed      = fs.Uint64("seed", 42, "RNG seed")
-		prec      = fs.String("precision", "double", "pair arithmetic: single, mixed, double")
-		kacc      = fs.Float64("kspace-acc", 0, "rhodo PPPM relative error threshold (default 1e-4)")
-		ckptEvery = fs.Int("checkpoint-every", 0, "write a restart checkpoint every N steps (0 = off)")
-		ckptPath  = fs.String("checkpoint", "mdrun.ckpt", "checkpoint file path")
-		ckptKeep  = fs.Int("keep-checkpoints", 1, "checkpoint generations to retain (N>1 rotates path -> path.1 -> ...)")
-		retries   = fs.Int("retries", 0, "automatic recoveries from rank failures")
-		faultSpec = fs.String("fault", "", "deterministic fault injection, e.g. kill:rank=1,step=50;nan:rank=0,step=30")
-		chkEvery  = fs.Int("check-every", 0, "run numerical guardrails (NaN/Inf/lost-atom) every N steps (0 = off)")
-		listen    = fs.String("listen", "", "host rank 0 over TCP: listen on this address and wait for the other ranks to -join")
-		join      = fs.String("join", "", "join a TCP world at this coordinator address (requires -rank)")
-		rank      = fs.Int("rank", -1, "the rank this joiner process hosts (with -join)")
-		rvTO      = fs.Duration("rendezvous-timeout", 30*time.Second, "bound on every TCP rendezvous phase (dial, hello, mesh, ready/go)")
-		of        obs.Flags
+		inFile   = fs.String("in", "", "LAMMPS-style input script (overrides -bench)")
+		ckptPath = fs.String("checkpoint", "mdrun.ckpt", "checkpoint file path")
+		listen   = fs.String("listen", "", "host rank 0 over TCP: listen on this address and wait for the other ranks to -join")
+		join     = fs.String("join", "", "join a TCP world at this coordinator address (requires -rank)")
+		rank     = fs.Int("rank", -1, "the rank this joiner process hosts (with -join)")
+		rvTO     = fs.Duration("rendezvous-timeout", 30*time.Second, "bound on every TCP rendezvous phase (dial, hello, mesh, ready/go)")
+		of       obs.Flags
 	)
 	of.Register(fs)
 	of.RegisterFlight(fs)
@@ -143,32 +144,23 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 		return 2
 	}
 
-	tcpMode := *listen != "" || *join != ""
-	if tcpMode {
+	if *listen != "" || *join != "" {
 		switch {
 		case *listen != "" && *join != "":
 			return usage("-listen and -join are mutually exclusive")
-		case *ranks < 2:
+		case rs.Ranks < 2:
 			return usage("TCP worlds need -ranks >= 2 (pass the same -ranks to every process)")
-		case *join != "" && (*rank < 1 || *rank >= *ranks):
+		case *join != "" && (*rank < 1 || *rank >= rs.Ranks):
 			return usage("-join requires -rank between 1 and ranks-1 (rank 0 is the coordinator's)")
 		case *inFile != "":
 			return usage("-in scripts run serial and cannot span processes")
 		}
 	}
-	name, err := workload.Parse(*bench)
+	// The run flags are checked even under -in, which reads none of them:
+	// one rule for every invocation.
+	sup, err := rs.Supervisor()
 	if err != nil {
 		return usage(err.Error())
-	}
-	precision, err := pair.ParsePrecision(*prec)
-	if err != nil {
-		return usage(err.Error())
-	}
-	var inj *fault.Injector
-	if *faultSpec != "" {
-		if inj, err = fault.Parse(*faultSpec, *seed); err != nil {
-			return usage(err.Error())
-		}
 	}
 
 	if err := of.Open(stderr); err != nil {
@@ -178,35 +170,10 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 	if *inFile != "" {
 		code = runScript(soft, *inFile, stdout, stderr)
 	} else {
-		sup := &harness.Supervisor{
-			Factory: func() (core.Config, *atom.Store, error) {
-				cfg, st, err := workload.Build(name, workload.Options{
-					Atoms:          *atoms,
-					Precision:      precision,
-					KspaceAccuracy: *kacc,
-					Seed:           *seed,
-					ThermoEvery:    *thermo,
-				})
-				cfg.ThermoTo = nil // the driver's frames speak for the world
-				cfg.Trace = of.Tracer
-				cfg.Metrics = of.Metrics
-				cfg.Workers = *workers
-				cfg.CheckEvery = *chkEvery
-				cfg.Fault = inj
-				return cfg, st, err
-			},
-			Ranks:           max(*ranks, 1),
-			CheckpointEvery: *ckptEvery,
-			CheckpointPath:  *ckptPath,
-			KeepCheckpoints: *ckptKeep,
-			Retries:         *retries,
-			HangTimeout:     of.HangTimeout,
-			Metrics:         of.Metrics,
-			Tracer:          of.Tracer,
-			Trace:           of.Log,
-			FlightPath:      of.FlightPath,
-			FlightDepth:     of.FlightDepth,
-		}
+		sup.CheckpointPath = *ckptPath
+		sup.HangTimeout = of.HangTimeout
+		sup.Metrics, sup.Tracer, sup.Trace = of.Metrics, of.Tracer, of.Log
+		sup.FlightPath, sup.FlightDepth = of.FlightPath, of.FlightDepth
 		// Multi-process mode: every process (coordinator and joiners) runs
 		// the same supervised loop; the WorldBuilder re-runs this process'
 		// side of the rendezvous on every build, so a recovery reassembles
@@ -214,7 +181,7 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 		out := stdout
 		if *listen != "" {
 			sup.WorldBuilder = func() (*mpi.World, error) {
-				co, err := mpi.ListenTCP(*listen, *ranks)
+				co, err := mpi.ListenTCP(*listen, rs.Ranks)
 				if err != nil {
 					return nil, err
 				}
@@ -229,7 +196,7 @@ func runContext(soft context.Context, args []string, stdout, stderr io.Writer) i
 			// the world.
 			out = io.Discard
 		}
-		code = runWorld(soft, out, stderr, sup, *bench, *steps, *thermo)
+		code = runWorld(soft, out, stderr, sup, rs.Workload, rs.Steps, rs.Thermo)
 	}
 	if err := of.Close(stderr); err != nil && code == 0 {
 		code = fail(stderr, err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,24 +58,48 @@ func TestExitCodes(t *testing.T) {
 		{"unknown-precision", []string{"-precision", "quad"}, 2, "single, mixed, double"},
 		{"malformed-fault", []string{"-fault", "kill:rank"}, 2, ""},
 		{"unknown-flag", []string{"-no-such-flag"}, 2, ""},
-		// Build refuses the threshold before any mesh is sized; it used to
-		// size and allocate a 16384-cubed mesh and run out of memory.
-		{"kspace-acc-negative", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "-1"}, 1, "kspace accuracy -1 is not in (0, 1)"},
-		{"kspace-acc-nan", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "NaN"}, 1, "kspace accuracy NaN is not in (0, 1)"},
+		// The run flags' rule is harness.RunSpec.Validate, mdbench's
+		// messages: each out-of-range value is refused before anything runs.
+		{"atoms-negative", []string{"-atoms", "-5", "-steps", "10"}, 2, "harness: atoms -5 is negative"},
+		{"steps-negative", []string{"-atoms", "256", "-steps", "-5"}, 2, "harness: steps -5 is below 1"},
+		{"thermo-negative", []string{"-atoms", "256", "-steps", "10", "-thermo", "-1"}, 2, "harness: thermo -1 is negative"},
+		{"workers-negative", []string{"-atoms", "256", "-steps", "10", "-workers", "-1"}, 2, "harness: workers -1 is negative"},
+		{"retries-negative", []string{"-atoms", "256", "-steps", "10", "-retries", "-1"}, 2, "harness: retries -1 is negative"},
+		{"checkpoint-every-negative", []string{"-atoms", "256", "-steps", "10", "-checkpoint-every", "-1"}, 2, "harness: checkpoint every -1 is negative"},
+		{"keep-checkpoints-negative", []string{"-atoms", "256", "-steps", "10", "-keep-checkpoints", "-1"}, 2, "harness: keep checkpoints -1 is negative"},
+		{"ranks-negative", []string{"-atoms", "256", "-steps", "10", "-ranks", "-1"}, 2, "harness: ranks -1 is below 1"},
+		{"ranks-zero", []string{"-atoms", "256", "-steps", "10", "-ranks", "0"}, 2, "harness: ranks 0 is below 1"},
+		{"check-every-negative", []string{"-atoms", "256", "-steps", "10", "-check-every", "-1"}, 2, "harness: check every -1 is negative"},
+		// Refused before any mesh is sized; it used to size and allocate a
+		// 16384-cubed mesh and run out of memory.
+		{"kspace-acc-negative", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "-1"}, 2, "kspace accuracy -1 is not in (0, 1)"},
+		{"kspace-acc-nan", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "NaN"}, 2, "kspace accuracy NaN is not in (0, 1)"},
 		// In range, but no mesh meets it: the constructor's typed refusal.
 		{"kspace-acc-unreachable", []string{"-bench", "rhodo", "-atoms", "3000", "-steps", "5", "-kspace-acc", "1e-300"}, 1, "kspace-grid"},
 		{"store-atom-count-mismatch", []string{"-atoms", "256", "-checkpoint-every", "10", "-checkpoint", store}, 1, "checkpoint holds 500 atoms, the workload builds 256"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			code, out, errOut := mdrun(t, tc.args...)
+			// A usage error opens no output file: point every one at a
+			// fresh directory and expect it to stay empty.
+			dir := t.TempDir()
+			args := tc.args
+			if tc.want == 2 {
+				args = append(slices.Clone(args), "-checkpoint", filepath.Join(dir, "run.ckpt"),
+					"-log", filepath.Join(dir, "run.jsonl"), "-trace", filepath.Join(dir, "trace.json"),
+					"-metrics", filepath.Join(dir, "metrics.json"), "-flight", filepath.Join(dir, "flight.jsonl"))
+			}
+			code, out, errOut := mdrun(t, args...)
 			if code != tc.want {
 				t.Errorf("exit %d, want %d\nstderr: %s", code, tc.want, errOut)
 			}
 			if errOut == "" || !strings.Contains(errOut, tc.stderr) {
 				t.Errorf("stderr %q lacks %q", errOut, tc.stderr)
 			}
-			if len(stepLines(out)) != 0 {
-				t.Errorf("ran steps before failing:\n%s", out)
+			if (tc.want == 2 && out != "") || len(stepLines(out)) != 0 {
+				t.Errorf("printed before failing:\n%s", out)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("a usage error left %d file(s) behind, the first %s", len(left), left[0].Name())
 			}
 		})
 	}

@@ -120,43 +120,6 @@ func (b Box) ScaleIsotropic(s float64) Box {
 	return out
 }
 
-// Sub describes one rectangular sub-domain of a decomposed box.
-type Sub struct {
-	Lo, Hi vec.V3
-	// Coord is the integer coordinate of the sub-domain in the processor
-	// grid.
-	Coord [3]int
-}
-
-// Decompose splits the box into a px × py × pz processor grid of equal
-// rectangular sub-domains, listed in x-fastest order (rank = x + px*(y +
-// py*z)), matching the LAMMPS brick decomposition.
-func (b Box) Decompose(px, py, pz int) []Sub {
-	if px < 1 || py < 1 || pz < 1 {
-		panic("box: non-positive processor grid")
-	}
-	l := b.Lengths()
-	subs := make([]Sub, 0, px*py*pz)
-	for z := 0; z < pz; z++ {
-		for y := 0; y < py; y++ {
-			for x := 0; x < px; x++ {
-				frac := func(i, n int, lo, ln float64) (float64, float64) {
-					return lo + ln*float64(i)/float64(n), lo + ln*float64(i+1)/float64(n)
-				}
-				xlo, xhi := frac(x, px, b.Lo.X, l.X)
-				ylo, yhi := frac(y, py, b.Lo.Y, l.Y)
-				zlo, zhi := frac(z, pz, b.Lo.Z, l.Z)
-				subs = append(subs, Sub{
-					Lo:    vec.New(xlo, ylo, zlo),
-					Hi:    vec.New(xhi, yhi, zhi),
-					Coord: [3]int{x, y, z},
-				})
-			}
-		}
-	}
-	return subs
-}
-
 // Owner returns the processor-grid coordinate owning position p under a
 // px × py × pz decomposition. Positions must already be wrapped into the
 // primary cell.

@@ -100,47 +100,6 @@ func TestSlabNonPeriodicZ(t *testing.T) {
 	}
 }
 
-func TestDecomposePartition(t *testing.T) {
-	b := periodicBox()
-	subs := b.Decompose(2, 3, 4)
-	if len(subs) != 24 {
-		t.Fatalf("expected 24 sub-domains, got %d", len(subs))
-	}
-	var vol float64
-	for _, s := range subs {
-		vol += s.Hi.Sub(s.Lo).Volume()
-	}
-	if math.Abs(vol-b.Volume()) > 1e-9*b.Volume() {
-		t.Errorf("sub-domain volumes %v != box volume %v", vol, b.Volume())
-	}
-	// Rank layout: x fastest.
-	if subs[1].Coord != [3]int{1, 0, 0} || subs[2].Coord != [3]int{0, 1, 0} {
-		t.Errorf("unexpected coordinate order: %v %v", subs[1].Coord, subs[2].Coord)
-	}
-}
-
-func TestOwnerConsistentWithDecompose(t *testing.T) {
-	b := periodicBox()
-	px, py, pz := 3, 2, 2
-	subs := b.Decompose(px, py, pz)
-	f := func(x, y, z float64) bool {
-		if math.Abs(x) > 1e5 || math.Abs(y) > 1e5 || math.Abs(z) > 1e5 ||
-			x != x || y != y || z != z {
-			return true
-		}
-		p, _ := b.Wrap(vec.New(x, y, z))
-		c := b.Owner(p, px, py, pz)
-		s := subs[c[0]+px*(c[1]+py*c[2])]
-		eps := 1e-9
-		return p.X >= s.Lo.X-eps && p.X <= s.Hi.X+eps &&
-			p.Y >= s.Lo.Y-eps && p.Y <= s.Hi.Y+eps &&
-			p.Z >= s.Lo.Z-eps && p.Z <= s.Hi.Z+eps
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestScaleIsotropic(t *testing.T) {
 	b := periodicBox()
 	s := b.ScaleIsotropic(1.1)
@@ -180,13 +139,4 @@ func TestStringContainsBounds(t *testing.T) {
 	if !strings.Contains(s, "box[") || !strings.Contains(s, "periodic") {
 		t.Errorf("String(): %q", s)
 	}
-}
-
-func TestDecomposePanicsOnBadGrid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Decompose(0,1,1) must panic")
-		}
-	}()
-	periodicBox().Decompose(0, 1, 1)
 }

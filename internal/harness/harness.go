@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"gomd/internal/atom"
 	"gomd/internal/core"
 	"gomd/internal/domain"
 	"gomd/internal/kspace"
@@ -77,16 +76,8 @@ func (o Options) WithDefaults() Options {
 // Validate reports a negative fidelity option or worker width (zero
 // selects the default).
 func (o Options) Validate() error {
-	var err error
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"measure cap", o.MeasureCap}, {"steps", o.Steps}, {"warmup", o.Warmup}, {"workers", o.Workers}} {
-		if f.v < 0 {
-			err = errors.Join(err, fmt.Errorf("harness: %s %d is negative", f.name, f.v))
-		}
-	}
-	return err
+	return errors.Join(nonNegative("measure cap", o.MeasureCap), nonNegative("steps", o.Steps),
+		nonNegative("warmup", o.Warmup), nonNegative("workers", o.Workers))
 }
 
 // Spec identifies one experimental configuration.
@@ -108,6 +99,13 @@ func (s Spec) Validate() error {
 func atLeastOne(name string, v int) error {
 	if v < 1 {
 		return fmt.Errorf("harness: %s %d is below 1", name, v)
+	}
+	return nil
+}
+
+func nonNegative(name string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("harness: %s %d is negative", name, v)
 	}
 	return nil
 }
@@ -185,33 +183,26 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 	// scaling stage, and the remaining counters (pair/bond/fix work,
 	// spread and interpolation stencils) do not depend on it. This keeps
 	// 1e-7-threshold studies tractable: the engine never has to allocate
-	// or transform the gigantic target meshes it is pricing.
-	wopts := workload.Options{
-		Atoms:     nrun,
-		Precision: pair.Double, // counters are precision-independent
-		Seed:      o.Seed,
-	}
-	factory := func() (core.Config, *atom.Store, error) {
-		cfg, st, err := workload.Build(spec.Workload, wopts)
-		cfg.Trace = r.SpanTrace
-		cfg.Metrics = r.Metrics
-		cfg.Workers = o.Workers
-		cfg.CheckEvery = o.CheckEvery
-		return cfg, st, err
+	// or transform the gigantic target meshes it is pricing. Counters are
+	// precision-independent too, so the run is double precision.
+	rs := RunSpec{
+		Workload:   string(spec.Workload),
+		Atoms:      nrun,
+		Steps:      o.Warmup + o.Steps, // the least a measurement runs
+		Ranks:      spec.Ranks,
+		Workers:    o.Workers,
+		Seed:       o.Seed,
+		CheckEvery: o.CheckEvery,
 	}
 	for attempt := 0; attempt < 8; attempt++ {
-		sup := &Supervisor{
-			Factory:     factory,
-			Ranks:       spec.Ranks,
-			HangTimeout: o.HangTimeout,
-			Metrics:     r.Metrics,
-			Tracer:      r.SpanTrace,
-			Trace:       r.Trace,
+		sup, err := rs.Supervisor()
+		if err != nil {
+			return nil, err
 		}
+		sup.HangTimeout, sup.Metrics, sup.Tracer, sup.Trace = o.HangTimeout, r.Metrics, r.SpanTrace, r.Trace
 		if err := sup.Start(); errors.Is(err, domain.ErrSubdomainTooSmall) {
 			// Sub-domain too small for the halo: grow the measured size.
-			nrun = nrun * 2
-			wopts.Atoms = nrun
+			rs.Atoms *= 2
 			continue
 		} else if err != nil {
 			return nil, err

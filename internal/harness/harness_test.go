@@ -61,7 +61,8 @@ func TestMeasurementCacheReuse(t *testing.T) {
 
 // TestMeasureGrowsOnlyTooSmallSubdomains: a decomposition too fine for
 // the requested size grows the measured system until it fits; any other
-// start failure is returned as is, not retried as a bigger system.
+// failure to start is returned as is, not retried as a bigger system —
+// here the run recipe's refusal of an unknown workload.
 func TestMeasureGrowsOnlyTooSmallSubdomains(t *testing.T) {
 	r := harness.NewRunner(harness.Options{MeasureCap: 100, Steps: 2, Warmup: 1})
 	m, err := r.Measure(harness.Spec{Workload: workload.LJ, AtomsK: 1, Ranks: 8})
@@ -72,8 +73,8 @@ func TestMeasureGrowsOnlyTooSmallSubdomains(t *testing.T) {
 		t.Errorf("measured %d atoms, want the 100-atom cap grown", m.NMeasured)
 	}
 	_, err = r.Measure(harness.Spec{Workload: "nope", AtomsK: 1, Ranks: 2})
-	if err == nil || !strings.Contains(err.Error(), `unknown benchmark "nope"`) {
-		t.Fatalf("unknown workload: %v, want the build error itself", err)
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "nope"`) {
+		t.Fatalf("unknown workload: %v, want the recipe's error itself", err)
 	}
 }
 

@@ -78,11 +78,12 @@ type Supervisor struct {
 	Retries int
 	Backoff time.Duration
 
-	// Observability: recoveries are counted in Metrics
-	// (recover.attempts, recover.rank_errors{rank=r},
+	// Observability, all optional. Every rank records its spans to Tracer
+	// and publishes its live gauges to Metrics. Recoveries are counted in
+	// Metrics (recover.attempts, recover.rank_errors{rank=r},
 	// recover.ckpt_rejected), marked on the failed rank's span timeline,
 	// and logged to Trace (recovery, checkpoint-verify,
-	// checkpoint-restore events). All optional.
+	// checkpoint-restore events).
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 	Trace   *trace.Logger
@@ -113,8 +114,9 @@ func (s *Supervisor) sharded() bool {
 	return s.WorldBuilder != nil && s.CheckpointEvery > 0 && s.CheckpointPath != ""
 }
 
-// wrapFactory injects the supervisor's checkpoint sink and health
-// monitor into the workload configs (no-op when neither is enabled).
+// wrapFactory injects the supervisor's checkpoint sink, health monitor,
+// flight recorder, span tracer and metrics registry into the workload
+// configs: the supervisor, not the factory, owns a run's observability.
 func (s *Supervisor) wrapFactory() domain.Factory {
 	var sink func(*core.Simulation) error
 	switch {
@@ -147,9 +149,6 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 		// retained tail spans recovery attempts.
 		s.flight = obs.NewFlight(s.Ranks, s.FlightDepth)
 	}
-	if sink == nil && s.monitor == nil && s.flight == nil {
-		return s.Factory
-	}
 	return func() (core.Config, *atom.Store, error) {
 		cfg, st, err := s.Factory()
 		if sink != nil {
@@ -170,6 +169,8 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 		}
 		cfg.Health = s.monitor
 		cfg.Flight = s.flight
+		cfg.Trace = s.Tracer
+		cfg.Metrics = s.Metrics
 		return cfg, st, err
 	}
 }

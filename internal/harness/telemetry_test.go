@@ -10,24 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"gomd/internal/atom"
-	"gomd/internal/core"
 	"gomd/internal/fault"
 	"gomd/internal/obs"
 	"gomd/internal/trace"
 	"gomd/internal/workload"
 )
-
-// metricsFactory wires a metrics registry into every rank config, the
-// way mdrun's factory does.
-func metricsFactory(name workload.Name, atoms, workers int, inj *fault.Injector, reg *obs.Registry) func() (core.Config, *atom.Store, error) {
-	base := wlFactory(name, atoms, workers, inj)
-	return func() (core.Config, *atom.Store, error) {
-		cfg, st, err := base()
-		cfg.Metrics = reg
-		return cfg, st, err
-	}
-}
 
 // scrape GETs one exposition and sanity-checks its framing.
 func scrape(t *testing.T, addr string) string {
@@ -56,7 +43,7 @@ func TestTelemetryLiveScrape(t *testing.T) {
 	const ranks, workers, steps = 4, 2, 80
 	reg := obs.NewRegistry()
 	sup := &Supervisor{
-		Factory: metricsFactory(workload.Rhodo, 1500, workers, nil, reg),
+		Factory: wlFactory(workload.Rhodo, 1500, workers, nil),
 		Ranks:   ranks,
 		Metrics: reg,
 	}

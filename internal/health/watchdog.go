@@ -66,6 +66,10 @@ func (e *HangError) Error() string {
 	return b.String()
 }
 
+// minScanInterval floors a watchdog's scan period, a quarter of its
+// Deadline.
+const minScanInterval = 10 * time.Millisecond
+
 // Watchdog turns heartbeat silence into a structured world abort. One
 // watchdog spans one engine-run attempt: start it when the ranks begin
 // stepping, stop it before tearing the engine down (between attempts
@@ -76,8 +80,6 @@ type Watchdog struct {
 	// Deadline is the per-rank progress bound: a rank whose beat count
 	// does not change for this long is hung.
 	Deadline time.Duration
-	// Interval is the scan period (default Deadline/4, floored at 10ms).
-	Interval time.Duration
 	// World, when set, supplies comm-state snapshots for the diagnosis
 	// and receives the abort. Optional: without it the diagnosis carries
 	// heartbeats only and OnHang must be set.
@@ -125,13 +127,7 @@ func (w *Watchdog) Stop() {
 
 func (w *Watchdog) loop() {
 	defer close(w.done)
-	interval := w.Interval
-	if interval == 0 {
-		interval = w.Deadline / 4
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
+	interval := max(w.Deadline/4, minScanInterval)
 	n := w.Mon.Ranks()
 	// Scan only the ranks this process hosts: on a process-spanning
 	// (TCP) world, remote ranks never beat into the local monitor, and

@@ -29,7 +29,8 @@ func allocated(fn func()) uint64 {
 // panics, and allocates at most 1 MiB + 32 bytes per input byte. An
 // admitted spec is runnable as the scheduler reads it — one of workload
 // or script, a tenant, at least one rank and worker and step for a
-// workload — and normalizing it again changes nothing.
+// workload and no negative count — and normalizing it again changes
+// nothing.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
 		`{"workload":"lj","steps":20}`,
@@ -42,6 +43,12 @@ func FuzzJobSpec(f *testing.F) {
 		`{"workload":"lj","steps":1,"nope":1}`,
 		`{"workload":"nope","steps":1}`,
 		`{}`, `[]`, `null`, ``, `{"steps":`,
+		`{"workload":"lj","steps":10,"ranks":-1}`,
+		`{"workload":"lj","steps":10,"workers":-1}`,
+		`{"workload":"lj","steps":10,"thermo_every":-1}`,
+		`{"workload":"lj","steps":10,"keep_checkpoints":-1}`,
+		`{"workload":"lj","steps":10,"retries":-1}`,
+		`{"workload":"lj","steps":10,"ranks":0,"workers":0,"thermo_every":0,"keep_checkpoints":0,"retries":0}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -65,6 +72,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.Workload != "" && (spec.Steps < 1 || spec.Ranks < 1 || spec.Workers < 1 || spec.Atoms < 1) {
 			t.Fatalf("admitted workload spec %+v has no steps, ranks, workers or atoms", spec)
+		}
+		if spec.Workload != "" && (spec.ThermoEvery < 1 || spec.KeepCheckpoints < 1 || spec.CheckpointEvery < 0 || spec.Retries < 0) {
+			t.Fatalf("admitted workload spec %+v has a negative count", spec)
 		}
 		again := spec
 		if err := again.normalize(); err != nil || !reflect.DeepEqual(again, spec) {

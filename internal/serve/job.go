@@ -1,16 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
-	"gomd/internal/atom"
-	"gomd/internal/fault"
-	"gomd/internal/pair"
+	"gomd/internal/harness"
 	"gomd/internal/script"
-	"gomd/internal/workload"
 )
 
 // JobSpec is one submitted simulation. Exactly one of Workload or
@@ -51,18 +49,13 @@ func (s *JobSpec) Slots() int {
 	if s.Script != "" {
 		return 1
 	}
-	r, w := s.Ranks, s.Workers
-	if r < 1 {
-		r = 1
-	}
-	if w < 1 {
-		w = 1
-	}
-	return r * w
+	return max(s.Ranks, 1) * max(s.Workers, 1)
 }
 
 // normalize fills defaults and validates the spec, returning an error
 // that maps to a 400 (the job could never run, no point queueing it).
+// A zero field takes its default; a workload job is then held to
+// harness.RunSpec's rule, so a negative count is refused, not replaced.
 func (s *JobSpec) normalize() error {
 	if (s.Workload == "") == (s.Script == "") {
 		return errors.New("exactly one of workload or script must be set")
@@ -76,60 +69,31 @@ func (s *JobSpec) normalize() error {
 		}
 		return nil
 	}
-	if _, err := workload.Parse(s.Workload); err != nil {
-		return err
-	}
-	if s.Steps <= 0 {
-		return errors.New("steps must be > 0")
-	}
-	if s.Ranks < 1 {
-		s.Ranks = 1
-	}
-	if s.Workers < 1 {
-		s.Workers = 1
-	}
-	if s.Atoms < 0 || s.Atoms > atom.MaxAtoms {
-		return fmt.Errorf("atoms must be in 0..%d (0: the default)", atom.MaxAtoms)
-	}
-	if s.Atoms == 0 {
-		s.Atoms = 4000
-	}
-	if s.Seed == 0 {
-		s.Seed = 42
-	}
-	if s.ThermoEvery <= 0 {
-		s.ThermoEvery = 10
-	}
-	if s.CheckpointEvery < 0 {
-		return errors.New("checkpoint_every must be >= 0")
-	}
-	if s.KeepCheckpoints < 1 {
-		s.KeepCheckpoints = 2
-	}
-	if _, err := pair.ParsePrecision(s.Precision); err != nil && s.Precision != "" {
-		return err
-	}
-	if s.Fault != "" {
-		if _, err := fault.Parse(s.Fault, s.Seed); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.Ranks = cmp.Or(s.Ranks, 1)
+	s.Workers = cmp.Or(s.Workers, 1)
+	s.Atoms = cmp.Or(s.Atoms, 4000)
+	s.Seed = cmp.Or(s.Seed, 42)
+	s.ThermoEvery = cmp.Or(s.ThermoEvery, 10)
+	s.KeepCheckpoints = cmp.Or(s.KeepCheckpoints, 2)
+	return s.runSpec().Validate()
 }
 
-// options is the workload build recipe the spec pins down; every
-// resume rebuilds from the identical recipe, which is what makes a
-// restored run bit-identical to an uninterrupted one.
-func (s *JobSpec) options() workload.Options {
-	prec, err := pair.ParsePrecision(s.Precision)
-	if err != nil {
-		prec = pair.Double // "": normalize rejected every other unknown name
-	}
-	return workload.Options{
-		Atoms:       s.Atoms,
-		Precision:   prec,
-		Seed:        s.Seed,
-		ThermoEvery: s.ThermoEvery,
+// runSpec is the run recipe a workload job pins down; every resume
+// rebuilds from the identical recipe.
+func (s *JobSpec) runSpec() harness.RunSpec {
+	return harness.RunSpec{
+		Workload:        s.Workload,
+		Atoms:           s.Atoms,
+		Steps:           s.Steps,
+		Ranks:           s.Ranks,
+		Workers:         s.Workers,
+		Seed:            s.Seed,
+		Precision:       s.Precision,
+		Thermo:          s.ThermoEvery,
+		CheckpointEvery: s.CheckpointEvery,
+		KeepCheckpoints: s.KeepCheckpoints,
+		Retries:         s.Retries,
+		Fault:           s.Fault,
 	}
 }
 

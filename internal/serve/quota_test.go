@@ -97,6 +97,14 @@ func TestSpecNormalize(t *testing.T) {
 		{"atoms-at-limit", JobSpec{Workload: "lj", Steps: 1, Atoms: atom.MaxAtoms}, true},
 		{"atoms-over-limit", JobSpec{Workload: "lj", Steps: 1, Atoms: 1 << 40}, false},
 		{"atoms-negative", JobSpec{Workload: "lj", Steps: 1, Atoms: -5}, false},
+		{"steps-negative", JobSpec{Workload: "lj", Steps: -5}, false},
+		{"ranks-negative", JobSpec{Workload: "lj", Steps: 1, Ranks: -1}, false},
+		{"workers-negative", JobSpec{Workload: "lj", Steps: 1, Workers: -1}, false},
+		{"thermo-every-negative", JobSpec{Workload: "lj", Steps: 1, ThermoEvery: -1}, false},
+		{"checkpoint-every-negative", JobSpec{Workload: "lj", Steps: 1, CheckpointEvery: -1}, false},
+		{"keep-checkpoints-negative", JobSpec{Workload: "lj", Steps: 1, KeepCheckpoints: -1}, false},
+		{"retries-negative", JobSpec{Workload: "lj", Steps: 1, Retries: -1}, false},
+		{"zeros-take-defaults", JobSpec{Workload: "lj", Steps: 1, Ranks: 0, Workers: 0, ThermoEvery: 0, KeepCheckpoints: 0, Retries: 0}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +122,8 @@ func TestSpecNormalize(t *testing.T) {
 	if err := spec.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if spec.Tenant != "default" || spec.Ranks != 1 || spec.ThermoEvery <= 0 || spec.KeepCheckpoints < 1 {
+	if spec.Tenant != "default" || spec.Ranks != 1 || spec.Workers != 1 || spec.Atoms != 4000 || spec.Seed != 42 ||
+		spec.ThermoEvery != 10 || spec.KeepCheckpoints != 2 {
 		t.Fatalf("defaults not applied: %+v", spec)
 	}
 }

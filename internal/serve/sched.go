@@ -13,13 +13,11 @@ import (
 	"sync"
 	"time"
 
-	"gomd/internal/atom"
 	"gomd/internal/core"
 	"gomd/internal/fault"
 	"gomd/internal/harness"
 	"gomd/internal/obs"
 	"gomd/internal/script"
-	"gomd/internal/workload"
 )
 
 // errHardKill marks a job loop ended by the kill-daemon drill: the
@@ -497,27 +495,15 @@ func (s *Server) filesDir(job *Job) string {
 // the complete trajectory, deduped by step.
 func (s *Server) runWorkload(job *Job, ctx context.Context) (*Result, error) {
 	spec := job.Spec
-	var inj *fault.Injector
-	if spec.Fault != "" {
-		var perr error
-		if inj, perr = fault.Parse(spec.Fault, spec.Seed); perr != nil {
-			return nil, perr // unreachable: normalize validated it
-		}
+	rs := spec.runSpec()
+	// Journals written before negative retries were refused at admission
+	// may hold one; it always meant no recovery.
+	rs.Retries = max(rs.Retries, 0)
+	sup, err := rs.Supervisor()
+	if err != nil {
+		return nil, err
 	}
-	sup := &harness.Supervisor{
-		Factory: func() (core.Config, *atom.Store, error) {
-			cfg, st, err := workload.Build(workload.Name(spec.Workload), spec.options())
-			cfg.ThermoTo = nil
-			cfg.Workers = spec.Workers
-			cfg.Fault = inj
-			return cfg, st, err
-		},
-		Ranks:           spec.Ranks,
-		CheckpointEvery: spec.CheckpointEvery,
-		CheckpointPath:  s.ckptPath(job),
-		KeepCheckpoints: spec.KeepCheckpoints,
-		Retries:         spec.Retries,
-	}
+	sup.CheckpointPath = s.ckptPath(job)
 	// A requeued job resumes: with checkpointing on, Start restores its
 	// newest generation that verifies. The restored run keeps the
 	// checkpoint cadence (and so the neighbor-rebuild schedule) of the

@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,7 +17,9 @@ import (
 	"time"
 
 	"gomd/internal/ckpt"
+	"gomd/internal/core"
 	"gomd/internal/fault"
+	"gomd/internal/harness"
 	"gomd/internal/obs"
 	"gomd/internal/script"
 )
@@ -621,6 +625,109 @@ func TestServeRestartKeepsResults(t *testing.T) {
 	waitState(t, b, id2, StateDone, 60*time.Second)
 	b.Wait()
 	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServedJobEqualsDirectRun: a served job is its harness.RunSpec run
+// directly. The job is killed on rank 1 at step 30 and recovers from its
+// step-20 checkpoint; the same recipe driven by RunSpec.Supervisor on the
+// same thermo grid gives the same frames, bit for bit.
+func TestServedJobEqualsDirectRun(t *testing.T) {
+	spec := e2eSpec(60)
+	spec.Fault = "kill:rank=1,step=30"
+	spec.Retries = 1
+
+	dir := t.TempDir()
+	s := startServer(t, dir, Limits{}, "")
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitState(t, s, id, StateDone, 60*time.Second); st.Recoveries != 1 {
+		t.Fatalf("served job recovered %d times, want 1", st.Recoveries)
+	}
+	served := loadFrames(filepath.Join(dir, id+".frames.jsonl"))
+	s.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := spec.runSpec().Supervisor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.CheckpointPath = filepath.Join(t.TempDir(), "direct.ckpt")
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	var direct []Frame
+	if _, err := sup.Drive(context.Background(), context.Background(), harness.Drive{
+		Target: int64(spec.Steps),
+		Every:  spec.ThermoEvery,
+		Frame: func(th core.Thermo) error {
+			direct = append(direct, Frame{Step: th.Step, Temp: th.Temperature, Prs: th.Pressure,
+				PE: th.PotEnergy, KE: th.KinEnergy, Etot: th.TotalEnergy})
+			return nil
+		},
+	}); err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	if sup.Attempts() != 1 {
+		t.Fatalf("direct run recovered %d times, want 1", sup.Attempts())
+	}
+	if len(served) != 6 || len(direct) != len(served) {
+		t.Fatalf("served %d frames, direct %d, want 6 each", len(served), len(direct))
+	}
+	for i, a := range served {
+		b := direct[i]
+		av := []float64{float64(a.Step), a.Temp, a.Prs, a.PE, a.KE, a.Etot}
+		bv := []float64{float64(b.Step), b.Temp, b.Prs, b.PE, b.KE, b.Etot}
+		for k := range av {
+			if math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
+				t.Fatalf("frame %d differs: served %+v, direct %+v", i, a, b)
+			}
+		}
+	}
+}
+
+// TestJournaledNegativeRetriesRuns: admission now refuses a negative
+// retries, but a journal written when it was accepted still holds one. A
+// restarted daemon replays that job and runs it to done, as it did.
+func TestJournaledNegativeRetriesRuns(t *testing.T) {
+	spec := JobSpec{Tenant: "default", Workload: "lj", Atoms: 256, Steps: 20, Ranks: 1, Workers: 1,
+		Seed: 42, ThermoEvery: 10, KeepCheckpoints: 2, Retries: -1}
+	if probe := spec; probe.normalize() == nil {
+		t.Fatal("admission accepted retries -1")
+	}
+	dir := t.TempDir()
+	jr, _, err := OpenJournal(filepath.Join(dir, "serve.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []State{StateQueued, StateRunning} {
+		var sp *JobSpec
+		if to == StateQueued {
+			sp = &spec
+		}
+		if err := jr.Append("j-0", to, sp, "", 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, dir, Limits{}, "")
+	waitState(t, s, "j-0", StateDone, 60*time.Second)
+	if res, _, _ := s.Result("j-0"); res == nil || res.Steps != 20 {
+		t.Fatalf("replayed job's result %+v, want 20 steps", res)
+	}
+	s.Wait()
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

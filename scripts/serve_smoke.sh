@@ -1,9 +1,10 @@
 #!/bin/sh
 # Serve-layer smoke: boot mdserve on an ephemeral port, refuse a script
-# the parser rejects, drive one small LJ job through the HTTP API to
-# completion, scrape /metrics, then SIGTERM-drain with a second job
-# running and assert a clean exit (code 0) with an intact journal. Run
-# from the repository root (make serve-smoke does).
+# the parser rejects and a spec with a negative count, drive one small
+# LJ job through the HTTP API to completion, scrape /metrics, then
+# SIGTERM-drain with a second job running and assert a clean exit
+# (code 0) with an intact journal. Run from the repository root (make
+# serve-smoke does).
 set -eu
 
 DIR=$(mktemp -d /tmp/gomd-serve-smoke.XXXXXX)
@@ -42,6 +43,17 @@ CODE=$(curl -sS -o "$DIR/poison.json" -w '%{http_code}' -X POST \
 [ "$CODE" = 400 ] || fail "poison script: HTTP $CODE, want 400"
 grep -q 'line 1' "$DIR/poison.json" && grep -q 'thermo' "$DIR/poison.json" ||
 	fail "poison script: 400 body does not name line 1 and thermo: $(cat "$DIR/poison.json")"
+
+# An out-of-range count is a 400 and never reaches the journal: zero
+# means the default, a negative value is refused, not replaced.
+SIZE=$(wc -c <"$DIR/data/serve.journal")
+CODE=$(curl -sS -o "$DIR/negative.json" -w '%{http_code}' -X POST \
+	-d '{"workload":"lj","atoms":500,"steps":10,"workers":-1}' "http://$ADDR/api/v1/jobs")
+[ "$CODE" = 400 ] || fail "workers -1: HTTP $CODE, want 400"
+grep -q 'workers -1 is negative' "$DIR/negative.json" ||
+	fail "workers -1: 400 body does not name the field: $(cat "$DIR/negative.json")"
+[ "$(wc -c <"$DIR/data/serve.journal")" -eq "$SIZE" ] ||
+	fail "workers -1: the refused spec grew the journal"
 
 # Submit a small checkpointed LJ job and poll it to completion.
 BODY='{"tenant":"ci","workload":"lj","atoms":500,"steps":40,"ranks":2,"thermo_every":10,"checkpoint_every":20}'
