@@ -3,7 +3,7 @@
 # spans from every rank goroutine, so the race run is part of the bar),
 # then an end-to-end mdbench smoke campaign and one pass of every kernel
 # benchmark.
-.PHONY: all build vet fmt-check loc test race bench bench-module wallbench bench-smoke kernel-bench sweep-smoke serve-smoke faults soak transport-check fuzz cross-build check
+.PHONY: all build vet fmt-check loc test race bench bench-module results wallbench bench-smoke kernel-bench sweep-smoke serve-smoke faults soak transport-check fuzz cross-build check
 
 all: check
 
@@ -34,6 +34,14 @@ race:
 
 bench:
 	go test -bench=. -benchmem -run=^$$ ./...
+
+# Regenerates the checked-in campaign in results/: every experiment at
+# default fidelity, rendered (full.txt), as CSV (full.csv) and its data
+# log (measurements.jsonl). ~2.5 min, so not part of check; run it after
+# any change that moves a modeled number and review the diff.
+results:
+	go run ./cmd/mdbench -exp all -csv results/full.csv \
+		-log results/measurements.jsonl > results/full.txt
 
 # bench/ is its own module (gomd/bench, replace gomd => ../), so the
 # root build/vet/test never compile it: this step is what notices when an

@@ -2,9 +2,9 @@ package box_test
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"gomd/internal/box"
 	"gomd/internal/vec"
@@ -14,39 +14,42 @@ func periodicBox() box.Box {
 	return box.NewPeriodic(vec.New(-2, 0, 1), vec.New(8, 5, 11))
 }
 
+// within4 returns 2000 seeded vectors whose every component lies within
+// four box lengths of origin's: far enough out that wrapping crosses
+// several images, and no draw is too large to check.
+func within4(b box.Box, origin vec.V3) []vec.V3 {
+	rng := rand.New(rand.NewPCG(3, 4))
+	l := b.Lengths()
+	u := func(o, ln float64) float64 { return o + ln*(8*rng.Float64()-4) }
+	out := make([]vec.V3, 2000)
+	for i := range out {
+		out[i] = vec.New(u(origin.X, l.X), u(origin.Y, l.Y), u(origin.Z, l.Z))
+	}
+	return out
+}
+
+func center(b box.Box) vec.V3 { return b.Lo.Add(b.Hi).Scale(0.5) }
+
 func TestWrapIntoBox(t *testing.T) {
 	b := periodicBox()
-	f := func(x, y, z float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 ||
-			math.IsNaN(y) || math.IsInf(y, 0) || math.Abs(y) > 1e6 ||
-			math.IsNaN(z) || math.IsInf(z, 0) || math.Abs(z) > 1e6 {
-			return true
+	for _, x := range within4(b, center(b)) {
+		if p, _ := b.Wrap(x); !b.Contains(p) {
+			t.Fatalf("Wrap(%v) = %v, outside %v", x, p, b)
 		}
-		p, _ := b.Wrap(vec.New(x, y, z))
-		return b.Contains(p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestWrapShiftConsistency(t *testing.T) {
 	b := periodicBox()
 	l := b.Lengths()
-	f := func(x, y, z float64) bool {
-		if math.Abs(x) > 1e6 || math.Abs(y) > 1e6 || math.Abs(z) > 1e6 ||
-			x != x || y != y || z != z {
-			return true
-		}
-		orig := vec.New(x, y, z)
+	for _, orig := range within4(b, center(b)) {
 		p, shift := b.Wrap(orig)
 		// Unwrap must return (nearly) the original position.
 		un := p.Sub(vec.New(
 			l.X*float64(shift[0]), l.Y*float64(shift[1]), l.Z*float64(shift[2])))
-		return un.Sub(orig).Norm() <= 1e-9*(1+orig.Norm())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+		if un.Sub(orig).Norm() > 1e-9*(1+orig.Norm()) {
+			t.Fatalf("Wrap(%v) = %v shift %v unwraps to %v", orig, p, shift, un)
+		}
 	}
 }
 
@@ -62,18 +65,11 @@ func TestWrapIdempotent(t *testing.T) {
 func TestMinImageBounds(t *testing.T) {
 	b := periodicBox()
 	l := b.Lengths()
-	f := func(dx, dy, dz float64) bool {
-		if math.Abs(dx) > 1e6 || math.Abs(dy) > 1e6 || math.Abs(dz) > 1e6 ||
-			dx != dx || dy != dy || dz != dz {
-			return true
+	for _, d := range within4(b, vec.V3{}) {
+		m := b.MinImage(d)
+		if math.Abs(m.X) > l.X/2+1e-9 || math.Abs(m.Y) > l.Y/2+1e-9 || math.Abs(m.Z) > l.Z/2+1e-9 {
+			t.Fatalf("MinImage(%v) = %v, longer than half of %v", d, m, l)
 		}
-		m := b.MinImage(vec.New(dx, dy, dz))
-		return math.Abs(m.X) <= l.X/2+1e-9 &&
-			math.Abs(m.Y) <= l.Y/2+1e-9 &&
-			math.Abs(m.Z) <= l.Z/2+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"gomd/internal/atom"
 	"gomd/internal/core"
 	"gomd/internal/kspace"
 	"gomd/internal/mpi"
@@ -42,35 +43,17 @@ func runAblSkin(r *Runner, _ CampaignSpec) ([]Table, error) {
 		// Displacement-triggered rebuilds so the cadence reflects the skin.
 		cfg.NeighEvery = 1
 		cfg.NeighNoCheck = false
-		sim := core.New(cfg, st)
-		sim.Run(10) // transient
-		base := sim.Counters
 		steps := 60
-		sim.Run(steps)
-		c := diffCounters(sim.Counters, base)
+		c, out := serialWindow(cfg, st, 10, steps)
 
 		interval := float64(steps)
 		if c.NeighBuilds > 0 {
 			interval = float64(steps) / float64(c.NeighBuilds)
 		}
-		out := perfmodel.EvaluateCPU(perfmodel.Input{
-			Instance:  perfmodel.CPUInstance(),
-			Costs:     perfmodel.CPUCosts(),
-			Ranks:     1,
-			Steps:     steps,
-			PairStyle: cfg.Pair.Name(),
-			NGlobal:   32000,
-			PerRank:   []core.Counters{perfmodel.ScaleCounters(c, perfmodel.ScaleSpec{Factor: 32000 / float64(st.N)})},
-			MPI:       emptyMPI(1),
-		})
-		neighShare := 0.0
-		if tot := sum0(out.Tasks[0]); tot > 0 {
-			neighShare = 100 * out.Tasks[0][core.TaskNeigh] / tot
-		}
 		t.AddRow(fmt.Sprintf("%.1f", skin),
 			fmt.Sprintf("%.1f", interval),
-			fmt.Sprintf("%.1f", float64(c.NeighPairs)/float64(maxI64(c.NeighBuilds, 1))/float64(st.N)*2),
-			fmt.Sprintf("%.1f", neighShare),
+			fmt.Sprintf("%.1f", float64(c.NeighPairs)/float64(max(c.NeighBuilds, 1))/float64(st.N)*2),
+			fmt.Sprintf("%.1f", taskPercentRow(out)[core.TaskNeigh]),
 			fmt.Sprintf("%.1f", out.TSps))
 	}
 	t.Note = "The bench default (0.3 sigma) balances rebuild cadence against list size."
@@ -93,32 +76,13 @@ func runAblOrder(r *Runner, _ CampaignSpec) ([]Table, error) {
 		}
 		pp := cfg.Kspace.(*kspace.PPPM)
 		pp.Order = order
-		sim := core.New(cfg, st)
-		sim.Run(4)
-		base := sim.Counters
 		steps := 8
-		sim.Run(steps)
-		c := diffCounters(sim.Counters, base)
+		c, out := serialWindow(cfg, st, 4, steps)
 		nx, ny, nz := pp.Mesh()
-
-		out := perfmodel.EvaluateCPU(perfmodel.Input{
-			Instance:  perfmodel.CPUInstance(),
-			Costs:     perfmodel.CPUCosts(),
-			Ranks:     1,
-			Steps:     steps,
-			PairStyle: cfg.Pair.Name(),
-			NGlobal:   32000,
-			PerRank:   []core.Counters{perfmodel.ScaleCounters(c, perfmodel.ScaleSpec{Factor: 32000 / float64(st.N)})},
-			MPI:       emptyMPI(1),
-		})
-		share := 0.0
-		if tot := sum0(out.Tasks[0]); tot > 0 {
-			share = 100 * out.Tasks[0][core.TaskKspace] / tot
-		}
 		t.AddRow(order, fmt.Sprintf("%dx%dx%d", nx, ny, nz),
 			fmt.Sprintf("%.0f", float64(c.KspaceSpreadOps)/float64(steps)/float64(st.N)),
 			fmt.Sprintf("%.2f", float64(c.KspaceFFTOps)/float64(steps)/1e6),
-			fmt.Sprintf("%.1f", share))
+			fmt.Sprintf("%.1f", taskPercentRow(out)[core.TaskKspace]))
 	}
 	t.Note = "LAMMPS defaults to order 5, trading mesh size against stencil width."
 	return []Table{t}, nil
@@ -138,14 +102,7 @@ func runAblGPURanks(r *Runner, p CampaignSpec) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		in := perfmodel.GPUInput{
-			Input:          m.modelInput(),
-			Devices:        2,
-			RanksPerDevice: rpg,
-			GPUCosts:       perfmodel.GPUCostsV100(),
-		}
-		in.Instance = perfmodel.GPUInstance()
-		out, err := perfmodel.EvaluateGPU(in)
+		out, err := m.GPU(2, rpg)
 		if err != nil {
 			return nil, err
 		}
@@ -156,21 +113,25 @@ func runAblGPURanks(r *Runner, p CampaignSpec) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func emptyMPI(n int) []mpi.Stats { return make([]mpi.Stats, n) }
-
-func sum0(t [core.NumTasks]float64) float64 {
-	var s float64
-	for _, v := range t {
-		s += v
-	}
-	return s
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// serialWindow runs a serial engine warm steps, then steps more, and
+// prices that window's counters on the CPU instance as one rank of a
+// 32k-atom system.
+func serialWindow(cfg core.Config, st *atom.Store, warm, steps int) (core.Counters, perfmodel.Outcome) {
+	sim := core.New(cfg, st)
+	sim.Run(warm)
+	base := sim.Counters
+	sim.Run(steps)
+	c := diffCounters(sim.Counters, base)
+	return c, perfmodel.EvaluateCPU(perfmodel.Input{
+		Instance:  perfmodel.CPUInstance(),
+		Costs:     perfmodel.CPUCosts(),
+		Ranks:     1,
+		Steps:     steps,
+		PairStyle: cfg.Pair.Name(),
+		NGlobal:   32000,
+		PerRank:   []core.Counters{perfmodel.ScaleCounters(c, perfmodel.ScaleSpec{Factor: 32000 / float64(st.N)})},
+		MPI:       make([]mpi.Stats, 1),
+	})
 }
 
 // runWeakScaling is an extension beyond the paper's strong-scaling focus:

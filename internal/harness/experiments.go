@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"gomd/internal/core"
 	"gomd/internal/neighbor"
@@ -25,26 +26,15 @@ func (e Experiment) Run(r *Runner, c CampaignSpec) ([]Table, error) {
 
 // Registry lists every experiment in paper order.
 func Registry() []Experiment {
-	return []Experiment{
+	reg := []Experiment{
 		{"table1", "Table 1: LAMMPS task taxonomy", runTable1},
 		{"table2", "Table 2: benchmark suite characteristics", runTable2},
 		{"table3", "Table 3: CPU and GPU instance description", runTable3},
-		{"fig3", "Figure 3: CPU task breakdown by benchmark/size/ranks", runFig3},
-		{"fig4", "Figure 4: MPI overhead and imbalance", runFig4},
-		{"fig5", "Figure 5: MPI function breakdown", runFig5},
-		{"fig6", "Figure 6: CPU performance / energy / parallel efficiency", runFig6},
-		{"fig7", "Figure 7: GPU task breakdown", runFig7},
-		{"fig8", "Figure 8: GPU kernel and data-movement breakdown", runFig8},
-		{"fig9", "Figure 9: GPU performance / energy / parallel efficiency", runFig9},
-		{"fig10", "Figure 10: rhodo CPU performance vs kspace error threshold", runFig10},
-		{"fig11", "Figure 11: rhodo CPU task breakdown vs kspace error threshold", runFig11},
-		{"fig12", "Figure 12: rhodo MPI function breakdown vs kspace error threshold", runFig12},
-		{"fig13", "Figure 13: rhodo GPU performance vs kspace error threshold", runFig13},
-		{"fig14", "Figure 14: rhodo MPI overhead/imbalance vs kspace error threshold", runFig14},
-		{"fig15", "Figure 15: CPU performance vs floating-point precision", runFig15},
-		{"fig16", "Figure 16: GPU performance vs floating-point precision", runFig16},
-		{"headline", "Section 10 headline numbers (anchors)", runHeadline},
 	}
+	for _, f := range figures {
+		reg = append(reg, Experiment{f.id, f.title, f.run})
+	}
+	return append(reg, Experiment{"headline", "Section 10 headline numbers (anchors)", runHeadline})
 }
 
 // FullRegistry is Registry plus the ablation studies.
@@ -141,7 +131,7 @@ func runTable3(*Runner, CampaignSpec) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// --- CPU figures ---------------------------------------------------------
+// --- Figures 3-16 ----------------------------------------------------------
 
 // taskPercentRow renders a per-task percentage row averaged over ranks.
 func taskPercentRow(out perfmodel.Outcome) []float64 {
@@ -163,36 +153,251 @@ func taskPercentRow(out perfmodel.Outcome) []float64 {
 	return row
 }
 
-func taskHeader(prefix ...string) []string {
-	h := append([]string{}, prefix...)
+// figure is one of the paper's Figs 3-16: a slice of the evaluation grid,
+// its series × the campaign's sizes × its rank counts (or GPU counts on
+// the GPU instance) from minCount up, one table row per cell. A row
+// starts with the series label, the size and the count; cols names the
+// rest, which row renders from the priced cell.
+type figure struct {
+	id, title string // registry id and title
+	table     string // the rendered table's title
+	series    axis
+	gpu       bool
+	minCount  int
+	cols      []string
+	row       func(pt point) []any
+}
+
+// axis is a figure's series in the paper's row order, and the header of
+// the column that labels them.
+type axis struct {
+	col  string
+	list []series
+}
+
+// series is one line of a figure: a spec with its size and rank count
+// left for the sweep to fill.
+type series struct {
+	label string
+	spec  Spec
+}
+
+func byWorkload(names ...workload.Name) axis {
+	a := axis{col: "Bench"}
+	for _, n := range names {
+		a.list = append(a.list, series{string(n), Spec{Workload: n}})
+	}
+	return a
+}
+
+// byThreshold sweeps rhodo over PPPM error thresholds.
+func byThreshold(accs ...float64) axis {
+	a := axis{col: "Variant"}
+	for _, acc := range accs {
+		label := "rhodo"
+		if acc != 1e-4 {
+			label = fmt.Sprintf("rhodo-e-%.0f", -math.Log10(acc))
+		}
+		a.list = append(a.list, series{label, Spec{Workload: workload.Rhodo, KspaceAcc: acc}})
+	}
+	return a
+}
+
+// byPrecision sweeps lj and rhodo over the pairwise precisions.
+func byPrecision() axis {
+	a := axis{col: "Variant"}
+	for _, n := range []workload.Name{workload.LJ, workload.Rhodo} {
+		for _, prec := range []pair.Precision{pair.Mixed, pair.Double, pair.Single} {
+			label := string(n)
+			if prec != pair.Mixed {
+				label += "-" + prec.String()
+			}
+			a.list = append(a.list, series{label, Spec{Workload: n, Precision: prec}})
+		}
+	}
+	return a
+}
+
+// gpuBenchmarks excludes Chute, whose pair style has no GPU kernel.
+func gpuBenchmarks() []workload.Name {
+	var out []workload.Name
+	for _, n := range workload.All() {
+		if workload.Describe(n).GPUSupported {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+var errThresholds = []float64{1e-4, 1e-5, 1e-6, 1e-7}
+
+var figures = []figure{
+	{id: "fig3", title: "Figure 3: CPU task breakdown by benchmark/size/ranks",
+		table:  "Figure 3: CPU execution-time breakdown by task [%]",
+		series: byWorkload(workload.All()...), cols: taskCols(), row: taskRow},
+	{id: "fig4", title: "Figure 4: MPI overhead and imbalance",
+		table:  "Figure 4: MPI time share and MPI imbalance, averaged over ranks [%]",
+		series: byWorkload(workload.All()...), minCount: 4, // the paper plots 4..64
+		cols: []string{"MPI time %", "MPI imbalance %"}, row: mpiShareRow},
+	{id: "fig5", title: "Figure 5: MPI function breakdown",
+		table:  "Figure 5: MPI function breakdown (share of MPI time) [%]",
+		series: byWorkload(workload.All()...), minCount: 4, cols: mpiCols, row: mpiRow},
+	{id: "fig6", title: "Figure 6: CPU performance / energy / parallel efficiency",
+		table:  "Figure 6: CPU performance, energy efficiency, parallel efficiency",
+		series: byWorkload(workload.All()...),
+		cols:   []string{"TS/s", "TS/s/W", "Parallel eff %"},
+		row: func(pt point) []any {
+			return []any{fmt.Sprintf("%.2f", pt.TSps), fmt.Sprintf("%.4f", pt.EnergyEff), fmt.Sprintf("%.1f", pt.eff)}
+		}},
+	{id: "fig7", title: "Figure 7: GPU task breakdown",
+		table:  "Figure 7: GPU execution-time breakdown by task [%]",
+		series: byWorkload(gpuBenchmarks()...), gpu: true, cols: taskCols(), row: taskRow},
+	{id: "fig8", title: "Figure 8: GPU kernel and data-movement breakdown",
+		table:  "Figure 8: GPU kernels and data movement (share of device-active time) [%]",
+		series: byWorkload(gpuBenchmarks()...), gpu: true,
+		cols: []string{"HtoD%", "DtoH%", "pair kernel", "pair%", "energy%", "neigh%",
+			"make_rho%", "particle_map%", "interp%", "special%", "zero%"},
+		row: kernelRow},
+	{id: "fig9", title: "Figure 9: GPU performance / energy / parallel efficiency",
+		table:  "Figure 9: GPU performance, energy efficiency, parallel efficiency",
+		series: byWorkload(gpuBenchmarks()...), gpu: true,
+		cols: []string{"TS/s", "TS/s/W", "Parallel eff %", "GPU util %"},
+		row: func(pt point) []any {
+			return []any{fmt.Sprintf("%.2f", pt.TSps), fmt.Sprintf("%.4f", pt.EnergyEff),
+				fmt.Sprintf("%.1f", pt.eff), fmt.Sprintf("%.1f", 100*avg(pt.DeviceUtil))}
+		}},
+	{id: "fig10", title: "Figure 10: rhodo CPU performance vs kspace error threshold",
+		table:  "Figure 10: rhodo CPU performance vs kspace relative error threshold",
+		series: byThreshold(errThresholds...),
+		cols:   []string{"TS/s", "Parallel eff %", "Mesh"},
+		row: func(pt point) []any {
+			g := pt.m.GridDims()
+			return []any{fmt.Sprintf("%.3f", pt.TSps), fmt.Sprintf("%.1f", pt.eff),
+				fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2])}
+		}},
+	{id: "fig11", title: "Figure 11: rhodo CPU task breakdown vs kspace error threshold",
+		table:  "Figure 11: rhodo CPU task breakdown vs kspace error threshold [%]",
+		series: byThreshold(1e-4, 1e-6, 1e-7), minCount: 2, // the paper omits e-5 here
+		cols: taskCols(), row: taskRow},
+	{id: "fig12", title: "Figure 12: rhodo MPI function breakdown vs kspace error threshold",
+		table:  "Figure 12: rhodo MPI function breakdown vs kspace error threshold [%]",
+		series: byThreshold(errThresholds...), minCount: 4, cols: mpiCols, row: mpiRow},
+	{id: "fig13", title: "Figure 13: rhodo GPU performance vs kspace error threshold",
+		table:  "Figure 13: rhodo GPU performance vs kspace error threshold",
+		series: byThreshold(errThresholds...), gpu: true,
+		cols: []string{"TS/s", "Parallel eff %"},
+		row: func(pt point) []any {
+			return []any{fmt.Sprintf("%.3f", pt.TSps), fmt.Sprintf("%.1f", pt.eff)}
+		}},
+	{id: "fig14", title: "Figure 14: rhodo MPI overhead/imbalance vs kspace error threshold",
+		table:  "Figure 14: rhodo MPI overhead and imbalance vs kspace error threshold [%]",
+		series: byThreshold(1e-4, 1e-6, 1e-7), minCount: 4,
+		cols: []string{"MPI time %", "MPI imbalance %"}, row: mpiShareRow},
+	{id: "fig15", title: "Figure 15: CPU performance vs floating-point precision",
+		table:  "Figure 15: CPU performance vs floating-point precision [TS/s]",
+		series: byPrecision(), cols: []string{"TS/s"}, row: tspsRow},
+	{id: "fig16", title: "Figure 16: GPU performance vs floating-point precision",
+		table:  "Figure 16: GPU performance vs floating-point precision [TS/s]",
+		series: byPrecision(), gpu: true, cols: []string{"TS/s"}, row: tspsRow},
+}
+
+// point is one priced cell of a sweep; a CPU cell fills only the
+// embedded Outcome. eff is the parallel efficiency against the count-1
+// point of the same series and size, 100 at count 1 or when the sweep
+// has no count-1 point.
+type point struct {
+	perfmodel.GPUOutcome
+	label       string
+	size, count int
+	m           *Measurement
+	eff         float64
+}
+
+// sweep measures and prices the cells of ss × p.SizesK × the rank counts
+// (the GPU counts when gpu) from minCount up, in that order, handing
+// each to visit. Series outermost is the paper's row order;
+// CampaignSpec.Cells puts thresholds and precisions innermost instead.
+func sweep(r *Runner, p CampaignSpec, ss []series, gpu bool, minCount int, visit func(point)) error {
+	counts := p.Ranks
+	if gpu {
+		counts = p.GPUs
+	}
+	for _, s := range ss {
+		for _, size := range p.SizesK {
+			var base float64
+			for _, n := range counts {
+				if n < minCount {
+					continue
+				}
+				pt := point{label: s.label, size: size, count: n, eff: 100}
+				spec := s.spec
+				spec.AtomsK, spec.Ranks = size, n
+				var err error
+				if gpu {
+					pt.m, pt.GPUOutcome, err = r.gpuMeasure(spec, n, p)
+				} else if pt.m, err = r.Measure(spec); err == nil {
+					pt.Outcome = pt.m.CPU()
+				}
+				if err != nil {
+					return err
+				}
+				if n == 1 {
+					base = pt.TSps
+				}
+				if base > 0 && n > 1 {
+					pt.eff = 100 * pt.TSps / (base * float64(n))
+				}
+				visit(pt)
+			}
+		}
+	}
+	return nil
+}
+
+func (f figure) run(r *Runner, p CampaignSpec) ([]Table, error) {
+	count := "Ranks"
+	if f.gpu {
+		count = "GPUs"
+	}
+	t := Table{Title: f.table, Header: append([]string{f.series.col, "Size[k]", count}, f.cols...)}
+	err := sweep(r, p, f.series.list, f.gpu, f.minCount, func(pt point) {
+		t.AddRow(append([]any{pt.label, pt.size, pt.count}, f.row(pt)...)...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []Table{t}, nil
+}
+
+// gpuMeasure measures spec on devices × p.RanksPerGPU ranks and prices it
+// on that many GPUs.
+func (r *Runner) gpuMeasure(spec Spec, devices int, p CampaignSpec) (*Measurement, perfmodel.GPUOutcome, error) {
+	spec.Ranks = devices * p.RanksPerGPU
+	m, err := r.Measure(spec)
+	if err != nil {
+		return nil, perfmodel.GPUOutcome{}, err
+	}
+	out, err := m.GPU(devices, p.RanksPerGPU)
+	return m, out, err
+}
+
+func taskCols() []string {
+	var h []string
 	for _, task := range core.Tasks() {
 		h = append(h, task.String()+"%")
 	}
 	return h
 }
 
-func runFig3(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 3: CPU execution-time breakdown by task [%]",
-		Header: taskHeader("Bench", "Size[k]", "Ranks"),
+func taskRow(pt point) []any { return percents(taskPercentRow(pt.Outcome)) }
+
+// percents formats shares to one decimal.
+func percents(v []float64) []any {
+	cells := make([]any, len(v))
+	for i, x := range v {
+		cells[i] = fmt.Sprintf("%.1f", x)
 	}
-	for _, name := range workload.All() {
-		for _, size := range p.SizesK {
-			for _, ranks := range p.Ranks {
-				m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks})
-				if err != nil {
-					return nil, err
-				}
-				out := m.CPU()
-				cells := []any{string(name), size, ranks}
-				for _, v := range taskPercentRow(out) {
-					cells = append(cells, fmt.Sprintf("%.1f", v))
-				}
-				t.AddRow(cells...)
-			}
-		}
-	}
-	return []Table{t}, nil
+	return cells
 }
 
 func avg(v []float64) float64 {
@@ -206,34 +411,16 @@ func avg(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-func runFig4(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 4: MPI time share and MPI imbalance, averaged over ranks [%]",
-		Header: []string{"Bench", "Size[k]", "Ranks", "MPI time %", "MPI imbalance %"},
-	}
-	for _, name := range workload.All() {
-		for _, size := range p.SizesK {
-			for _, ranks := range p.Ranks {
-				if ranks < 4 {
-					continue // the paper plots 4..64
-				}
-				m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks})
-				if err != nil {
-					return nil, err
-				}
-				out := m.CPU()
-				t.AddRow(string(name), size, ranks,
-					fmt.Sprintf("%.1f", avg(out.MPIPct)),
-					fmt.Sprintf("%.2f", avg(out.ImbalancePct)))
-			}
-		}
-	}
-	return []Table{t}, nil
+func mpiShareRow(pt point) []any {
+	return []any{fmt.Sprintf("%.1f", avg(pt.MPIPct)), fmt.Sprintf("%.2f", avg(pt.ImbalancePct))}
 }
 
-func mpiBreakdownRow(out perfmodel.Outcome) []float64 {
+var mpiCols = []string{"Allreduce%", "Init%", "Send%", "Sendrecv%", "Wait%", "others%"}
+
+// mpiRow renders each MPI function's share of the ranks' MPI time.
+func mpiRow(pt point) []any {
 	var init, send, sr, wait, ar, oth, tot float64
-	for _, m := range out.MPI {
+	for _, m := range pt.MPI {
 		init += m.Init
 		send += m.Send
 		sr += m.Sendrecv
@@ -243,417 +430,44 @@ func mpiBreakdownRow(out perfmodel.Outcome) []float64 {
 	}
 	tot = init + send + sr + wait + ar + oth
 	if tot == 0 {
-		return make([]float64, 6)
+		return percents(make([]float64, 6))
 	}
-	return []float64{
+	return percents([]float64{
 		100 * ar / tot, 100 * init / tot, 100 * send / tot,
 		100 * sr / tot, 100 * wait / tot, 100 * oth / tot,
-	}
+	})
 }
 
-var mpiHeader = []string{"Allreduce%", "Init%", "Send%", "Sendrecv%", "Wait%", "others%"}
-
-func runFig5(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 5: MPI function breakdown (share of MPI time) [%]",
-		Header: append([]string{"Bench", "Size[k]", "Ranks"}, mpiHeader...),
+// kernelRow renders each GPU kernel's and copy direction's share of the
+// devices' active time.
+func kernelRow(pt point) []any {
+	var k perfmodel.GPUKernelProfile
+	for _, pr := range pt.Kernels {
+		k.MemcpyHtoD += pr.MemcpyHtoD
+		k.MemcpyDtoH += pr.MemcpyDtoH
+		k.PairSeconds += pr.PairSeconds
+		k.PairEnergy += pr.PairEnergy
+		k.NeighKernel += pr.NeighKernel
+		k.MakeRho += pr.MakeRho
+		k.ParticleMap += pr.ParticleMap
+		k.Interp += pr.Interp
+		k.KernelSpecial += pr.KernelSpecial
+		k.KernelZero += pr.KernelZero
+		k.PairKernel = pr.PairKernel
 	}
-	for _, name := range workload.All() {
-		for _, size := range p.SizesK {
-			for _, ranks := range p.Ranks {
-				if ranks < 4 {
-					continue
-				}
-				m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks})
-				if err != nil {
-					return nil, err
-				}
-				cells := []any{string(name), size, ranks}
-				for _, v := range mpiBreakdownRow(m.CPU()) {
-					cells = append(cells, fmt.Sprintf("%.1f", v))
-				}
-				t.AddRow(cells...)
-			}
+	tot := k.Total()
+	pc := func(v float64) string {
+		if tot == 0 {
+			return "0"
 		}
+		return fmt.Sprintf("%.1f", 100*v/tot)
 	}
-	return []Table{t}, nil
+	return []any{pc(k.MemcpyHtoD), pc(k.MemcpyDtoH), k.PairKernel, pc(k.PairSeconds),
+		pc(k.PairEnergy), pc(k.NeighKernel), pc(k.MakeRho), pc(k.ParticleMap),
+		pc(k.Interp), pc(k.KernelSpecial), pc(k.KernelZero)}
 }
 
-func runFig6(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title: "Figure 6: CPU performance, energy efficiency, parallel efficiency",
-		Header: []string{"Bench", "Size[k]", "Ranks", "TS/s",
-			"TS/s/W", "Parallel eff %"},
-	}
-	for _, name := range workload.All() {
-		for _, size := range p.SizesK {
-			var base float64
-			for _, ranks := range p.Ranks {
-				m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks})
-				if err != nil {
-					return nil, err
-				}
-				out := m.CPU()
-				if ranks == 1 {
-					base = out.TSps
-				}
-				eff := 100.0
-				if base > 0 && ranks > 1 {
-					eff = 100 * out.TSps / (base * float64(ranks))
-				}
-				t.AddRow(string(name), size, ranks,
-					fmt.Sprintf("%.2f", out.TSps),
-					fmt.Sprintf("%.4f", out.EnergyEff),
-					fmt.Sprintf("%.1f", eff))
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-// --- GPU figures ---------------------------------------------------------
-
-// gpuBenchmarks excludes Chute, whose pair style has no GPU kernel.
-func gpuBenchmarks() []workload.Name {
-	var out []workload.Name
-	for _, n := range workload.All() {
-		if workload.Describe(n).GPUSupported {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (r *Runner) gpuMeasure(name workload.Name, size, devices int, p CampaignSpec, prec pair.Precision, acc float64) (*Measurement, perfmodel.GPUOutcome, error) {
-	ranks := devices * p.RanksPerGPU
-	m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks, Precision: prec, KspaceAcc: acc})
-	if err != nil {
-		return nil, perfmodel.GPUOutcome{}, err
-	}
-	out, err := m.GPU(devices, p.RanksPerGPU)
-	return m, out, err
-}
-
-func runFig7(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 7: GPU execution-time breakdown by task [%]",
-		Header: taskHeader("Bench", "Size[k]", "GPUs"),
-	}
-	for _, name := range gpuBenchmarks() {
-		for _, size := range p.SizesK {
-			for _, dev := range p.GPUs {
-				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
-				if err != nil {
-					return nil, err
-				}
-				cells := []any{string(name), size, dev}
-				for _, v := range taskPercentRow(out.Outcome) {
-					cells = append(cells, fmt.Sprintf("%.1f", v))
-				}
-				t.AddRow(cells...)
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig8(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title: "Figure 8: GPU kernels and data movement (share of device-active time) [%]",
-		Header: []string{"Bench", "Size[k]", "GPUs", "HtoD%", "DtoH%",
-			"pair kernel", "pair%", "energy%", "neigh%", "make_rho%",
-			"particle_map%", "interp%", "special%", "zero%"},
-	}
-	for _, name := range gpuBenchmarks() {
-		for _, size := range p.SizesK {
-			for _, dev := range p.GPUs {
-				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
-				if err != nil {
-					return nil, err
-				}
-				var k perfmodel.GPUKernelProfile
-				for _, pr := range out.Kernels {
-					k.MemcpyHtoD += pr.MemcpyHtoD
-					k.MemcpyDtoH += pr.MemcpyDtoH
-					k.PairSeconds += pr.PairSeconds
-					k.PairEnergy += pr.PairEnergy
-					k.NeighKernel += pr.NeighKernel
-					k.MakeRho += pr.MakeRho
-					k.ParticleMap += pr.ParticleMap
-					k.Interp += pr.Interp
-					k.KernelSpecial += pr.KernelSpecial
-					k.KernelZero += pr.KernelZero
-					k.PairKernel = pr.PairKernel
-				}
-				tot := k.Total()
-				pc := func(v float64) string {
-					if tot == 0 {
-						return "0"
-					}
-					return fmt.Sprintf("%.1f", 100*v/tot)
-				}
-				t.AddRow(string(name), size, dev, pc(k.MemcpyHtoD), pc(k.MemcpyDtoH),
-					k.PairKernel, pc(k.PairSeconds), pc(k.PairEnergy), pc(k.NeighKernel),
-					pc(k.MakeRho), pc(k.ParticleMap), pc(k.Interp),
-					pc(k.KernelSpecial), pc(k.KernelZero))
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig9(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title: "Figure 9: GPU performance, energy efficiency, parallel efficiency",
-		Header: []string{"Bench", "Size[k]", "GPUs", "TS/s", "TS/s/W",
-			"Parallel eff %", "GPU util %"},
-	}
-	for _, name := range gpuBenchmarks() {
-		for _, size := range p.SizesK {
-			var base float64
-			for _, dev := range p.GPUs {
-				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
-				if err != nil {
-					return nil, err
-				}
-				if dev == 1 {
-					base = out.TSps
-				}
-				eff := 100.0
-				if base > 0 && dev > 1 {
-					eff = 100 * out.TSps / (base * float64(dev))
-				}
-				t.AddRow(string(name), size, dev,
-					fmt.Sprintf("%.2f", out.TSps),
-					fmt.Sprintf("%.4f", out.EnergyEff),
-					fmt.Sprintf("%.1f", eff),
-					fmt.Sprintf("%.1f", 100*avg(out.DeviceUtil)))
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-// --- Sensitivity studies ---------------------------------------------------
-
-var errThresholds = []float64{1e-4, 1e-5, 1e-6, 1e-7}
-
-func accLabel(acc float64) string {
-	switch acc {
-	case 1e-4:
-		return "rhodo"
-	default:
-		return fmt.Sprintf("rhodo-e-%.0f", -log10(acc))
-	}
-}
-
-func log10(x float64) float64 {
-	// Avoid importing math just for this tiny helper... but clarity wins:
-	switch x {
-	case 1e-4:
-		return -4
-	case 1e-5:
-		return -5
-	case 1e-6:
-		return -6
-	case 1e-7:
-		return -7
-	}
-	return 0
-}
-
-func runFig10(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 10: rhodo CPU performance vs kspace relative error threshold",
-		Header: []string{"Variant", "Size[k]", "Ranks", "TS/s", "Parallel eff %", "Mesh"},
-	}
-	for _, acc := range errThresholds {
-		for _, size := range p.SizesK {
-			var base float64
-			for _, ranks := range p.Ranks {
-				m, err := r.Measure(Spec{Workload: workload.Rhodo, AtomsK: size, Ranks: ranks, KspaceAcc: acc})
-				if err != nil {
-					return nil, err
-				}
-				out := m.CPU()
-				if ranks == 1 {
-					base = out.TSps
-				}
-				eff := 100.0
-				if base > 0 && ranks > 1 {
-					eff = 100 * out.TSps / (base * float64(ranks))
-				}
-				g := m.GridDims()
-				t.AddRow(accLabel(acc), size, ranks,
-					fmt.Sprintf("%.3f", out.TSps),
-					fmt.Sprintf("%.1f", eff),
-					fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2]))
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig11(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 11: rhodo CPU task breakdown vs kspace error threshold [%]",
-		Header: taskHeader("Variant", "Size[k]", "Ranks"),
-	}
-	for _, acc := range errThresholds {
-		if acc == 1e-5 {
-			continue // the paper omits e-5 here
-		}
-		for _, size := range p.SizesK {
-			for _, ranks := range p.Ranks {
-				if ranks < 2 {
-					continue
-				}
-				m, err := r.Measure(Spec{Workload: workload.Rhodo, AtomsK: size, Ranks: ranks, KspaceAcc: acc})
-				if err != nil {
-					return nil, err
-				}
-				cells := []any{accLabel(acc), size, ranks}
-				for _, v := range taskPercentRow(m.CPU()) {
-					cells = append(cells, fmt.Sprintf("%.1f", v))
-				}
-				t.AddRow(cells...)
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig12(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 12: rhodo MPI function breakdown vs kspace error threshold [%]",
-		Header: append([]string{"Variant", "Size[k]", "Ranks"}, mpiHeader...),
-	}
-	for _, acc := range errThresholds {
-		for _, size := range p.SizesK {
-			for _, ranks := range p.Ranks {
-				if ranks < 4 {
-					continue
-				}
-				m, err := r.Measure(Spec{Workload: workload.Rhodo, AtomsK: size, Ranks: ranks, KspaceAcc: acc})
-				if err != nil {
-					return nil, err
-				}
-				cells := []any{accLabel(acc), size, ranks}
-				for _, v := range mpiBreakdownRow(m.CPU()) {
-					cells = append(cells, fmt.Sprintf("%.1f", v))
-				}
-				t.AddRow(cells...)
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig13(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 13: rhodo GPU performance vs kspace error threshold",
-		Header: []string{"Variant", "Size[k]", "GPUs", "TS/s", "Parallel eff %"},
-	}
-	for _, acc := range errThresholds {
-		for _, size := range p.SizesK {
-			var base float64
-			for _, dev := range p.GPUs {
-				_, out, err := r.gpuMeasure(workload.Rhodo, size, dev, p, pair.Mixed, acc)
-				if err != nil {
-					return nil, err
-				}
-				if dev == 1 {
-					base = out.TSps
-				}
-				eff := 100.0
-				if base > 0 && dev > 1 {
-					eff = 100 * out.TSps / (base * float64(dev))
-				}
-				t.AddRow(accLabel(acc), size, dev,
-					fmt.Sprintf("%.3f", out.TSps), fmt.Sprintf("%.1f", eff))
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig14(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 14: rhodo MPI overhead and imbalance vs kspace error threshold [%]",
-		Header: []string{"Variant", "Size[k]", "Ranks", "MPI time %", "MPI imbalance %"},
-	}
-	for _, acc := range []float64{1e-4, 1e-6, 1e-7} {
-		for _, size := range p.SizesK {
-			for _, ranks := range p.Ranks {
-				if ranks < 4 {
-					continue
-				}
-				m, err := r.Measure(Spec{Workload: workload.Rhodo, AtomsK: size, Ranks: ranks, KspaceAcc: acc})
-				if err != nil {
-					return nil, err
-				}
-				out := m.CPU()
-				t.AddRow(accLabel(acc), size, ranks,
-					fmt.Sprintf("%.1f", avg(out.MPIPct)),
-					fmt.Sprintf("%.2f", avg(out.ImbalancePct)))
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-var precisions = []pair.Precision{pair.Mixed, pair.Double, pair.Single}
-
-func precLabel(base string, p pair.Precision) string {
-	if p == pair.Mixed {
-		return base
-	}
-	return base + "-" + p.String()
-}
-
-func runFig15(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 15: CPU performance vs floating-point precision [TS/s]",
-		Header: []string{"Variant", "Size[k]", "Ranks", "TS/s"},
-	}
-	for _, name := range []workload.Name{workload.LJ, workload.Rhodo} {
-		for _, prec := range precisions {
-			for _, size := range p.SizesK {
-				for _, ranks := range p.Ranks {
-					m, err := r.Measure(Spec{Workload: name, AtomsK: size, Ranks: ranks, Precision: prec})
-					if err != nil {
-						return nil, err
-					}
-					t.AddRow(precLabel(string(name), prec), size, ranks,
-						fmt.Sprintf("%.2f", m.CPU().TSps))
-				}
-			}
-		}
-	}
-	return []Table{t}, nil
-}
-
-func runFig16(r *Runner, p CampaignSpec) ([]Table, error) {
-	t := Table{
-		Title:  "Figure 16: GPU performance vs floating-point precision [TS/s]",
-		Header: []string{"Variant", "Size[k]", "GPUs", "TS/s"},
-	}
-	for _, name := range []workload.Name{workload.LJ, workload.Rhodo} {
-		for _, prec := range precisions {
-			for _, size := range p.SizesK {
-				for _, dev := range p.GPUs {
-					_, out, err := r.gpuMeasure(name, size, dev, p, prec, 0)
-					if err != nil {
-						return nil, err
-					}
-					t.AddRow(precLabel(string(name), prec), size, dev,
-						fmt.Sprintf("%.2f", out.TSps))
-				}
-			}
-		}
-	}
-	return []Table{t}, nil
-}
+func tspsRow(pt point) []any { return []any{fmt.Sprintf("%.2f", pt.TSps)} }
 
 func runHeadline(r *Runner, p CampaignSpec) ([]Table, error) {
 	t := Table{
@@ -714,7 +528,7 @@ func runHeadline(r *Runner, p CampaignSpec) ([]Table, error) {
 	add("lj-double 2048k, 64 ranks [TS/s]", "98.9", mLJd.CPU().TSps, "%.1f")
 
 	// GPU anchors at 8 devices.
-	_, g8, err := r.gpuMeasure(workload.Rhodo, 2048, 8, p, pair.Mixed, 0)
+	_, g8, err := r.gpuMeasure(Spec{Workload: workload.Rhodo, AtomsK: 2048}, 8, p)
 	if err != nil {
 		return nil, err
 	}
@@ -722,42 +536,33 @@ func runHeadline(r *Runner, p CampaignSpec) ([]Table, error) {
 	add("rhodo 2048k, GPU node [ns/day]", "2.8", g8.TSps*2e-6*86400, "%.2f")
 	add("rhodo 2048k, 8 GPUs avg device util [%]", "~30", 100*avg(g8.DeviceUtil), "%.1f")
 
-	_, g87, err := r.gpuMeasure(workload.Rhodo, 2048, 8, p, pair.Mixed, 1e-7)
+	_, g87, err := r.gpuMeasure(Spec{Workload: workload.Rhodo, AtomsK: 2048, KspaceAcc: 1e-7}, 8, p)
 	if err != nil {
 		return nil, err
 	}
 	add("rhodo-e-7 2048k, 8 GPUs [TS/s]", "0.46", g87.TSps, "%.2f")
 
-	_, gLJs, err := r.gpuMeasure(workload.LJ, 2048, 8, p, pair.Single, 0)
+	_, gLJs, err := r.gpuMeasure(Spec{Workload: workload.LJ, AtomsK: 2048, Precision: pair.Single}, 8, p)
 	if err != nil {
 		return nil, err
 	}
 	add("lj-single 2048k, 8 GPUs [TS/s]", "170.0", gLJs.TSps, "%.1f")
-	_, gLJd, err := r.gpuMeasure(workload.LJ, 2048, 8, p, pair.Double, 0)
+	_, gLJd, err := r.gpuMeasure(Spec{Workload: workload.LJ, AtomsK: 2048, Precision: pair.Double}, 8, p)
 	if err != nil {
 		return nil, err
 	}
 	add("lj-double 2048k, 8 GPUs [TS/s]", "121.6", gLJd.TSps, "%.1f")
 
-	// GPU parallel efficiency minimum across the suite and sizes.
+	// GPU parallel efficiency minimum across the suite and sizes: the
+	// cells of Fig 9.
 	worst := 100.0
-	for _, name := range gpuBenchmarks() {
-		for _, size := range p.SizesK {
-			var base float64
-			for _, dev := range p.GPUs {
-				_, out, err := r.gpuMeasure(name, size, dev, p, pair.Mixed, 0)
-				if err != nil {
-					return nil, err
-				}
-				if dev == 1 {
-					base = out.TSps
-					continue
-				}
-				if e := 100 * out.TSps / (base * float64(dev)); e < worst {
-					worst = e
-				}
-			}
+	err = sweep(r, p, byWorkload(gpuBenchmarks()...).list, true, 0, func(pt point) {
+		if pt.eff < worst {
+			worst = pt.eff
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	add("worst GPU parallel efficiency [%]", "23.28", worst, "%.1f")
 
