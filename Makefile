@@ -35,10 +35,13 @@ race:
 bench:
 	go test -bench=. -benchmem -run=^$$ ./...
 
-# Regenerates the checked-in campaign in results/: every experiment at
-# default fidelity, rendered (full.txt), as CSV (full.csv) and its data
-# log (measurements.jsonl). ~2.5 min, so not part of check; run it after
-# any change that moves a modeled number and review the diff.
+# Re-measures the checked-in campaign in results/: every experiment at
+# default fidelity, rendered (full.txt), as CSV (full.csv) and the
+# counters of its engine runs (measurements.jsonl, one "measurement"
+# record per run). ~2.5 min, so not part of check; run it after an engine
+# change and review the diff. A model-only change re-prices full.txt and
+# full.csv from the counters in milliseconds instead:
+#   go test ./internal/harness -run ResultsRepriced -update
 results:
 	go run ./cmd/mdbench -exp all -csv results/full.csv \
 		-log results/measurements.jsonl > results/full.txt
@@ -60,12 +63,15 @@ wallbench:
 # Short 8-rank rhodopsin campaign with a data log: mdbench fails if any
 # engine measurement is missing from the JSONL (every requested log is
 # verified, the trace.Logger.Err() path), catching end-to-end harness
-# regressions the unit tests skip.
+# regressions the unit tests skip. The log is the runs' counters only: a
+# measurement's scratch start logs no checkpoint-restore record.
 bench-smoke:
 	go run ./cmd/mdbench -exp fig12 -quick -sizes 32 -ranks 8 \
 		-log /tmp/gomd-bench-smoke.jsonl > /dev/null
 	@test -s /tmp/gomd-bench-smoke.jsonl || \
 		{ echo "bench-smoke: empty data log" >&2; exit 1; }
+	@if grep -q '"kind":"checkpoint-restore"' /tmp/gomd-bench-smoke.jsonl; then \
+		echo "bench-smoke: a measurement logged a checkpoint-restore record" >&2; exit 1; fi
 
 # One iteration of every kernel and step benchmark, W=1 and W=4: these
 # Benchmark* functions are the root module's kernel timers (go test

@@ -27,8 +27,8 @@ type manifest struct {
 	Host       string `json:"host"`
 	ConfigHash string `json:"config_hash"`
 
-	Grid     gridConfig `json:"grid"`
-	Fidelity fidelity   `json:"fidelity"`
+	Grid     gridConfig      `json:"grid"`
+	Fidelity harness.Options `json:"fidelity"`
 
 	CSV string `json:"csv,omitempty"`
 	Log string `json:"jsonl,omitempty"` // the -log data log
@@ -45,14 +45,6 @@ type gridConfig struct {
 	Precisions []string        `json:"precisions"`
 	KspaceAccs []float64       `json:"kspace_accs"`
 	Trials     int             `json:"trials"`
-}
-
-type fidelity struct {
-	MeasureCap int    `json:"measure_cap"`
-	Steps      int    `json:"steps"`
-	Warmup     int    `json:"warmup"`
-	CheckEvery int    `json:"check_every"`
-	Seed       uint64 `json:"seed"`
 }
 
 type manifestCell struct {
@@ -99,18 +91,15 @@ func (inv *invocation) campaign(runner *harness.Runner, csv, stdout io.Writer, i
 			Workloads: spec.Workloads, SizesK: spec.SizesK, Ranks: spec.Ranks, Workers: spec.Workers,
 			KspaceAccs: spec.KspaceAccs, Trials: spec.Trials,
 		},
-		Fidelity: fidelity{
-			MeasureCap: opts.MeasureCap, Steps: opts.Steps, Warmup: opts.Warmup,
-			CheckEvery: opts.CheckEvery, Seed: opts.Seed,
-		},
-		CSV: inv.csv, Log: inv.of.LogPath,
+		Fidelity: opts,
+		CSV:      inv.csv, Log: inv.of.LogPath,
 	}
 	for _, p := range spec.Precisions {
 		man.Grid.Precisions = append(man.Grid.Precisions, p.String())
 	}
 	man.ConfigHash = results.ConfigHash(struct {
-		Grid     gridConfig `json:"grid"`
-		Fidelity fidelity   `json:"fidelity"`
+		Grid     gridConfig      `json:"grid"`
+		Fidelity harness.Options `json:"fidelity"`
 	}{man.Grid, man.Fidelity})
 
 	t0 := time.Now()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gomd/internal/harness"
 	"gomd/internal/obs"
 	"gomd/internal/workload"
 )
@@ -126,7 +127,7 @@ func TestGridMode(t *testing.T) {
 
 	// The manifest records what ran, not what was typed: -seed, -workers
 	// and -kspace-acc were left to their defaults above.
-	wantFid := fidelity{MeasureCap: 2000, Steps: 3, Warmup: 2, CheckEvery: 2, Seed: 2022}
+	wantFid := harness.Options{MeasureCap: 2000, Steps: 3, Warmup: 2, CheckEvery: 2, Seed: 2022}
 	if man.Fidelity != wantFid {
 		t.Errorf("fidelity = %+v, want the resolved %+v", man.Fidelity, wantFid)
 	}

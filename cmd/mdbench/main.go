@@ -299,7 +299,15 @@ func (inv *invocation) execute(stdout io.Writer) (err error) {
 	defer stop()
 	switch inv.mode {
 	case modeExp:
-		return inv.experiments(runner, csv, stdout, interrupted)
+		for _, e := range inv.exps {
+			if err := interrupted(); err != nil {
+				return fmt.Errorf("%w: stopped before %s", err, e.ID)
+			}
+			if err := e.Render(runner, inv.spec, stdout, csv, inv.chart); err != nil {
+				return err
+			}
+		}
+		return nil
 	case modeGrid:
 		return inv.campaign(runner, csv, stdout, interrupted)
 	default:
@@ -324,37 +332,6 @@ func watchSignals() (interrupted func() error, stop func()) {
 			return nil
 		}
 	}, func() { signal.Stop(sigC) }
-}
-
-// experiments runs the selected experiments in order, rendering each
-// table to stdout and, with csv, as "# <title>" delimited CSV blocks.
-func (inv *invocation) experiments(runner *harness.Runner, csv, stdout io.Writer, interrupted func() error) error {
-	for _, e := range inv.exps {
-		if err := interrupted(); err != nil {
-			return fmt.Errorf("%w: stopped before %s", err, e.ID)
-		}
-		tables, err := e.Run(runner, inv.spec)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		for i := range tables {
-			if inv.chart {
-				harness.Chart(&tables[i], stdout, 60)
-			} else {
-				tables[i].Render(stdout)
-			}
-			if csv == nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(csv, "# %s\n", tables[i].Title); err != nil {
-				return fmt.Errorf("csv: %w", err)
-			}
-			if err := tables[i].WriteCSV(csv); err != nil {
-				return fmt.Errorf("csv: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 // startProfiles starts a Go CPU profile into cpu and returns the

@@ -8,6 +8,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"gomd/internal/harness"
+	"gomd/internal/trace"
 )
 
 // mdbench runs the command in-process and returns (exit code, stdout,
@@ -209,5 +212,48 @@ func TestUnreachableKspaceAccuracy(t *testing.T) {
 		if strings.Contains(stdout, "TS/s") {
 			t.Errorf("%s printed a row:\n%s", m, stdout)
 		}
+	}
+}
+
+// TestExpLogIsCounters: the -log of an -exp run (the command bench-smoke
+// runs) holds one "measurement" record per engine run and nothing else —
+// no scratch checkpoint-restore record from a measurement's start — and
+// it loads back into a Runner at the same fidelity, which re-renders the
+// command's output without running the engine.
+func TestExpLogIsCounters(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "m.jsonl")
+	code, stdout, stderr := mdbench(t, "-exp", "fig12", "-quick", "-sizes", "32", "-ranks", "8", "-log", logPath)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.Read[json.RawMessage](bytes.NewReader(data))
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("fig12 at one size and rank count logged %d records (err %v), want one engine run", len(recs), err)
+	}
+	for _, rec := range recs {
+		if rec.Kind != "measurement" {
+			t.Errorf("record %d is a %q record: %s", rec.Seq, rec.Kind, rec.Payload)
+		}
+	}
+
+	r := harness.NewRunner(harness.Options{MeasureCap: 6000, Steps: 6, Workers: 1}) // -quick
+	if err := r.Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var again, engineRuns bytes.Buffer
+	r.Trace = trace.New(&engineRuns)
+	e, _ := harness.Get("fig12")
+	if err := e.Render(r, harness.CampaignSpec{SizesK: []int{32}, Ranks: []int{8}}, &again, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if engineRuns.Len() > 0 {
+		t.Errorf("the loaded runner ran the engine again:\n%s", &engineRuns)
+	}
+	if again.String() != stdout {
+		t.Errorf("re-rendered from the log:\n%s\nwant the command's output:\n%s", &again, stdout)
 	}
 }

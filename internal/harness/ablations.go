@@ -187,7 +187,7 @@ func runRoofline(r *Runner, _ CampaignSpec) ([]Table, error) {
 			sum.Add(c)
 		}
 		sum.Steps = m.perRank[0].Steps
-		for _, ti := range rl.Analyze(m.pairStyle, sum) {
+		for _, ti := range rl.Analyze(m.run.PairStyle, sum) {
 			bound := "compute"
 			if ti.MemoryBound {
 				bound = "memory"

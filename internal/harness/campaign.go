@@ -209,7 +209,7 @@ func RunCampaign(spec CampaignSpec, tmpl *Runner, emit func(CellResult) error) e
 			Cell:         cell,
 			NMeasured:    m.NMeasured,
 			NTarget:      m.NTarget,
-			Steps:        m.steps,
+			Steps:        m.run.Steps,
 			TSps:         out.TSps,
 			EnergyEff:    out.EnergyEff,
 			MPIPct:       avg(out.MPIPct),

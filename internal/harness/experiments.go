@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"gomd/internal/core"
@@ -22,6 +23,29 @@ type Experiment struct {
 // an empty axis sweeps the paper's full range (WithDefaults).
 func (e Experiment) Run(r *Runner, c CampaignSpec) ([]Table, error) {
 	return e.run(r, c.WithDefaults())
+}
+
+// Render runs e and writes its tables to text, as stacked bars with
+// chart, and, when csv is non-nil, each as a "# <title>" line and its
+// CSV block: the output of mdbench -exp.
+func (e Experiment) Render(r *Runner, c CampaignSpec, text, csv io.Writer, chart bool) error {
+	tables, err := e.Run(r, c)
+	if err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
+	}
+	for i := range tables {
+		if chart {
+			Chart(&tables[i], text, 60)
+		} else {
+			tables[i].Render(text)
+		}
+		if csv != nil {
+			if err := tables[i].WriteCSV(csv); err != nil {
+				return fmt.Errorf("csv: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // Registry lists every experiment in paper order.

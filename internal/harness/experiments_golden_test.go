@@ -19,7 +19,8 @@ import (
 // built must reproduce testdata/experiments.golden byte for byte.
 // Regenerate (only when a modeled number moves on purpose) with
 // `go test ./internal/harness -run ExperimentsGolden -update`.
-var updateGolden = flag.Bool("update", false, "rewrite internal/harness/testdata/experiments.golden")
+var updateGolden = flag.Bool("update", false,
+	"rewrite the golden files: testdata/experiments.golden, and results/full.txt and full.csv from results/measurements.jsonl")
 
 func TestExperimentsGolden(t *testing.T) {
 	if raceEnabled {
@@ -32,22 +33,23 @@ func TestExperimentsGolden(t *testing.T) {
 	spec := harness.CampaignSpec{SizesK: []int{32}, Ranks: []int{1, 4, 8}, GPUs: []int{1, 2}}
 	var got bytes.Buffer
 	for _, e := range harness.FullRegistry() {
-		tables, err := e.Run(r, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
 		fmt.Fprintf(&got, "### %s\n", e.ID)
-		for i := range tables {
-			tables[i].Render(&got)
-		}
-	}
-
-	path := filepath.Join("testdata", "experiments.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o777); err != nil {
+		if err := e.Render(r, spec, &got, nil, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o666); err != nil {
+	}
+	checkGolden(t, filepath.Join("testdata", "experiments.golden"), got.Bytes())
+}
+
+// checkGolden compares got with the file at path, naming the first line
+// that differs; with -update it first rewrites the file.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,10 +57,10 @@ func TestExperimentsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) || i < len(wl); i++ {
 		var g, w string
 		if i < len(gl) {
@@ -68,7 +70,7 @@ func TestExperimentsGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("experiments differ from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+			t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
 		}
 	}
 }

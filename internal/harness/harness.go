@@ -11,8 +11,12 @@
 package harness
 
 import (
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"sync"
 	"time"
@@ -28,29 +32,29 @@ import (
 	"gomd/internal/workload"
 )
 
-// Options tune the measurement fidelity; zero values select defaults
-// suitable for the mdbench CLI. Benchmarks lower them for speed.
+// Options tune the measurement fidelity (the JSON fields, which a
+// measurement record carries); zero values select defaults suitable for
+// the mdbench CLI. Benchmarks lower them for speed.
 type Options struct {
 	// MeasureCap bounds the atom count actually simulated (default 24k).
-	MeasureCap int
-	// Steps is the measured step count after warmup (default 12).
-	Steps int
-	// Warmup steps excluded from counters (default 3).
-	Warmup int
-	Seed   uint64
+	MeasureCap int `json:"measure_cap"`
+	// Steps is the measured step count after warmup (default 15).
+	Steps int `json:"steps"`
+	// Warmup steps excluded from counters (default 10).
+	Warmup int `json:"warmup"`
+	// CheckEvery runs the numerical guardrails every that many steps.
+	CheckEvery int    `json:"check_every"`
+	Seed       uint64 `json:"seed"`
+
 	// Workers is the intra-rank worker-pool width for the engine's
 	// kernels (0/1 = serial). Counters are worker-independent, so this
-	// does not enter the measurement cache key; it is forwarded to the
+	// does not enter the measurement record; it is forwarded to the
 	// performance model as threads-per-rank.
-	Workers int
-
-	// Safety checks, both off at zero. HangTimeout arms a hang watchdog
-	// over every run; CheckEvery runs the engine's numerical guardrails
-	// every that many steps. A measurement never checkpoints, resumes or
-	// recovers: a rebuild inside the measured window would rewind the
-	// counters it diffs, so a failed rank fails the measurement.
-	HangTimeout time.Duration
-	CheckEvery  int
+	Workers int `json:"-"`
+	// HangTimeout arms a hang watchdog over every run. A measurement
+	// never checkpoints, resumes or recovers: a rebuild inside the
+	// measured window would rewind the counters it diffs.
+	HangTimeout time.Duration `json:"-"`
 }
 
 // WithDefaults returns the options a Runner actually measures with:
@@ -116,42 +120,44 @@ type Measurement struct {
 	NMeasured int
 	NTarget   int
 
+	run     *measured // the engine run, unscaled
 	perRank []core.Counters
-	mpiStat []mpi.Stats
-	steps   int
 	workers int
 
 	// Target-system kspace mesh (for rhodo).
 	gridDims [3]int
-	gridPts  int64
-
-	pairStyle string
 }
 
 // measureKey identifies reusable engine runs: the engine's counters do
 // not depend on the target size, the arithmetic precision, or the kspace
-// accuracy (see runEngine), only on the workload and rank count.
+// accuracy (see runEngine), only on the workload, the rank count and the
+// size asked for (the target, capped at MeasureCap).
 type measureKey struct {
-	wl    workload.Name
-	ranks int
-	nrun  int
+	Workload workload.Name `json:"workload"`
+	Ranks    int           `json:"ranks"`
+	NRun     int           `json:"n_run"`
 }
 
+// measured is one engine run as the data log's "measurement" record
+// carries it: everything the model prices, taken at Fidelity. MPI holds
+// calls, bytes and hops, not wall times, so a rerun logs the same bytes.
 type measured struct {
-	perRank   []core.Counters
-	mpiStat   []mpi.Stats
-	nMeasured int
-	steps     int
-	boxEdge   [3]float64
-	q2sum     float64
-	pairStyle string
+	measureKey
+	Fidelity  Options         `json:"fidelity"`
+	NMeasured int             `json:"n_measured"`
+	Steps     int             `json:"steps"`
+	BoxEdge   [3]float64      `json:"box_edge"`
+	Q2Sum     float64         `json:"q2_sum"`
+	PairStyle string          `json:"pair_style"`
+	PerRank   []core.Counters `json:"per_rank"`
+	MPI       []mpi.Stats     `json:"mpi"`
 }
 
 // Runner executes and caches measurements.
 type Runner struct {
 	Opts Options
-	// Trace, when non-nil, receives a JSONL data log of every engine
-	// measurement (the Figure 2 "Data Log" stage).
+	// Trace, when non-nil, receives the JSONL data log (the Figure 2 "Data
+	// Log" stage): one "measurement" record per engine run (see Load).
 	Trace *trace.Logger
 	// SpanTrace, when non-nil, receives per-rank timeline spans from
 	// every engine run for Perfetto export (internal/obs). Cached
@@ -172,10 +178,51 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{Opts: opts.WithDefaults(), cache: map[measureKey]*measured{}}
 }
 
-// runEngine measures one spec on a supervised engine of nrun atoms,
-// doubling nrun until the decomposition constraint (sub-domain >=
-// interaction range) holds for the rank count.
-func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
+// Load fills the cache from a data log's "measurement" records (other
+// kinds are skipped), so Measure prices their keys without running the
+// engine. A malformed or inconsistent record, or one taken at other
+// fidelity options than r's, refuses the whole log, naming its seq.
+func (r *Runner) Load(log io.Reader) error {
+	recs, err := trace.Read[json.RawMessage](log)
+	if err != nil {
+		return fmt.Errorf("harness: counters log: %w", err)
+	}
+	fid := r.Opts
+	fid.Workers, fid.HangTimeout = 0, 0
+	loaded := map[measureKey]*measured{}
+	for _, rec := range recs {
+		if rec.Kind != "measurement" {
+			continue
+		}
+		m := new(measured)
+		if err = json.Unmarshal(rec.Payload, m); err == nil {
+			_, err = workload.Parse(string(m.Workload))
+		}
+		// A record Measure could not price as one taken at fid.
+		switch {
+		case err != nil:
+		case m.Fidelity != fid:
+			err = fmt.Errorf("taken at %+v, not at the runner's %+v", m.Fidelity, fid)
+		case m.Ranks < 1 || len(m.PerRank) != m.Ranks || len(m.MPI) != m.Ranks:
+			err = fmt.Errorf("%d ranks with %d per_rank and %d mpi entries", m.Ranks, len(m.PerRank), len(m.MPI))
+		case m.NMeasured <= 0 || m.Steps <= 0:
+			err = fmt.Errorf("n_measured %d and steps %d must be positive", m.NMeasured, m.Steps)
+		}
+		if err != nil {
+			return fmt.Errorf("harness: counters record seq %d: %w", rec.Seq, err)
+		}
+		loaded[m.measureKey] = m
+	}
+	r.mu.Lock()
+	maps.Copy(r.cache, loaded)
+	r.mu.Unlock()
+	return nil
+}
+
+// runEngine measures one key on a supervised engine, doubling the atom
+// count until the decomposition constraint (sub-domain >= interaction
+// range) holds for the rank count.
+func (r *Runner) runEngine(key measureKey) (*measured, error) {
 	o := r.Opts
 	// The engine always measures at the workload's default kspace
 	// accuracy: every accuracy-dependent quantity (mesh size, FFT work,
@@ -186,10 +233,10 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 	// or transform the gigantic target meshes it is pricing. Counters are
 	// precision-independent too, so the run is double precision.
 	rs := RunSpec{
-		Workload:   string(spec.Workload),
-		Atoms:      nrun,
+		Workload:   string(key.Workload),
+		Atoms:      key.NRun,
 		Steps:      o.Warmup + o.Steps, // the least a measurement runs
-		Ranks:      spec.Ranks,
+		Ranks:      key.Ranks,
 		Workers:    o.Workers,
 		Seed:       o.Seed,
 		CheckEvery: o.CheckEvery,
@@ -199,7 +246,8 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 		if err != nil {
 			return nil, err
 		}
-		sup.HangTimeout, sup.Metrics, sup.Tracer, sup.Trace = o.HangTimeout, r.Metrics, r.SpanTrace, r.Trace
+		// No data log: a measurement always starts from scratch.
+		sup.HangTimeout, sup.Metrics, sup.Tracer = o.HangTimeout, r.Metrics, r.SpanTrace
 		if err := sup.Start(); errors.Is(err, domain.ErrSubdomainTooSmall) {
 			// Sub-domain too small for the halo: grow the measured size.
 			rs.Atoms *= 2
@@ -212,8 +260,8 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 			return nil, err
 		}
 		eng := sup.Engine()
-		base := make([]core.Counters, spec.Ranks)
-		baseMPI := make([]mpi.Stats, spec.Ranks)
+		base := make([]core.Counters, key.Ranks)
+		baseMPI := make([]mpi.Stats, key.Ranks)
 		for i, s := range eng.Sims {
 			base[i] = s.Counters
 			baseMPI[i] = eng.World.Comm(i).Stats
@@ -240,8 +288,8 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 			}
 			steps += o.Steps
 		}
-		per := make([]core.Counters, spec.Ranks)
-		ms := make([]mpi.Stats, spec.Ranks)
+		per := make([]core.Counters, key.Ranks)
+		ms := make([]mpi.Stats, key.Ranks)
 		for i, s := range eng.Sims {
 			per[i] = diffCounters(s.Counters, base[i])
 			ms[i] = diffStats(eng.World.Comm(i).Stats, baseMPI[i])
@@ -257,16 +305,18 @@ func (r *Runner) runEngine(spec Spec, nrun int) (*measured, error) {
 			}
 		}
 		return &measured{
-			perRank:   per,
-			mpiStat:   ms,
-			nMeasured: eng.NGlobal(),
-			steps:     steps,
-			boxEdge:   [3]float64{l.X, l.Y, l.Z},
-			q2sum:     q2,
-			pairStyle: cfg.Pair.Name(),
+			measureKey: key,
+			Fidelity:   o,
+			NMeasured:  eng.NGlobal(),
+			Steps:      steps,
+			BoxEdge:    [3]float64{l.X, l.Y, l.Z},
+			Q2Sum:      q2,
+			PairStyle:  cfg.Pair.Name(),
+			PerRank:    per,
+			MPI:        ms,
 		}, nil
 	}
-	return nil, fmt.Errorf("harness: could not satisfy decomposition for %v at %d ranks", spec.Workload, spec.Ranks)
+	return nil, fmt.Errorf("harness: could not satisfy decomposition for %v at %d ranks", key.Workload, key.Ranks)
 }
 
 // Measure produces (or reuses) the engine run for spec and scales it to
@@ -281,62 +331,51 @@ func (r *Runner) Measure(spec Spec) (*Measurement, error) {
 	if nrun > o.MeasureCap {
 		nrun = o.MeasureCap
 	}
-	key := measureKey{wl: spec.Workload, ranks: spec.Ranks, nrun: nrun}
+	key := measureKey{Workload: spec.Workload, Ranks: spec.Ranks, NRun: nrun}
 
 	r.mu.Lock()
 	m := r.cache[key]
 	r.mu.Unlock()
 	if m == nil {
 		var err error
-		m, err = r.runEngine(spec, nrun)
+		m, err = r.runEngine(key)
 		if err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
 		r.cache[key] = m
 		r.mu.Unlock()
-		r.Trace.Measurement(string(spec.Workload), spec.Ranks, m.nMeasured, target, m.steps)
+		r.Trace.Log("measurement", m)
 	}
 
 	out := &Measurement{
 		Spec:      spec,
-		NMeasured: m.nMeasured,
+		NMeasured: m.NMeasured,
 		NTarget:   target,
-		steps:     m.steps,
+		run:       m,
 		workers:   o.Workers,
-		pairStyle: m.pairStyle,
 	}
 
-	factor := float64(target) / float64(m.nMeasured)
-	var scale perfmodel.ScaleSpec
-	scale.Factor = factor
+	factor := float64(target) / float64(m.NMeasured)
+	scale := perfmodel.ScaleSpec{Factor: factor}
 	// Rhodo: replace mesh-dependent counters with the target system's
 	// mesh at the requested accuracy (the engine measured at the default).
 	if spec.Workload == workload.Rhodo {
-		acc := spec.KspaceAcc
-		if acc == 0 {
-			acc = 1e-4
-		}
-		edge := [3]float64{}
-		for d := 0; d < 3; d++ {
-			edge[d] = m.boxEdge[d] * math.Cbrt(factor)
-		}
-		nx, ny, nz, err := kspace.MeshFor(acc, 10.0, edge[0], edge[1], edge[2],
-			target, m.q2sum*factor, 332.06371, 5)
+		grow := math.Cbrt(factor) // of the box edge
+		nx, ny, nz, err := kspace.MeshFor(cmp.Or(spec.KspaceAcc, 1e-4), 10.0, m.BoxEdge[0]*grow, m.BoxEdge[1]*grow,
+			m.BoxEdge[2]*grow, target, m.Q2Sum*factor, 332.06371, 5)
 		if err != nil {
 			return nil, err
 		}
 		scale.TargetGridDims = [3]int{nx, ny, nz}
 		scale.TargetGridPts = int64(nx) * int64(ny) * int64(nz)
 		out.gridDims = scale.TargetGridDims
-		out.gridPts = scale.TargetGridPts
 	}
 
-	out.perRank = make([]core.Counters, len(m.perRank))
-	for i, c := range m.perRank {
+	out.perRank = make([]core.Counters, len(m.PerRank))
+	for i, c := range m.PerRank {
 		out.perRank[i] = perfmodel.ScaleCounters(c, scale)
 	}
-	out.mpiStat = m.mpiStat
 	return out, nil
 }
 
@@ -364,12 +403,12 @@ func (m *Measurement) modelInput() perfmodel.Input {
 		Costs:          perfmodel.CPUCosts(),
 		WorkersPerRank: m.workers,
 		Ranks:          m.Spec.Ranks,
-		Steps:          m.steps,
-		PairStyle:      m.pairStyle,
+		Steps:          m.run.Steps,
+		PairStyle:      m.run.PairStyle,
 		Precision:      m.Spec.Precision,
 		NGlobal:        m.NTarget,
 		PerRank:        m.perRank,
-		MPI:            m.mpiStat,
+		MPI:            m.run.MPI,
 	}
 }
 
@@ -402,15 +441,15 @@ func diffCounters(a, b core.Counters) core.Counters {
 	}
 }
 
+// diffStats keeps calls, bytes and hops, all the model reads: with no
+// wall times the same run logs the same record.
 func diffStats(a, b mpi.Stats) mpi.Stats {
 	var out mpi.Stats
 	for f := range a.Funcs {
 		out.Funcs[f] = mpi.FuncStats{
-			Calls:    a.Funcs[f].Calls - b.Funcs[f].Calls,
-			Bytes:    a.Funcs[f].Bytes - b.Funcs[f].Bytes,
-			Hops:     a.Funcs[f].Hops - b.Funcs[f].Hops,
-			Time:     a.Funcs[f].Time - b.Funcs[f].Time,
-			WaitTime: a.Funcs[f].WaitTime - b.Funcs[f].WaitTime,
+			Calls: a.Funcs[f].Calls - b.Funcs[f].Calls,
+			Bytes: a.Funcs[f].Bytes - b.Funcs[f].Bytes,
+			Hops:  a.Funcs[f].Hops - b.Funcs[f].Hops,
 		}
 	}
 	return out

@@ -141,7 +141,7 @@ func TestTableRendering(t *testing.T) {
 	if err := tab.WriteCSV(&csv); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	if !strings.HasPrefix(csv.String(), "a,bb\n") {
+	if !strings.HasPrefix(csv.String(), "# demo\na,bb\nx,1\n") {
 		t.Errorf("csv header: %q", csv.String())
 	}
 	// Write errors must surface, not vanish into a truncated file.

@@ -87,17 +87,14 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// WriteCSV emits the table as CSV. Write errors are returned so callers
-// can fail loudly: a full disk must not yield a silently truncated CSV
-// with exit code 0.
+// WriteCSV emits the table as a "# <title>" line and its CSV block.
+// Write errors are returned so callers can fail loudly: a full disk must
+// not yield a silently truncated CSV with exit code 0.
 func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Header, ",")); err != nil {
-		return err
-	}
+	lines := []string{"# " + t.Title, strings.Join(t.Header, ",")}
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
+		lines = append(lines, strings.Join(row, ","))
 	}
-	return nil
+	_, err := fmt.Fprintln(w, strings.Join(lines, "\n"))
+	return err
 }

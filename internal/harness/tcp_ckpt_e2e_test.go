@@ -189,7 +189,7 @@ func TestTCPCheckpointKillRecovery(t *testing.T) {
 
 	// The joiner hosted the killed rank: its log must carry the recovery
 	// with transport identity and the restore with the chosen generation.
-	recs, err := trace.Read(bytes.NewReader(logs[1].Bytes()))
+	recs, err := trace.Read[map[string]any](bytes.NewReader(logs[1].Bytes()))
 	if err != nil {
 		t.Fatalf("parsing joiner trace: %v", err)
 	}

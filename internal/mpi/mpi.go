@@ -78,10 +78,10 @@ type FuncStats struct {
 	// algorithms, 2 log2 P for the reduce-scatter + allgather butterfly).
 	// Point-to-point calls leave it zero.
 	Hops int64
-	Time time.Duration
+	Time time.Duration `json:",omitempty"`
 	// WaitTime is the portion spent blocked on a peer (the imbalance
 	// metric of Figure 4 bottom: time waiting for data).
-	WaitTime time.Duration
+	WaitTime time.Duration `json:",omitempty"`
 }
 
 // Stats is the per-rank MPI profile.

@@ -1,21 +1,24 @@
 // Package trace is the data log of the characterization framework (the
 // "Data Log" stage of the paper's Figure 2): structured JSONL records of
-// measurements and model evaluations, so experiment campaigns leave an
+// engine runs and campaign events, so experiment campaigns leave an
 // auditable, machine-readable trail alongside the rendered tables.
 package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 )
 
-// Record is one logged event. Kind identifies the schema of Payload
-// ("measurement", "cpu-outcome", "gpu-outcome", "note").
-type Record struct {
-	Seq     int64          `json:"seq"`
-	Kind    string         `json:"kind"`
-	Payload map[string]any `json:"payload"`
+// Record is one logged event. Kind names the schema of Payload:
+// "measurement" (harness.Runner), "cell" (mdbench -grid), "run" (mdrun),
+// or the harness.Supervisor's "checkpoint-verify", "checkpoint-restore",
+// "recovery" and "flight-dump".
+type Record[P any] struct {
+	Seq     int64  `json:"seq"`
+	Kind    string `json:"kind"`
+	Payload P      `json:"payload"`
 }
 
 // Logger appends JSONL records to a writer; safe for concurrent use.
@@ -36,7 +39,7 @@ func New(w io.Writer) *Logger {
 }
 
 // Log appends one record.
-func (l *Logger) Log(kind string, payload map[string]any) {
+func (l *Logger) Log(kind string, payload any) {
 	if l == nil {
 		return
 	}
@@ -46,7 +49,7 @@ func (l *Logger) Log(kind string, payload map[string]any) {
 	// Encoding errors never fail an experiment (the data log is an
 	// auxiliary artifact), but the first one is retained so campaigns can
 	// warn about an incomplete log at the end (see Err).
-	if err := l.enc.Encode(Record{Seq: l.seq, Kind: kind, Payload: payload}); err != nil && l.err == nil {
+	if err := l.enc.Encode(Record[any]{Seq: l.seq, Kind: kind, Payload: payload}); err != nil && l.err == nil {
 		l.err = err
 	}
 }
@@ -62,38 +65,18 @@ func (l *Logger) Err() error {
 	return l.err
 }
 
-// Measurement logs the engine-side facts of one measurement.
-func (l *Logger) Measurement(workload string, ranks, nMeasured, nTarget, steps int) {
-	l.Log("measurement", map[string]any{
-		"workload":  workload,
-		"ranks":     ranks,
-		"nMeasured": nMeasured,
-		"nTarget":   nTarget,
-		"steps":     steps,
-	})
-}
-
-// Outcome logs a model evaluation.
-func (l *Logger) Outcome(instance, workload string, ranks int, tsps, powerW float64) {
-	l.Log("outcome", map[string]any{
-		"instance": instance,
-		"workload": workload,
-		"ranks":    ranks,
-		"tsps":     tsps,
-		"powerW":   powerW,
-	})
-}
-
-// Read parses a JSONL stream back into records (analysis/tests).
-func Read(r io.Reader) ([]Record, error) {
+// Read parses a JSONL stream back into records; a malformed one is an
+// error naming its place in the stream, which is its seq in a log that
+// one Logger wrote.
+func Read[P any](r io.Reader) ([]Record[P], error) {
 	dec := json.NewDecoder(r)
-	var out []Record
+	var out []Record[P]
 	for {
-		var rec Record
+		var rec Record[P]
 		if err := dec.Decode(&rec); err == io.EOF {
 			return out, nil
 		} else if err != nil {
-			return out, err
+			return out, fmt.Errorf("trace: record %d: %w", len(out)+1, err)
 		}
 		out = append(out, rec)
 	}

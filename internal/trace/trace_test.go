@@ -12,33 +12,43 @@ import (
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := trace.New(&buf)
-	l.Measurement("lj", 8, 4000, 32000, 15)
-	l.Outcome("cpu", "lj", 8, 123.4, 250)
-	l.Log("note", map[string]any{"msg": "hello"})
+	type counters struct {
+		Workload string  `json:"workload"`
+		Ranks    int     `json:"ranks"`
+		PerRank  []int64 `json:"per_rank"`
+	}
+	l.Log("measurement", counters{Workload: "lj", Ranks: 2, PerRank: []int64{7, 9}})
+	l.Log("cell", map[string]any{"label": "lj/32k/r2", "ts_per_s": 123.4})
 
-	recs, err := trace.Read(&buf)
+	recs, err := trace.Read[map[string]any](bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
+	if len(recs) != 2 {
 		t.Fatalf("records %d", len(recs))
 	}
-	if recs[0].Kind != "measurement" || recs[0].Seq != 1 {
+	if recs[0].Kind != "measurement" || recs[0].Seq != 1 || recs[0].Payload["workload"] != "lj" {
 		t.Errorf("rec0 %+v", recs[0])
 	}
-	if recs[1].Payload["tsps"].(float64) != 123.4 {
-		t.Errorf("outcome payload %+v", recs[1].Payload)
+	if recs[1].Seq != 2 || recs[1].Payload["ts_per_s"].(float64) != 123.4 {
+		t.Errorf("cell payload %+v", recs[1].Payload)
 	}
-	if recs[2].Payload["msg"] != "hello" {
-		t.Errorf("note payload %+v", recs[2].Payload)
+	// A struct payload reads back as the struct it was logged as.
+	typed, err := trace.Read[counters](&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := typed[0].Payload; got.Workload != "lj" || got.Ranks != 2 || len(got.PerRank) != 2 || got.PerRank[1] != 9 {
+		t.Errorf("typed payload %+v", got)
 	}
 }
 
 func TestNilLoggerIsNoop(t *testing.T) {
 	var l *trace.Logger
 	l.Log("x", nil) // must not panic
-	l.Measurement("lj", 1, 1, 1, 1)
-	l.Outcome("cpu", "lj", 1, 1, 1)
+	if l.Err() != nil {
+		t.Error("a nil Logger reports an error")
+	}
 }
 
 func TestConcurrentLogging(t *testing.T) {
@@ -55,7 +65,7 @@ func TestConcurrentLogging(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	recs, err := trace.Read(&buf)
+	recs, err := trace.Read[map[string]any](&buf)
 	if err != nil {
 		t.Fatalf("interleaved writes corrupted the stream: %v", err)
 	}
@@ -73,7 +83,12 @@ func TestConcurrentLogging(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := trace.Read(strings.NewReader("{bad json")); err == nil {
+	if _, err := trace.Read[any](strings.NewReader("{bad json")); err == nil {
 		t.Error("garbage accepted")
+	}
+	good := `{"seq":4,"kind":"cell","payload":{}}` + "\n"
+	_, err := trace.Read[any](strings.NewReader(good + "{bad json"))
+	if err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("a malformed second record: err = %v, want it named", err)
 	}
 }
